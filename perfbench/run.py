@@ -6,13 +6,19 @@ for per-layer metrics.
 
 NAME is physical-default, logical-tchain or oracle-serve (see
 perfbench/README.md). Run it from the root of a checkout: lmobf is
-imported from ./src. With --trace 0 the run times S seconds of ops with
-no tracing and reports op_ms.p50, op_ms.p90, goodput_ops_per_s,
-setup_s and peak_rss_mb; fail_rate is printed with its counts and is
+imported from ./src. With --trace 0 the run times a fixed number of
+ops, the number that takes about S seconds on a 2-vCPU Xeon VM (see
+Workload.ops_for), with no tracing and reports op_ms.p50, op_ms.p90,
+goodput_ops_per_s, setup_s and peak_rss_mb. The op count depends on S
+alone, never on the clock, so the seed and S fix every op's outcome. The op latencies behind the first three are
+scaled by a reference kernel timed between the ops (calibrate.py), so
+that the host's speed drift cancels; the record also carries them as
+measured. fail_rate is printed with its counts and is
 carried by the `attempted` and `failed` fields of the result. With
---trace 1 the run times S/2 seconds untraced, then S/2 seconds with
-every traced function wrapped, and reports the per-layer metrics and
-the tracing overhead. `--ops N` runs exactly N timed ops instead.
+--trace 1 the run times the ops of S/2 seconds untraced, then as many
+with every traced function wrapped, and reports the per-layer metrics
+and the tracing overhead. `--ops N` runs N timed ops (per loop)
+instead.
 
 The last line of stdout is one JSON object with the keys correct,
 attempted, failed and metrics. The exit code is 1 when an accepted
@@ -35,12 +41,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import calibrate
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
 NAMES = ("physical-default", "logical-tchain", "oracle-serve")
-SETUPS = 7
+SETUPS = 11
 # Units of the end-to-end metrics, in report order.
 END_TO_END = {
     "op_ms.p50": "ms",
@@ -65,40 +73,63 @@ def percentile(values: list[float], q: float) -> float:
 
 @dataclass
 class Phase:
-    """Outcomes and latencies (s) of one timed loop, in op order."""
+    """Outcomes and latencies (s) of one timed loop, in op order, with the
+    machine's slowness from the calibrations around the ops (see
+    calibrate.py): op k ran between calibrations cal_index[k] and
+    cal_index[k] + 1."""
 
     outcomes: list[str] = field(default_factory=list)
     latencies: list[float] = field(default_factory=list)
+    cal_index: list[int] = field(default_factory=list)
+    slowness: list[float] = field(default_factory=list)
     wall_s: float = 0.0
 
     def count(self, outcome: str) -> int:
         return self.outcomes.count(outcome)
 
-    def ok_latencies_ms(self) -> list[float]:
-        return [1e3 * t for o, t in zip(self.outcomes, self.latencies) if o == "ok"]
+    def scaled(self) -> list[float]:
+        """Each latency divided by the mean slowness of the calibrations
+        before and after it."""
+        s = self.slowness
+        return [t / ((s[k] + s[k + 1]) / 2) for t, k in zip(self.latencies, self.cal_index)]
+
+    def ok_ms(self, scaled: bool = True) -> list[float]:
+        times = self.scaled() if scaled else self.latencies
+        return [1e3 * t for o, t in zip(self.outcomes, times) if o == "ok"]
+
+    def goodput(self, scaled: bool = True) -> float:
+        """Successful ops per second spent in ops: the loop's wall time
+        less the calibrations and the untimed client-side preparation."""
+        busy = sum(self.scaled() if scaled else self.latencies)
+        return self.count("ok") / busy if busy else 0.0
 
 
-def timed_loop(wl, seconds: float, max_ops: Optional[int] = None, tracer=None) -> Phase:
-    """Closed loop: run op 0, 1, ... until `seconds` have passed (the op
-    in flight finishes) or, with max_ops, exactly max_ops ops. With a
-    tracer, op i runs with tracer.op = i."""
+def timed_loop(wl, ref, ops: int, tracer=None) -> Phase:
+    """Closed loop: run op 0, 1, ..., ops - 1. The reference kernel runs
+    before the first op, every calibrate.PERIOD_S seconds between ops,
+    and after the last. With a tracer, op i runs with tracer.op = i."""
     phase = Phase()
     clock = time.perf_counter
     start = clock()
-    while True:
-        i = len(phase.outcomes)
+    next_cal = start
+    for i in range(ops):
+        if clock() >= next_cal:
+            phase.slowness.append(ref.sample())
+            next_cal = clock() + calibrate.PERIOD_S
+        phase.cal_index.append(len(phase.slowness) - 1)
+        prepared = wl.prepare(i)
         if tracer is not None:
             tracer.op = i
         t0 = clock()
-        outcome = wl.run_op(i)
+        outcome = wl.run_op(i, prepared)
         t1 = clock()
         if tracer is not None:
             tracer.op = None
         phase.outcomes.append(outcome)
         phase.latencies.append(t1 - t0)
-        if (i + 1 >= max_ops) if max_ops is not None else (t1 - start >= seconds):
-            break
+    phase.slowness.append(ref.sample())
     phase.wall_s = clock() - start
+    wl.check(phase.outcomes)
     return phase
 
 
@@ -178,15 +209,21 @@ def op_counts(phases: list[Phase]) -> dict[str, int]:
     return counts
 
 
-def end_to_end(phase: Phase, setups: list[float], rss_kb: int) -> dict[str, float]:
-    ok_ms = phase.ok_latencies_ms()
+def end_to_end(phase: Phase, setups: list[float], rss_kb: int, scaled: bool = True) -> dict[str, float]:
+    ok_ms = phase.ok_ms(scaled)
     return {
         "op_ms.p50": percentile(ok_ms, 50),
         "op_ms.p90": percentile(ok_ms, 90),
-        "goodput_ops_per_s": len(ok_ms) / phase.wall_s,
+        "goodput_ops_per_s": phase.goodput(scaled),
         "setup_s": percentile(setups, 50),
         "peak_rss_mb": rss_kb / 1024,
     }
+
+
+def slowness_summary(phases: list[Phase]) -> dict[str, float]:
+    s = [v for p in phases for v in p.slowness]
+    return {"samples": len(s), "p10": percentile(s, 10), "p50": percentile(s, 50),
+            "p90": percentile(s, 90)}
 
 
 def run_workload(args: argparse.Namespace) -> int:
@@ -198,25 +235,28 @@ def run_workload(args: argparse.Namespace) -> int:
     setups = [] if args.trace else [probe_setup(name, args.seed) for _ in range(SETUPS)]
     workdir = OUT / f"run-{name}-{os.getpid()}"
     wl = workloads.WORKLOADS[name](args.seed, workdir)
+    ref = None
     try:
         wl.setup()
         wl.generate()
-        warm = [wl.run_op(k, warmup=True) for k in range(wl.warmup_ops)]
+        wrong_warmup = wl.warm_up()
+        ref = calibrate.reference_for(wl.reference)
+        ops = args.ops if args.ops is not None else wl.ops_for(
+            args.seconds / 2 if args.trace else args.seconds)
         if args.trace:
-            half = args.seconds / 2
-            untraced = timed_loop(wl, half, args.ops)
+            untraced = timed_loop(wl, ref, ops)
             tracer = tracing.Tracer()
             spans_path = OUT / f"spans-{name}.jsonl"
             wl.start_trace(tracer, spans_path)
             try:
-                traced = timed_loop(wl, half, args.ops, tracer)
+                traced = timed_loop(wl, ref, ops, tracer)
             finally:
                 spans, counters, extra = wl.stop_trace(tracer, traced.latencies)
             phases = [untraced, traced]
             values = tracing.layer_metrics(spans, counters, traced.count("ok"))
             values.update(extra)
-            p50_untraced = percentile(untraced.ok_latencies_ms(), 50)
-            p50_traced = percentile(traced.ok_latencies_ms(), 50)
+            p50_untraced = percentile(untraced.ok_ms(), 50)
+            p50_traced = percentile(traced.ok_ms(), 50)
             values["trace.overhead_ms"] = p50_traced - p50_untraced
             units = tracing.per_layer_names()
             extra_record = {
@@ -226,17 +266,27 @@ def run_workload(args: argparse.Namespace) -> int:
                 "op_ms.p50_traced": p50_traced,
             }
         else:
-            phase = timed_loop(wl, args.seconds, args.ops)
+            phase = timed_loop(wl, ref, ops)
             rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss + wl.child_peak_rss_kb()
             phases = [phase]
             values = end_to_end(phase, setups, rss_kb)
             units = END_TO_END
-            extra_record = {"setup_samples_s": setups}
+            measured = end_to_end(phase, setups, rss_kb, scaled=False)
+            extra_record = {
+                "measured": {m: measured[m] for m in ("op_ms.p50", "op_ms.p90", "goodput_ops_per_s")},
+                "setup_samples_s": setups,
+            }
+        extra_record["reference"] = ref.name
+        extra_record["slowness"] = slowness_summary(phases)
+        extra_record["loop_wall_s"] = [p.wall_s for p in phases]
+        extra_record.update(wl.record())
     finally:
+        if ref is not None:
+            ref.close()
         wl.close()
         shutil.rmtree(workdir, ignore_errors=True)
     counts = op_counts(phases)
-    wrong_untimed = wl.wrong_in_generation + warm.count(workloads.WRONG)
+    wrong_untimed = wl.wrong_in_generation + wrong_warmup
     wrong = wrong_untimed + counts["wrong"]
     correct = wrong == 0
     fail_rate = counts["failed"] / counts["attempted"]
@@ -245,7 +295,7 @@ def run_workload(args: argparse.Namespace) -> int:
     for metric, unit in units.items():
         note = ""
         if metric.startswith("op_ms."):
-            note = f"  (n={len(phases[-1].ok_latencies_ms())} successful ops)"
+            note = f"  (n={len(phases[-1].ok_ms())} successful ops)"
         elif metric == "setup_s":
             note = f"  (median of {len(setups)} set-ups)"
         print(f"{metric} {values[metric]:.6g} {unit}{note}")
@@ -312,10 +362,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description="lmobf benchmark")
     parser.add_argument("--workload", required=True, choices=NAMES + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--ops", type=int, default=None, help="run exactly this many timed ops")
+    parser.add_argument("--ops", type=int, default=None,
+                        help="run this many timed ops instead of the count for --seconds")
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--serve-pool", type=Path, default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--obf-dir", type=Path, default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--pool-evaluations", type=int, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if not (SRC / "lmobf" / "__init__.py").is_file():
         print(f"error: lmobf sources not found under {SRC}", file=sys.stderr)
@@ -323,6 +377,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     sys.path.insert(0, str(SRC))
     if args.setup_probe:
         return run_probe(args)
+    if args.serve_pool is not None:
+        import workloads
+
+        workloads.make_serve_pool(args.seed, args.obf_dir, args.serve_pool, args.pool_evaluations)
+        return 0
     if args.workload == "all":
         return run_all(args)
     return run_workload(args)

@@ -20,6 +20,7 @@ for path in (ROOT / "src", BENCH):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
+import calibrate  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -72,16 +73,47 @@ def test_planted_wrong_reply_fails_the_gate(monkeypatch, capsys):
 
     def planted(self):
         generate(self)
-        line, expected = self.pool[1]
-        self.pool[1] = (line, "OK" if expected == "BOT" else "BOT")
+        for ev in self.evaluations:
+            ev["replies"] = ["BOT"] * len(ev["replies"])
 
     monkeypatch.setattr(workloads.OracleServe, "generate", planted)
+    monkeypatch.setattr(workloads.OracleServe, "pool_evaluations", 8)
     monkeypatch.setattr(run, "SETUPS", 1)
-    code = run.main(["--workload", "oracle-serve", "--seed", "3", "--ops", "4"])
+    code = run.main(["--workload", "oracle-serve", "--seed", "3", "--ops", "40"])
     result = last_json(capsys)
     assert code == 1
     assert result["correct"] is False
-    assert result["failed"] == 1
+    assert 0 < result["failed"] < result["attempted"]
+
+
+def test_wrong_reply_to_a_tampered_line_fails_the_gate(monkeypatch, capsys):
+    check = workloads.ReplyCheck.__call__
+
+    def planted(self, layer, transcript, w_pair, line, reply, honest):
+        return honest and check(self, layer, transcript, w_pair, line, reply, honest)
+
+    monkeypatch.setattr(workloads.ReplyCheck, "__call__", planted)
+    monkeypatch.setattr(workloads.OracleServe, "pool_evaluations", 8)
+    monkeypatch.setattr(run, "SETUPS", 1)
+    code = run.main(["--workload", "oracle-serve", "--seed", "3", "--ops", "40"])
+    result = last_json(capsys)
+    assert code == 1
+    assert 0 < result["failed"] < result["attempted"]
+
+
+def test_scaling_by_the_calibrations_around_each_op():
+    # Op 0 ran between calibrations 0 and 1 (mean slowness 1.5), ops 1
+    # and 2 between calibrations 1 and 2 (mean 2.5).
+    phase = run.Phase(
+        outcomes=["ok", "rejected", "ok"],
+        latencies=[0.3, 0.5, 0.6],
+        cal_index=[0, 1, 1],
+        slowness=[1.0, 2.0, 3.0],
+    )
+    assert phase.scaled() == pytest.approx([0.2, 0.2, 0.24])
+    assert phase.ok_ms() == pytest.approx([200.0, 240.0])
+    assert phase.ok_ms(scaled=False) == pytest.approx([300.0, 600.0])
+    assert phase.goodput() == pytest.approx(2 / 0.64)
 
 
 def test_wrappers_cover_imported_names_and_are_removed(capsys):
@@ -114,9 +146,23 @@ def test_same_seed_and_op_count_give_same_outcomes(tmp_path):
         wl = workloads.LogicalTchain(11, tmp_path)
         wl.setup()
         wl.generate()
-        outcomes.append(run.timed_loop(wl, 0, max_ops=40).outcomes)
+        ref = calibrate.reference_for(wl.reference)
+        outcomes.append(run.timed_loop(wl, ref, 40).outcomes)
     assert outcomes[0] == outcomes[1]
     assert workloads.WRONG not in outcomes[0]
+
+
+def test_same_seed_and_seconds_give_same_counts(monkeypatch, capsys):
+    # The op count follows from --seconds, not from the clock, so two
+    # runs agree on attempted and failed ops however fast they ran.
+    monkeypatch.setattr(run, "SETUPS", 1)
+    results = []
+    for _ in range(2):
+        assert run.main(["--workload", "logical-tchain", "--seed", "5", "--seconds", "1"]) == 0
+        results.append(last_json(capsys))
+    counts = [(r["attempted"], r["failed"]) for r in results]
+    assert counts[0] == counts[1]
+    assert counts[0][0] == workloads.LogicalTchain.ops_for(1)
 
 
 def test_benchmark_json_matches_reported_metrics():

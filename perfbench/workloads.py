@@ -4,7 +4,8 @@ Each workload is a closed loop with one client: an op starts when the
 previous one has finished. Inputs come from the workload seed alone;
 op i draws its randomness from (seed, workload, i), so the outcome of
 every op, and hence the failure count, is fixed by the seed and the op
-count.
+count. The op count of a run is fixed by its length in seconds
+(Workload.ops_for), not by the clock.
 
     physical-default  qobf + qeval(mode="physical") on the two-input
                       circuit `CNOT 1 2; T 2`, x cycling over all inputs
@@ -19,6 +20,7 @@ set-up time.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -43,11 +45,14 @@ OK, REJECTED, WRONG = "ok", "rejected", "wrong"
 PARAMS = obf.ObfParams(security=2, label_bits=64, token_dim=4)
 
 README_CIRCUIT = "qubits 2 inputs 2 outputs 1,2\nCNOT 1 2\nT 2\n"
-TCHAIN_POOL = 16
-# The oracle-serve pool: the lines of this many accepted evaluations,
-# each line once as sent and twice tampered (one third honest).
-SERVE_EVALUATIONS = 40
-SERVE_TAMPERED_PER_LINE = 2
+TCHAIN_POOL = 64
+# oracle-serve: full honest logical evaluations whose measured codewords
+# the pool reuses, and the evaluations of the pool, each signed afresh.
+SERVE_WALKS = 40
+SERVE_EVALUATIONS = 320
+# Share of oracle-serve ops that send an honest line; the others send a
+# freshly tampered copy of one.
+HONEST_SHARE = 0.35
 # A request line the server answers with BOT; it tells set-up that the
 # server is ready.
 PROBE_LINE = "G 00"
@@ -158,17 +163,34 @@ class Workload:
 
     setup() is what `setup_s` times: compiling the circuits and, for
     oracle-serve, obfuscating and starting the server. generate() makes
-    the inputs and their references and is not timed. run_op(i) runs op
-    i and returns OK, REJECTED or WRONG.
+    the inputs and their references and is not timed. prepare(i,
+    warmup) does op i's untimed client-side work; run_op(i, prepared)
+    runs the op and returns OK, REJECTED or WRONG. After a loop,
+    check(outcomes, warmup) may turn outcomes into WRONG on evidence
+    gathered after the op. `reference` names the calibration kernel of
+    the ops (see calibrate.py). `loop_s` is the wall time of one
+    iteration of the timed loop (preparation, op and its share of the
+    calibrations) on a 2-vCPU Xeon VM.
     """
 
     name = ""
     tag = 0
+    reference = ""
+    warmup_ops = 0
+    loop_s = 1.0
 
     def __init__(self, seed: int, workdir: Path) -> None:
         self.seed = seed
         self.workdir = workdir
         self.wrong_in_generation = 0
+
+    @classmethod
+    def ops_for(cls, seconds: float) -> int:
+        """The op count of a run of `seconds`: about that long on the
+        machine `loop_s` was taken on. It is a function of `seconds`
+        alone, so that two runs with the same seed attempt the same ops
+        and fail the same ones, however fast the machine runs."""
+        return max(1, round(seconds / cls.loop_s))
 
     def setup(self) -> None:
         raise NotImplementedError
@@ -176,8 +198,24 @@ class Workload:
     def generate(self) -> None:
         raise NotImplementedError
 
-    def run_op(self, i: int, warmup: bool = False) -> str:
+    def prepare(self, i: int, warmup: bool = False) -> object:
+        return None
+
+    def run_op(self, i: int, prepared: object = None, warmup: bool = False) -> str:
         raise NotImplementedError
+
+    def check(self, outcomes: list[str], warmup: bool = False) -> None:
+        pass
+
+    def warm_up(self) -> int:
+        """Run the warm-up ops, which let caches fill and lazy set-up
+        finish; returns how many were wrong."""
+        outcomes = [
+            self.run_op(k, self.prepare(k, warmup=True), warmup=True)
+            for k in range(self.warmup_ops)
+        ]
+        self.check(outcomes, warmup=True)
+        return outcomes.count(WRONG)
 
     def start_trace(self, tracer: tracing.Tracer, spans_path: Path) -> None:
         self.spans_path = spans_path
@@ -193,6 +231,10 @@ class Workload:
     def child_peak_rss_kb(self) -> int:
         return 0
 
+    def record(self) -> dict:
+        """Facts about the generated inputs, for the result record."""
+        return {}
+
     def close(self) -> None:
         pass
 
@@ -200,7 +242,9 @@ class Workload:
 class PhysicalDefault(Workload):
     name = "physical-default"
     tag = 1
+    reference = "state"
     warmup_ops = 2
+    loop_s = 0.3
 
     def setup(self) -> None:
         self.circuit = lm.parse_circuit(README_CIRCUIT)
@@ -210,7 +254,7 @@ class PhysicalDefault(Workload):
         self.inputs = all_inputs(self.circuit.num_input_bits)
         self.supports = [support(self.circuit, x) for x in self.inputs]
 
-    def run_op(self, i: int, warmup: bool = False) -> str:
+    def run_op(self, i: int, prepared: object = None, warmup: bool = False) -> str:
         rng = op_rng(self.seed, self.tag, int(warmup), i)
         k = i % len(self.inputs)
         handle = obf.qobf(PARAMS, self.program, rng)
@@ -223,7 +267,9 @@ class PhysicalDefault(Workload):
 class LogicalTchain(Workload):
     name = "logical-tchain"
     tag = 2
+    reference = "state+python"
     warmup_ops = 4
+    loop_s = 0.07
 
     def setup(self) -> None:
         rng = np.random.default_rng((self.seed, self.tag, 2))
@@ -239,7 +285,7 @@ class LogicalTchain(Workload):
             for x in all_inputs(2)
         }
 
-    def run_op(self, i: int, warmup: bool = False) -> str:
+    def run_op(self, i: int, prepared: object = None, warmup: bool = False) -> str:
         rng = op_rng(self.seed, self.tag, int(warmup), i)
         c = i % len(self.programs)
         x = random_bits(rng, 2)
@@ -292,18 +338,168 @@ def tamper(transcript: obf.Transcript, w_pair, kind: str, rng: np.random.Generat
     return replace(transcript, x=_flip_one_bit(transcript.x, rng)), w_pair
 
 
+def serve_circuit() -> lm.Circuit:
+    """oracle-serve's circuit, the same for every seed: the layer widths
+    (where the H falls) move the mean line cost by 5-20 %."""
+    return tchain_circuit(np.random.default_rng((0, OracleServe.tag, 2)), 3)
+
+
+def encode_request(layer: Optional[int], transcript: obf.Transcript, w_pair) -> str:
+    if layer is None:
+        return obf.encode_g_request(transcript)
+    return obf.encode_f_request(layer, transcript, w_pair)
+
+
+def _bits(v: gf2.BitVector) -> str:
+    return "".join(map(str, v.bits))
+
+
+class ReplyCheck:
+    """Whether a reply to a request line is right. Its accept/reject must
+    agree with the simulated oracle (`obf.oracle_f_sim`/`oracle_g_sim`)
+    on the same transcript, and an accepted layer reply must echo the
+    codewords the simulated oracle echoes. An honest line must be
+    accepted, and its output reply must hold an output inside the
+    circuit's support for x. An accepted tampered line's reply must
+    equal the line `obf.handle_request_line` gives in this process; an
+    honest line's reply is that line already. (A tampered codeword that
+    still passes may decode to another bit, so a tampered output need
+    not be in the support.)"""
+
+    def __init__(self, key: obf.OracleKey, circuit: lm.Circuit) -> None:
+        self.key = key
+        self.supports = {x.bits: support(circuit, x) for x in all_inputs(circuit.num_input_bits)}
+
+    def __call__(self, layer, transcript, w_pair, line: str, reply: str, honest: bool) -> bool:
+        key = self.key
+        if layer is None:
+            sim = obf.oracle_g_sim(key, lambda x: x, transcript)
+        else:
+            sim = obf.oracle_f_sim(key, layer, transcript, w_pair)
+        if reply == "BOT" or obf.is_bot(sim):
+            return not honest and reply == "BOT" and obf.is_bot(sim)
+        if not honest and reply != obf.handle_request_line(key, line):
+            return False
+        first = obf.read_frames(bytes.fromhex(reply.split()[1]))[0]
+        if layer is not None:
+            return first.bits == tuple(b for c in sim[0] for b in c.bits)
+        return not honest or first.bits in self.supports[transcript.x.bits]
+
+
+def make_serve_pool(seed: int, obf_dir: Path, out: Path, size: int = SERVE_EVALUATIONS) -> None:
+    """Write oracle-serve's pool of honest evaluations to `out` as JSON.
+
+    First SERVE_WALKS honest logical evaluations run against the real
+    oracles, each with fresh signing registers; an accepted one keeps
+    its input and the codewords it measured. Then each of the `size`
+    pool evaluations takes one of these walks, signs
+    its input afresh (`tokens.tok_sign` on fresh registers) and replays
+    the chain: each layer's request line goes to the oracle in this
+    process, whose label enters the next line. A new signature changes
+    every label, so no two pool evaluations share a line. Each line's
+    reply is checked with ReplyCheck and must accept; a wrong one is
+    counted in "wrong". Walks and signings rejected for a zero-vector
+    signature are left out and counted, so that the pool's mix is the
+    same for every seed."""
+    key = obf.oracle_key_from_text((obf_dir / "oracle_key.txt").read_text())
+    circuit = serve_circuit()
+    check = ReplyCheck(key, circuit)
+    state = lm.prepare_program_state(key.program)
+    t = key.program.t
+    walks = []
+    wrong = 0
+    rejected_walks = 0
+    for e in range(4 * SERVE_WALKS):
+        rng = np.random.default_rng((seed, OracleServe.tag, 3, e))
+        x = random_bits(rng, 2)
+        base = obf.real_suite(key)
+        w_pairs: list = []
+
+        def query_f(i, tr, w, w_pairs=w_pairs, base=base):
+            w_pairs.append(w)
+            return base.query_f(i, tr, w)
+
+        final: list = []
+
+        def query_g(tr, final=final, base=base):
+            final.append(tr)
+            return base.query_g(tr)
+
+        handle = obf.ObfuscatedProgram(
+            params=PARAMS,
+            key=key,
+            token=tokens.keypair_from_subspaces(key.token_dim, key.token_vk),
+            logical_state=state,
+            suite=base,
+        )
+        y = obf.qeval(x, handle, rng, mode="logical", suite=obf.OracleSuite(query_f, query_g))
+        if obf.is_bot(y):
+            rejected_walks += 1
+            continue
+        if y.bits not in check.supports[x.bits]:
+            wrong += 1
+        walks.append((x, final[-1].v_layers, tuple(w_pairs)))
+        if len(walks) == SERVE_WALKS:
+            break
+    else:
+        raise RuntimeError("too many honest evaluations were rejected")
+
+    evaluations = []
+    rejected_signings = 0
+    for k in range(size):
+        x, v_layers, w_pairs = walks[k % SERVE_WALKS]
+        rng = np.random.default_rng((seed, OracleServe.tag, 5, k))
+        keypair = tokens.keypair_from_subspaces(key.token_dim, key.token_vk)
+        sig = tokens.tok_sign(x, keypair, rng)
+        if any(v.is_zero() for v in sig):
+            rejected_signings += 1
+            continue
+        tr = obf.Transcript(x=x, signature=sig)
+        lines, replies = [], []
+        for layer in range(1, t + 2):
+            tr = tr.with_codewords(v_layers[layer - 1])
+            w = w_pairs[layer - 1] if layer <= t else None
+            line = encode_request(layer if layer <= t else None, tr, w)
+            reply = obf.handle_request_line(key, line)
+            if not check(layer if layer <= t else None, tr, w, line, reply, honest=True):
+                wrong += 1
+                break
+            lines.append(line)
+            replies.append(reply)
+            if layer <= t:
+                tr = tr.with_label(obf.read_frames(bytes.fromhex(reply.split()[2]))[0])
+        else:
+            evaluations.append({
+                "x": _bits(x),
+                "sig": [_bits(v) for v in sig],
+                "v": [[_bits(c) for c in layer] for layer in v_layers],
+                "w": [[_bits(c) for c in pair] for pair in w_pairs],
+                "labels": [_bits(label) for label in tr.labels],
+                "lines": lines,
+                "replies": replies,
+            })
+    out.write_text(json.dumps({
+        "evaluations": evaluations,
+        "wrong": wrong,
+        "rejected_walks": rejected_walks,
+        "rejected_signings": rejected_signings,
+    }))
+
+
 class OracleServe(Workload):
     name = "oracle-serve"
     tag = 3
+    reference = "python+pipe"
     warmup_ops = 50
+    loop_s = 1.2e-3
+    pool_evaluations = SERVE_EVALUATIONS
 
     def setup(self) -> None:
-        # One circuit and one key for every seed: the layer widths (where
-        # the H falls) and the key (which one-bit flips stay inside the
-        # accepted cosets) each move the mean line cost by 5-20 %. The
-        # seed drives the evaluations, the tampering and the line order.
-        self.circuit = tchain_circuit(np.random.default_rng((0, self.tag, 2)), 3)
-        program = lm.compile_circuit(self.circuit)
+        # One circuit and one key for every seed: the key decides which
+        # one-bit flips stay inside the accepted cosets, which moves the
+        # mean line cost by 5-20 %. The seed drives the evaluations, the
+        # signing, the tampering and the line order.
+        program = lm.compile_circuit(serve_circuit())
         self.workdir.mkdir(parents=True, exist_ok=True)
         program_path = self.workdir / "program.txt"
         program_path.write_text(lm.program_to_text(program))
@@ -322,87 +518,107 @@ class OracleServe(Workload):
             raise RuntimeError("oracle server gave a wrong first reply")
 
     def generate(self) -> None:
-        """Record the request lines of accepted honest logical
-        evaluations; next to each honest line put tampered copies, the
-        tamper kinds taken in turn; fix each line's expected reply. A line
-        whose accept/reject differs from the simulated oracles, or an
-        accepted honest output outside the circuit's support, is wrong.
+        """Make the pool of honest evaluations in a helper process (see
+        make_serve_pool), so that its statevectors stay out of this
+        process's peak RSS, and load it."""
+        pool_path = self.workdir / "pool.json"
+        subprocess.run(
+            [sys.executable, str(HERE / "run.py"), "--serve-pool", str(pool_path),
+             "--obf-dir", str(self.obf_dir), "--pool-evaluations", str(self.pool_evaluations),
+             "--workload", self.name, "--seed", str(self.seed)],
+            check=True,
+            env=child_env(),
+            cwd=ROOT,
+            timeout=170,
+        )
+        pool = json.loads(pool_path.read_text())
+        self.key = obf.oracle_key_from_text((self.obf_dir / "oracle_key.txt").read_text())
+        self.check_reply = ReplyCheck(self.key, serve_circuit())
+        self.evaluations = pool["evaluations"]
+        self.wrong_in_generation += pool["wrong"]
+        self.pool_record = {k: pool[k] for k in ("rejected_walks", "rejected_signings")}
+        # (evaluation, layer) of every honest line, in evaluation order;
+        # layer t + 1 is the output query.
+        self.honest = [
+            (k, layer)
+            for k, ev in enumerate(self.evaluations)
+            for layer in range(1, len(ev["lines"]) + 1)
+        ]
+        self.cursor = 0
+        self.sent_honest = 0
+        self.sent_tampered: list[tuple[int, str]] = []
+        self._vectors: dict[str, gf2.BitVector] = {}
 
-        Evaluations rejected for a zero-vector signature are left out of
-        the pool, so that its mix of layers and kinds is the same for
-        every seed; they are counted in rejected_evaluations."""
-        key = obf.oracle_key_from_text((self.obf_dir / "oracle_key.txt").read_text())
-        self.key = key
-        state = lm.prepare_program_state(key.program)
-        supports = {x.bits: support(self.circuit, x) for x in all_inputs(2)}
-        contexts = []
-        accepted = 0
-        self.rejected_evaluations = 0
-        for e in range(4 * SERVE_EVALUATIONS):
-            rng = np.random.default_rng((self.seed, self.tag, 3, e))
-            x = random_bits(rng, 2)
-            base = obf.real_suite(key)
-            log: list = []
+    def _vec(self, bits: str) -> gf2.BitVector:
+        v = self._vectors.get(bits)
+        if v is None:
+            v = self._vectors[bits] = gf2.BitVector.from_string(bits)
+        return v
 
-            def query_f(i, tr, w, log=log, base=base):
-                log.append((i, tr, w))
-                return base.query_f(i, tr, w)
+    def request(self, k: int, layer: int):
+        """(layer or None for the output query, transcript, w pair) of
+        the honest line `layer` of pool evaluation k."""
+        ev = self.evaluations[k]
+        t = len(ev["lines"]) - 1
+        tr = obf.Transcript(
+            x=self._vec(ev["x"]),
+            signature=tuple(self._vec(b) for b in ev["sig"]),
+            v_layers=tuple(tuple(self._vec(c) for c in lay) for lay in ev["v"][:layer]),
+            labels=tuple(self._vec(b) for b in ev["labels"][: layer - 1]),
+        )
+        if layer > t:
+            return None, tr, None
+        return layer, tr, tuple(self._vec(c) for c in ev["w"][layer - 1])
 
-            def query_g(tr, log=log, base=base):
-                log.append((None, tr, None))
-                return base.query_g(tr)
+    def tampered(self, i: int, warmup: bool):
+        """None when op i sends an honest line; else the tampered request
+        (layer, transcript, w pair, line) it sends, drawn from the op's
+        RNG: a random honest line with one bit flipped afresh."""
+        rng = op_rng(self.seed, self.tag, int(warmup), i)
+        if rng.random() < HONEST_SHARE:
+            return None
+        k, layer = self.honest[int(rng.integers(len(self.honest)))]
+        layer, tr, w = self.request(k, layer)
+        kinds = tamper_kinds(tr, w)
+        tr, w = tamper(tr, w, kinds[int(rng.integers(len(kinds)))], rng)
+        return layer, tr, w, encode_request(layer, tr, w)
 
-            handle = obf.ObfuscatedProgram(
-                params=PARAMS,
-                key=key,
-                token=tokens.keypair_from_subspaces(key.token_dim, key.token_vk),
-                logical_state=state,
-                suite=base,
-            )
-            y = obf.qeval(x, handle, rng, mode="logical", suite=obf.OracleSuite(query_f, query_g))
-            if obf.is_bot(y):
-                self.rejected_evaluations += 1
-                continue
-            if y.bits not in supports[x.bits]:
-                self.wrong_in_generation += 1
-            contexts.extend(log)
-            accepted += 1
-            if accepted == SERVE_EVALUATIONS:
-                break
-        else:
-            raise RuntimeError("too many honest evaluations were rejected")
-        rng = np.random.default_rng((self.seed, self.tag, 4))
-        self.pool = []
-        turn = 0
-        for i, honest_tr, honest_w in contexts:
-            queries = [(honest_tr, honest_w)]
-            for _ in range(SERVE_TAMPERED_PER_LINE):
-                kinds = tamper_kinds(honest_tr, honest_w)
-                queries.append(tamper(honest_tr, honest_w, kinds[turn % len(kinds)], rng))
-                turn += 1
-            for tr, w in queries:
-                if i is None:
-                    line = obf.encode_g_request(tr)
-                    sim = obf.oracle_g_sim(key, lambda x: x, tr)
-                else:
-                    line = obf.encode_f_request(i, tr, w)
-                    sim = obf.oracle_f_sim(key, i, tr, w)
-                expected = obf.handle_request_line(key, line)
-                if (expected == "BOT") != obf.is_bot(sim):
-                    self.wrong_in_generation += 1
-                self.pool.append((line, expected))
-            reply = self.pool[-len(queries)][1]
-            if reply == "BOT":
-                self.wrong_in_generation += 1
-            elif i is None:
-                y = obf.read_frames(bytes.fromhex(reply.split()[1]))[0]
-                if y.bits not in supports[honest_tr.x.bits]:
-                    self.wrong_in_generation += 1
-        rng.shuffle(self.pool)
+    def prepare(self, i: int, warmup: bool = False):
+        """(line, expected reply); the expected reply of a tampered line
+        is None and is checked after the loop."""
+        req = self.tampered(i, warmup)
+        if req is not None:
+            return req[3], None
+        k, layer = self.honest[self.cursor % len(self.honest)]
+        self.cursor += 1
+        self.sent_honest += 1
+        ev = self.evaluations[k]
+        return ev["lines"][layer - 1], ev["replies"][layer - 1]
 
-    def run_op(self, i: int, warmup: bool = False) -> str:
-        line, expected = self.pool[i % len(self.pool)]
-        return OK if self.server.send(line) == expected else WRONG
+    def run_op(self, i: int, prepared=None, warmup: bool = False) -> str:
+        line, expected = prepared
+        reply = self.server.send(line)
+        if expected is None:
+            self.sent_tampered.append((i, reply))
+            return OK
+        return OK if reply == expected else WRONG
+
+    def check(self, outcomes: list[str], warmup: bool = False) -> None:
+        """Check the replies to the tampered lines of the last loop."""
+        for i, reply in self.sent_tampered:
+            layer, tr, w, line = self.tampered(i, warmup)
+            if not self.check_reply(layer, tr, w, line, reply, honest=False):
+                outcomes[i] = WRONG
+        self.sent_tampered = []
+
+    def record(self) -> dict:
+        return {
+            **self.pool_record,
+            "pool_evaluations": len(self.evaluations),
+            "honest_lines": len(self.honest),
+            "honest_lines_sent": self.sent_honest,
+            "sends_per_honest_line": self.sent_honest / len(self.honest),
+        }
 
     def start_trace(self, tracer: tracing.Tracer, spans_path: Path) -> None:
         """Swap the server for one started through the benchmark's traced
@@ -417,9 +633,7 @@ class OracleServe(Workload):
         if self.server.send(PROBE_LINE) != "BOT":
             raise RuntimeError("traced oracle server gave a wrong first reply")
         self.startup_s = time.perf_counter() - started
-        for k in range(self.warmup_ops):
-            if self.run_op(k, warmup=True) != OK:
-                self.wrong_in_generation += 1
+        self.wrong_in_generation += self.warm_up()
 
     def stop_trace(self, tracer: tracing.Tracer, latencies: list[float]):
         self.server.close()
