@@ -11,7 +11,7 @@ the accepted cosets is tampering and decodes to a reject.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .gf2 import (
     sample_coset_vector,
     sample_subspace,
 )
-from .lm import ClassicalFn, eval_classical_fn_batch
+from .lm import ClassicalFn, bind, block_tags, fn_table
 from .sim import (
     MeasurementSpec,
     MeasurementResult,
@@ -153,8 +153,8 @@ def pauli_update(
 
 @dataclass(frozen=True)
 class BasisString:
-    """Per-wire measurement bases over {0, 1, skip} with the p-fold
-    blow-up onto physical qubit blocks."""
+    """Per-wire measurement bases over {0, 1, skip}; each wire is read
+    as a block of code_length physical qubits."""
 
     theta: tuple[Optional[int], ...]
     code_length: int
@@ -172,34 +172,6 @@ class BasisString:
     @property
     def phi(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.theta, start=1) if v is not None)
-
-    @property
-    def phi_z(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.theta, start=1) if v == 0)
-
-    @property
-    def phi_x(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.theta, start=1) if v == 1)
-
-    @property
-    def phi_skip(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.theta, start=1) if v is None)
-
-    def block(self, wire: int) -> tuple[int, ...]:
-        p = self.code_length
-        return tuple(range((wire - 1) * p + 1, wire * p + 1))
-
-    @property
-    def phi_blocks(self) -> tuple[int, ...]:
-        return tuple(q for i in self.phi for q in self.block(i))
-
-    @property
-    def phi_z_blocks(self) -> tuple[int, ...]:
-        return tuple(q for i in self.phi_z for q in self.block(i))
-
-    @property
-    def phi_x_blocks(self) -> tuple[int, ...]:
-        return tuple(q for i in self.phi_x for q in self.block(i))
 
 
 CodewordTuple = tuple[BitVector, ...]
@@ -275,46 +247,42 @@ def blownup_spec(
     cnots: Sequence[tuple[int, int]],
     basis: BasisString,
     fn: Optional[ClassicalFn],
+    live: Optional[Sequence[int]] = None,
+    raw: Sequence[int] = (),
+    binds: Optional[Callable[[dict[int, np.ndarray]], dict]] = None,
 ) -> MeasurementSpec:
-    """Physical measurement over the blocks of phi. A block of a 0-wire is
-    read in the standard basis, a 1-wire in the Hadamard basis; labels are
-    fn's outputs on the decoded bits (inputs named m{wire}), or the
-    decoded tuple itself when fn is None. Undecodable rows label as BOT."""
-    phys = basis.num_wires * key.code_length
-    tags: list[Optional[str]] = [None] * phys
-    for q in basis.phi_z_blocks:
-        tags[q - 1] = "Z"
-    for q in basis.phi_x_blocks:
-        tags[q - 1] = "X"
+    """Physical measurement over the blocks of phi, in a register that
+    holds the blocks of the live wires in order (by default every wire).
+    A block of a 0-wire is read in the standard basis, a 1-wire in the
+    Hadamard basis. A label is the raw bits of the blocks of the raw
+    wires, followed by fn's outputs on the decoded bits, or by the
+    decoded tuple itself when fn is None. binds maps the decoded columns
+    by wire to fn's bindings; by default fn's inputs are m{wire}.
+    Undecodable rows label as BOT."""
+    p = key.code_length
+    live = range(1, basis.num_wires + 1) if live is None else live
     phi = basis.phi
+    raw_cols = [phi.index(w) * p + q for w in raw for q in range(p)]
 
-    def outcome_fn(bits: np.ndarray):
+    def outcome_fn(bits: np.ndarray) -> list:
         decoded = dec_batch(key, cnots, basis, bits)
         good = ~(decoded == -1).any(axis=1)
-        clean = (decoded == 1).astype(np.uint8)
-        if fn is None:
-            vals = clean
-        else:
-            binds = {
-                name: clean[:, phi.index(int(name[1:]))] for name in fn.input_names
-            }
-            outs = eval_classical_fn_batch(fn, binds, len(bits))
-            if fn.output_names:
-                vals = np.stack([outs[nm] for nm in fn.output_names], axis=1)
-            else:
-                vals = np.zeros((len(bits), 0), np.uint8)
-        labels = []
-        for row in range(len(bits)):
-            labels.append(tuple(int(v) for v in vals[row]) if good[row] else BOT)
-        return labels
+        vals = (decoded == 1).astype(np.uint8)
+        if fn is not None:
+            m = {w: vals[:, col] for col, w in enumerate(phi)}
+            vals = fn_table(fn, bind(fn, m) if binds is None else binds(m), len(bits))
+        rows = np.concatenate([bits[:, raw_cols], vals], axis=1).tolist()
+        return [tuple(row) if ok else BOT for row, ok in zip(rows, good.tolist())]
 
-    return MeasurementSpec(tuple(tags), outcome_fn)
+    return MeasurementSpec(block_tags(basis.theta, live, phi, p), outcome_fn)
 
 
-def _split_codewords(raw: BitVector, num: int, p: int) -> CodewordTuple:
-    return tuple(
-        BitVector(raw.bits[i * p : (i + 1) * p]) for i in range(num)
-    )
+def split_codewords(raw: BitVector, count: int, width: int) -> Optional[CodewordTuple]:
+    """Cut a flat vector into count vectors of the given width; None if
+    the length does not fit."""
+    if len(raw) != count * width:
+        return None
+    return tuple(BitVector(raw.bits[k * width : (k + 1) * width]) for k in range(count))
 
 
 def logical_measure(
@@ -328,7 +296,7 @@ def logical_measure(
     """One sampled authenticated measurement. Returns (label or BOT, the
     raw per-wire vectors drawn within the outcome class, post state)."""
     result: MeasurementResult = measure(state, blownup_spec(key, cnots, basis, fn), rng)
-    raw = _split_codewords(result.raw_bits, len(basis.phi), key.code_length)
+    raw = split_codewords(result.raw_bits, len(basis.phi), key.code_length)
     return result.outcome, raw, result.post_state
 
 
@@ -418,7 +386,8 @@ def key_from_text(text: str) -> AuthKey:
     lines = [ln.strip() for ln in text.strip().splitlines()]
     security = int(lines[0].split()[1])
     wires = int(lines[1].split()[1])
-    assert lines[2] == "space:"
+    if len(lines) < 3 or lines[2] != "space:":
+        raise ValueError("expected 'space:' at line 3")
     p = 2 * security + 1
     at = 3
     rows = []

@@ -40,6 +40,7 @@ from .lm import (
 from .obf import (
     ObfParams,
     ObfuscatedProgram,
+    Reject,
     attack_harness,
     handle_request_line,
     induced_map,
@@ -88,6 +89,12 @@ class RunManifest:
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _rejected(reply: Reject) -> int:
+    return _fail(
+        f"honest evaluation was rejected at layer {reply.layer}: {reply.reason}", EXIT_REJECTED
+    )
 
 
 def _params_from_args(args: argparse.Namespace) -> ObfParams:
@@ -235,7 +242,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         y = qeval(x, obf, rng)
     if is_bot(y):
-        return _fail("honest evaluation was rejected", EXIT_REJECTED)
+        return _rejected(y)
     print("".join(str(b) for b in y.bits))
     return EXIT_OK
 
@@ -249,6 +256,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         report = attack_harness(args.kind, obf, np.random.default_rng(args.seed), args.trials)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    if is_bot(report):
+        return _rejected(report)
     print(report.to_text())
     return EXIT_OK
 

@@ -15,7 +15,7 @@ teleportation gadgets, two fresh wires per H or T gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Collection, Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -147,13 +147,17 @@ def eval_classical_fn(fn: ClassicalFn, bindings: dict[str, int]) -> dict[str, in
 def eval_classical_fn_batch(
     fn: ClassicalFn, bindings: dict[str, np.ndarray], num_rows: int
 ) -> dict[str, np.ndarray]:
-    """Vectorized evaluation: every binding is a uint8 array of num_rows."""
+    """Vectorized evaluation: every binding is a bit array of num_rows,
+    or a single bit that stands for num_rows equal ones."""
     vals: list[np.ndarray] = []
     for node in fn.nodes:
         if node[0] == "in":
             if node[1] not in bindings:
                 raise KeyError(f"unbound input {node[1]!r}")
-            vals.append(bindings[node[1]])
+            value = bindings[node[1]]
+            if not isinstance(value, np.ndarray):
+                value = np.full(num_rows, value, dtype=np.uint8)
+            vals.append(value)
         elif node[0] == "const":
             vals.append(np.full(num_rows, node[1], dtype=np.uint8))
         elif node[0] == "xor":
@@ -432,146 +436,182 @@ def compile_circuit(circuit: Circuit) -> LMProgram:
     )
 
 
-def _bind_and_label(
+def bind(
     fn: ClassicalFn,
-    bits: np.ndarray,
-    col_of: dict[int, int],
-    x: BitVector,
-    stored: dict[int, int],
-    rs: dict[int, int],
-) -> list[tuple[int, ...]]:
-    """Run fn over every observed substring; label = output tuple."""
-    num = len(bits)
-    binds: dict[str, np.ndarray] = {}
+    m: Mapping[int, Any],
+    x: Optional[BitVector] = None,
+    rs: Optional[Mapping[int, int]] = None,
+) -> dict[str, Any]:
+    """Bindings of fn's inputs: m{w} is the bit wire w was read as, x{j}
+    input bit j, r{j} the chain bit of layer j. A value is a bit, or a
+    column of bits with one row per observed substring."""
+    sources = {"m": m, "x": x, "r": rs}
+    binds: dict[str, Any] = {}
     for name in fn.input_names:
-        if name[0] == "m":
-            w = int(name[1:])
-            if w in col_of:
-                binds[name] = bits[:, col_of[w]]
-            else:
-                binds[name] = np.full(num, stored[w], dtype=np.uint8)
-        elif name[0] == "x":
-            binds[name] = np.full(num, x[int(name[1:])], dtype=np.uint8)
-        elif name[0] == "r":
-            binds[name] = np.full(num, rs[int(name[1:])], dtype=np.uint8)
-        else:
+        source = sources.get(name[0])
+        if source is None:
             raise KeyError(f"unrecognized input {name!r}")
-    outs = eval_classical_fn_batch(fn, binds, num)
-    cols = np.stack([outs[name] for name in fn.output_names], axis=1)
-    return [tuple(int(v) for v in row) for row in cols]
+        binds[name] = source[int(name[1:])]
+    return binds
 
 
-def _layer_spec(
-    program: LMProgram,
-    layer: int,
+def fn_table(fn: ClassicalFn, binds: dict[str, Any], num_rows: int) -> np.ndarray:
+    """fn's outputs over num_rows rows as a (num_rows, outputs) array."""
+    outs = eval_classical_fn_batch(fn, binds, num_rows)
+    if not fn.outputs:
+        return np.zeros((num_rows, 0), dtype=np.uint8)
+    return np.stack([outs[name] for name in fn.output_names], axis=1)
+
+
+def block_tags(
+    theta: Sequence[Optional[int]], live: Sequence[int], measured: Collection[int], block: int
+) -> tuple[Optional[str], ...]:
+    """Basis tags of a register holding the live wires in order, each as
+    a block of qubits: standard basis for a 0-wire, Hadamard for a
+    1-wire, untouched for a wire that is not measured."""
+    return tuple(
+        ("X" if theta[w - 1] == 1 else "Z") if w in measured else None
+        for w in live
+        for _ in range(block)
+    )
+
+
+def discard_collapsed(
+    state: StateVector,
     live: list[int],
-    x: BitVector,
-    stored: dict[int, int],
-    rs: dict[int, int],
-) -> tuple[MeasurementSpec, list[int]]:
-    """Measurement over the newly collapsing wires of the given layer
-    (1-based; layer t+1 is the final read). Returns a MeasurementSpec
-    over the live-wire state plus the measured wires in column order."""
-    final = layer == program.t + 1
-    v_new = program.v_sets[layer - 1]
-    w_new = () if final else program.w_sets[layer - 1]
-    theta = program.thetas[layer - 1]
-    measured = sorted(set(v_new) | set(w_new))
-    pos_of = {w: q + 1 for q, w in enumerate(live)}
-    basis: list[Optional[str]] = [None] * len(live)
-    for w in measured:
-        basis[pos_of[w] - 1] = "X" if theta[w - 1] == 1 else "Z"
-    col_of = {w: idx for idx, w in enumerate(measured)}
-    fn = program.final_fn if final else program.measurement_fns[layer - 1]
-
-    def outcome_fn(bits: np.ndarray) -> list[tuple[int, ...]]:
-        return _bind_and_label(fn, bits, col_of, x, stored, rs)
-
-    return MeasurementSpec(tuple(basis), outcome_fn), measured
-
-
-def _store_v_bits(
-    program: LMProgram, layer: int, label: tuple[int, ...], stored: dict[int, int]
-) -> None:
-    fn = program.measurement_fns[layer - 1]
-    by_name = dict(zip(fn.output_names, label))
-    for w in program.v_sets[layer - 1]:
-        stored[w] = by_name[f"v{w}"]
-
-
-def _discard_collapsed(
-    state: StateVector, live: list[int], wires: Sequence[int], theta, stored: dict[int, int]
+    wires: Sequence[int],
+    theta: Sequence[Optional[int]],
+    blocks: Mapping[int, Sequence[int]],
 ) -> tuple[StateVector, list[int]]:
-    """Slice fully collapsed wires out of the state (Hadamard-rotating
-    the X-basis ones first so the slice lands on a basis axis)."""
-    pos_of = {w: q + 1 for q, w in enumerate(live)}
+    """Slice fully collapsed wires out of the state, highest position
+    first. Each wire is a block of len(blocks[w]) qubits (one qubit, or a
+    code block) and is projected onto the bits it was read as; X-read
+    blocks rotate back onto a basis axis first."""
+    pos_of = {w: k for k, w in enumerate(live)}
     for w in sorted(wires, key=lambda w: -pos_of[w]):
-        q = pos_of[w]
+        bits = blocks[w]
+        base = pos_of[w] * len(bits)
         if theta[w - 1] == 1:
-            state = apply_gate(state, "H", (q,))
-        psi = state.amplitudes.reshape((2,) * state.num_qubits)
-        psi = np.take(psi, stored[w], axis=q - 1).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
-        state = StateVector(state.num_qubits - 1, psi)
+            for q in range(base + 1, base + len(bits) + 1):
+                state = apply_gate(state, "H", (q,))
+        for offset in range(len(bits) - 1, -1, -1):
+            psi = state.amplitudes.reshape((2,) * state.num_qubits)
+            psi = np.take(psi, bits[offset], axis=base + offset).reshape(-1)
+            psi = psi / np.linalg.norm(psi)
+            state = StateVector(state.num_qubits - 1, psi)
     return state, [w for w in live if w not in set(wires)]
 
 
-def _layer_cnots(
-    program: LMProgram, layer: int, live: list[int]
-) -> list[tuple[int, int]]:
-    pos_of = {w: q + 1 for q, w in enumerate(live)}
-    return [(pos_of[c], pos_of[t]) for c, t in program.linear_layers[layer - 1]]
+@dataclass(frozen=True)
+class LogicalRegister:
+    """The program's wires held one qubit each. Every register that
+    walk() drives names its program and its block (qubits per wire) and
+    offers the same three steps: its CNOT layer, its measurement spec,
+    and the bits its collapsed wires are sliced on."""
+
+    program: LMProgram
+    block = 1
+
+    def cnot_layer(self, state: StateVector, cnots: list[tuple[int, int]]) -> StateVector:
+        return apply_cnot_layer(state, cnots)
+
+    def spec(
+        self, layer: int, live: list[int], measured: list[int], fn: ClassicalFn, binds
+    ) -> MeasurementSpec:
+        """Labels are fn's outputs on each observed substring."""
+
+        def outcome_fn(bits: np.ndarray) -> list[tuple[int, ...]]:
+            m = {w: bits[:, col] for col, w in enumerate(measured)}
+            return [tuple(row) for row in fn_table(fn, binds(m), len(bits)).tolist()]
+
+        theta = self.program.thetas[layer - 1]
+        return MeasurementSpec(block_tags(theta, live, measured, 1), outcome_fn)
+
+    def collapsed(self, wires: Sequence[int], label: tuple, stored: dict[int, int]) -> dict:
+        return {w: (stored[w],) for w in wires}
+
+
+def walk(
+    register,
+    state: StateVector,
+    x: BitVector,
+    rng: Optional[np.random.Generator] = None,
+    visit: Optional[Callable[[int, Hashable, Optional[dict]], bool]] = None,
+) -> dict[Hashable, float]:
+    """The one loop over a program's layers: CNOT layer, measurement,
+    record, discard of the wires that collapsed.
+
+    With rng, each layer samples one outcome. Without, every branch of
+    probability above 1e-15 is walked in turn, depth first. The register
+    (one qubit or one code block per wire) supplies the CNOT layer, the
+    measurement spec and the bits to slice collapsed wires on. Each
+    branch is recorded by visit(layer, label, read), where read maps each
+    measured wire to the bits of the sampled substring it was read as
+    (None when enumerating); a false return stops that branch. Returns
+    the final labels with their probabilities."""
+    program = register.program
+    dist: dict[Hashable, float] = {}
+    # Branches still to walk, the next one on top. A layer's children all
+    # go in at the index where the stack ended, so that the first child is
+    # on top and the walk is depth first in branch order.
+    todo = [(1, 1.0, state, list(range(1, program.num_wires + 1)), {}, {})]
+    while todo:
+        layer, prob, state, live, stored, rs = todo.pop()
+        pos_of = {w: k + 1 for k, w in enumerate(live)}
+        cnots = [(pos_of[c], pos_of[t]) for c, t in program.linear_layers[layer - 1]]
+        state = register.cnot_layer(state, cnots)
+        final = layer == program.t + 1
+        fn = program.final_fn if final else program.measurement_fns[layer - 1]
+        v_wires = program.v_sets[layer - 1]
+        measured = sorted(set(v_wires) | set(() if final else program.w_sets[layer - 1]))
+        spec = register.spec(
+            layer, live, measured, fn, lambda m: bind(fn, {**stored, **m}, x, rs)
+        )
+        if rng is None:
+            branches = [
+                (label, prob * p, post, None) for label, p, post in measure_branches(state, spec)
+            ]
+        else:
+            result = measure(state, spec, rng)
+            b, bits = register.block, result.raw_bits.bits
+            read = {w: bits[k * b : (k + 1) * b] for k, w in enumerate(measured)}
+            branches = [(result.outcome, prob, result.post_state, read)]
+        at = len(todo)
+        for label, branch_prob, post, read in branches:
+            if branch_prob <= 1e-15 or (visit is not None and not visit(layer, label, read)):
+                continue
+            if final:
+                dist[label] = dist.get(label, 0.0) + branch_prob
+                continue
+            outs = dict(zip(fn.output_names, label[len(label) - len(fn.outputs) :]))
+            stored2 = {**stored, **{w: outs[f"v{w}"] for w in v_wires}}
+            blocks = register.collapsed(v_wires, label, stored2)
+            theta = program.thetas[layer - 1]
+            # Only todo holds the shrunk state, so that it is freed as soon
+            # as the next CNOT layer has replaced it.
+            todo.insert(at, (
+                layer + 1,
+                branch_prob,
+                *discard_collapsed(post, live, v_wires, theta, blocks),
+                stored2,
+                {**rs, layer: outs["r"]},
+            ))
+    return dist
 
 
 def lmeval(x: BitVector, program: LMProgram, rng: np.random.Generator) -> BitVector:
     """Sample one run of the program on classical input x."""
     if len(x) != program.num_input_bits:
         raise ValueError("input length mismatch")
-    state = prepare_program_state(program)
-    live = list(range(1, program.num_wires + 1))
-    stored: dict[int, int] = {}
-    rs: dict[int, int] = {}
-    for layer in range(1, program.t + 2):
-        state = apply_cnot_layer(state, _layer_cnots(program, layer, live))
-        spec, _ = _layer_spec(program, layer, live, x, stored, rs)
-        result = measure(state, spec, rng)
-        if layer == program.t + 1:
-            return BitVector(result.outcome)
-        _store_v_bits(program, layer, result.outcome, stored)
-        rs[layer] = result.outcome[-1]
-        state, live = _discard_collapsed(
-            result.post_state, live, program.v_sets[layer - 1], program.thetas[layer - 1], stored
-        )
-    raise AssertionError("unreachable")
+    dist = walk(LogicalRegister(program), prepare_program_state(program), x, rng)
+    return BitVector(next(iter(dist)))
 
 
 def lmeval_distribution(x: BitVector, program: LMProgram) -> dict[tuple[int, ...], float]:
     """Exact output distribution via branch enumeration, no sampling."""
     if len(x) != program.num_input_bits:
         raise ValueError("input length mismatch")
-    dist: dict[tuple[int, ...], float] = {}
-
-    def walk(layer, prob, state, live, stored, rs):
-        state = apply_cnot_layer(state, _layer_cnots(program, layer, live))
-        spec, _ = _layer_spec(program, layer, live, x, stored, rs)
-        for label, p, post in measure_branches(state, spec):
-            branch_prob = prob * p
-            if branch_prob <= 1e-15:
-                continue
-            if layer == program.t + 1:
-                dist[label] = dist.get(label, 0.0) + branch_prob
-                continue
-            stored2 = dict(stored)
-            _store_v_bits(program, layer, label, stored2)
-            rs2 = dict(rs)
-            rs2[layer] = label[-1]
-            shrunk, live2 = _discard_collapsed(
-                post, live, program.v_sets[layer - 1], program.thetas[layer - 1], stored2
-            )
-            walk(layer + 1, branch_prob, shrunk, live2, stored2, rs2)
-
-    walk(1, 1.0, prepare_program_state(program), list(range(1, program.num_wires + 1)), {}, {})
-    return dist
+    return walk(LogicalRegister(program), prepare_program_state(program), x)
 
 
 def simulate_circuit(circuit: Circuit, x: BitVector) -> StateVector:
@@ -787,6 +827,11 @@ def program_to_text(program: LMProgram) -> str:
     return "\n".join(lines)
 
 
+def _expect_header(lines: list[str], at: int, header: str) -> None:
+    if at >= len(lines) or lines[at] != header:
+        raise ValueError(f"expected {header!r} at line {at + 1}")
+
+
 def program_from_text(text: str) -> LMProgram:
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     n = int(lines[0].split()[1])
@@ -829,10 +874,10 @@ def program_from_text(text: str) -> LMProgram:
         at += 1
     fns = []
     for i in range(1, t + 1):
-        assert lines[at] == f"f{i}:"
+        _expect_header(lines, at, f"f{i}:")
         fn, at = _fn_from_lines(lines, at + 1)
         fns.append(fn)
-    assert lines[at] == "g:"
+    _expect_header(lines, at, "g:")
     g, at = _fn_from_lines(lines, at + 1)
     return LMProgram(
         num_wires=n,

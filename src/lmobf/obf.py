@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from .auth import (
     BasisString,
     CodewordTuple,
     _wire_decoder,
+    blownup_spec,
     dec,
-    dec_batch,
     enc,
     gen,
     honest_codeword,
@@ -47,25 +47,23 @@ from .auth import (
     key_to_text,
     lin_eval,
     pauli_update,
+    split_codewords,
     ver,
 )
 from .gf2 import BitVector, Subspace, coset_decode
 from .lm import (
     LMProgram,
-    _discard_collapsed,
-    _layer_cnots,
-    _layer_spec,
-    _store_v_bits,
-    apply_cnot_layer,
+    LogicalRegister,
+    bind,
     check_lm_invariants,
     eval_classical_fn,
-    eval_classical_fn_batch,
     lmeval_distribution,
     prepare_program_state,
     program_from_text,
     program_to_text,
+    walk,
 )
-from .sim import QUBIT_CAP, MeasurementSpec, StateVector, apply_gate, measure
+from .sim import QUBIT_CAP, StateVector, measure  # noqa: F401  (measure is re-exported)
 from .tokens import (
     Signature,
     TokenKeypair,
@@ -80,6 +78,9 @@ REASON_BAD_TOKEN = "bad-token"
 REASON_BAD_LABEL = "bad-label"
 REASON_COLLISION = "label-collision"
 REASON_DECODE = "decode-fail"
+# The wire protocol answers every refusal with a bare BOT, so a client of
+# oracle-serve sees this one reason whatever the oracle's was.
+REASON_REMOTE = "remote-bot"
 
 
 # --- parameters and key material ---------------------------------------------
@@ -242,13 +243,18 @@ def chain_label(key: OracleKey, transcript: Transcript, upto: int, bit: int) -> 
 # --- oracle internals ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Reject:
+    """An oracle's refusal: why (one of the REASON_* codes) and at which
+    layer (t+1 for the output oracle). On the wire it is a bare BOT."""
+
+    reason: str
+    layer: int
+
+
 def is_bot(reply: object) -> bool:
-    """True for a rejection in either reply shape (bare or diagnostic)."""
-    return reply is BOT or (isinstance(reply, tuple) and len(reply) == 2 and reply[0] is BOT)
-
-
-def _reject(diagnostics: bool, reason: str):
-    return (BOT, reason) if diagnostics else BOT
+    """True for a rejection."""
+    return isinstance(reply, Reject)
 
 
 def _shape_ok(
@@ -273,200 +279,132 @@ def _shape_ok(
     return True
 
 
-def _recover_chain(
-    key: OracleKey, transcript: Transcript, upto: int
-) -> tuple[Optional[dict[int, int]], Optional[str]]:
-    """Walk labels 1..upto against the two candidate hashes per layer;
-    the matching trailing bit is that layer's recovered chain bit."""
+def _prelude(
+    key: OracleKey, i: int, transcript: Transcript, w_pair: Optional[CodewordTuple]
+):
+    """What every oracle checks before its own answer, in order: the
+    layer range, the token, the shape, the label-chain replay. A layer
+    oracle passes its pair; the output oracle passes i = t+1 and no pair.
+    Returns the Reject, or the chain bits of the earlier layers with the
+    codewords the i-th measurement covers, in ascending wire order."""
+    program = key.program
+    last = program.t if w_pair is not None else program.t + 1
+    if not 1 <= i <= last:
+        raise ValueError(f"layer {i} out of range 1..{last}")
+    if not tok_ver(key.token_vk, transcript.x, transcript.signature):
+        return Reject(REASON_BAD_TOKEN, i)
+    if not _shape_ok(key, transcript, i, w_pair):
+        return Reject(REASON_DECODE, i)
+    # Each earlier label must be one of its layer's two candidate hashes;
+    # the matching trailing bit is that layer's chain bit.
     rs: dict[int, int] = {}
-    for idx in range(1, upto + 1):
+    for idx in range(1, i):
         cand0 = chain_label(key, transcript, idx, 0)
         cand1 = chain_label(key, transcript, idx, 1)
         if cand0 == cand1:
-            return None, REASON_COLLISION
+            return Reject(REASON_COLLISION, i)
         given = transcript.labels[idx - 1]
         if given == cand0:
             rs[idx] = 0
         elif given == cand1:
             rs[idx] = 1
         else:
-            return None, REASON_BAD_LABEL
-    return rs, None
-
-
-def _codewords_for_decode(
-    key: OracleKey, i: int, transcript: Transcript, w_pair: Optional[CodewordTuple]
-) -> CodewordTuple:
-    """Rearrange per-layer tuples into ascending wire order over the
-    wires the i-th measurement covers."""
-    program = key.program
+            return Reject(REASON_BAD_LABEL, i)
     by_wire: dict[int, BitVector] = {}
     for idx, layer in enumerate(transcript.v_layers):
-        for wire, c in zip(sorted(program.v_sets[idx]), layer):
-            by_wire[wire] = c
+        by_wire.update(zip(sorted(program.v_sets[idx]), layer))
     if w_pair is not None:
-        for wire, c in zip(program.w_sets[i - 1], w_pair):
-            by_wire[wire] = c
-    return tuple(by_wire[w] for w in key.layer_basis(i).phi)
+        by_wire.update(zip(program.w_sets[i - 1], w_pair))
+    return rs, tuple(by_wire[w] for w in key.layer_basis(i).phi)
 
 
-def _decoded_bindings(
-    key: OracleKey, i: int, transcript: Transcript, w_pair: Optional[CodewordTuple]
-) -> Optional[dict[int, int]]:
-    ordered = _codewords_for_decode(key, i, transcript, w_pair)
+def _decode(key: OracleKey, i: int, x: BitVector, rs: dict[int, int], ordered: CodewordTuple):
+    """Tail of the real oracles: the i-th measurement's function on the
+    decoded codewords, or the Reject if one fails to decode."""
+    program = key.program
     basis = key.layer_basis(i)
     decoded = dec(key.auth_key, key.layer_cnots(i), basis, ordered)
     if decoded is None:
-        return None
-    return {wire: decoded[idx + 1] for idx, wire in enumerate(basis.phi)}
-
-
-def _eval_layer_fn(
-    fn, x: BitVector, bits_by_wire: dict[int, int], rs: dict[int, int]
-) -> dict[str, int]:
-    bindings: dict[str, int] = {}
-    for name in fn.input_names:
-        if name[0] == "m":
-            bindings[name] = bits_by_wire[int(name[1:])]
-        elif name[0] == "x":
-            bindings[name] = x[int(name[1:])]
-        elif name[0] == "r":
-            bindings[name] = rs[int(name[1:])]
-        else:
-            raise KeyError(f"unrecognized input {name!r}")
-    return eval_classical_fn(fn, bindings)
+        return Reject(REASON_DECODE, i)
+    bits = {wire: decoded[idx + 1] for idx, wire in enumerate(basis.phi)}
+    fn = program.final_fn if i == program.t + 1 else program.measurement_fns[i - 1]
+    return eval_classical_fn(fn, bind(fn, bits, x, rs))
 
 
 # --- the four oracles ---------------------------------------------------------
 
 
-def oracle_f(
-    key: OracleKey,
-    i: int,
-    transcript: Transcript,
-    w_pair: CodewordTuple,
-    diagnostics: bool = False,
-    log: Optional[list] = None,
-):
+def oracle_f(key: OracleKey, i: int, transcript: Transcript, w_pair: CodewordTuple):
     """Layer-i oracle: token check, label-chain replay, decode of every
     codeword the i-th measurement covers, then the next chained label.
-    Accepts with (echoed layer codewords, label); rejects with the bare
-    sentinel, or (sentinel, reason) when diagnostics are on."""
-    if not 1 <= i <= key.program.t:
-        raise ValueError(f"layer {i} out of range 1..{key.program.t}")
-    if not tok_ver(key.token_vk, transcript.x, transcript.signature):
-        return _reject(diagnostics, REASON_BAD_TOKEN)
-    if not _shape_ok(key, transcript, i, w_pair):
-        return _reject(diagnostics, REASON_DECODE)
-    rs, reason = _recover_chain(key, transcript, i - 1)
-    if reason is not None:
-        return _reject(diagnostics, reason)
-    bits_by_wire = _decoded_bindings(key, i, transcript, w_pair)
-    if bits_by_wire is None:
-        return _reject(diagnostics, REASON_DECODE)
-    outs = _eval_layer_fn(key.program.measurement_fns[i - 1], transcript.x, bits_by_wire, rs)
-    label = chain_label(key, transcript, i, outs["r"])
-    if log is not None:
-        log.append((i, label_message(transcript, i, outs["r"]), label))
-    return transcript.v_layers[-1], label
+    Accepts with (echoed layer codewords, label); rejects with a Reject."""
+    checked = _prelude(key, i, transcript, w_pair)
+    if is_bot(checked):
+        return checked
+    outs = _decode(key, i, transcript.x, *checked)
+    if is_bot(outs):
+        return outs
+    return transcript.v_layers[-1], chain_label(key, transcript, i, outs["r"])
 
 
-def oracle_g(
-    key: OracleKey,
-    transcript: Transcript,
-    diagnostics: bool = False,
-):
+def oracle_g(key: OracleKey, transcript: Transcript):
     """Output oracle: token check, full label-chain replay, decode over
     the final measurement's wires, then the program's output bits."""
-    t = key.program.t
-    if not tok_ver(key.token_vk, transcript.x, transcript.signature):
-        return _reject(diagnostics, REASON_BAD_TOKEN)
-    if not _shape_ok(key, transcript, t + 1, None):
-        return _reject(diagnostics, REASON_DECODE)
-    rs, reason = _recover_chain(key, transcript, t)
-    if reason is not None:
-        return _reject(diagnostics, reason)
-    bits_by_wire = _decoded_bindings(key, t + 1, transcript, None)
-    if bits_by_wire is None:
-        return _reject(diagnostics, REASON_DECODE)
-    outs = _eval_layer_fn(key.program.final_fn, transcript.x, bits_by_wire, rs)
+    checked = _prelude(key, key.program.t + 1, transcript, None)
+    if is_bot(checked):
+        return checked
+    outs = _decode(key, key.program.t + 1, transcript.x, *checked)
+    if is_bot(outs):
+        return outs
     return BitVector(tuple(outs[name] for name in key.program.final_fn.output_names))
 
 
-def oracle_f_sim(
-    key: OracleKey,
-    i: int,
-    transcript: Transcript,
-    w_pair: CodewordTuple,
-    diagnostics: bool = False,
-):
+def oracle_f_sim(key: OracleKey, i: int, transcript: Transcript, w_pair: CodewordTuple):
     """Simulated layer oracle: same token and label-chain checks, but the
     codewords are only membership-verified, never decoded, and the label
     always commits to chain bit 0."""
-    if not 1 <= i <= key.program.t:
-        raise ValueError(f"layer {i} out of range 1..{key.program.t}")
-    if not tok_ver(key.token_vk, transcript.x, transcript.signature):
-        return _reject(diagnostics, REASON_BAD_TOKEN)
-    if not _shape_ok(key, transcript, i, w_pair):
-        return _reject(diagnostics, REASON_DECODE)
-    _, reason = _recover_chain(key, transcript, i - 1)
-    if reason is not None:
-        return _reject(diagnostics, reason)
-    ordered = _codewords_for_decode(key, i, transcript, w_pair)
-    if not ver(key.auth_key, key.layer_cnots(i), key.layer_basis(i), ordered):
-        return _reject(diagnostics, REASON_DECODE)
+    checked = _prelude(key, i, transcript, w_pair)
+    if is_bot(checked):
+        return checked
+    if not ver(key.auth_key, key.layer_cnots(i), key.layer_basis(i), checked[1]):
+        return Reject(REASON_DECODE, i)
     return transcript.v_layers[-1], chain_label(key, transcript, i, 0)
 
 
-def oracle_g_sim(
-    key: OracleKey,
-    q_fn: Callable[[BitVector], BitVector],
-    transcript: Transcript,
-    diagnostics: bool = False,
-):
+def oracle_g_sim(key: OracleKey, q_fn: Callable[[BitVector], BitVector], transcript: Transcript):
     """Simulated output oracle: verify instead of decode, then answer
     from the induced classical map on x alone."""
+    checked = _prelude(key, key.program.t + 1, transcript, None)
+    if is_bot(checked):
+        return checked
     t = key.program.t
-    if not tok_ver(key.token_vk, transcript.x, transcript.signature):
-        return _reject(diagnostics, REASON_BAD_TOKEN)
-    if not _shape_ok(key, transcript, t + 1, None):
-        return _reject(diagnostics, REASON_DECODE)
-    _, reason = _recover_chain(key, transcript, t)
-    if reason is not None:
-        return _reject(diagnostics, reason)
-    ordered = _codewords_for_decode(key, t + 1, transcript, None)
-    if not ver(key.auth_key, key.layer_cnots(t + 1), key.layer_basis(t + 1), ordered):
-        return _reject(diagnostics, REASON_DECODE)
+    if not ver(key.auth_key, key.layer_cnots(t + 1), key.layer_basis(t + 1), checked[1]):
+        return Reject(REASON_DECODE, t + 1)
     return q_fn(transcript.x)
 
 
 @dataclass(frozen=True)
 class OracleSuite:
-    """In-process oracle handle: one callable serving every layer query
-    plus the output callable. Calls are pure; the optional emission log
-    is per-suite test instrumentation."""
+    """Oracle handle: one callable serving every layer query plus the
+    output callable, each answering like oracle_f and oracle_g. Calls
+    are pure. Wrapping a suite's callables is the way to observe or
+    alter the queries of an evaluation."""
 
     query_f: Callable[[int, Transcript, CodewordTuple], object]
     query_g: Callable[[Transcript], object]
 
 
-def real_suite(
-    key: OracleKey, diagnostics: bool = False, log: Optional[list] = None
-) -> OracleSuite:
+def real_suite(key: OracleKey) -> OracleSuite:
     return OracleSuite(
-        query_f=lambda i, tr, w: oracle_f(key, i, tr, w, diagnostics, log),
-        query_g=lambda tr: oracle_g(key, tr, diagnostics),
+        query_f=lambda i, tr, w: oracle_f(key, i, tr, w),
+        query_g=lambda tr: oracle_g(key, tr),
     )
 
 
-def simulated_suite(
-    key: OracleKey,
-    q_fn: Callable[[BitVector], BitVector],
-    diagnostics: bool = False,
-) -> OracleSuite:
+def simulated_suite(key: OracleKey, q_fn: Callable[[BitVector], BitVector]) -> OracleSuite:
     return OracleSuite(
-        query_f=lambda i, tr, w: oracle_f_sim(key, i, tr, w, diagnostics),
-        query_g=lambda tr: oracle_g_sim(key, q_fn, tr, diagnostics),
+        query_f=lambda i, tr, w: oracle_f_sim(key, i, tr, w),
+        query_g=lambda tr: oracle_g_sim(key, q_fn, tr),
     )
 
 
@@ -505,7 +443,6 @@ def qobf(
     program: LMProgram,
     rng: np.random.Generator,
     logical_state: Optional[StateVector] = None,
-    diagnostics: bool = False,
 ) -> ObfuscatedProgram:
     """Sample all key material for one obfuscation of the program and
     package the oracle suite. The default initial state is the program's
@@ -532,181 +469,107 @@ def qobf(
         key=key,
         token=keypair,
         logical_state=logical_state,
-        suite=real_suite(key, diagnostics),
+        suite=real_suite(key),
     )
 
 
 # --- evaluation ---------------------------------------------------------------
 
 
-LayerRecord = tuple[dict[int, int], dict[int, BitVector], tuple[BitVector, ...]]
+@dataclass(frozen=True)
+class EncodedRegister:
+    """The program's wires held as code blocks of the authenticated
+    register, for walk(). A layer reads the blocks of its newly
+    collapsing wires down to their raw bits, but the layer's measurement
+    pair only down to the single bit its function exposes, which leaves
+    the pair blocks coherent for the deferred reads of later layers."""
+
+    key: OracleKey
+
+    @property
+    def program(self) -> LMProgram:
+        return self.key.program
+
+    @property
+    def block(self) -> int:
+        return self.key.auth_key.code_length
+
+    def cnot_layer(self, state: StateVector, cnots: list[tuple[int, int]]) -> StateVector:
+        return lin_eval(cnots, state, self.block)
+
+    def spec(self, layer: int, live: list[int], measured: list[int], fn, binds):
+        theta = self.program.thetas[layer - 1]
+        basis = BasisString(
+            tuple(v if w in measured else None for w, v in enumerate(theta, start=1)), self.block
+        )
+        cnots = self.key.layer_cnots(layer)
+        raw = self.program.v_sets[layer - 1]
+        return blownup_spec(self.key.auth_key, cnots, basis, fn, live, raw, binds)
+
+    def collapsed(self, wires, label: tuple, stored: dict[int, int]) -> dict:
+        p = self.block
+        return {w: label[k * p : (k + 1) * p] for k, w in enumerate(wires)}
 
 
-def _measured_wires(program: LMProgram, layer: int) -> list[int]:
-    wires = set(program.v_sets[layer - 1])
-    if layer <= program.t:
-        wires.update(program.w_sets[layer - 1])
-    return sorted(wires)
+def _honest_run(
+    x: BitVector,
+    program: ObfuscatedProgram,
+    rng: np.random.Generator,
+    mode: str,
+    suite: OracleSuite,
+):
+    """Sign x, walk the layers and query the layer oracle on each batch
+    of codewords. Returns the first Reject, or the transcript (complete
+    up to the output query) with the pair each layer query carried.
 
-
-def _discard_blocks(
-    state: StateVector,
-    live: list[int],
-    wires: Sequence[int],
-    theta: Sequence[Optional[int]],
-    raw: dict[int, BitVector],
-    p: int,
-) -> tuple[StateVector, list[int]]:
-    """Slice fully collapsed code blocks out of the register, highest
-    position first (X-read blocks rotate back onto the observed bits)."""
-    pos_of = {w: q for q, w in enumerate(live)}
-    for w in sorted(wires, key=lambda w: -pos_of[w]):
-        base = pos_of[w] * p
-        if theta[w - 1] == 1:
-            for q in range(base + 1, base + p + 1):
-                state = apply_gate(state, "H", (q,))
-        for offset in range(p - 1, -1, -1):
-            psi = state.amplitudes.reshape((2,) * state.num_qubits)
-            psi = np.take(psi, raw[w].bits[offset], axis=base + offset).reshape(-1)
-            psi = psi / np.linalg.norm(psi)
-            state = StateVector(state.num_qubits - 1, psi)
-    return state, [w for w in live if w not in set(wires)]
-
-
-def _physical_layers(
-    key: OracleKey, logical_state: StateVector, x: BitVector, rng: np.random.Generator
-) -> Iterator[LayerRecord]:
-    """Drive the encoded register through the program. Each layer reads
-    the blocks of its newly collapsing wires down to their raw bits, but
-    the layer's measurement pair only down to the single bit its
-    function exposes, leaving the pair blocks coherent for the deferred
-    reads of later layers. The pair vectors placed in the record are the
-    in-class sample, which carries everything the layer oracle checks."""
-    program = key.program
+    "physical" walks the encoded register, whose reads are the
+    codewords. "logical" walks the unencoded program state and dresses
+    every exposed bit in a fresh random representative of its wire's
+    coset, v wires first, then the pair."""
+    key = program.key
+    lm = key.program
     auth_key = key.auth_key
-    p = auth_key.code_length
-    state = enc(auth_key, logical_state)
-    live = list(range(1, program.num_wires + 1))
-    stored: dict[int, int] = {}
-    rs: dict[int, int] = {}
-    for layer in range(1, program.t + 2):
-        state = lin_eval(_layer_cnots(program, layer, live), state, p)
-        final = layer == program.t + 1
-        theta = program.thetas[layer - 1]
-        measured = _measured_wires(program, layer)
-        cnots = key.layer_cnots(layer)
-        pos_of = {w: q for q, w in enumerate(live)}
-        tags: list[Optional[str]] = [None] * state.num_qubits
-        for w in measured:
-            tag = "X" if theta[w - 1] == 1 else "Z"
-            for q in range(pos_of[w] * p, pos_of[w] * p + p):
-                tags[q] = tag
-        v_wires = program.v_sets[layer - 1]
-        if final:
-            spec = MeasurementSpec(tuple(tags))
+    if mode not in ("physical", "logical"):
+        raise ValueError(f"unknown mode {mode!r}")
+    transcript = Transcript(x=x, signature=tok_sign(x, program.token, rng))
+    w_pairs: list[CodewordTuple] = []
+    reject: Optional[Reject] = None
+
+    def visit(layer: int, label, read: dict) -> bool:
+        nonlocal transcript, reject
+        if label is BOT:
+            raise AssertionError("honest read fell outside the code")
+        v_wires = lm.v_sets[layer - 1]
+        wires = v_wires + (lm.w_sets[layer - 1] if layer <= lm.t else ())
+        if mode == "physical":
+            vectors = [BitVector(read[w]) for w in wires]
         else:
-            fn = program.measurement_fns[layer - 1]
-            col_of = {w: idx for idx, w in enumerate(measured)}
-            v_cols = np.concatenate(
-                [np.arange(col_of[w] * p, col_of[w] * p + p) for w in v_wires]
-            )
-            decode_basis = BasisString(
-                tuple(
-                    theta[w - 1] if w in col_of else None
-                    for w in range(1, program.num_wires + 1)
-                ),
-                p,
-            )
+            theta = lm.thetas[layer - 1]
+            xs, zs = pauli_update(key.layer_cnots(layer), auth_key.x_masks, auth_key.z_masks)
+            vectors = [
+                honest_codeword(auth_key, theta[w - 1], read[w][0], xs[w - 1], zs[w - 1], rng)
+                for w in wires
+            ]
+        v_raw = dict(zip(v_wires, vectors))
+        transcript = transcript.with_codewords(tuple(v_raw[w] for w in sorted(v_wires)))
+        if layer > lm.t:
+            return False
+        w_pair = tuple(vectors[len(v_wires) :])
+        reply = suite.query_f(layer, transcript, w_pair)
+        if is_bot(reply):
+            reject = reply
+            return False
+        transcript = transcript.with_label(reply[1])
+        w_pairs.append(w_pair)
+        return True
 
-            def outcome_fn(bits: np.ndarray) -> list[object]:
-                num = len(bits)
-                decoded = dec_batch(auth_key, cnots, decode_basis, bits)
-                good = ~(decoded == -1).any(axis=1)
-                clean = (decoded == 1).astype(np.uint8)
-                binds: dict[str, np.ndarray] = {}
-                for name in fn.input_names:
-                    if name[0] == "m":
-                        w = int(name[1:])
-                        if w in col_of:
-                            binds[name] = clean[:, col_of[w]]
-                        else:
-                            binds[name] = np.full(num, stored[w], dtype=np.uint8)
-                    elif name[0] == "x":
-                        binds[name] = np.full(num, x[int(name[1:])], dtype=np.uint8)
-                    else:
-                        binds[name] = np.full(num, rs[int(name[1:])], dtype=np.uint8)
-                r_col = eval_classical_fn_batch(fn, binds, num)["r"]
-                labels: list[object] = []
-                for row in range(num):
-                    if good[row]:
-                        labels.append(
-                            (tuple(int(b) for b in bits[row, v_cols]), int(r_col[row]))
-                        )
-                    else:
-                        labels.append(BOT)
-                return labels
-
-            spec = MeasurementSpec(tuple(tags), outcome_fn)
-        result = measure(state, spec, rng)
-        assert result.outcome is not BOT, "honest read fell outside the code"
-        raw: dict[int, BitVector] = {}
-        at = 0
-        for w in measured:
-            raw[w] = BitVector(result.raw_bits.bits[at : at + p])
-            at += p
-        xs, zs = pauli_update(cnots, auth_key.x_masks, auth_key.z_masks)
-        v_bits: dict[int, int] = {}
-        for w in v_wires:
-            space, delta, shift = _wire_decoder(auth_key, theta[w - 1], xs[w - 1], zs[w - 1])
-            bit = coset_decode(space, delta, shift, raw[w])
-            assert bit is not None, "honest read fell outside the code"
-            v_bits[w] = bit
-        v_raw = {w: raw[w] for w in v_wires}
-        if final:
-            yield v_bits, v_raw, ()
-            return
-        yield v_bits, v_raw, tuple(raw[w] for w in program.w_sets[layer - 1])
-        stored.update(v_bits)
-        rs[layer] = result.outcome[1]
-        state, live = _discard_blocks(result.post_state, live, v_wires, theta, raw, p)
-
-
-def _logical_layers(
-    key: OracleKey, logical_state: StateVector, x: BitVector, rng: np.random.Generator
-) -> Iterator[LayerRecord]:
-    """Same per-layer records from the unencoded register: follow the
-    plain program semantics, then dress every exposed bit in a fresh
-    random representative of its wire's coset. The pair bits come from
-    the in-class sample, so the dressed pair decodes consistently with
-    the bit the layer exposed."""
-    program = key.program
-    auth_key = key.auth_key
-    state = logical_state
-    live = list(range(1, program.num_wires + 1))
-    stored: dict[int, int] = {}
-    rs: dict[int, int] = {}
-    for layer in range(1, program.t + 2):
-        state = apply_cnot_layer(state, _layer_cnots(program, layer, live))
-        spec, measured = _layer_spec(program, layer, live, x, stored, rs)
-        result = measure(state, spec, rng)
-        theta = program.thetas[layer - 1]
-        col_of = {w: idx for idx, w in enumerate(measured)}
-        xs, zs = pauli_update(key.layer_cnots(layer), auth_key.x_masks, auth_key.z_masks)
-
-        def dress(w: int) -> BitVector:
-            bit = result.raw_bits.bits[col_of[w]]
-            return honest_codeword(auth_key, theta[w - 1], bit, xs[w - 1], zs[w - 1], rng)
-
-        v_wires = program.v_sets[layer - 1]
-        v_bits = {w: result.raw_bits.bits[col_of[w]] for w in v_wires}
-        v_raw = {w: dress(w) for w in v_wires}
-        if layer == program.t + 1:
-            yield v_bits, v_raw, ()
-            return
-        yield v_bits, v_raw, tuple(dress(w) for w in program.w_sets[layer - 1])
-        _store_v_bits(program, layer, result.outcome, stored)
-        rs[layer] = result.outcome[-1]
-        state, live = _discard_collapsed(result.post_state, live, v_wires, theta, stored)
+    if mode == "physical":
+        # Handed over without a name, so that no frame keeps the encoded
+        # state alive once the first CNOT layer has replaced it.
+        walk(EncodedRegister(key), enc(auth_key, program.logical_state), x, rng, visit)
+    else:
+        walk(LogicalRegister(lm), program.logical_state, x, rng, visit)
+    return reject if reject is not None else (transcript, w_pairs)
 
 
 def qeval(
@@ -715,50 +578,28 @@ def qeval(
     rng: np.random.Generator,
     mode: str = "auto",
     suite: Optional[OracleSuite] = None,
-    trace: Optional[list] = None,
 ) -> object:
     """Honest evaluation on input x: sign, walk the layers, query the
     layer oracle on each batch of raw codewords, finish with the output
-    oracle. Returns the output bits, or the rejection sentinel if some
-    oracle refuses (an honest run never triggers one).
+    oracle. Returns the output bits, or the Reject of the first oracle
+    that refuses.
 
     mode picks the register the measurements run on: "physical" drives
     the full encoded state, "logical" samples wire records from the
     unencoded state and dresses them in coset representatives, "auto"
     takes the physical route whenever it fits the simulator cap.
     """
-    key = program.key
-    lm = key.program
-    if len(x) != lm.num_input_bits:
+    if len(x) != program.key.program.num_input_bits:
         raise ValueError("input length mismatch")
     if mode == "auto":
         mode = "physical" if program.num_code_qubits <= QUBIT_CAP else "logical"
-    if mode == "physical":
-        layers = _physical_layers(key, program.logical_state, x, rng)
-    elif mode == "logical":
-        layers = _logical_layers(key, program.logical_state, x, rng)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     if suite is None:
         suite = program.suite
-    sigma = tok_sign(x, program.token, rng)
-    transcript = Transcript(x=x, signature=sigma)
-    for layer, (_, v_raw, w_part) in enumerate(layers, start=1):
-        v_part = tuple(v_raw[w] for w in sorted(lm.v_sets[layer - 1]))
-        transcript = transcript.with_codewords(v_part)
-        if layer <= lm.t:
-            reply = suite.query_f(layer, transcript, w_part)
-            if is_bot(reply):
-                return BOT
-            _, label = reply
-            transcript = transcript.with_label(label)
-            if trace is not None:
-                trace.append((layer, v_part, w_part, label))
-        else:
-            if trace is not None:
-                trace.append((layer, v_part, None, None))
-            return suite.query_g(transcript)
-    raise AssertionError("unreachable")
+    run = _honest_run(x, program, rng, mode, suite)
+    if is_bot(run):
+        return run
+    transcript, _ = run
+    return suite.query_g(transcript)
 
 
 def induced_map(program: LMProgram) -> Callable[[BitVector], BitVector]:
@@ -806,8 +647,7 @@ class AttackReport:
 def _tally(report: AttackReport, reply: object) -> None:
     if is_bot(reply):
         report.rejected += 1
-        if isinstance(reply, tuple):
-            report.reasons[reply[1]] = report.reasons.get(reply[1], 0) + 1
+        report.reasons[reply.reason] = report.reasons.get(reply.reason, 0) + 1
     else:
         report.accepted += 1
 
@@ -820,27 +660,8 @@ def _sample_outside(space: Subspace, rng: np.random.Generator) -> BitVector:
             return v
 
 
-def _honest_context(
-    program: ObfuscatedProgram, x: BitVector, rng: np.random.Generator
-) -> tuple[Transcript, list[LayerRecord]]:
-    """Sign and walk the logical route once, collecting the per-layer
-    records and the labels of an honest evaluation."""
-    key = program.key
-    lm = key.program
-    sigma = tok_sign(x, program.token, rng)
-    transcript = Transcript(x=x, signature=sigma)
-    records: list[LayerRecord] = []
-    layers = _logical_layers(key, program.logical_state, x, rng)
-    for layer, (v_bits, v_raw, w_part) in enumerate(layers, start=1):
-        records.append((v_bits, v_raw, w_part))
-        v_part = tuple(v_raw[w] for w in sorted(lm.v_sets[layer - 1]))
-        transcript = transcript.with_codewords(v_part)
-        if layer <= lm.t:
-            reply = oracle_f(key, layer, transcript, w_part)
-            if is_bot(reply):
-                raise AssertionError("honest context was rejected")
-            transcript = transcript.with_label(reply[1])
-    return transcript, records
+_DEFAULT_TRIALS = {"pauli-tamper": 1000, "label-forge": 10_000, "replay": 100, "mixed-input": 100}
+_NEEDS_A_LAYER = {"label-forge": "label forgery", "replay": "label replay"}
 
 
 def attack_harness(
@@ -848,10 +669,12 @@ def attack_harness(
     program: ObfuscatedProgram,
     rng: np.random.Generator,
     trials: Optional[int] = None,
-) -> AttackReport:
-    """Scripted adversaries against one obfuscation. Each returns a
-    tally of oracle responses; the reasons come from querying in
-    diagnostic mode (the adversarial surface shows a bare sentinel).
+):
+    """Scripted adversaries against one obfuscation. Each starts from one
+    honest logical evaluation on the all-zero input and returns a tally
+    of oracle responses with their reasons (the adversarial surface
+    shows a bare BOT), or the Reject if that honest evaluation itself
+    was refused.
 
     pauli-tamper  flip an out-of-code error onto one honest codeword
     label-forge   guess a chained label uniformly at random
@@ -860,61 +683,54 @@ def attack_harness(
     """
     key = program.key
     lm = key.program
+    if kind not in _DEFAULT_TRIALS:
+        raise ValueError(f"unknown attack kind {kind!r}")
+    if kind in _NEEDS_A_LAYER and lm.t < 1:
+        raise ValueError(f"{_NEEDS_A_LAYER[kind]} needs at least one measurement layer")
+    report = AttackReport(kind, _DEFAULT_TRIALS[kind] if trials is None else trials, 0, 0, {})
     x = BitVector.zeros(lm.num_input_bits)
+    run = _honest_run(x, program, rng, "logical", real_suite(key))
+    if is_bot(run):
+        return run
+    transcript, w_pairs = run
+    v1_wires = sorted(lm.v_sets[0])
+    theta1 = lm.thetas[0]
     if kind == "pauli-tamper":
-        trials = 1000 if trials is None else trials
-        report = AttackReport(kind, trials, 0, 0, {})
-        transcript, records = _honest_context(program, x, rng)
         accept_z = key.auth_key.accept_space_z
-        theta1 = lm.thetas[0]
-        z_wires = [w for w in _measured_wires(lm, 1) if theta1[w - 1] == 0]
-        v1_wires = sorted(lm.v_sets[0])
-        for _ in range(trials):
+        z_wires = [w for w in lm.phi(1) if theta1[w - 1] == 0]
+        for _ in range(report.trials):
             target = z_wires[int(rng.integers(len(z_wires)))]
             err = _sample_outside(accept_z, rng)
             v1 = list(transcript.v_layers[0])
             if lm.t == 0:
                 v1[v1_wires.index(target)] ^= err
                 tampered = replace(transcript, v_layers=(tuple(v1),))
-                reply = oracle_g(key, tampered, diagnostics=True)
+                reply = oracle_g(key, tampered)
             else:
-                w1 = list(records[0][2])
+                w1 = list(w_pairs[0])
                 if target in v1_wires:
                     v1[v1_wires.index(target)] ^= err
                 else:
                     w1[lm.w_sets[0].index(target)] ^= err
                 tampered = replace(transcript, v_layers=(tuple(v1),), labels=())
-                reply = oracle_f(key, 1, tampered, tuple(w1), diagnostics=True)
+                reply = oracle_f(key, 1, tampered, tuple(w1))
             _tally(report, reply)
-        return report
-    if kind == "label-forge":
-        trials = 10_000 if trials is None else trials
-        if lm.t < 1:
-            raise ValueError("label forgery needs at least one measurement layer")
-        report = AttackReport(kind, trials, 0, 0, {})
-        transcript, records = _honest_context(program, x, rng)
-        kappa = key.label_bits
-        for _ in range(trials):
-            guess = BitVector(tuple(int(b) for b in rng.integers(0, 2, size=kappa)))
+    elif kind == "label-forge":
+        for _ in range(report.trials):
+            guess = BitVector(tuple(int(b) for b in rng.integers(0, 2, size=key.label_bits)))
             if lm.t >= 2:
                 forged = replace(transcript, v_layers=transcript.v_layers[:2], labels=(guess,))
-                reply = oracle_f(key, 2, forged, records[1][2], diagnostics=True)
+                reply = oracle_f(key, 2, forged, w_pairs[1])
             else:
-                forged = replace(transcript, labels=(guess,))
-                reply = oracle_g(key, forged, diagnostics=True)
+                reply = oracle_g(key, replace(transcript, labels=(guess,)))
             _tally(report, reply)
-        return report
-    if kind == "replay":
-        trials = 100 if trials is None else trials
-        if lm.t < 1:
-            raise ValueError("label replay needs at least one measurement layer")
-        report = AttackReport(kind, trials, 0, 0, {})
-        transcript, records = _honest_context(program, x, rng)
-        bits1 = records[0][0]
+    elif kind == "replay":
         xs, zs = pauli_update(key.layer_cnots(1), key.auth_key.x_masks, key.auth_key.z_masks)
-        theta1 = lm.thetas[0]
-        v1_wires = sorted(lm.v_sets[0])
-        for _ in range(trials):
+        bits1 = {
+            w: coset_decode(*_wire_decoder(key.auth_key, theta1[w - 1], xs[w - 1], zs[w - 1]), c)
+            for w, c in zip(v1_wires, transcript.v_layers[0])
+        }
+        for _ in range(report.trials):
             fresh = tuple(
                 honest_codeword(key.auth_key, theta1[w - 1], bits1[w], xs[w - 1], zs[w - 1], rng)
                 for w in v1_wires
@@ -928,19 +744,14 @@ def attack_harness(
                     v_layers=(fresh,) + transcript.v_layers[1:2],
                     labels=transcript.labels[:1],
                 )
-                reply = oracle_f(key, 2, swapped, records[1][2], diagnostics=True)
+                reply = oracle_f(key, 2, swapped, w_pairs[1])
             else:
                 swapped = replace(transcript, v_layers=(fresh,) + transcript.v_layers[1:])
-                reply = oracle_g(key, swapped, diagnostics=True)
+                reply = oracle_g(key, swapped)
             _tally(report, reply)
-        return report
-    if kind == "mixed-input":
-        trials = 100 if trials is None else trials
-        report = AttackReport(kind, trials, 0, 0, {})
-        m = lm.num_input_bits
-        x_other = BitVector((1,) + (0,) * (m - 1))
-        transcript, records = _honest_context(program, x, rng)
-        for _ in range(trials):
+    else:
+        x_other = BitVector((1,) + (0,) * (lm.num_input_bits - 1))
+        for _ in range(report.trials):
             try:
                 tok_sign(x_other, program.token, rng)
             except RuntimeError:
@@ -950,14 +761,12 @@ def attack_harness(
                 report.accepted += 1
         if lm.t >= 1:
             swapped = replace(transcript, x=x_other, v_layers=transcript.v_layers[:1], labels=())
-            reply = oracle_f(key, 1, swapped, records[0][2], diagnostics=True)
+            reply = oracle_f(key, 1, swapped, w_pairs[0])
         else:
-            swapped = replace(transcript, x=x_other)
-            reply = oracle_g(key, swapped, diagnostics=True)
+            reply = oracle_g(key, replace(transcript, x=x_other))
         verdict = "rejected" if is_bot(reply) else "accepted"
         report.notes = (f"signature replay under flipped input: {verdict}",)
-        return report
-    raise ValueError(f"unknown attack kind {kind!r}")
+    return report
 
 
 # --- serialization and the wire protocol --------------------------------------
@@ -1029,12 +838,6 @@ def encode_g_request(transcript: Transcript) -> str:
     return f"G {b''.join(_request_payload(transcript)).hex()}"
 
 
-def _split_group(vec: BitVector, count: int, width: int) -> Optional[tuple[BitVector, ...]]:
-    if len(vec) != count * width:
-        return None
-    return tuple(BitVector(vec.bits[k * width : (k + 1) * width]) for k in range(count))
-
-
 def _parse_request_fields(
     key: OracleKey, fields: list[BitVector], upto: int, with_w: bool
 ) -> Optional[tuple[Transcript, Optional[CodewordTuple]]]:
@@ -1043,14 +846,14 @@ def _parse_request_fields(
     want = 2 + 2 * upto - 1 + (1 if with_w else 0)
     if len(fields) != want:
         return None
-    sigma = _split_group(fields[1], program.num_input_bits, 2 * key.token_dim)
+    sigma = split_codewords(fields[1], program.num_input_bits, 2 * key.token_dim)
     if sigma is None:
         return None
     v_layers = []
     labels = []
     at = 2
     for idx in range(upto):
-        layer = _split_group(fields[at], len(program.v_sets[idx]), p)
+        layer = split_codewords(fields[at], len(program.v_sets[idx]), p)
         if layer is None:
             return None
         v_layers.append(layer)
@@ -1060,7 +863,7 @@ def _parse_request_fields(
             at += 1
     w_pair: Optional[CodewordTuple] = None
     if with_w:
-        w_pair = _split_group(fields[at], len(program.w_sets[upto - 1]), p)
+        w_pair = split_codewords(fields[at], len(program.w_sets[upto - 1]), p)
         if w_pair is None:
             return None
     try:
@@ -1113,19 +916,19 @@ def remote_suite(key_text: str, send: Callable[[str], str]) -> OracleSuite:
     def query_f(i: int, transcript: Transcript, w_pair: CodewordTuple):
         answer = send(encode_f_request(i, transcript, w_pair)).strip()
         if answer == "BOT":
-            return BOT
+            return Reject(REASON_REMOTE, i)
         tag, echo_hex, label_hex = answer.split()
         if tag != "OK":
             raise ValueError(f"malformed oracle response {answer!r}")
         echo_flat = read_frames(bytes.fromhex(echo_hex))[0]
-        echo = _split_group(echo_flat, len(key.program.v_sets[i - 1]), p)
+        echo = split_codewords(echo_flat, len(key.program.v_sets[i - 1]), p)
         label = read_frames(bytes.fromhex(label_hex))[0]
         return echo, label
 
     def query_g(transcript: Transcript):
         answer = send(encode_g_request(transcript)).strip()
         if answer == "BOT":
-            return BOT
+            return Reject(REASON_REMOTE, key.program.t + 1)
         tag, y_hex = answer.split()
         if tag != "OK":
             raise ValueError(f"malformed oracle response {answer!r}")

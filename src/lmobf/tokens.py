@@ -134,7 +134,8 @@ def vk_from_text(text: str) -> tuple[int, tuple[Subspace, ...]]:
     spaces = []
     at = 2
     for j in range(1, num_bits + 1):
-        assert lines[at] == f"A{j}:"
+        if at >= len(lines) or lines[at] != f"A{j}:":
+            raise ValueError(f"expected 'A{j}:' at line {at + 1}")
         at += 1
         rows = []
         while at < len(lines) and not lines[at].endswith(":"):

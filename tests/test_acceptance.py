@@ -28,6 +28,7 @@ from lmobf.lm import Circuit, FnBuilder, Gate, compile_circuit, eval_classical_f
 from lmobf.obf import (
     ObfParams,
     OracleSuite,
+    Reject,
     Transcript,
     attack_harness,
     chain_label,
@@ -492,8 +493,8 @@ def test_10_label_guessing_and_input_mixing():
     spot_rejects = 0
     for g in guesses[:200]:
         forged = BitVector(tuple(int(g) >> (63 - k) & 1 for k in range(64)))
-        reply = oracle_f(obf.key, 2, replace(tr2, labels=(forged,)), w2, diagnostics=True)
-        spot_rejects += is_bot(reply) and reply[1] == "bad-label"
+        reply = oracle_f(obf.key, 2, replace(tr2, labels=(forged,)), w2)
+        spot_rejects += reply == Reject("bad-label", 2)
     genuine = oracle_f(obf.key, 2, tr2, w2)
 
     mix = attack_harness(

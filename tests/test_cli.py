@@ -1,8 +1,11 @@
 """Command-line behavior: artifacts, exit codes, determinism, and the
 wire protocol under a real subprocess."""
 
+import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from lmobf.gf2 import BitVector
 CIRCUIT = "qubits 2 inputs 2 outputs 1,2\nCNOT 1 2\nT 2\n"
 IDENTITY3 = "qubits 3 inputs 3 outputs 1,2,3\n"
 OBF_FLAGS = ["--lambda", "1", "--kappa", "32", "--kappa-prime", "16"]
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
 def invoke(argv) -> int:
@@ -132,11 +136,12 @@ def test_eval_usage_errors(workdir, tmp_path, capsys):
 def test_eval_reports_rejection_as_exit_4(workdir, capsys, monkeypatch):
     """An oracle refusal on the honest path is surfaced loudly."""
     import lmobf.cli as cli_mod
-    from lmobf.obf import BOT
+    from lmobf.obf import Reject
 
-    monkeypatch.setattr(cli_mod, "qeval", lambda *a, **k: BOT)
+    monkeypatch.setattr(cli_mod, "qeval", lambda *a, **k: Reject("bad-token", 1))
     assert invoke(["eval", str(workdir / "obf"), "10"]) == 4
-    assert "rejected" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "rejected at layer 1: bad-token" in err
 
 
 def test_eval_serve_mode_matches_inproc(workdir, capsys):
@@ -195,3 +200,40 @@ def test_eval_output_matches_library_map(workdir, capsys):
         got = capsys.readouterr().out.strip()
         want = q_fn(BitVector.from_string(xs))
         assert got == "".join(str(b) for b in want.bits)
+
+
+def test_golden_stdout_and_exit_codes(tmp_path, capsys):
+    """Seeded stdout and exit codes, byte for byte, of every command on
+    the README circuit obfuscated with the default flags at --seed 0
+    (cli_golden.json, whose file arguments live in one directory). Its
+    exit-4 rows are honest evaluations whose token signature drew a
+    zero vector; their stderr says so."""
+    (tmp_path / "circ.txt").write_text(CIRCUIT)
+    files = ("circ.txt", "prog.txt", "obf")
+    for row in GOLDEN:
+        code = invoke([str(tmp_path / a) if a in files else a for a in row["argv"]])
+        out, err = capsys.readouterr()
+        assert (code, out) == (row["exit"], row["stdout"]), row["argv"]
+        if "stderr" in row:
+            assert err == row["stderr"], row["argv"]
+
+
+@pytest.mark.parametrize("header", ["f1:", "space:", "A1:"])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_corrupted_key_header_is_usage_error(workdir, tmp_path, header, flags):
+    """A corrupted section header in oracle_key.txt is a usage error with
+    a message, never a traceback, whether or not asserts are compiled."""
+    bad = tmp_path / "obf"
+    shutil.copytree(workdir / "obf", bad)
+    key_file = bad / "oracle_key.txt"
+    lines = key_file.read_text().splitlines()
+    lines[lines.index(header)] = header[:-1] + "?"
+    key_file.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "lmobf", "eval", str(bad), "10"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

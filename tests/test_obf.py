@@ -11,9 +11,10 @@ from lmobf.auth import _wire_decoder, pauli_update
 from lmobf.gf2 import BitVector, coset_decode
 from lmobf.lm import Circuit, Gate, compile_circuit, eval_classical_fn, lmeval_distribution
 from lmobf.obf import (
-    BOT,
     ObfParams,
     OracleKey,
+    OracleSuite,
+    Reject,
     Transcript,
     attack_harness,
     chain_label,
@@ -61,24 +62,22 @@ def honest_transcript(circuit: Circuit, x: BitVector, seed: int = 0):
     query: returns the obfuscation, the list of (layer, transcript,
     w_pair) queries as sent, and the final transcript."""
     program, obf = make_obf(circuit, seed)
-    key = obf.key
-    rng = np.random.default_rng(seed + 1)
-    from lmobf.obf import _logical_layers
-
-    sigma = tok_sign(x, obf.token, rng)
-    transcript = Transcript(x=x, signature=sigma)
     queries = []
-    for layer, (_, v_raw, w_pair) in enumerate(
-        _logical_layers(key, obf.logical_state, x, rng), start=1
-    ):
-        v_part = tuple(v_raw[w] for w in sorted(program.v_sets[layer - 1]))
-        transcript = transcript.with_codewords(v_part)
-        if layer <= program.t:
-            queries.append((layer, transcript, w_pair))
-            reply = oracle_f(key, layer, transcript, w_pair)
-            assert not is_bot(reply)
-            transcript = transcript.with_label(reply[1])
-    return obf, queries, transcript
+    final = []
+
+    def query_f(i, tr, w):
+        queries.append((i, tr, w))
+        reply = obf.suite.query_f(i, tr, w)
+        assert not is_bot(reply)
+        return reply
+
+    def query_g(tr):
+        final.append(tr)
+        return obf.suite.query_g(tr)
+
+    suite = OracleSuite(query_f, query_g)
+    qeval(x, obf, np.random.default_rng(seed + 1), mode="logical", suite=suite)
+    return obf, queries, final[0]
 
 
 def flip_bit(v: BitVector, pos: int) -> BitVector:
@@ -233,10 +232,10 @@ def test_oracle_f_bad_token_reasons():
     obf, queries, _ = honest_transcript(T_ONLY, BitVector((1,)), seed=7)
     _, transcript, w_pair = queries[0]
     broken = replace(transcript, signature=(flip_bit(transcript.signature[0], 0),))
-    assert oracle_f(obf.key, 1, broken, w_pair, diagnostics=True) == (BOT, "bad-token")
+    assert oracle_f(obf.key, 1, broken, w_pair) == Reject("bad-token", 1)
     zero = replace(transcript, signature=(BitVector.zeros(len(transcript.signature[0])),))
-    assert oracle_f(obf.key, 1, zero, w_pair, diagnostics=True) == (BOT, "bad-token")
-    assert oracle_f(obf.key, 1, broken, w_pair) is BOT
+    assert oracle_f(obf.key, 1, zero, w_pair) == Reject("bad-token", 1)
+    assert is_bot(oracle_f(obf.key, 1, broken, w_pair))
 
 
 def test_oracle_f_shape_gate():
@@ -244,10 +243,10 @@ def test_oracle_f_shape_gate():
     _, transcript, w_pair = queries[0]
     key = obf.key
     short = replace(transcript, v_layers=((transcript.v_layers[0][0],) * 2,))
-    assert oracle_f(key, 1, short, w_pair, diagnostics=True) == (BOT, "decode-fail")
-    assert oracle_f(key, 1, transcript, w_pair[:1], diagnostics=True) == (BOT, "decode-fail")
+    assert oracle_f(key, 1, short, w_pair) == Reject("decode-fail", 1)
+    assert oracle_f(key, 1, transcript, w_pair[:1]) == Reject("decode-fail", 1)
     narrow = (BitVector((1,)), w_pair[1])
-    assert oracle_f(key, 1, transcript, narrow, diagnostics=True) == (BOT, "decode-fail")
+    assert oracle_f(key, 1, transcript, narrow) == Reject("decode-fail", 1)
 
 
 def test_oracle_f_decode_gate():
@@ -263,9 +262,9 @@ def test_oracle_f_decode_gate():
         if not accept.contains(err):
             break
     bad_pair = (w_pair[0] ^ err, w_pair[1])
-    assert oracle_f(key, 1, transcript, bad_pair, diagnostics=True) == (BOT, "decode-fail")
+    assert oracle_f(key, 1, transcript, bad_pair) == Reject("decode-fail", 1)
     bad_layer = replace(transcript, v_layers=((transcript.v_layers[0][0] ^ err,),))
-    assert oracle_f(key, 1, bad_layer, w_pair, diagnostics=True) == (BOT, "decode-fail")
+    assert oracle_f(key, 1, bad_layer, w_pair) == Reject("decode-fail", 1)
 
 
 def test_oracle_f_bad_label_and_collision():
@@ -275,7 +274,7 @@ def test_oracle_f_bad_label_and_collision():
     layer2, transcript2, w_pair2 = queries[1]
     assert layer2 == 2
     forged = replace(transcript2, labels=(flip_bit(transcript2.labels[0], 3),))
-    assert oracle_f(key, 2, forged, w_pair2, diagnostics=True) == (BOT, "bad-label")
+    assert oracle_f(key, 2, forged, w_pair2) == Reject("bad-label", 2)
 
     import lmobf.obf as obf_mod
 
@@ -283,10 +282,10 @@ def test_oracle_f_bad_label_and_collision():
     obf_mod.prf = lambda key_bytes, message, num_bits: BitVector.zeros(num_bits)
     try:
         collided = replace(transcript2, labels=(BitVector.zeros(key.label_bits),))
-        reply = oracle_f(key, 2, collided, w_pair2, diagnostics=True)
+        reply = oracle_f(key, 2, collided, w_pair2)
     finally:
         obf_mod.prf = original
-    assert reply == (BOT, "label-collision")
+    assert reply == Reject("label-collision", 2)
 
 
 def test_oracle_g_honest_and_cross_signature():
@@ -298,13 +297,13 @@ def test_oracle_g_honest_and_cross_signature():
 
     _, other = make_obf(CNOT_T, seed=14)
     swapped = replace(transcript, signature=tok_sign(x, other.token, np.random.default_rng(2)))
-    assert oracle_g(obf.key, swapped, diagnostics=True) == (BOT, "bad-token")
+    assert oracle_g(obf.key, swapped) == Reject("bad-token", 2)
 
 
 def test_oracle_g_truncated_transcript():
     obf, queries, transcript = honest_transcript(T_T, BitVector((0,)), seed=15)
     cut = replace(transcript, v_layers=transcript.v_layers[:-1], labels=transcript.labels[:1])
-    assert oracle_g(obf.key, cut, diagnostics=True) == (BOT, "decode-fail")
+    assert oracle_g(obf.key, cut) == Reject("decode-fail", 3)
 
 
 # --- simulated oracles --------------------------------------------------------
@@ -416,15 +415,28 @@ def test_qeval_consumes_the_token():
 def test_qeval_trace_and_emission_log():
     program = compile_circuit(T_T)
     obf = qobf(PARAMS, program, np.random.default_rng(27))
+    key = obf.key
+    base = real_suite(key)
     log: list = []
-    suite = real_suite(obf.key, log=log)
     trace: list = []
-    y = qeval(BitVector((1,)), obf, np.random.default_rng(28), suite=suite, trace=trace)
+
+    def query_f(i, tr, w):
+        reply = base.query_f(i, tr, w)
+        log.append((i, tr, reply[1]))
+        trace.append((i, tr.v_layers[-1], w, reply[1]))
+        return reply
+
+    def query_g(tr):
+        trace.append((key.program.t + 1, tr.v_layers[-1], None, None))
+        return base.query_g(tr)
+
+    y = qeval(BitVector((1,)), obf, np.random.default_rng(28), suite=OracleSuite(query_f, query_g))
     assert not is_bot(y)
     assert [entry[0] for entry in trace] == [1, 2, 3]
     assert len(log) == 2
-    for i, message, label in log:
-        assert prf(obf.key.prf_key, message, obf.key.label_bits) == label
+    for i, tr, label in log:
+        messages = [label_message(tr, i, bit) for bit in (0, 1)]
+        assert label in [prf(key.prf_key, message, key.label_bits) for message in messages]
     assert trace[0][3] == log[0][2]
 
 
@@ -443,11 +455,9 @@ def test_qeval_rejects_on_tampered_suite():
         echo, label = reply
         return echo, flip_bit(label, 0)
 
-    from lmobf.obf import OracleSuite
-
     suite = OracleSuite(query_f=lying_f, query_g=honest.query_g)
     y = qeval(BitVector((0,)), obf, np.random.default_rng(30), suite=suite)
-    assert y is BOT
+    assert y == Reject("bad-label", 2)
 
 
 def test_distinct_obfuscations_same_functionality():
