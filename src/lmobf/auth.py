@@ -20,13 +20,16 @@ from .gf2 import (
     BitVector,
     Subspace,
     canonical_delta_hat,
+    concat,
     coset_decode,
     coset_decode_batch,
     dual,
+    parity,
     sample_coset_vector,
     sample_subspace,
+    split,
 )
-from .lm import ClassicalFn, bind, block_tags, fn_table
+from .lm import ClassicalFn, bind, block_tags, fn_table, line_fields
 from .sim import (
     MeasurementSpec,
     MeasurementResult,
@@ -118,9 +121,7 @@ def enc(key: AuthKey, logical: StateVector) -> StateVector:
     state = logical
     for wire in range(key.num_wires, 0, -1):
         state = apply_encoding_isometry(state, wire, key.space, key.delta)
-    x_full = BitVector(tuple(b for v in key.x_masks for b in v.bits))
-    z_full = BitVector(tuple(b for v in key.z_masks for b in v.bits))
-    return apply_pauli_mask(state, x_full, z_full)
+    return apply_pauli_mask(state, concat(key.x_masks), concat(key.z_masks))
 
 
 def lin_eval(
@@ -277,14 +278,6 @@ def blownup_spec(
     return MeasurementSpec(block_tags(basis.theta, live, phi, p), outcome_fn)
 
 
-def split_codewords(raw: BitVector, count: int, width: int) -> Optional[CodewordTuple]:
-    """Cut a flat vector into count vectors of the given width; None if
-    the length does not fit."""
-    if len(raw) != count * width:
-        return None
-    return tuple(BitVector(raw.bits[k * width : (k + 1) * width]) for k in range(count))
-
-
 def logical_measure(
     key: AuthKey,
     cnots: Sequence[tuple[int, int]],
@@ -296,7 +289,7 @@ def logical_measure(
     """One sampled authenticated measurement. Returns (label or BOT, the
     raw per-wire vectors drawn within the outcome class, post state)."""
     result: MeasurementResult = measure(state, blownup_spec(key, cnots, basis, fn), rng)
-    raw = split_codewords(result.raw_bits, len(basis.phi), key.code_length)
+    raw = split(result.raw_bits, len(basis.phi), key.code_length)
     return result.outcome, raw, result.post_state
 
 
@@ -317,14 +310,9 @@ def logical_measure_branches(
 def pauli_matrix(x: BitVector, z: BitVector, z_first: bool = False) -> np.ndarray:
     """Matrix of X^x Z^z (or Z^z X^x) on len(x) qubits."""
     n = len(x)
-    xi = int("".join(str(b) for b in x.bits), 2) if n else 0
-    zi = int("".join(str(b) for b in z.bits), 2) if n else 0
-    cols = np.arange(2**n)
-    par = ((cols ^ xi) if z_first else cols) & zi
-    for shift in (16, 8, 4, 2, 1):
-        par = par ^ (par >> shift)
+    cols = np.arange(2**n, dtype=np.int64)
     mat = np.zeros((2**n, 2**n))
-    mat[cols ^ xi, cols] = 1.0 - 2.0 * (par & 1)
+    mat[cols ^ x.value, cols] = 1.0 - 2.0 * parity((cols ^ x.value) if z_first else cols, z.value)
     return mat
 
 
@@ -384,8 +372,11 @@ def key_to_text(key: AuthKey) -> str:
 
 def key_from_text(text: str) -> AuthKey:
     lines = [ln.strip() for ln in text.strip().splitlines()]
-    security = int(lines[0].split()[1])
-    wires = int(lines[1].split()[1])
+
+    def vector_at(at: int) -> BitVector:
+        return BitVector.from_string(line_fields(lines, at, 2)[1])
+
+    security, wires = (int(line_fields(lines, k, 2)[1]) for k in range(2))
     if len(lines) < 3 or lines[2] != "space:":
         raise ValueError("expected 'space:' at line 3")
     p = 2 * security + 1
@@ -395,13 +386,12 @@ def key_from_text(text: str) -> AuthKey:
         rows.append(lines[at])
         at += 1
     space = Subspace.span_strings(p, rows)
-    delta = BitVector.from_string(lines[at].split()[1])
-    hat_delta = BitVector.from_string(lines[at + 1].split()[1])
+    delta, hat_delta = vector_at(at), vector_at(at + 1)
     at += 2
     xs, zs = [], []
     for i in range(wires):
-        xs.append(BitVector.from_string(lines[at].split()[1]))
-        zs.append(BitVector.from_string(lines[at + 1].split()[1]))
+        xs.append(vector_at(at))
+        zs.append(vector_at(at + 1))
         at += 2
     key = derive_key(security, wires, space, delta, xs, zs)
     if key.hat_delta != hat_delta:

@@ -6,14 +6,17 @@ serve the oracles over stdin/stdout, and run a quick self-check. Every
 command takes --seed and produces seed-deterministic stdout; manifests
 and timing live in files, never on stdout.
 
-Exit codes: 0 success, 2 unusable arguments or input files, 3 structural
-violations or simulator limits, 4 a rejected honest evaluation.
+Exit codes: 0 success, 1 a failed self-check or an oracle server that
+died, 2 unusable arguments or input files, 3 structural violations or
+simulator limits, 4 a rejected honest evaluation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import os
 import subprocess
 import sys
 import time
@@ -57,6 +60,7 @@ from .sim import QUBIT_CAP, apply_gate, prepare_subspace_state, state_distance
 from .tokens import keypair_from_subspaces, tok_gen, tok_sign, tok_ver
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_REJECTED = 4
@@ -169,7 +173,7 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
         program = program_from_text(Path(args.program).read_text())
     except OSError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    except (ValueError, AssertionError, IndexError) as exc:
+    except ValueError as exc:
         return _fail(f"bad program file: {exc}", EXIT_USAGE)
     if program.num_wires > QUBIT_CAP:
         return _fail(
@@ -219,31 +223,40 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return _fail("program is too wide for the simulator", EXIT_LIMIT)
     rng = np.random.default_rng(args.seed)
     if args.oracle_mode == "serve":
+        # The child imports the lmobf this process runs, wherever it was found.
+        root = str(Path(__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
         server = subprocess.Popen(
             [sys.executable, "-m", "lmobf", "oracle-serve", str(directory)],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,
+            env={**os.environ, "PYTHONPATH": root + (os.pathsep + path if path else "")},
         )
 
         def send(line: str) -> str:
-            assert server.stdin is not None and server.stdout is not None
             server.stdin.write(line + "\n")
             server.stdin.flush()
-            return server.stdout.readline()
+            reply = server.stdout.readline()
+            if not reply:
+                raise BrokenPipeError("oracle server closed its output")
+            return reply
 
         try:
-            suite = remote_suite((directory / KEY_FILE).read_text(), send)
-            y = qeval(x, obf, rng, suite=suite)
+            y = qeval(x, obf, rng, suite=remote_suite((directory / KEY_FILE).read_text(), send))
+        except BrokenPipeError:
+            y = None
         finally:
-            if server.stdin is not None:
+            with contextlib.suppress(BrokenPipeError):
                 server.stdin.close()
-            server.wait(timeout=30)
+            status = server.wait(timeout=30)
+        if y is None:
+            return _fail(f"oracle server stopped answering (exit status {status})", EXIT_FAILED)
     else:
         y = qeval(x, obf, rng)
     if is_bot(y):
         return _rejected(y)
-    print("".join(str(b) for b in y.bits))
+    print(y)
     return EXIT_OK
 
 
@@ -301,9 +314,7 @@ def _check_compiler_equivalence() -> bool:
     for circuit in circuits:
         program = compile_circuit(circuit)
         for v in range(2**circuit.num_input_bits):
-            x = BitVector(
-                tuple((v >> (circuit.num_input_bits - 1 - j)) & 1 for j in range(circuit.num_input_bits))
-            )
+            x = BitVector.from_int(v, circuit.num_input_bits)
             gap = total_variation(
                 circuit_output_distribution(circuit, x), lmeval_distribution(x, program)
             )
@@ -323,12 +334,7 @@ def _check_end_to_end() -> bool:
         q_fn = induced_map(program)
         for seed in range(2):
             for v in range(2**circuit.num_input_bits):
-                x = BitVector(
-                    tuple(
-                        (v >> (circuit.num_input_bits - 1 - j)) & 1
-                        for j in range(circuit.num_input_bits)
-                    )
-                )
+                x = BitVector.from_int(v, circuit.num_input_bits)
                 obf = qobf(params, program, np.random.default_rng(seed))
                 y = qeval(x, obf, np.random.default_rng(100 + seed))
                 if is_bot(y) or y != q_fn(x):
@@ -342,7 +348,7 @@ def _check_simulated_oracles() -> bool:
     program = compile_circuit(circuit)
     q_fn = induced_map(program)
     for v in range(4):
-        x = BitVector(((v >> 1) & 1, v & 1))
+        x = BitVector.from_int(v, 2)
         obf = qobf(params, program, np.random.default_rng(7))
         suite = simulated_suite(obf.key, q_fn)
         y = qeval(x, obf, np.random.default_rng(8), suite=suite)
@@ -381,7 +387,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         ok = check()
         print(f"{'PASS' if ok else 'FAIL'} {name}")
         failures += not ok
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_FAILED
 
 
 # --- argument wiring -------------------------------------------------------------

@@ -2,67 +2,124 @@
 
 Bit order convention used across the whole package: coordinate 1 is the
 leftmost character of the textual form, and indexing a BitVector uses
-those 1-based coordinates.
+those 1-based coordinates. A vector's bits are packed in one int with
+coordinate 1 as the most significant bit, so the packed value of a
+string of qubit readings is the simulator's basis index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class BitVector:
-    bits: tuple[int, ...]
+    """A length and the bits packed in an int (coordinate 1 the MSB).
+    BitVector(bits) and .bits are the tuple view."""
 
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0/1")
+    value: int
+    length: int
+
+    def __init__(self, bits: Sequence[int]) -> None:
+        value = 0
+        for b in bits:
+            if b not in (0, 1):
+                raise ValueError("bits must be 0/1")
+            value = value << 1 | int(b)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "length", len(bits))
+
+    @staticmethod
+    def from_int(value: int, n: int) -> "BitVector":
+        """The n-bit vector whose packed value is value (0 <= value < 2**n)."""
+        v = object.__new__(BitVector)
+        object.__setattr__(v, "value", value)
+        object.__setattr__(v, "length", n)
+        return v
 
     @staticmethod
     def from_string(s: str) -> "BitVector":
         if not set(s) <= {"0", "1"}:
             raise ValueError(f"not a bit string: {s!r}")
-        return BitVector(tuple(int(c) for c in s))
+        return BitVector.from_int(int(s, 2) if s else 0, len(s))
 
     @staticmethod
     def zeros(n: int) -> "BitVector":
-        return BitVector((0,) * n)
+        return BitVector.from_int(0, n)
 
     @staticmethod
     def from_ints(vals: Sequence[int]) -> "BitVector":
         return BitVector(tuple(int(v) & 1 for v in vals))
 
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(map(int, str(self)))
+
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
+
+    def __repr__(self) -> str:
+        return f"BitVector(bits={self.bits!r})"
 
     def __getitem__(self, coord: int) -> int:
-        if not 1 <= coord <= len(self.bits):
-            raise IndexError(f"coordinate {coord} out of range 1..{len(self.bits)}")
-        return self.bits[coord - 1]
+        if not 1 <= coord <= self.length:
+            raise IndexError(f"coordinate {coord} out of range 1..{self.length}")
+        return self.value >> (self.length - coord) & 1
 
     def __xor__(self, other: "BitVector") -> "BitVector":
-        if len(self) != len(other):
+        if self.length != other.length:
             raise ValueError("length mismatch")
-        return BitVector(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        return BitVector.from_int(self.value ^ other.value, self.length)
 
     def dot(self, other: "BitVector") -> int:
-        if len(self) != len(other):
+        if self.length != other.length:
             raise ValueError("length mismatch")
-        return sum(a & b for a, b in zip(self.bits, other.bits)) & 1
+        return (self.value & other.value).bit_count() & 1
 
     def is_zero(self) -> bool:
-        return not any(self.bits)
+        return not self.value
 
     def to_array(self) -> np.ndarray:
         return np.array(self.bits, dtype=np.uint8)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return format(self.value, f"0{self.length}b") if self.length else ""
+
+
+def concat(vectors: Iterable[BitVector]) -> BitVector:
+    """The vectors laid end to end, the first one leftmost."""
+    value = length = 0
+    for v in vectors:
+        value = value << v.length | v.value
+        length += v.length
+    return BitVector.from_int(value, length)
+
+
+def split(v: BitVector, count: int, width: int) -> tuple[BitVector, ...]:
+    """Inverse of concat for count vectors of the given width; raises
+    ValueError if the length does not fit."""
+    if len(v) != count * width:
+        raise ValueError(f"{len(v)} bits do not make {count} vectors of {width}")
+    mask = (1 << width) - 1
+    return tuple(
+        BitVector.from_int(v.value >> (width * (count - 1 - k)) & mask, width)
+        for k in range(count)
+    )
+
+
+def parity(words: np.ndarray, mask: int) -> np.ndarray:
+    """Per packed word w of an int64 array (at most 32 bits), the dot
+    product of w and mask over GF(2), as 0 or 1, in a new array."""
+    par = words & mask
+    for shift in (16, 8, 4, 2, 1):
+        par ^= par >> shift
+    par &= 1
+    return par
 
 
 @dataclass(frozen=True)
@@ -83,33 +140,27 @@ class BitMatrix:
     def num_rows(self) -> int:
         return len(self.rows)
 
-    def num_cols(self, default: int = 0) -> int:
-        return len(self.rows[0]) if self.rows else default
-
-    def to_array(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, 0), dtype=np.uint8)
-        return np.array([r.bits for r in self.rows], dtype=np.uint8)
+    def num_cols(self) -> int:
+        return len(self.rows[0]) if self.rows else 0
 
 
 def rref(m: BitMatrix) -> BitMatrix:
     """Reduced row-echelon form over GF(2); zero rows dropped."""
-    rows = [list(r.bits) for r in m.rows]
-    ncols = m.num_cols()
-    pivot_row = 0
-    for col in range(ncols):
-        hit = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if hit is None:
-            continue
-        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                rows[r] = [a ^ b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    kept = [r for r in rows if any(r)]
-    return BitMatrix(tuple(BitVector(tuple(r)) for r in kept))
+    n = m.num_cols()
+    # Reduced rows keyed by their pivot, the row's leading bit; no pivot
+    # bit is set in any other row.
+    reduced: dict[int, int] = {}
+    for row in m.rows:
+        value = row.value
+        for piv, other in reduced.items():
+            if value & piv:
+                value ^= other
+        if value:
+            piv = 1 << (value.bit_length() - 1)
+            reduced = {p: other ^ value if other & piv else other for p, other in reduced.items()}
+            reduced[piv] = value
+    rows = (BitVector.from_int(reduced[p], n) for p in sorted(reduced, reverse=True))
+    return BitMatrix(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -142,37 +193,40 @@ class Subspace:
         return self.basis.num_rows
 
     @cached_property
-    def _pivots(self) -> tuple[int, ...]:
-        return tuple(next(i for i, b in enumerate(r.bits) if b) for r in self.basis.rows)
+    def _pivots(self) -> tuple[tuple[int, int], ...]:
+        """(pivot bit, packed row) per basis row."""
+        return tuple((1 << (r.value.bit_length() - 1), r.value) for r in self.basis.rows)
+
+    def _reduce(self, value: int) -> int:
+        for piv, row in self._pivots:
+            if value & piv:
+                value ^= row
+        return value
 
     def reduce(self, v: BitVector) -> BitVector:
         """Canonical (lexicographically least) representative of v + self."""
-        bits = list(v.bits)
-        for row, piv in zip(self.basis.rows, self._pivots):
-            if bits[piv]:
-                bits = [a ^ b for a, b in zip(bits, row.bits)]
-        return BitVector(tuple(bits))
+        return BitVector.from_int(self._reduce(v.value), v.length)
 
     def contains(self, v: BitVector) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("length mismatch")
-        return self.reduce(v).is_zero()
+        return not self._reduce(v.value)
 
     def contains_batch(self, vs: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (N, ambient_dim) uint8 array."""
         work = vs.copy()
-        for row, piv in zip(self.basis.rows, self._pivots):
-            mask = work[:, piv] == 1
+        for (piv, _), row in zip(self._pivots, self.basis.rows):
+            mask = work[:, self.ambient_dim - piv.bit_length()] == 1
             work[mask] ^= row.to_array()
         return ~work.any(axis=1)
 
     def elements(self) -> Iterator[BitVector]:
         for combo in product((0, 1), repeat=self.dim):
-            acc = BitVector.zeros(self.ambient_dim)
-            for c, row in zip(combo, self.basis.rows):
+            acc = 0
+            for c, (_, row) in zip(combo, self._pivots):
                 if c:
-                    acc = acc ^ row
-            yield acc
+                    acc ^= row
+            yield BitVector.from_int(acc, self.ambient_dim)
 
     def to_text(self) -> str:
         return "\n".join(str(r) for r in self.basis.rows)
@@ -203,28 +257,26 @@ def sample_subspace(ambient: int, dim: int, rng: np.random.Generator) -> Subspac
         return Subspace.zero(ambient)
     while True:
         rows = rng.integers(0, 2, size=(dim, ambient), dtype=np.uint8)
-        cand = BitMatrix(tuple(BitVector(tuple(int(b) for b in r)) for r in rows))
-        reduced = rref(cand)
+        reduced = rref(BitMatrix(tuple(BitVector.from_ints(r) for r in rows)))
         if reduced.num_rows == dim:
             return Subspace(ambient, reduced)
 
 
 def dual(s: Subspace) -> Subspace:
-    """Orthogonal complement {v : v.w = 0 for all w in s}."""
+    """Orthogonal complement {v : v.w = 0 for all w in s}: one vector per
+    free (non-pivot) column, that column plus the pivots of the rows
+    that have it set."""
     n = s.ambient_dim
-    if s.dim == 0:
-        return Subspace.span(n, [BitVector(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)])
-    basis = s.basis.to_array()
-    pivots = set(s._pivots)
-    free_cols = [c for c in range(n) if c not in pivots]
+    pivots = sum(piv for piv, _ in s._pivots)
     null_rows = []
-    for fc in free_cols:
-        v = np.zeros(n, dtype=np.uint8)
-        v[fc] = 1
-        for row, piv in zip(basis, sorted(pivots)):
-            if row[fc]:
-                v[piv] ^= 1
-        null_rows.append(BitVector(tuple(int(b) for b in v)))
+    for free in (1 << b for b in range(n - 1, -1, -1)):
+        if free & pivots:
+            continue
+        v = free
+        for piv, row in s._pivots:
+            if row & free:
+                v |= piv
+        null_rows.append(BitVector.from_int(v, n))
     return Subspace.span(n, null_rows)
 
 
@@ -246,13 +298,13 @@ def canonical_delta_hat(s: Subspace, delta: BitVector) -> BitVector:
 
 
 def sample_coset_vector(c: AffineCoset, rng: np.random.Generator) -> BitVector:
-    acc = c.shift
+    acc = c.shift.value
     if c.space.dim:
         combo = rng.integers(0, 2, size=c.space.dim)
-        for bit, row in zip(combo, c.space.basis.rows):
+        for bit, (_, row) in zip(combo, c.space._pivots):
             if bit:
-                acc = acc ^ row
-    return acc
+                acc ^= row
+    return BitVector.from_int(acc, c.space.ambient_dim)
 
 
 def coset_decode(s: Subspace, delta: BitVector, shift: BitVector, v: BitVector) -> Optional[int]:

@@ -19,7 +19,7 @@ from typing import Any, Callable, Collection, Hashable, Iterable, Mapping, Optio
 
 import numpy as np
 
-from .gf2 import BitVector
+from .gf2 import BitVector, concat, split
 from .sim import (
     MeasurementSpec,
     StateVector,
@@ -280,10 +280,6 @@ class LMProgram:
         for th in self.thetas:
             if len(th) != self.num_wires:
                 raise ValueError("theta length must equal wire count")
-
-    @property
-    def num_outputs(self) -> int:
-        return len(self.final_fn.outputs)
 
     def phi(self, i: int) -> tuple[int, ...]:
         """Wires the i-th measurement operates on (1-based layer index)."""
@@ -546,8 +542,8 @@ def walk(
     (one qubit or one code block per wire) supplies the CNOT layer, the
     measurement spec and the bits to slice collapsed wires on. Each
     branch is recorded by visit(layer, label, read), where read maps each
-    measured wire to the bits of the sampled substring it was read as
-    (None when enumerating); a false return stops that branch. Returns
+    measured wire to the BitVector of the sampled substring it was read
+    as (None when enumerating); a false return stops that branch. Returns
     the final labels with their probabilities."""
     program = register.program
     dist: dict[Hashable, float] = {}
@@ -573,8 +569,7 @@ def walk(
             ]
         else:
             result = measure(state, spec, rng)
-            b, bits = register.block, result.raw_bits.bits
-            read = {w: bits[k * b : (k + 1) * b] for k, w in enumerate(measured)}
+            read = dict(zip(measured, split(result.raw_bits, len(measured), register.block)))
             branches = [(result.outcome, prob, result.post_state, read)]
         at = len(todo)
         for label, branch_prob, post, read in branches:
@@ -618,8 +613,8 @@ def simulate_circuit(circuit: Circuit, x: BitVector) -> StateVector:
     """Plain statevector run: inputs loaded, gates applied in order."""
     if len(x) != circuit.num_input_bits:
         raise ValueError("input length mismatch")
-    bits = tuple(x.bits) + (0,) * (circuit.num_logical_qubits - circuit.num_input_bits)
-    state = StateVector.basis(BitVector(bits))
+    zeros = BitVector.zeros(circuit.num_logical_qubits - circuit.num_input_bits)
+    state = StateVector.basis(concat((x, zeros)))
     for g in circuit.gates:
         state = apply_gate(state, g.kind, g.wires)
     return state
@@ -637,8 +632,7 @@ def circuit_output_distribution(
     moved = np.moveaxis(probs, axes, range(k)).reshape(2**k, -1).sum(axis=1)
     out = {}
     for idx in np.flatnonzero(moved > 1e-15):
-        bits = tuple(int(b) for b in f"{idx:0{k}b}") if k else ()
-        out[bits] = float(moved[idx])
+        out[BitVector.from_int(int(idx), k).bits] = float(moved[idx])
     return out
 
 
@@ -754,17 +748,19 @@ def _tag_to_text(tag: StateTag) -> str:
 
 
 def _tag_from_text(text: str) -> StateTag:
-    parts = text.split()
-    if parts[0] == "zero":
+    kind, *args = text.split()
+    if kind == "zero":
         return ("zero",)
-    if parts[0] == "input":
-        return ("input", int(parts[1]))
-    if parts[0] == "magic-T":
+    if kind == "input":
+        (j,) = args
+        return ("input", int(j))
+    if kind == "magic-T":
         return ("magic_t",)
-    if parts[0] == "magic-PX":
+    if kind == "magic-PX":
         return ("magic_px",)
-    if parts[0] == "magic-H":
-        return ("magic_h", int(parts[1]), parts[2])
+    if kind == "magic-H":
+        pid, half = args
+        return ("magic_h", int(pid), half)
     raise ValueError(f"unknown state tag {text!r}")
 
 
@@ -777,18 +773,31 @@ def _fn_to_lines(fn: ClassicalFn) -> list[str]:
     return lines
 
 
+def line_fields(lines: Sequence[str], at: int, count: int, sep: Optional[str] = None) -> list[str]:
+    """The count fields of lines[at], split on sep, the last one taking
+    the rest of the line; a ValueError naming the line (1-based) if the
+    text ends before it or the line has fewer fields."""
+    if at >= len(lines):
+        raise ValueError(f"text ends before line {at + 1}")
+    parts = lines[at].split(sep, count - 1)
+    if len(parts) != count:
+        raise ValueError(f"line {at + 1} needs {count} fields: {lines[at]!r}")
+    return parts
+
+
 def _fn_from_lines(lines: list[str], at: int) -> tuple[ClassicalFn, int]:
-    count = int(lines[at].split()[1])
+    count = int(line_fields(lines, at, 2)[1])
     at += 1
     nodes = []
     for _ in range(count):
-        parts = lines[at].split()[1:]
-        if parts[0] == "in":
-            nodes.append(("in", parts[1]))
-        elif parts[0] == "const":
-            nodes.append(("const", int(parts[1])))
+        _, kind, args = line_fields(lines, at, 3)
+        if kind == "in":
+            nodes.append(("in", args))
+        elif kind == "const":
+            nodes.append(("const", int(args)))
         else:
-            nodes.append((parts[0], int(parts[1]), int(parts[2])))
+            a, b = args.split()
+            nodes.append((kind, int(a), int(b)))
         at += 1
     outputs = []
     while at < len(lines) and lines[at].startswith("out "):
@@ -834,18 +843,15 @@ def _expect_header(lines: list[str], at: int, header: str) -> None:
 
 def program_from_text(text: str) -> LMProgram:
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
-    n = int(lines[0].split()[1])
-    m = int(lines[1].split()[1])
-    t = int(lines[2].split()[1])
+    n, m, t = (int(line_fields(lines, k, 2)[1]) for k in range(3))
     at = 3
     tags = []
     for _ in range(n):
-        parts = lines[at].split(maxsplit=2)
-        tags.append(_tag_from_text(parts[2]))
+        tags.append(_tag_from_text(line_fields(lines, at, 3)[2]))
         at += 1
     layers = []
     for i in range(1, t + 2):
-        body = lines[at].split(":", 1)[1].strip()
+        body = line_fields(lines, at, 2, ":")[1].strip()
         layer = []
         if body != "-":
             for item in body.split():
@@ -855,21 +861,23 @@ def program_from_text(text: str) -> LMProgram:
         at += 1
     thetas = []
     for i in range(1, t + 2):
-        body = lines[at].split(":", 1)[1].strip()
+        body = line_fields(lines, at, 2, ":")[1].strip()
         theta: list[Optional[int]] = [None] * n
         for item in body.split():
             w, v = item.split("=")
+            if not 1 <= int(w) <= n:
+                raise ValueError(f"line {at + 1}: wire {w} out of range 1..{n}")
             theta[int(w) - 1] = int(v)
         thetas.append(tuple(theta))
         at += 1
     v_sets = []
     for i in range(1, t + 2):
-        body = lines[at].split(":", 1)[1].strip()
+        body = line_fields(lines, at, 2, ":")[1].strip()
         v_sets.append(tuple(int(w) for w in body.split()) if body != "-" else ())
         at += 1
     w_sets = []
     for i in range(1, t + 1):
-        body = lines[at].split(":", 1)[1].strip()
+        body = line_fields(lines, at, 2, ":")[1].strip()
         w_sets.append(tuple(int(w) for w in body.split()) if body != "-" else ())
         at += 1
     fns = []

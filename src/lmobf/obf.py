@@ -47,16 +47,16 @@ from .auth import (
     key_to_text,
     lin_eval,
     pauli_update,
-    split_codewords,
     ver,
 )
-from .gf2 import BitVector, Subspace, coset_decode
+from .gf2 import BitVector, Subspace, concat, coset_decode, split
 from .lm import (
     LMProgram,
     LogicalRegister,
     bind,
     check_lm_invariants,
     eval_classical_fn,
+    line_fields,
     lmeval_distribution,
     prepare_program_state,
     program_from_text,
@@ -162,21 +162,27 @@ def prf(key: bytes, message: bytes, num_bits: int) -> BitVector:
         block = message + counter.to_bytes(4, "big")
         digest += hmac.new(key, block, hashlib.sha256).digest()
         counter += 1
-    bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8))[:num_bits]
-    return BitVector(tuple(int(b) for b in bits))
+    value = int.from_bytes(digest, "big") >> (8 * len(digest) - num_bits)
+    return BitVector.from_int(value, num_bits)
+
+
+def frame(v: BitVector) -> bytes:
+    """Length-prefixed packing: 4-byte big-endian bit count, then the
+    bits MSB-first, zero-padded to whole bytes. Unambiguous under
+    concatenation."""
+    nbytes = (len(v) + 7) // 8
+    return len(v).to_bytes(4, "big") + (v.value << (8 * nbytes - len(v))).to_bytes(nbytes, "big")
 
 
 def frame_bits(bits: Sequence[int]) -> bytes:
-    """Length-prefixed packing: 4-byte big-endian bit count, then the
-    bits MSB-first. Unambiguous under concatenation."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    return len(arr).to_bytes(4, "big") + np.packbits(arr).tobytes()
+    """The frame of a tuple of bits."""
+    return frame(BitVector(tuple(bits)))
 
 
 def frame_group(vectors: Sequence[BitVector]) -> bytes:
     """One frame holding the concatenation of several equal-role vectors
     (a signature, or one layer's codewords in wire order)."""
-    return frame_bits([b for v in vectors for b in v.bits])
+    return frame(concat(vectors))
 
 
 def read_frames(raw: bytes) -> list[BitVector]:
@@ -191,9 +197,8 @@ def read_frames(raw: bytes) -> list[BitVector]:
         nbytes = (n + 7) // 8
         if at + nbytes > len(raw):
             raise ValueError("truncated frame body")
-        chunk = np.frombuffer(raw[at : at + nbytes], dtype=np.uint8)
-        bits = np.unpackbits(chunk)[:n] if nbytes else np.zeros(0, np.uint8)
-        out.append(BitVector(tuple(int(b) for b in bits)))
+        value = int.from_bytes(raw[at : at + nbytes], "big") >> (8 * nbytes - n)
+        out.append(BitVector.from_int(value, n))
         at += nbytes
     return out
 
@@ -220,20 +225,25 @@ class Transcript:
         return replace(self, labels=self.labels + (label,))
 
 
-def label_message(transcript: Transcript, upto: int, trailing_bit: int) -> bytes:
-    """Canonical bytes hashed for the layer-upto label: the input, the
-    signature, then codeword layers interleaved with the earlier labels,
-    and the chain bit last."""
-    parts = [
-        frame_bits(transcript.x.bits),
-        frame_group(transcript.signature),
-    ]
-    for idx in range(upto):
-        parts.append(frame_group(transcript.v_layers[idx]))
-        if idx < upto - 1:
-            parts.append(frame_bits(transcript.labels[idx].bits))
-    parts.append(frame_bits((trailing_bit & 1,)))
+def request_payload(transcript: Transcript, upto: Optional[int] = None) -> bytes:
+    """The framed transcript: the input, the signature, then each
+    codeword layer followed by its label where it has one. With upto,
+    only the first upto layers and the labels of the first upto-1."""
+    v_layers, labels = transcript.v_layers, transcript.labels
+    if upto is not None:
+        v_layers, labels = v_layers[:upto], labels[: upto - 1]
+    parts = [frame(transcript.x), frame_group(transcript.signature)]
+    for idx, layer in enumerate(v_layers):
+        parts.append(frame_group(layer))
+        if idx < len(labels):
+            parts.append(frame(labels[idx]))
     return b"".join(parts)
+
+
+def label_message(transcript: Transcript, upto: int, trailing_bit: int) -> bytes:
+    """Canonical bytes hashed for the layer-upto label: the request
+    payload of the first upto layers, and the chain bit last."""
+    return request_payload(transcript, upto) + frame_bits((trailing_bit & 1,))
 
 
 def chain_label(key: OracleKey, transcript: Transcript, upto: int, bit: int) -> BitVector:
@@ -542,12 +552,12 @@ def _honest_run(
         v_wires = lm.v_sets[layer - 1]
         wires = v_wires + (lm.w_sets[layer - 1] if layer <= lm.t else ())
         if mode == "physical":
-            vectors = [BitVector(read[w]) for w in wires]
+            vectors = [read[w] for w in wires]
         else:
             theta = lm.thetas[layer - 1]
             xs, zs = pauli_update(key.layer_cnots(layer), auth_key.x_masks, auth_key.z_masks)
             vectors = [
-                honest_codeword(auth_key, theta[w - 1], read[w][0], xs[w - 1], zs[w - 1], rng)
+                honest_codeword(auth_key, theta[w - 1], read[w][1], xs[w - 1], zs[w - 1], rng)
                 for w in wires
             ]
         v_raw = dict(zip(v_wires, vectors))
@@ -605,16 +615,16 @@ def qeval(
 def induced_map(program: LMProgram) -> Callable[[BitVector], BitVector]:
     """The classical map the program computes, by exact enumeration;
     raises if some input's output distribution is not a point mass."""
-    cache: dict[tuple[int, ...], BitVector] = {}
+    cache: dict[BitVector, BitVector] = {}
 
     def q_fn(x: BitVector) -> BitVector:
-        if x.bits not in cache:
+        if x not in cache:
             dist = lmeval_distribution(x, program)
             top, prob = max(dist.items(), key=lambda kv: kv[1])
             if prob < 1.0 - 1e-9:
                 raise ValueError(f"program output on {x} is not deterministic")
-            cache[x.bits] = BitVector(top)
-        return cache[x.bits]
+            cache[x] = BitVector(top)
+        return cache[x]
 
     return q_fn
 
@@ -655,7 +665,7 @@ def _tally(report: AttackReport, reply: object) -> None:
 def _sample_outside(space: Subspace, rng: np.random.Generator) -> BitVector:
     """Uniform vector of the ambient space outside the given subspace."""
     while True:
-        v = BitVector(tuple(int(b) for b in rng.integers(0, 2, size=space.ambient_dim)))
+        v = BitVector.from_ints(rng.integers(0, 2, size=space.ambient_dim))
         if not space.contains(v):
             return v
 
@@ -717,7 +727,7 @@ def attack_harness(
             _tally(report, reply)
     elif kind == "label-forge":
         for _ in range(report.trials):
-            guess = BitVector(tuple(int(b) for b in rng.integers(0, 2, size=key.label_bits)))
+            guess = BitVector.from_ints(rng.integers(0, 2, size=key.label_bits))
             if lm.t >= 2:
                 forged = replace(transcript, v_layers=transcript.v_layers[:2], labels=(guess,))
                 reply = oracle_f(key, 2, forged, w_pairs[1])
@@ -750,7 +760,7 @@ def attack_harness(
                 reply = oracle_g(key, swapped)
             _tally(report, reply)
     else:
-        x_other = BitVector((1,) + (0,) * (lm.num_input_bits - 1))
+        x_other = BitVector.from_int(1 << (lm.num_input_bits - 1), lm.num_input_bits)
         for _ in range(report.trials):
             try:
                 tok_sign(x_other, program.token, rng)
@@ -793,12 +803,10 @@ def oracle_key_to_text(key: OracleKey) -> str:
 
 def oracle_key_from_text(text: str) -> OracleKey:
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("label-bits "):
-        raise ValueError("missing label-bits header")
-    label_bits = int(lines[0].split()[1])
-    if not lines[1].startswith("prf-key "):
-        raise ValueError("missing prf-key header")
-    prf_key = bytes.fromhex(lines[1].split()[1])
+    (head1, bits_text), (head2, prf_hex) = (line_fields(lines, k, 2) for k in range(2))
+    if (head1, head2) != ("label-bits", "prf-key"):
+        raise ValueError("missing label-bits or prf-key header")
+    label_bits, prf_key = int(bits_text), bytes.fromhex(prf_hex)
     sections: dict[str, list[str]] = {}
     current: Optional[str] = None
     for ln in lines[2:]:
@@ -820,57 +828,28 @@ def oracle_key_from_text(text: str) -> OracleKey:
     )
 
 
-def _request_payload(transcript: Transcript) -> list[bytes]:
-    parts = [frame_bits(transcript.x.bits), frame_group(transcript.signature)]
-    for idx, layer in enumerate(transcript.v_layers):
-        parts.append(frame_group(layer))
-        if idx < len(transcript.labels):
-            parts.append(frame_bits(transcript.labels[idx].bits))
-    return parts
-
-
 def encode_f_request(i: int, transcript: Transcript, w_pair: CodewordTuple) -> str:
-    parts = _request_payload(transcript) + [frame_group(w_pair)]
-    return f"F {i} {b''.join(parts).hex()}"
+    return f"F {i} {(request_payload(transcript) + frame_group(w_pair)).hex()}"
 
 
 def encode_g_request(transcript: Transcript) -> str:
-    return f"G {b''.join(_request_payload(transcript)).hex()}"
+    return f"G {request_payload(transcript).hex()}"
 
 
 def _parse_request_fields(
     key: OracleKey, fields: list[BitVector], upto: int, with_w: bool
-) -> Optional[tuple[Transcript, Optional[CodewordTuple]]]:
+) -> tuple[Transcript, Optional[CodewordTuple]]:
+    """Inverse of the request payload (plus the pair frame with_w);
+    raises ValueError on any misfit."""
     program = key.program
     p = key.auth_key.code_length
-    want = 2 + 2 * upto - 1 + (1 if with_w else 0)
-    if len(fields) != want:
-        return None
-    sigma = split_codewords(fields[1], program.num_input_bits, 2 * key.token_dim)
-    if sigma is None:
-        return None
-    v_layers = []
-    labels = []
-    at = 2
-    for idx in range(upto):
-        layer = split_codewords(fields[at], len(program.v_sets[idx]), p)
-        if layer is None:
-            return None
-        v_layers.append(layer)
-        at += 1
-        if idx < upto - 1:
-            labels.append(fields[at])
-            at += 1
-    w_pair: Optional[CodewordTuple] = None
-    if with_w:
-        w_pair = split_codewords(fields[at], len(program.w_sets[upto - 1]), p)
-        if w_pair is None:
-            return None
-    try:
-        transcript = Transcript(fields[0], sigma, tuple(v_layers), tuple(labels))
-    except ValueError:
-        return None
-    return transcript, w_pair
+    if len(fields) != 2 + 2 * upto - 1 + (1 if with_w else 0):
+        raise ValueError("wrong number of frames")
+    sigma = split(fields[1], program.num_input_bits, 2 * key.token_dim)
+    v_layers = tuple(split(fields[2 * k + 2], len(program.v_sets[k]), p) for k in range(upto))
+    labels = tuple(fields[2 * k + 3] for k in range(upto - 1))
+    w_pair = split(fields[-1], len(program.w_sets[upto - 1]), p) if with_w else None
+    return Transcript(fields[0], sigma, v_layers, labels), w_pair
 
 
 def handle_request_line(key: OracleKey, line: str) -> str:
@@ -882,25 +861,19 @@ def handle_request_line(key: OracleKey, line: str) -> str:
             if not 1 <= i <= key.program.t:
                 return "BOT"
             fields = read_frames(bytes.fromhex(parts[2]))
-            parsed = _parse_request_fields(key, fields, i, with_w=True)
-            if parsed is None:
-                return "BOT"
-            transcript, w_pair = parsed
+            transcript, w_pair = _parse_request_fields(key, fields, i, with_w=True)
             reply = oracle_f(key, i, transcript, w_pair)
             if is_bot(reply):
                 return "BOT"
             echo, label = reply
-            return f"OK {frame_group(echo).hex()} {frame_bits(label.bits).hex()}"
+            return f"OK {frame_group(echo).hex()} {frame(label).hex()}"
         if len(parts) == 2 and parts[0] == "G":
             fields = read_frames(bytes.fromhex(parts[1]))
-            parsed = _parse_request_fields(key, fields, key.program.t + 1, with_w=False)
-            if parsed is None:
-                return "BOT"
-            transcript, _ = parsed
+            transcript, _ = _parse_request_fields(key, fields, key.program.t + 1, with_w=False)
             reply = oracle_g(key, transcript)
             if is_bot(reply):
                 return "BOT"
-            return f"OK {frame_bits(reply.bits).hex()}"
+            return f"OK {frame(reply).hex()}"
     except (ValueError, OverflowError):
         return "BOT"
     return "BOT"
@@ -921,7 +894,7 @@ def remote_suite(key_text: str, send: Callable[[str], str]) -> OracleSuite:
         if tag != "OK":
             raise ValueError(f"malformed oracle response {answer!r}")
         echo_flat = read_frames(bytes.fromhex(echo_hex))[0]
-        echo = split_codewords(echo_flat, len(key.program.v_sets[i - 1]), p)
+        echo = split(echo_flat, len(key.program.v_sets[i - 1]), p)
         label = read_frames(bytes.fromhex(label_hex))[0]
         return echo, label
 

@@ -17,7 +17,7 @@ from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
-from .gf2 import BitVector, Subspace
+from .gf2 import BitVector, Subspace, parity
 
 QUBIT_CAP = 24
 
@@ -49,13 +49,6 @@ class QubitCapError(ValueError):
 def _check_cap(num_qubits: int) -> None:
     if num_qubits > QUBIT_CAP:
         raise QubitCapError(f"{num_qubits} qubits exceeds cap of {QUBIT_CAP}")
-
-
-def _to_index(v: BitVector) -> int:
-    idx = 0
-    for b in v.bits:
-        idx = (idx << 1) | b
-    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,16 +83,8 @@ class StateVector:
     def basis(bits: BitVector) -> "StateVector":
         _check_cap(len(bits))
         amps = np.zeros(2 ** len(bits), dtype=np.complex128)
-        amps[_to_index(bits)] = 1.0
+        amps[bits.value] = 1.0
         return StateVector(len(bits), amps)
-
-    @staticmethod
-    def from_amplitudes(amps: Sequence[complex]) -> "StateVector":
-        arr = np.asarray(amps, dtype=np.complex128)
-        n = int(arr.shape[0]).bit_length() - 1
-        if 2**n != arr.shape[0]:
-            raise ValueError("amplitude count must be a power of two")
-        return StateVector(n, arr)
 
 
 @dataclass(frozen=True)
@@ -115,10 +100,6 @@ class MeasurementSpec:
         for b in self.basis:
             if b not in ("Z", "X", None):
                 raise ValueError(f"bad basis tag {b!r}")
-
-    @property
-    def measured_qubits(self) -> tuple[int, ...]:
-        return tuple(q + 1 for q, b in enumerate(self.basis) if b is not None)
 
 
 @dataclass(frozen=True)
@@ -162,18 +143,10 @@ def apply_pauli_mask(state: StateVector, x_mask: BitVector, z_mask: BitVector) -
     n = state.num_qubits
     if len(x_mask) != n or len(z_mask) != n:
         raise ValueError("mask length must equal qubit count")
-    x_int = _to_index(x_mask)
-    z_int = _to_index(z_mask)
     idx = np.arange(2**n, dtype=np.int64)
-    par = idx & z_int
-    par ^= par >> 16
-    par ^= par >> 8
-    par ^= par >> 4
-    par ^= par >> 2
-    par ^= par >> 1
-    signs = 1.0 - 2.0 * (par & 1)
+    signs = 1.0 - 2.0 * parity(idx, z_mask.value)
     out = np.empty_like(state.amplitudes)
-    out[idx ^ x_int] = state.amplitudes * signs
+    out[idx ^ x_mask.value] = state.amplitudes * signs
     return StateVector(n, out)
 
 
@@ -181,15 +154,11 @@ def prepare_subspace_state(s: Subspace, shift: Optional[BitVector] = None) -> St
     """Uniform superposition over the coset s + shift."""
     n = s.ambient_dim
     _check_cap(n)
-    if shift is None:
-        shift = BitVector.zeros(n)
-    k = s.dim
-    combos = ((np.arange(2**k, dtype=np.int64)[:, None] >> np.arange(k - 1, -1, -1)) & 1)
-    words = combos.astype(np.uint8) @ s.basis.to_array() if k else np.zeros((1, n), np.uint8)
-    words = (words + shift.to_array()) % 2
-    indices = words.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    indices = np.array([0 if shift is None else shift.value], dtype=np.int64)
+    for row in s.basis.rows:
+        indices = np.concatenate([indices, indices ^ row.value])
     amps = np.zeros(2**n, dtype=np.complex128)
-    amps[indices] = 1.0 / np.sqrt(2.0**k)
+    amps[indices] = 1.0 / np.sqrt(2.0**s.dim)
     return StateVector(n, amps)
 
 
@@ -289,7 +258,7 @@ def measure(
     keep_rows = rows[positions]
     within = row_probs[keep_rows]
     raw_pos = positions[int(rng.choice(len(positions), p=within / within.sum()))]
-    raw_bits = BitVector(tuple(int(b) for b in bits[raw_pos]))
+    raw_bits = BitVector.from_int(int(rows[raw_pos]), len(axes))
     post = _collapse(state, spec, axes, psi, keep_rows, float(class_probs[pick]))
     return MeasurementResult(outcome, raw_bits, post)
 
@@ -318,9 +287,8 @@ def state_distance(a: StateVector, b: StateVector) -> float:
 def dump(state: StateVector) -> str:
     """One line per nonzero amplitude: 'bitstring re im'."""
     lines = []
-    n = state.num_qubits
     for idx, amp in enumerate(state.amplitudes):
         if abs(amp) > 1e-12:
-            bits = format(idx, f"0{n}b") if n else ""
+            bits = BitVector.from_int(idx, state.num_qubits)
             lines.append(f"{bits} {amp.real:.12g} {amp.imag:.12g}")
     return "\n".join(lines)

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gf2 import AffineCoset, BitVector, Subspace, dual, sample_coset_vector, sample_subspace
+from .lm import line_fields
 from .sim import QUBIT_CAP, MeasurementSpec, StateVector, measure, prepare_subspace_state
 
 Signature = tuple[BitVector, ...]
@@ -82,7 +83,7 @@ def tok_sign(x: BitVector, keypair: TokenKeypair, rng: np.random.Generator) -> S
         spec = MeasurementSpec((basis,) * width)
         result = measure(register, spec, rng)
         keypair.registers[j] = result.post_state
-        sigma.append(BitVector(result.outcome))
+        sigma.append(result.raw_bits)
     return tuple(sigma)
 
 
@@ -112,7 +113,7 @@ def measure_register(
     spec = MeasurementSpec((basis,) * width)
     result = measure(register, spec, rng)
     keypair.registers[bit_index - 1] = result.post_state
-    return BitVector(result.outcome)
+    return result.raw_bits
 
 
 # --- serialization ----------------------------------------------------------
@@ -128,8 +129,7 @@ def vk_to_text(kappa_prime: int, vk: Sequence[Subspace]) -> str:
 
 def vk_from_text(text: str) -> tuple[int, tuple[Subspace, ...]]:
     lines = [ln.strip() for ln in text.strip().splitlines()]
-    kappa_prime = int(lines[0].split()[1])
-    num_bits = int(lines[1].split()[1])
+    kappa_prime, num_bits = (int(line_fields(lines, k, 2)[1]) for k in range(2))
     ambient = 2 * kappa_prime
     spaces = []
     at = 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from lmobf.gf2 import BitVector
@@ -43,7 +45,7 @@ def random_circuit(
 
 def all_inputs(m: int):
     for v in range(2**m):
-        yield BitVector(tuple((v >> (m - 1 - j)) & 1 for j in range(m)))
+        yield BitVector.from_int(v, m)
 
 
 def max_equivalence_gap(circuit: Circuit) -> float:
@@ -56,3 +58,35 @@ def max_equivalence_gap(circuit: Circuit) -> float:
         compiled = lmeval_distribution(x, program)
         worst = max(worst, total_variation(direct, compiled))
     return worst
+
+
+def reference_rref(rows):
+    """Reduced row-echelon form of a list of equal-length bit tuples, by
+    column sweeps over lists of lists; zero rows dropped. The reference
+    for gf2.rref, which works on packed ints."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivot_row = 0
+    for col in range(ncols):
+        hit = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return [tuple(r) for r in rows if any(r)]
+
+
+def reference_dual(rows, n):
+    """RREF basis, by reference_rref, of every length-n bit tuple
+    orthogonal to each of the rows (brute force over all 2**n)."""
+    members = [
+        bits
+        for bits in product((0, 1), repeat=n)
+        if all(sum(a & b for a, b in zip(bits, r)) % 2 == 0 for r in rows)
+    ]
+    return reference_rref(members)

@@ -2,6 +2,7 @@
 wire protocol under a real subprocess."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -218,16 +219,34 @@ def test_golden_stdout_and_exit_codes(tmp_path, capsys):
             assert err == row["stderr"], row["argv"]
 
 
-@pytest.mark.parametrize("header", ["f1:", "space:", "A1:"])
+def corrupt(lines: list[str], case: str) -> list[str]:
+    """oracle_key.txt lines damaged as the case says: a section header
+    renamed ("f1:"), the delta-hat line blanked, or a section cut after
+    its first N lines ("cut-N-SECTION")."""
+    if case.endswith(":"):
+        lines[lines.index(case)] = case[:-1] + "?"
+    elif case == "blank-delta-hat":
+        lines = ["" if ln.startswith("delta-hat ") else ln for ln in lines]
+    else:
+        _, keep, section = case.split("-", 2)
+        start = lines.index(f"[{section}]") + 1
+        end = next((k for k in range(start, len(lines)) if lines[k].startswith("[")), len(lines))
+        lines = lines[: start + int(keep)] + lines[end:]
+    return lines
+
+
+@pytest.mark.parametrize(
+    "header", ["f1:", "space:", "A1:", "cut-2-program", "blank-delta-hat", "cut-1-token-vk"]
+)
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_corrupted_key_header_is_usage_error(workdir, tmp_path, header, flags):
-    """A corrupted section header in oracle_key.txt is a usage error with
-    a message, never a traceback, whether or not asserts are compiled."""
+    """A corrupted section header, a blanked line or a truncated section
+    in oracle_key.txt is a usage error with a message, never a
+    traceback, whether or not asserts are compiled."""
     bad = tmp_path / "obf"
     shutil.copytree(workdir / "obf", bad)
     key_file = bad / "oracle_key.txt"
-    lines = key_file.read_text().splitlines()
-    lines[lines.index(header)] = header[:-1] + "?"
+    lines = corrupt(key_file.read_text().splitlines(), header)
     key_file.write_text("\n".join(lines) + "\n")
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "lmobf", "eval", str(bad), "10"],
@@ -237,3 +256,46 @@ def test_corrupted_key_header_is_usage_error(workdir, tmp_path, header, flags):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_serve_child_finds_the_parents_lmobf(workdir, tmp_path, capsys):
+    """A process that found lmobf only through sys.path still gets a
+    working oracle server: the child is pointed at the same package."""
+    import lmobf
+
+    assert invoke(["eval", str(workdir / "obf"), "10", "--seed", "3"]) == 0
+    inproc = capsys.readouterr().out
+    src = str(Path(lmobf.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from lmobf.cli import main; "
+        f"sys.exit(main(sys.argv[1:]))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = ["eval", str(workdir / "obf"), "10", "--seed", "3", "--oracle-mode", "serve"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, inproc, "")
+
+
+DEAD_SERVER = """
+import subprocess, sys
+from lmobf import cli
+real_popen = subprocess.Popen
+subprocess.Popen = lambda argv, **kw: real_popen([sys.executable, "-c", "raise SystemExit(7)"], **kw)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_dead_oracle_server_is_one_error_line(workdir, flags):
+    """An oracle server that exits at once ends serve-mode eval with exit
+    1 and one error line naming its exit status, never a traceback."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", DEAD_SERVER, "eval", str(workdir / "obf"), "10",
+         "--oracle-mode", "serve"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: oracle server stopped answering (exit status 7)\n"

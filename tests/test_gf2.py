@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_dual, reference_rref
 from lmobf.gf2 import (
     AffineCoset,
     BitMatrix,
     BitVector,
     Subspace,
     canonical_delta_hat,
+    concat,
     contains,
     coset_decode,
     coset_decode_batch,
@@ -20,6 +22,7 @@ from lmobf.gf2 import (
     rref,
     sample_coset_vector,
     sample_subspace,
+    split,
 )
 
 
@@ -238,3 +241,47 @@ def test_textual_forms():
     assert str(v) == "0101"
     s = Subspace.span_strings(3, ["011", "110"])
     assert s.to_text() == "101\n011"
+
+
+# --- packed representation ---------------------------------------------------
+
+
+@given(st.lists(st.integers(0, 1), max_size=80), st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_vector_matches_tuple_arithmetic(bits, data):
+    bits = tuple(bits)
+    other = tuple(data.draw(st.lists(st.integers(0, 1), min_size=len(bits), max_size=len(bits))))
+    v, w = BitVector(bits), BitVector(other)
+    assert v.bits == bits and len(v) == len(bits)
+    assert str(v) == "".join(map(str, bits))
+    assert BitVector.from_string(str(v)) == v
+    assert BitVector.from_int(v.value, len(v)) == v
+    assert [v[k] for k in range(1, len(v) + 1)] == list(bits)
+    assert (v ^ w).bits == tuple(a ^ b for a, b in zip(bits, other))
+    assert v.dot(w) == sum(a & b for a, b in zip(bits, other)) % 2
+    assert v.is_zero() == (not any(bits))
+    assert split(concat((v, w)), 2, len(bits)) == (v, w)
+
+
+def test_packed_value_is_the_basis_index():
+    assert BitVector.from_string("100").value == 4
+    assert BitVector.from_string("001").value == 1
+    assert BitVector.from_int(6, 4) == BitVector.from_string("0110")
+    parts = (BitVector.from_string("10"), BitVector.zeros(0), BitVector.from_string("011"))
+    assert concat(parts) == BitVector.from_string("10011")
+    assert split(BitVector.from_string("101100"), 3, 2) == tuple(
+        BitVector.from_string(s) for s in ("10", "11", "00")
+    )
+    with pytest.raises(ValueError):
+        split(BitVector.from_string("10110"), 3, 2)
+
+
+@given(st.integers(0, 8), st.integers(0, 9), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_rref_and_dual_match_reference(n, k, seed):
+    rng = np.random.default_rng(seed)
+    rows = [tuple(int(b) for b in rng.integers(0, 2, n)) for _ in range(k)]
+    got = rref(BitMatrix(tuple(BitVector(r) for r in rows)))
+    assert [r.bits for r in got.rows] == reference_rref(rows)
+    space = Subspace(n, got)
+    assert [r.bits for r in dual(space).basis.rows] == reference_dual(rows, n)

@@ -158,6 +158,45 @@ def test_read_frames_rejects_truncation():
         read_frames(b"\x00\x00")
 
 
+def test_frame_roundtrip_every_length_to_70():
+    rng = np.random.default_rng(70)
+    for n in range(71):
+        bits = tuple(int(b) for b in rng.integers(0, 2, n))
+        raw = frame_bits(bits)
+        assert raw == manual_frame(bits)
+        assert read_frames(raw + raw) == [BitVector(bits)] * 2
+
+
+# PRF outputs, as hex of the packed value, pinned from the tuple-based
+# implementation: the packed one must hash and truncate the same way.
+PRF_KNOWN = {
+    1: "0",
+    8: "67",
+    64: "674b5d0330ddcff9",
+    257: "ce96ba0661bb9ff32b01a2ac88c78a9ca3bef65e74d6a7a77c283232e82c50ff",
+}
+
+
+@pytest.mark.parametrize("num_bits", sorted(PRF_KNOWN))
+def test_prf_known_answers(num_bits):
+    want = format(int(PRF_KNOWN[num_bits], 16), f"0{num_bits}b")
+    assert str(prf(b"k", b"m", num_bits)) == want
+
+
+def test_label_message_known_answer():
+    f = BitVector.from_string
+    tr = Transcript(
+        f("101"),
+        (f("0110"), f("1001"), f("1111")),
+        ((f("10011"),), (f("01100"), f("11111"))),
+        (f("1010101011"),),
+    )
+    assert label_message(tr, 2, 1).hex() == (
+        "00000003a00000000c69f000000005980000000aaac00000000a67c00000000180"
+    )
+    assert label_message(tr, 1, 0).hex() == "00000003a00000000c69f000000005980000000100"
+
+
 def test_transcript_label_count_validator():
     sig = (BitVector((1, 0)),)
     x = BitVector((0,))
@@ -559,6 +598,20 @@ def test_oracle_key_text_roundtrip():
     assert revived.program == key.program
     assert revived.auth_key.space == key.auth_key.space
     assert revived.auth_key.x_masks == key.auth_key.x_masks
+
+
+def test_cut_or_blanked_key_text_fails_with_value_error():
+    """Cutting the oracle key text after any line, or blanking any one
+    line, raises ValueError (KeyError for a lost section) or still
+    parses; no other exception escapes the parsers."""
+    _, obf = make_obf(H_T_H, seed=54)
+    lines = oracle_key_to_text(obf.key).splitlines()
+    for k in range(len(lines)):
+        for text in (lines[:k], lines[:k] + [""] + lines[k + 1 :]):
+            try:
+                oracle_key_from_text("\n".join(text))
+            except (ValueError, KeyError):
+                pass
 
 
 def test_wire_protocol_matches_in_process():
