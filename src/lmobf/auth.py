@@ -34,8 +34,8 @@ from .sim import (
     MeasurementSpec,
     MeasurementResult,
     StateVector,
+    apply_cnots,
     apply_encoding_isometry,
-    apply_gate,
     apply_pauli_mask,
     measure,
     measure_branches,
@@ -128,13 +128,7 @@ def lin_eval(
     cnots: Sequence[tuple[int, int]], state: StateVector, code_length: int
 ) -> StateVector:
     """Transversal CNOT blocks: wire-level CNOT(i -> j) applied qubitwise."""
-    p = code_length
-    if state.num_qubits % p:
-        raise ValueError("state is not a whole number of blocks")
-    for i, j in cnots:
-        for q in range(1, p + 1):
-            state = apply_gate(state, "CNOT", ((i - 1) * p + q, (j - 1) * p + q))
-    return state
+    return apply_cnots(state, cnots, code_length)
 
 
 def pauli_update(
@@ -257,13 +251,15 @@ def blownup_spec(
     A block of a 0-wire is read in the standard basis, a 1-wire in the
     Hadamard basis. A label is the raw bits of the blocks of the raw
     wires, followed by fn's outputs on the decoded bits, or by the
-    decoded tuple itself when fn is None. binds maps the decoded columns
-    by wire to fn's bindings; by default fn's inputs are m{wire}.
-    Undecodable rows label as BOT."""
+    decoded tuple itself when fn is None; the measurement consumes the
+    blocks of the raw wires. binds maps the decoded columns by wire to
+    fn's bindings; by default fn's inputs are m{wire}. Undecodable rows
+    label as BOT."""
     p = key.code_length
     live = range(1, basis.num_wires + 1) if live is None else live
     phi = basis.phi
     raw_cols = [phi.index(w) * p + q for w in raw for q in range(p)]
+    consumed = tuple(k * p + q for k, w in enumerate(live) if w in raw for q in range(1, p + 1))
 
     def outcome_fn(bits: np.ndarray) -> list:
         decoded = dec_batch(key, cnots, basis, bits)
@@ -275,7 +271,7 @@ def blownup_spec(
         rows = np.concatenate([bits[:, raw_cols], vals], axis=1).tolist()
         return [tuple(row) if ok else BOT for row, ok in zip(rows, good.tolist())]
 
-    return MeasurementSpec(block_tags(basis.theta, live, phi, p), outcome_fn)
+    return MeasurementSpec(block_tags(basis.theta, live, phi, p), outcome_fn, consumed)
 
 
 def logical_measure(

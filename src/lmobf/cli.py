@@ -7,8 +7,8 @@ command takes --seed and produces seed-deterministic stdout; manifests
 and timing live in files, never on stdout.
 
 Exit codes: 0 success, 1 a failed self-check or an oracle server that
-died, 2 unusable arguments or input files, 3 structural violations or
-simulator limits, 4 a rejected honest evaluation.
+died or sent a malformed reply, 2 unusable arguments or input files, 3
+structural violations or simulator limits, 4 a rejected honest evaluation.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .lm import (
 from .obf import (
     ObfParams,
     ObfuscatedProgram,
+    OracleReplyError,
     Reject,
     attack_harness,
     handle_request_line,
@@ -246,6 +247,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             y = qeval(x, obf, rng, suite=remote_suite((directory / KEY_FILE).read_text(), send))
         except BrokenPipeError:
             y = None
+        except OracleReplyError as exc:
+            return _fail(f"oracle server sent a malformed reply: {exc}", EXIT_FAILED)
         finally:
             with contextlib.suppress(BrokenPipeError):
                 server.stdin.close()

@@ -15,7 +15,7 @@ teleportation gadgets, two fresh wires per H or T gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Collection, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .gf2 import BitVector, concat, split
 from .sim import (
     MeasurementSpec,
     StateVector,
+    apply_cnots,
     apply_gate,
     measure,
     measure_branches,
@@ -316,10 +317,8 @@ def prepare_program_state(program: LMProgram) -> StateVector:
     return state
 
 
-def apply_cnot_layer(state: StateVector, cnots: Iterable[tuple[int, int]]) -> StateVector:
-    for c, t in cnots:
-        state = apply_gate(state, "CNOT", (c, t))
-    return state
+def apply_cnot_layer(state: StateVector, cnots: Sequence[tuple[int, int]]) -> StateVector:
+    return apply_cnots(state, cnots)
 
 
 def _mname(w: int) -> str:
@@ -472,38 +471,12 @@ def block_tags(
     )
 
 
-def discard_collapsed(
-    state: StateVector,
-    live: list[int],
-    wires: Sequence[int],
-    theta: Sequence[Optional[int]],
-    blocks: Mapping[int, Sequence[int]],
-) -> tuple[StateVector, list[int]]:
-    """Slice fully collapsed wires out of the state, highest position
-    first. Each wire is a block of len(blocks[w]) qubits (one qubit, or a
-    code block) and is projected onto the bits it was read as; X-read
-    blocks rotate back onto a basis axis first."""
-    pos_of = {w: k for k, w in enumerate(live)}
-    for w in sorted(wires, key=lambda w: -pos_of[w]):
-        bits = blocks[w]
-        base = pos_of[w] * len(bits)
-        if theta[w - 1] == 1:
-            for q in range(base + 1, base + len(bits) + 1):
-                state = apply_gate(state, "H", (q,))
-        for offset in range(len(bits) - 1, -1, -1):
-            psi = state.amplitudes.reshape((2,) * state.num_qubits)
-            psi = np.take(psi, bits[offset], axis=base + offset).reshape(-1)
-            psi = psi / np.linalg.norm(psi)
-            state = StateVector(state.num_qubits - 1, psi)
-    return state, [w for w in live if w not in set(wires)]
-
-
 @dataclass(frozen=True)
 class LogicalRegister:
     """The program's wires held one qubit each. Every register that
     walk() drives names its program and its block (qubits per wire) and
-    offers the same three steps: its CNOT layer, its measurement spec,
-    and the bits its collapsed wires are sliced on."""
+    offers the same two steps: its CNOT layer, and its measurement spec,
+    which consumes the wires of the layer's V set (layers 1..t)."""
 
     program: LMProgram
     block = 1
@@ -520,11 +493,10 @@ class LogicalRegister:
             m = {w: bits[:, col] for col, w in enumerate(measured)}
             return [tuple(row) for row in fn_table(fn, binds(m), len(bits)).tolist()]
 
+        v_wires = self.program.v_sets[layer - 1] if layer <= self.program.t else ()
+        consumed = tuple(k for k, w in enumerate(live, start=1) if w in v_wires)
         theta = self.program.thetas[layer - 1]
-        return MeasurementSpec(block_tags(theta, live, measured, 1), outcome_fn)
-
-    def collapsed(self, wires: Sequence[int], label: tuple, stored: dict[int, int]) -> dict:
-        return {w: (stored[w],) for w in wires}
+        return MeasurementSpec(block_tags(theta, live, measured, 1), outcome_fn, consumed)
 
 
 def walk(
@@ -534,17 +506,17 @@ def walk(
     rng: Optional[np.random.Generator] = None,
     visit: Optional[Callable[[int, Hashable, Optional[dict]], bool]] = None,
 ) -> dict[Hashable, float]:
-    """The one loop over a program's layers: CNOT layer, measurement,
-    record, discard of the wires that collapsed.
+    """The one loop over a program's layers: CNOT gather, consuming
+    measurement, record.
 
     With rng, each layer samples one outcome. Without, every branch of
     probability above 1e-15 is walked in turn, depth first. The register
-    (one qubit or one code block per wire) supplies the CNOT layer, the
-    measurement spec and the bits to slice collapsed wires on. Each
-    branch is recorded by visit(layer, label, read), where read maps each
-    measured wire to the BitVector of the sampled substring it was read
-    as (None when enumerating); a false return stops that branch. Returns
-    the final labels with their probabilities."""
+    (one qubit or one code block per wire) supplies the CNOT layer and a
+    measurement spec that consumes the layer's V wires. Each branch is
+    recorded by visit(layer, label, read), where read maps each measured
+    wire to the BitVector of the sampled substring it was read as (None
+    when enumerating); a false return stops that branch. Returns the
+    final labels with their probabilities."""
     program = register.program
     dist: dict[Hashable, float] = {}
     # Branches still to walk, the next one on top. A layer's children all
@@ -579,18 +551,16 @@ def walk(
                 dist[label] = dist.get(label, 0.0) + branch_prob
                 continue
             outs = dict(zip(fn.output_names, label[len(label) - len(fn.outputs) :]))
-            stored2 = {**stored, **{w: outs[f"v{w}"] for w in v_wires}}
-            blocks = register.collapsed(v_wires, label, stored2)
-            theta = program.thetas[layer - 1]
-            # Only todo holds the shrunk state, so that it is freed as soon
-            # as the next CNOT layer has replaced it.
             todo.insert(at, (
                 layer + 1,
                 branch_prob,
-                *discard_collapsed(post, live, v_wires, theta, blocks),
-                stored2,
+                post,
+                [w for w in live if w not in v_wires],
+                {**stored, **{w: outs[f"v{w}"] for w in v_wires}},
                 {**rs, layer: outs["r"]},
             ))
+        # Only todo holds the post states: each dies once its CNOT layer ran.
+        branches = result = post = None
     return dist
 
 
@@ -845,6 +815,13 @@ def program_from_text(text: str) -> LMProgram:
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     n, m, t = (int(line_fields(lines, k, 2)[1]) for k in range(3))
     at = 3
+
+    def wire(field: str) -> int:
+        """A wire number read on line at, checked against 1..n."""
+        if not 1 <= int(field) <= n:
+            raise ValueError(f"line {at + 1}: wire {field} out of range 1..{n}")
+        return int(field)
+
     tags = []
     for _ in range(n):
         tags.append(_tag_from_text(line_fields(lines, at, 3)[2]))
@@ -865,20 +842,18 @@ def program_from_text(text: str) -> LMProgram:
         theta: list[Optional[int]] = [None] * n
         for item in body.split():
             w, v = item.split("=")
-            if not 1 <= int(w) <= n:
-                raise ValueError(f"line {at + 1}: wire {w} out of range 1..{n}")
-            theta[int(w) - 1] = int(v)
+            theta[wire(w) - 1] = int(v)
         thetas.append(tuple(theta))
         at += 1
     v_sets = []
     for i in range(1, t + 2):
         body = line_fields(lines, at, 2, ":")[1].strip()
-        v_sets.append(tuple(int(w) for w in body.split()) if body != "-" else ())
+        v_sets.append(tuple(wire(w) for w in body.split()) if body != "-" else ())
         at += 1
     w_sets = []
     for i in range(1, t + 1):
         body = line_fields(lines, at, 2, ":")[1].strip()
-        w_sets.append(tuple(int(w) for w in body.split()) if body != "-" else ())
+        w_sets.append(tuple(wire(w) for w in body.split()) if body != "-" else ())
         at += 1
     fns = []
     for i in range(1, t + 1):

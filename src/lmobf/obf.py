@@ -490,9 +490,10 @@ def qobf(
 class EncodedRegister:
     """The program's wires held as code blocks of the authenticated
     register, for walk(). A layer reads the blocks of its newly
-    collapsing wires down to their raw bits, but the layer's measurement
-    pair only down to the single bit its function exposes, which leaves
-    the pair blocks coherent for the deferred reads of later layers."""
+    collapsing wires down to their raw bits and consumes them, but the
+    layer's measurement pair only down to the single bit its function
+    exposes, which leaves the pair blocks coherent for the deferred reads
+    of later layers."""
 
     key: OracleKey
 
@@ -515,10 +516,6 @@ class EncodedRegister:
         cnots = self.key.layer_cnots(layer)
         raw = self.program.v_sets[layer - 1]
         return blownup_spec(self.key.auth_key, cnots, basis, fn, live, raw, binds)
-
-    def collapsed(self, wires, label: tuple, stored: dict[int, int]) -> dict:
-        p = self.block
-        return {w: label[k * p : (k + 1) * p] for k, w in enumerate(wires)}
 
 
 def _honest_run(
@@ -879,32 +876,46 @@ def handle_request_line(key: OracleKey, line: str) -> str:
     return "BOT"
 
 
+class OracleReplyError(ValueError):
+    """An oracle server's reply line that is neither BOT nor a
+    well-formed OK line for the query it answers."""
+
+
 def remote_suite(key_text: str, send: Callable[[str], str]) -> OracleSuite:
     """Oracle suite that speaks the wire protocol through a transport
     callable (request line in, response line out). The key text is used
-    only for the response parsing widths."""
+    only for the response parsing widths. A reply that does not parse
+    raises OracleReplyError."""
     key = oracle_key_from_text(key_text)
     p = key.auth_key.code_length
 
-    def query_f(i: int, transcript: Transcript, w_pair: CodewordTuple):
-        answer = send(encode_f_request(i, transcript, w_pair)).strip()
+    def ask(line: str, widths: Sequence[int]) -> Optional[list[BitVector]]:
+        """None if the server answers BOT, else the vectors of its OK
+        line: one frame per hex field, of the given widths."""
+        answer = send(line).strip()
         if answer == "BOT":
+            return None
+        try:
+            tag, *fields = answer.split()
+            frames = [read_frames(bytes.fromhex(f)) for f in fields]
+            if tag == "OK" and [[len(v) for v in f] for f in frames] == [[w] for w in widths]:
+                return [f[0] for f in frames]
+        except ValueError:
+            pass
+        raise OracleReplyError(repr(answer))
+
+    def query_f(i: int, transcript: Transcript, w_pair: CodewordTuple):
+        v_count = len(key.program.v_sets[i - 1])
+        reply = ask(encode_f_request(i, transcript, w_pair), (v_count * p, key.label_bits))
+        if reply is None:
             return Reject(REASON_REMOTE, i)
-        tag, echo_hex, label_hex = answer.split()
-        if tag != "OK":
-            raise ValueError(f"malformed oracle response {answer!r}")
-        echo_flat = read_frames(bytes.fromhex(echo_hex))[0]
-        echo = split(echo_flat, len(key.program.v_sets[i - 1]), p)
-        label = read_frames(bytes.fromhex(label_hex))[0]
-        return echo, label
+        echo, label = reply
+        return split(echo, v_count, p), label
 
     def query_g(transcript: Transcript):
-        answer = send(encode_g_request(transcript)).strip()
-        if answer == "BOT":
+        reply = ask(encode_g_request(transcript), (len(key.program.final_fn.outputs),))
+        if reply is None:
             return Reject(REASON_REMOTE, key.program.t + 1)
-        tag, y_hex = answer.split()
-        if tag != "OK":
-            raise ValueError(f"malformed oracle response {answer!r}")
-        return read_frames(bytes.fromhex(y_hex))[0]
+        return reply[0]
 
     return OracleSuite(query_f=query_f, query_g=query_g)

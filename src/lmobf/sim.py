@@ -4,10 +4,14 @@ Qubit 1 is the leftmost qubit: basis-state index = sum over qubits q of
 bit_q * 2^(n-q), matching the bit-string order used by the gf2 module.
 Operations never mutate their inputs; every one returns a fresh state.
 
+A list of CNOTs, on qubits or transversally on blocks of qubits, is a
+permutation of basis indices and is applied as one gather.
+
 Measurements follow the partial-collapse rule: qubits tagged Z or X are
 read out, the outcome function maps the observed substring to a label,
 and only the distinction between labels collapses the state. Basis
-states that share a label keep their relative amplitudes.
+states that share a label keep their relative amplitudes. Qubits a
+measurement consumes are sliced out at the bits the outcome fixes.
 """
 
 from __future__ import annotations
@@ -28,13 +32,6 @@ _GATES_1Q = {
     "H": np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2,
     "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=np.complex128),
 }
-_CNOT = np.array(
-    [[1, 0, 0, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1],
-     [0, 0, 1, 0]],
-    dtype=np.complex128,
-)
 
 # Outcome functions take a (rows, k) uint8 matrix of observed substrings and
 # return one hashable label per row. None means the identity labelling
@@ -74,10 +71,7 @@ class StateVector:
 
     @staticmethod
     def zero(num_qubits: int) -> "StateVector":
-        _check_cap(num_qubits)
-        amps = np.zeros(2**num_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return StateVector(num_qubits, amps)
+        return StateVector.basis(BitVector.zeros(num_qubits))
 
     @staticmethod
     def basis(bits: BitVector) -> "StateVector":
@@ -91,10 +85,12 @@ class StateVector:
 class MeasurementSpec:
     """Per-qubit basis tags ('Z', 'X', or None to skip) plus an outcome
     function over the observed substring of the measured qubits, listed
-    in ascending qubit order."""
+    in ascending qubit order. The consumed qubits (1-based), each fixed
+    by every label, leave the post state at the bits they were read as."""
 
     basis: tuple[Optional[str], ...]
     outcome_fn: Optional[OutcomeFn] = None
+    consumed: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         for b in self.basis:
@@ -115,27 +111,42 @@ def rowwise(fn: Callable[[tuple[int, ...]], Hashable]) -> OutcomeFn:
 
 
 def apply_gate(state: StateVector, gate: str, targets: Sequence[int]) -> StateVector:
-    n = state.num_qubits
-    targets = tuple(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target qubits")
-    for q in targets:
-        if not 1 <= q <= n:
-            raise ValueError(f"qubit {q} out of range 1..{n}")
-    psi = state.amplitudes.reshape((2,) * n)
-    if gate in _GATES_1Q:
-        (q,) = targets
-        block = np.moveaxis(psi, q - 1, 0).reshape(2, -1)
-        block = _GATES_1Q[gate] @ block
-        out = np.moveaxis(block.reshape((2,) * n), 0, q - 1)
-    elif gate == "CNOT":
-        c, t = targets
-        block = np.moveaxis(psi, (c - 1, t - 1), (0, 1)).reshape(4, -1)
-        block = _CNOT @ block
-        out = np.moveaxis(block.reshape((2,) * n), (0, 1), (c - 1, t - 1))
-    else:
+    if gate == "CNOT":
+        return apply_cnots(state, [tuple(targets)])
+    if gate not in _GATES_1Q:
         raise ValueError(f"unknown gate {gate!r}")
+    n = state.num_qubits
+    (q,) = targets
+    if not 1 <= q <= n:
+        raise ValueError(f"qubit {q} out of range 1..{n}")
+    psi = state.amplitudes.reshape((2,) * n)
+    block = _GATES_1Q[gate] @ np.moveaxis(psi, q - 1, 0).reshape(2, -1)
+    out = np.moveaxis(block.reshape((2,) * n), 0, q - 1)
     return StateVector(n, out.reshape(-1))
+
+
+def apply_cnots(
+    state: StateVector, cnots: Sequence[tuple[int, int]], block: int = 1
+) -> StateVector:
+    """Apply the CNOTs (i, j) in list order as one gather. The qubits
+    form consecutive blocks of block qubits each, and CNOT(i, j) XORs
+    block i into block j qubit by qubit (a plain CNOT when block is 1)."""
+    n = state.num_qubits
+    if block < 1 or n % block:
+        raise ValueError("state is not a whole number of blocks")
+    wires = n // block
+    for i, j in cnots:
+        if i == j or not (1 <= i <= wires and 1 <= j <= wires):
+            raise ValueError(f"CNOT ({i}, {j}) needs two distinct wires in 1..{wires}")
+    if not cnots:
+        return state
+    # Each CNOT is its own inverse, so output index k reads the input at k
+    # with the CNOTs applied last to first.
+    idx = np.arange(2**n, dtype=np.int64)
+    ones = (1 << block) - 1
+    for i, j in reversed(cnots):
+        idx ^= ((idx >> (wires - i) * block) & ones) << (wires - j) * block
+    return StateVector(n, state.amplitudes[idx])
 
 
 def apply_pauli_mask(state: StateVector, x_mask: BitVector, z_mask: BitVector) -> StateVector:
@@ -195,6 +206,9 @@ def _measurement_classes(state: StateVector, spec: MeasurementSpec):
     n = state.num_qubits
     if len(spec.basis) != n:
         raise ValueError("spec length must equal qubit count")
+    for q in spec.consumed:
+        if not 1 <= q <= n or spec.basis[q - 1] is None:
+            raise ValueError(f"consumed qubit {q} is not measured")
     axes = tuple(q for q, b in enumerate(spec.basis) if b is not None)
     k = len(axes)
     work = state
@@ -210,33 +224,39 @@ def _measurement_classes(state: StateVector, spec: MeasurementSpec):
         labels = [tuple(int(b) for b in row) for row in bits]
     else:
         labels = list(spec.outcome_fn(bits))
-    classes: dict[Hashable, list[int]] = {}
-    order: list[Hashable] = []
+    classes: dict[Hashable, list[int]] = {}  # in first-occurrence order
     for pos, lab in enumerate(labels):
-        if lab not in classes:
-            classes[lab] = []
-            order.append(lab)
-        classes[lab].append(pos)
-    return axes, psi, row_probs, rows, bits, classes, order
+        classes.setdefault(lab, []).append(pos)
+    return axes, psi, row_probs, rows, classes
 
 
 def _collapse(
-    state: StateVector,
     spec: MeasurementSpec,
     axes: tuple[int, ...],
     psi: np.ndarray,
     keep_rows: np.ndarray,
     class_prob: float,
 ) -> StateVector:
-    n = state.num_qubits
+    """Keep the class's rows of psi, renormalised; slice the consumed
+    qubits out at the bits those rows share; put the other qubits back in
+    order and rotate their X qubits back out of the Hadamard basis."""
+    n = len(spec.basis)
     k = len(axes)
+    cut = {axes.index(q - 1) for q in spec.consumed}
+    first = int(keep_rows[0])
+    if np.any((keep_rows ^ first) & sum(1 << (k - 1 - c) for c in cut)):
+        raise ValueError("the outcome does not fix every consumed qubit")
     post = np.zeros_like(psi)
     post[keep_rows] = psi[keep_rows] / np.sqrt(class_prob)
-    post = np.moveaxis(post.reshape((2,) * n), range(k), axes)
-    result = StateVector(n, post.reshape(-1))
-    for q, b in enumerate(spec.basis):
-        if b == "X":
-            result = apply_gate(result, "H", (q + 1,))
+    at = tuple(first >> (k - 1 - c) & 1 if c in cut else slice(None) for c in range(k))
+    post = post.reshape((2,) * n)[at]
+    left = [q for q in range(n) if q + 1 not in spec.consumed]
+    moved = [left.index(q) for c, q in enumerate(axes) if c not in cut]
+    post = np.moveaxis(post, range(len(moved)), moved)
+    result = StateVector(len(left), post.reshape(-1))
+    for new, q in enumerate(left):
+        if spec.basis[q] == "X":
+            result = apply_gate(result, "H", (new + 1,))
     return result
 
 
@@ -246,12 +266,11 @@ def measure(
     """Sample one outcome label, collapse onto its class, and draw a
     concrete substring from within the class. The substring draw does not
     collapse the state further."""
-    axes, psi, row_probs, rows, bits, classes, order = _measurement_classes(state, spec)
-    if not order:
+    axes, psi, row_probs, rows, classes = _measurement_classes(state, spec)
+    if not classes:
         raise ValueError("state has no support")
-    class_probs = np.array(
-        [row_probs[rows[classes[lab]]].sum() for lab in order], dtype=np.float64
-    )
+    order = list(classes)
+    class_probs = np.array([row_probs[rows[pos]].sum() for pos in classes.values()])
     pick = int(rng.choice(len(order), p=class_probs / class_probs.sum()))
     outcome = order[pick]
     positions = classes[outcome]
@@ -259,7 +278,7 @@ def measure(
     within = row_probs[keep_rows]
     raw_pos = positions[int(rng.choice(len(positions), p=within / within.sum()))]
     raw_bits = BitVector.from_int(int(rows[raw_pos]), len(axes))
-    post = _collapse(state, spec, axes, psi, keep_rows, float(class_probs[pick]))
+    post = _collapse(spec, axes, psi, keep_rows, float(class_probs[pick]))
     return MeasurementResult(outcome, raw_bits, post)
 
 
@@ -268,12 +287,12 @@ def measure_branches(
 ) -> list[tuple[Hashable, float, StateVector]]:
     """All outcome labels with their exact probabilities and post states,
     in first-occurrence order of the labels."""
-    axes, psi, row_probs, rows, bits, classes, order = _measurement_classes(state, spec)
+    axes, psi, row_probs, rows, classes = _measurement_classes(state, spec)
     out = []
-    for lab in order:
-        keep_rows = rows[classes[lab]]
+    for lab, positions in classes.items():
+        keep_rows = rows[positions]
         prob = float(row_probs[keep_rows].sum())
-        out.append((lab, prob, _collapse(state, spec, axes, psi, keep_rows, prob)))
+        out.append((lab, prob, _collapse(spec, axes, psi, keep_rows, prob)))
     return out
 
 

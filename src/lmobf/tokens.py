@@ -70,20 +70,14 @@ def tok_sign(x: BitVector, keypair: TokenKeypair, rng: np.random.Generator) -> S
     if len(x) != keypair.num_bits:
         raise ValueError("message length must match the key")
     keypair.consumed = True
-    width = 2 * keypair.kappa_prime
     sigma = []
     for j in range(keypair.num_bits):
-        register = keypair.registers[j]
-        if register is None:
+        if keypair.registers[j] is not None:
+            sigma.append(measure_register(keypair, j + 1, "X" if x[j + 1] else "Z", rng))
+        else:
             space = dual(keypair.subspaces[j]) if x[j + 1] else keypair.subspaces[j]
-            shift = BitVector.zeros(width)
+            shift = BitVector.zeros(2 * keypair.kappa_prime)
             sigma.append(sample_coset_vector(AffineCoset(space, shift), rng))
-            continue
-        basis = "X" if x[j + 1] else "Z"
-        spec = MeasurementSpec((basis,) * width)
-        result = measure(register, spec, rng)
-        keypair.registers[j] = result.post_state
-        sigma.append(result.raw_bits)
     return tuple(sigma)
 
 

@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 
 from lmobf.gf2 import BitVector
+from lmobf.sim import StateVector, apply_gate
 from lmobf.lm import (
     Circuit,
     Gate,
@@ -90,3 +91,36 @@ def reference_dual(rows, n):
         if all(sum(a & b for a, b in zip(bits, r)) % 2 == 0 for r in rows)
     ]
     return reference_rref(members)
+
+
+def reference_cnots(state: StateVector, cnots, block: int = 1) -> np.ndarray:
+    """Amplitudes after the CNOTs (i, j) in order, each XOR-ing block i of
+    block qubits into block j, by dense 2**n x 2**n permutation matrices
+    built from bit tuples. The reference for sim.apply_cnots."""
+    n = state.num_qubits
+    amps = state.amplitudes
+    for i, j in cnots:
+        mat = np.zeros((2**n, 2**n))
+        for col, bits in enumerate(product((0, 1), repeat=n)):
+            out = list(bits)
+            for q in range(block):
+                out[(j - 1) * block + q] ^= bits[(i - 1) * block + q]
+            mat[int("".join(map(str, out)), 2), col] = 1.0
+        amps = mat @ amps
+    return amps
+
+
+def reference_consume(state: StateVector, basis, consumed, bits) -> StateVector:
+    """A post-measurement state that still holds the consumed qubits (1-based,
+    read as the given bits) with them sliced out: X-read qubits rotate back
+    onto a basis axis, then each qubit, highest first, is projected onto its
+    bit and the rest renormalised. The reference for measurements with
+    MeasurementSpec.consumed."""
+    for q in consumed:
+        if basis[q - 1] == "X":
+            state = apply_gate(state, "H", (q,))
+    for q, bit in sorted(zip(consumed, bits), reverse=True):
+        psi = np.take(state.amplitudes.reshape((2,) * state.num_qubits), bit, axis=q - 1)
+        psi = psi.reshape(-1)
+        state = StateVector(state.num_qubits - 1, psi / np.linalg.norm(psi))
+    return state

@@ -220,11 +220,15 @@ def test_golden_stdout_and_exit_codes(tmp_path, capsys):
 
 
 def corrupt(lines: list[str], case: str) -> list[str]:
-    """oracle_key.txt lines damaged as the case says: a section header
-    renamed ("f1:"), the delta-hat line blanked, or a section cut after
-    its first N lines ("cut-N-SECTION")."""
+    """Lines of oracle_key.txt or of a program file damaged as the case
+    says: a section header renamed ("f1:"), a program line replaced
+    ("V1: 99" for the line that starts with "V1:"), the delta-hat line
+    blanked, or a section cut after its first N lines ("cut-N-SECTION")."""
     if case.endswith(":"):
         lines[lines.index(case)] = case[:-1] + "?"
+    elif ": " in case:
+        head = case.split(" ")[0]
+        lines = [case if ln.startswith(head) else ln for ln in lines]
     elif case == "blank-delta-hat":
         lines = ["" if ln.startswith("delta-hat ") else ln for ln in lines]
     else:
@@ -236,7 +240,17 @@ def corrupt(lines: list[str], case: str) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "header", ["f1:", "space:", "A1:", "cut-2-program", "blank-delta-hat", "cut-1-token-vk"]
+    "header",
+    [
+        "f1:",
+        "space:",
+        "A1:",
+        "cut-2-program",
+        "blank-delta-hat",
+        "cut-1-token-vk",
+        "V1: 99",
+        "W1: 3 77",
+    ],
 )
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_corrupted_key_header_is_usage_error(workdir, tmp_path, header, flags):
@@ -256,6 +270,17 @@ def test_corrupted_key_header_is_usage_error(workdir, tmp_path, header, flags):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("line", ["V1: 99", "W1: 3 77"])
+def test_obfuscate_rejects_wire_out_of_range(workdir, tmp_path, capsys, line):
+    """A V or W set naming a wire above the program's wire count is a
+    usage error that names the line, not a traceback."""
+    bad = tmp_path / "prog.txt"
+    bad.write_text("\n".join(corrupt((workdir / "prog.txt").read_text().splitlines(), line)))
+    assert invoke(["obfuscate", str(bad), "-o", str(tmp_path / "obf")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad program file: line ") and "out of range" in err
 
 
 def test_serve_child_finds_the_parents_lmobf(workdir, tmp_path, capsys):
@@ -299,3 +324,27 @@ def test_dead_oracle_server_is_one_error_line(workdir, flags):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: oracle server stopped answering (exit status 7)\n"
+
+
+MALFORMED_SERVER = """
+import subprocess, sys
+from lmobf import cli
+child = "import sys\\nfor line in sys.stdin: print('OK zz', flush=True)"
+real_popen = subprocess.Popen
+subprocess.Popen = lambda argv, **kw: real_popen([sys.executable, "-c", child], **kw)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_malformed_oracle_reply_is_one_error_line(workdir, flags):
+    """An oracle server that answers a line that is neither BOT nor a
+    well-formed OK ends serve-mode eval with exit 1 and one error line
+    quoting the reply, never a traceback."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", MALFORMED_SERVER, "eval", str(workdir / "obf"), "10",
+         "--oracle-mode", "serve"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: oracle server sent a malformed reply: 'OK zz'\n"

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_cnots, reference_consume
 from lmobf.gf2 import BitVector, Subspace, dual, sample_subspace
 from lmobf import sim
 from lmobf.sim import (
     MeasurementSpec,
     QubitCapError,
     StateVector,
+    apply_cnots,
     apply_encoding_isometry,
     apply_gate,
     apply_pauli_mask,
@@ -334,3 +336,88 @@ def test_norm_preserved_random_circuits(seed):
         else:
             s = apply_gate(s, g, (int(rng.integers(1, n + 1)),))
     assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-9
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_apply_cnots_matches_dense_permutations(data):
+    """A list of CNOTs on qubits or on blocks of 2 or 3 qubits, applied as
+    one gather, equals the product of their permutation matrices."""
+    block = data.draw(st.sampled_from([1, 2, 3]))
+    wires = data.draw(st.integers(2, 6 // block))
+    pair = st.tuples(st.integers(1, wires), st.integers(1, wires)).filter(lambda p: p[0] != p[1])
+    cnots = data.draw(st.lists(pair, max_size=6))
+    s = random_state(wires * block, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    got = apply_cnots(s, cnots, block)
+    assert np.array_equal(got.amplitudes, reference_cnots(s, cnots, block))
+
+
+def test_apply_cnots_errors():
+    s = StateVector.zero(4)
+    bad = [
+        ([(2, 2)], 1),  # control is target
+        ([(0, 1)], 1),  # wire below 1
+        ([(1, 5)], 1),  # wire above the qubit count
+        ([(1, 3)], 2),  # wire above the block count
+        ([(1, 2)], 3),  # 4 qubits are not whole blocks of 3
+        ([], 3),  # the same, with no CNOT at all
+    ]
+    for cnots, block in bad:
+        with pytest.raises(ValueError):
+            apply_cnots(s, cnots, block)
+
+
+def _consuming_case(seed):
+    """A random state, basis tags, a random subset of the measured qubits
+    to consume, and labels that fix those qubits (their bits first, then
+    the parity of the whole read)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    basis = tuple(str(b) if b != "-" else None for b in rng.choice(["Z", "X", "-"], size=n))
+    measured = [q for q in range(1, n + 1) if basis[q - 1] is not None]
+    size = int(rng.integers(0, len(measured) + 1))
+    consumed = tuple(sorted(int(q) for q in rng.choice(measured, size=size, replace=False)))
+    cols = [measured.index(q) for q in consumed]
+    labels = rowwise(lambda t: (tuple(t[c] for c in cols), sum(t) % 2))
+    return random_state(n, rng), basis, consumed, labels
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_consumed_qubits_are_sliced_at_their_read_bits(seed):
+    """Every branch, and the sampled outcome, of a measurement that
+    consumes qubits equals the same measurement without consumption
+    followed by the reference slicing of those qubits."""
+    s, basis, consumed, labels = _consuming_case(seed)
+    plain = measure_branches(s, MeasurementSpec(basis, labels))
+    eaten = measure_branches(s, MeasurementSpec(basis, labels, consumed))
+    assert [(lab, p) for lab, p, _ in eaten] == [(lab, p) for lab, p, _ in plain]
+    for (label, _, post), (_, _, got) in zip(plain, eaten):
+        assert got.num_qubits == s.num_qubits - len(consumed)
+        assert state_distance(got, reference_consume(post, basis, consumed, label[0])) < 1e-12
+    r_plain = measure(s, MeasurementSpec(basis, labels), np.random.default_rng(seed))
+    r_eaten = measure(s, MeasurementSpec(basis, labels, consumed), np.random.default_rng(seed))
+    assert (r_eaten.outcome, r_eaten.raw_bits) == (r_plain.outcome, r_plain.raw_bits)
+    want = reference_consume(r_plain.post_state, basis, consumed, r_plain.outcome[0])
+    assert state_distance(r_eaten.post_state, want) < 1e-12
+
+
+def test_consumed_bell_half_leaves_its_partner():
+    spec = MeasurementSpec(("Z", "Z"), None, (1,))
+    branches = measure_branches(bell(), spec)
+    assert [lab for lab, _, _ in branches] == [(0, 0), (1, 1)]
+    for (b, _), _, post in branches:
+        assert state_distance(post, StateVector.basis(BitVector((b,)))) <= 1e-12
+
+
+def test_consumed_qubit_must_be_fixed_and_measured():
+    rng = np.random.default_rng(0)
+    parity = rowwise(lambda t: sum(t) % 2)
+    unfixed = MeasurementSpec(("Z", "Z"), parity, (1,))  # class 0 holds 00 and 11
+    unmeasured = MeasurementSpec(("Z", None), None, (2,))
+    outside = MeasurementSpec(("Z", "Z"), None, (3,))
+    for spec in (unfixed, unmeasured, outside):
+        with pytest.raises(ValueError, match="consumed"):
+            measure_branches(bell(), spec)
+        with pytest.raises(ValueError, match="consumed"):
+            measure(bell(), spec, rng)
