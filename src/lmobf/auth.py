@@ -29,7 +29,7 @@ from .gf2 import (
     sample_subspace,
     split,
 )
-from .lm import ClassicalFn, bind, block_tags, fn_table, line_fields
+from .lm import ClassicalFn, bind, block_tags, fn_table
 from .sim import (
     MeasurementSpec,
     MeasurementResult,
@@ -40,6 +40,7 @@ from .sim import (
     measure,
     measure_branches,
 )
+from .text import LineReader, parse
 
 BOT = "bot"
 
@@ -366,33 +367,26 @@ def key_to_text(key: AuthKey) -> str:
     return "\n".join(lines)
 
 
-def key_from_text(text: str) -> AuthKey:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-
-    def vector_at(at: int) -> BitVector:
-        return BitVector.from_string(line_fields(lines, at, 2)[1])
-
-    security, wires = (int(line_fields(lines, k, 2)[1]) for k in range(2))
-    if len(lines) < 3 or lines[2] != "space:":
-        raise ValueError("expected 'space:' at line 3")
+def read_key(r: LineReader) -> AuthKey:
+    """The key whose key_to_text lines r reads next."""
+    security = r.integer("security", 1)
+    wires = r.integer("wires", 1)
     p = 2 * security + 1
-    at = 3
-    rows = []
-    while at < len(lines) and not lines[at].startswith("delta"):
-        rows.append(lines[at])
-        at += 1
-    space = Subspace.span_strings(p, rows)
-    delta, hat_delta = vector_at(at), vector_at(at + 1)
-    at += 2
+    r.fields("space:", 0)
+    space = Subspace.span_strings(p, r.rows(p))
+    delta, hat_delta = (BitVector.from_string(r.bits(tag, p)) for tag in ("delta", "delta-hat"))
     xs, zs = [], []
-    for i in range(wires):
-        xs.append(vector_at(at))
-        zs.append(vector_at(at + 1))
-        at += 2
+    for i in range(1, wires + 1):
+        xs.append(BitVector.from_string(r.bits(f"x{i}", p)))
+        zs.append(BitVector.from_string(r.bits(f"z{i}", p)))
     key = derive_key(security, wires, space, delta, xs, zs)
     if key.hat_delta != hat_delta:
         raise ValueError("serialized dual shift is inconsistent with the key")
     return key
+
+
+def key_from_text(text: str) -> AuthKey:
+    return parse(text, read_key)
 
 
 def honest_codeword(

@@ -43,6 +43,7 @@ from .lm import (
 from .obf import (
     ObfParams,
     ObfuscatedProgram,
+    OracleKey,
     OracleReplyError,
     Reject,
     attack_harness,
@@ -58,6 +59,7 @@ from .obf import (
     simulated_suite,
 )
 from .sim import QUBIT_CAP, apply_gate, prepare_subspace_state, state_distance
+from .text import LineReader, parse
 from .tokens import keypair_from_subspaces, tok_gen, tok_sign, tok_ver
 
 EXIT_OK = 0
@@ -122,26 +124,31 @@ def _param_lines(params: ObfParams, seed: int) -> list[str]:
     ]
 
 
-def _read_params_file(path: Path) -> tuple[ObfParams, int]:
-    fields = {}
-    for ln in path.read_text().splitlines():
-        parts = ln.split(None, 1)
-        if len(parts) == 2:
-            fields[parts[0]] = parts[1]
-    params = ObfParams(
-        security=int(fields["lambda"]),
-        label_bits=int(fields["kappa"]),
-        token_dim=int(fields["kappa-prime"]),
-        scaled_labels=fields.get("paper-kappa") == "on",
-    )
-    return params, int(fields["seed"])
+def read_state(r: LineReader, key: OracleKey) -> ObfParams:
+    """The parameters whose _param_lines r reads next, which must be
+    those the key was made with."""
+
+    def agreeing(tag: str, want: int) -> int:
+        got = r.integer(tag, 1)
+        if got != want:
+            raise ValueError(f"{tag} {got} disagrees with the oracle key's {want}")
+        return got
+
+    r.integer("seed", 0)
+    security = agreeing("lambda", key.auth_key.security)
+    label_bits = r.integer("kappa", 8)
+    token_dim = agreeing("kappa-prime", key.token_dim)
+    params = ObfParams(security, label_bits, token_dim, r.fields("paper-kappa", 1) == ["on"])
+    if params.labels_for(key.program.num_wires) != key.label_bits:
+        raise ValueError(f"labels disagree with the oracle key's {key.label_bits} bits")
+    r.fields("initial-state", 1)
+    return params
 
 
 def _load_obfuscation(directory: Path) -> ObfuscatedProgram:
     key = oracle_key_from_text((directory / KEY_FILE).read_text())
-    params, _ = _read_params_file(directory / STATE_FILE)
     return ObfuscatedProgram(
-        params=params,
+        params=parse((directory / STATE_FILE).read_text(), lambda r: read_state(r, key)),
         key=key,
         token=keypair_from_subspaces(key.token_dim, key.token_vk),
         logical_state=prepare_program_state(key.program),
@@ -210,7 +217,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     directory = Path(args.obf_dir)
     try:
         obf = _load_obfuscation(directory)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"unusable obfuscation directory: {exc}", EXIT_USAGE)
     try:
         x = BitVector.from_string(args.x)
@@ -266,7 +273,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     try:
         obf = _load_obfuscation(Path(args.obf_dir))
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"unusable obfuscation directory: {exc}", EXIT_USAGE)
     try:
         report = attack_harness(args.kind, obf, np.random.default_rng(args.seed), args.trials)
@@ -281,7 +288,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_oracle_serve(args: argparse.Namespace) -> int:
     try:
         key = oracle_key_from_text((Path(args.obf_dir) / KEY_FILE).read_text())
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"unusable obfuscation directory: {exc}", EXIT_USAGE)
     for line in sys.stdin:
         if not line.strip():

@@ -29,6 +29,7 @@ from .sim import (
     measure_branches,
     tensor,
 )
+from .text import LineReader, parse
 
 GATE_KINDS = ("CNOT", "H", "T")
 
@@ -717,21 +718,14 @@ def _tag_to_text(tag: StateTag) -> str:
     return f"magic-H {tag[1]} {tag[2]}"
 
 
-def _tag_from_text(text: str) -> StateTag:
-    kind, *args = text.split()
-    if kind == "zero":
-        return ("zero",)
-    if kind == "input":
-        (j,) = args
-        return ("input", int(j))
-    if kind == "magic-T":
-        return ("magic_t",)
-    if kind == "magic-PX":
-        return ("magic_px",)
-    if kind == "magic-H":
-        pid, half = args
-        return ("magic_h", int(pid), half)
-    raise ValueError(f"unknown state tag {text!r}")
+_TAG_ARITY = {"zero": 0, "input": 1, "magic-T": 0, "magic-PX": 0, "magic-H": 2}
+
+
+def _read_tag(r: LineReader, w: int) -> StateTag:
+    kind, *args = r.rest(f"state {w}").split() or ("",)
+    if len(args) != _TAG_ARITY.get(kind):
+        raise ValueError(f"unknown state tag {' '.join([kind, *args])!r}")
+    return (kind.lower().replace("-", "_"), *(r.number(a, 0) for a in args[:1]), *args[1:])
 
 
 def _fn_to_lines(fn: ClassicalFn) -> list[str]:
@@ -743,38 +737,21 @@ def _fn_to_lines(fn: ClassicalFn) -> list[str]:
     return lines
 
 
-def line_fields(lines: Sequence[str], at: int, count: int, sep: Optional[str] = None) -> list[str]:
-    """The count fields of lines[at], split on sep, the last one taking
-    the rest of the line; a ValueError naming the line (1-based) if the
-    text ends before it or the line has fewer fields."""
-    if at >= len(lines):
-        raise ValueError(f"text ends before line {at + 1}")
-    parts = lines[at].split(sep, count - 1)
-    if len(parts) != count:
-        raise ValueError(f"line {at + 1} needs {count} fields: {lines[at]!r}")
-    return parts
-
-
-def _fn_from_lines(lines: list[str], at: int) -> tuple[ClassicalFn, int]:
-    count = int(line_fields(lines, at, 2)[1])
-    at += 1
-    nodes = []
-    for _ in range(count):
-        _, kind, args = line_fields(lines, at, 3)
-        if kind == "in":
-            nodes.append(("in", args))
-        elif kind == "const":
-            nodes.append(("const", int(args)))
-        else:
-            a, b = args.split()
-            nodes.append((kind, int(a), int(b)))
-        at += 1
+def _read_fn(r: LineReader, header: str) -> ClassicalFn:
+    r.fields(header, 0)
+    nodes: list[tuple] = []
+    for idx in range(r.integer("nodes", 0)):
+        kind, *args = r.rest(str(idx)).split() or ("",)
+        if len(args) != {"in": 1, "const": 1, "xor": 2, "and": 2}.get(kind):
+            raise ValueError(f"malformed node {idx}")
+        if kind != "in":
+            args = [r.number(a, 0, 1 if kind == "const" else idx - 1) for a in args]
+        nodes.append((kind, *args))
     outputs = []
-    while at < len(lines) and lines[at].startswith("out "):
-        _, name, nid = lines[at].split()
-        outputs.append((name, int(nid)))
-        at += 1
-    return ClassicalFn(tuple(nodes), tuple(outputs)), at
+    while r.has("out"):
+        name, nid = r.fields("out", 2)
+        outputs.append((name, r.number(nid, 0, len(nodes) - 1)))
+    return ClassicalFn(tuple(nodes), tuple(outputs))
 
 
 def program_to_text(program: LMProgram) -> str:
@@ -806,71 +783,32 @@ def program_to_text(program: LMProgram) -> str:
     return "\n".join(lines)
 
 
-def _expect_header(lines: list[str], at: int, header: str) -> None:
-    if at >= len(lines) or lines[at] != header:
-        raise ValueError(f"expected {header!r} at line {at + 1}")
+def read_program(r: LineReader) -> LMProgram:
+    """The program whose program_to_text lines r reads next."""
+    n = r.integer("wires", 1)
+    m = r.integer("inputs", 0, n)
+    t = r.integer("t", 0)
+    tags = tuple(_read_tag(r, w) for w in range(1, n + 1))
+
+    def items(tag: str) -> list[str]:
+        body = r.rest(tag).split()
+        return [] if body == ["-"] else body
+
+    def pair(item: str, sep: str, lo: int, hi: int) -> tuple[int, int]:
+        """A wire and a number in lo..hi, written wire{sep}number."""
+        a, found, b = item.partition(sep)
+        if not found:
+            raise ValueError(f"expected wire{sep}N, found {item!r}")
+        return r.number(a, 1, n), r.number(b, lo, hi)
+
+    layers = tuple(tuple(pair(c, ">", 1, n) for c in items(f"L{i}:")) for i in range(1, t + 2))
+    bases = [dict(pair(item, "=", 0, 1) for item in items(f"theta{i}:")) for i in range(1, t + 2)]
+    thetas = tuple(tuple(b.get(w) for w in range(1, n + 1)) for b in bases)
+    v_sets = tuple(tuple(r.number(w, 1, n) for w in items(f"V{i}:")) for i in range(1, t + 2))
+    w_sets = tuple(tuple(r.number(w, 1, n) for w in items(f"W{i}:")) for i in range(1, t + 1))
+    fns = tuple(_read_fn(r, f"f{i}:") for i in range(1, t + 1))
+    return LMProgram(n, m, tags, t, layers, thetas, v_sets, w_sets, fns, _read_fn(r, "g:"))
 
 
 def program_from_text(text: str) -> LMProgram:
-    lines = [ln.rstrip() for ln in text.strip().splitlines()]
-    n, m, t = (int(line_fields(lines, k, 2)[1]) for k in range(3))
-    at = 3
-
-    def wire(field: str) -> int:
-        """A wire number read on line at, checked against 1..n."""
-        if not 1 <= int(field) <= n:
-            raise ValueError(f"line {at + 1}: wire {field} out of range 1..{n}")
-        return int(field)
-
-    tags = []
-    for _ in range(n):
-        tags.append(_tag_from_text(line_fields(lines, at, 3)[2]))
-        at += 1
-    layers = []
-    for i in range(1, t + 2):
-        body = line_fields(lines, at, 2, ":")[1].strip()
-        layer = []
-        if body != "-":
-            for item in body.split():
-                c, tgt = item.split(">")
-                layer.append((int(c), int(tgt)))
-        layers.append(tuple(layer))
-        at += 1
-    thetas = []
-    for i in range(1, t + 2):
-        body = line_fields(lines, at, 2, ":")[1].strip()
-        theta: list[Optional[int]] = [None] * n
-        for item in body.split():
-            w, v = item.split("=")
-            theta[wire(w) - 1] = int(v)
-        thetas.append(tuple(theta))
-        at += 1
-    v_sets = []
-    for i in range(1, t + 2):
-        body = line_fields(lines, at, 2, ":")[1].strip()
-        v_sets.append(tuple(wire(w) for w in body.split()) if body != "-" else ())
-        at += 1
-    w_sets = []
-    for i in range(1, t + 1):
-        body = line_fields(lines, at, 2, ":")[1].strip()
-        w_sets.append(tuple(wire(w) for w in body.split()) if body != "-" else ())
-        at += 1
-    fns = []
-    for i in range(1, t + 1):
-        _expect_header(lines, at, f"f{i}:")
-        fn, at = _fn_from_lines(lines, at + 1)
-        fns.append(fn)
-    _expect_header(lines, at, "g:")
-    g, at = _fn_from_lines(lines, at + 1)
-    return LMProgram(
-        num_wires=n,
-        num_input_bits=m,
-        state_spec=tuple(tags),
-        t=t,
-        linear_layers=tuple(layers),
-        thetas=tuple(thetas),
-        v_sets=tuple(v_sets),
-        w_sets=tuple(w_sets),
-        measurement_fns=tuple(fns),
-        final_fn=g,
-    )
+    return parse(text, read_program)

@@ -43,10 +43,10 @@ from .auth import (
     enc,
     gen,
     honest_codeword,
-    key_from_text,
     key_to_text,
     lin_eval,
     pauli_update,
+    read_key,
     ver,
 )
 from .gf2 import BitVector, Subspace, concat, coset_decode, split
@@ -56,21 +56,21 @@ from .lm import (
     bind,
     check_lm_invariants,
     eval_classical_fn,
-    line_fields,
     lmeval_distribution,
     prepare_program_state,
-    program_from_text,
     program_to_text,
+    read_program,
     walk,
 )
 from .sim import QUBIT_CAP, StateVector, measure  # noqa: F401  (measure is re-exported)
+from .text import LineReader, parse
 from .tokens import (
     Signature,
     TokenKeypair,
+    read_vk,
     tok_gen,
     tok_sign,
     tok_ver,
-    vk_from_text,
     vk_to_text,
 )
 
@@ -139,6 +139,9 @@ class OracleKey:
             raise ValueError("labels shorter than 8 bits are not collision safe")
         if not self.prf_key:
             raise ValueError("empty PRF key")
+        violations = check_lm_invariants(self.program)
+        if violations:
+            raise ValueError("program fails structural checks: " + "; ".join(violations))
 
     def layer_cnots(self, i: int) -> tuple[tuple[int, int], ...]:
         """All CNOTs applied before the i-th measurement, in order."""
@@ -448,22 +451,10 @@ class ObfuscatedProgram:
         return enc(self.key.auth_key, self.logical_state)
 
 
-def qobf(
-    params: ObfParams,
-    program: LMProgram,
-    rng: np.random.Generator,
-    logical_state: Optional[StateVector] = None,
-) -> ObfuscatedProgram:
+def qobf(params: ObfParams, program: LMProgram, rng: np.random.Generator) -> ObfuscatedProgram:
     """Sample all key material for one obfuscation of the program and
-    package the oracle suite. The default initial state is the program's
-    own (inputs zeroed, magic wires loaded)."""
-    violations = check_lm_invariants(program)
-    if violations:
-        raise ValueError("program fails structural checks: " + "; ".join(violations))
-    if logical_state is None:
-        logical_state = prepare_program_state(program)
-    if logical_state.num_qubits != program.num_wires:
-        raise ValueError("initial state width must match the program")
+    package the oracle suite. The program state is the program's own
+    (inputs zeroed, magic wires loaded)."""
     auth_key = gen(params.security, program.num_wires, rng)
     keypair = tok_gen(params.token_dim, program.num_input_bits, rng)
     key = OracleKey(
@@ -478,7 +469,7 @@ def qobf(
         params=params,
         key=key,
         token=keypair,
-        logical_state=logical_state,
+        logical_state=prepare_program_state(program),
         suite=real_suite(key),
     )
 
@@ -779,50 +770,34 @@ def attack_harness(
 # --- serialization and the wire protocol --------------------------------------
 
 
-_SECTION_AUTH = "[auth-key]"
-_SECTION_VK = "[token-vk]"
-_SECTION_PROGRAM = "[program]"
-
-
 def oracle_key_to_text(key: OracleKey) -> str:
     parts = [
         f"label-bits {key.label_bits}",
         f"prf-key {key.prf_key.hex()}",
-        _SECTION_AUTH,
+        "[auth-key]",
         key_to_text(key.auth_key),
-        _SECTION_VK,
+        "[token-vk]",
         vk_to_text(key.token_dim, key.token_vk),
-        _SECTION_PROGRAM,
+        "[program]",
         program_to_text(key.program),
     ]
     return "\n".join(parts) + "\n"
 
 
+def read_oracle_key(r: LineReader) -> OracleKey:
+    """The key whose oracle_key_to_text lines r reads next."""
+    label_bits = r.integer("label-bits", 8)
+    prf_key = bytes.fromhex(r.fields("prf-key", 1)[0])
+    r.fields("[auth-key]", 0)
+    auth_key = read_key(r)
+    r.fields("[token-vk]", 0)
+    token_dim, vk = read_vk(r)
+    r.fields("[program]", 0)
+    return OracleKey(auth_key, token_dim, vk, prf_key, label_bits, read_program(r))
+
+
 def oracle_key_from_text(text: str) -> OracleKey:
-    lines = text.splitlines()
-    (head1, bits_text), (head2, prf_hex) = (line_fields(lines, k, 2) for k in range(2))
-    if (head1, head2) != ("label-bits", "prf-key"):
-        raise ValueError("missing label-bits or prf-key header")
-    label_bits, prf_key = int(bits_text), bytes.fromhex(prf_hex)
-    sections: dict[str, list[str]] = {}
-    current: Optional[str] = None
-    for ln in lines[2:]:
-        if ln in (_SECTION_AUTH, _SECTION_VK, _SECTION_PROGRAM):
-            current = ln
-            sections[current] = []
-        elif current is not None:
-            sections[current].append(ln)
-    auth_key = key_from_text("\n".join(sections[_SECTION_AUTH]))
-    token_dim, vk = vk_from_text("\n".join(sections[_SECTION_VK]))
-    program = program_from_text("\n".join(sections[_SECTION_PROGRAM]))
-    return OracleKey(
-        auth_key=auth_key,
-        token_dim=token_dim,
-        token_vk=vk,
-        prf_key=prf_key,
-        label_bits=label_bits,
-        program=program,
-    )
+    return parse(text, read_oracle_key)
 
 
 def encode_f_request(i: int, transcript: Transcript, w_pair: CodewordTuple) -> str:

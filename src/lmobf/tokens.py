@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gf2 import AffineCoset, BitVector, Subspace, dual, sample_coset_vector, sample_subspace
-from .lm import line_fields
 from .sim import QUBIT_CAP, MeasurementSpec, StateVector, measure, prepare_subspace_state
+from .text import LineReader, parse
 
 Signature = tuple[BitVector, ...]
 
@@ -121,22 +121,18 @@ def vk_to_text(kappa_prime: int, vk: Sequence[Subspace]) -> str:
     return "\n".join(lines)
 
 
-def vk_from_text(text: str) -> tuple[int, tuple[Subspace, ...]]:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    kappa_prime, num_bits = (int(line_fields(lines, k, 2)[1]) for k in range(2))
-    ambient = 2 * kappa_prime
+def read_vk(r: LineReader) -> tuple[int, tuple[Subspace, ...]]:
+    """kappa' and the subspaces whose vk_to_text lines r reads next."""
+    kappa_prime = r.integer("kappa-prime", 1)
     spaces = []
-    at = 2
-    for j in range(1, num_bits + 1):
-        if at >= len(lines) or lines[at] != f"A{j}:":
-            raise ValueError(f"expected 'A{j}:' at line {at + 1}")
-        at += 1
-        rows = []
-        while at < len(lines) and not lines[at].endswith(":"):
-            rows.append(lines[at])
-            at += 1
-        spaces.append(Subspace.span_strings(ambient, rows))
+    for j in range(1, r.integer("bits", 1) + 1):
+        r.fields(f"A{j}:", 0)
+        spaces.append(Subspace.span_strings(2 * kappa_prime, r.rows(2 * kappa_prime)))
     return kappa_prime, tuple(spaces)
+
+
+def vk_from_text(text: str) -> tuple[int, tuple[Subspace, ...]]:
+    return parse(text, read_vk)
 
 
 def signature_to_text(sigma: Signature) -> str:
@@ -144,4 +140,4 @@ def signature_to_text(sigma: Signature) -> str:
 
 
 def signature_from_text(text: str) -> Signature:
-    return tuple(BitVector.from_string(ln.strip()) for ln in text.strip().splitlines())
+    return parse(text, lambda r: tuple(BitVector.from_string(row) for row in r.rows()))

@@ -221,11 +221,15 @@ def test_golden_stdout_and_exit_codes(tmp_path, capsys):
 
 def corrupt(lines: list[str], case: str) -> list[str]:
     """Lines of oracle_key.txt or of a program file damaged as the case
-    says: a section header renamed ("f1:"), a program line replaced
-    ("V1: 99" for the line that starts with "V1:"), the delta-hat line
-    blanked, or a section cut after its first N lines ("cut-N-SECTION")."""
+    says: a section header renamed ("f1:"), a line retagged ("L2: - =>
+    L0: -" for the line "L2: -"), a program line replaced ("V1: 99" for
+    the line that starts with "V1:"), the delta-hat line blanked, or a
+    section cut after its first N lines ("cut-N-SECTION")."""
     if case.endswith(":"):
         lines[lines.index(case)] = case[:-1] + "?"
+    elif " => " in case:
+        old, new = case.split(" => ")
+        lines[lines.index(old)] = new
     elif ": " in case:
         head = case.split(" ")[0]
         lines = [case if ln.startswith(head) else ln for ln in lines]
@@ -250,12 +254,19 @@ def corrupt(lines: list[str], case: str) -> list[str]:
         "cut-1-token-vk",
         "V1: 99",
         "W1: 3 77",
+        "L1: 1>99",
+        "V2: 1 3",
+        "L1: 1>1",
+        "theta1: 2=7",
+        "L2: - => L0: -",
+        "state 3 magic-T => state 9 magic-T",
     ],
 )
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_corrupted_key_header_is_usage_error(workdir, tmp_path, header, flags):
-    """A corrupted section header, a blanked line or a truncated section
-    in oracle_key.txt is a usage error with a message, never a
+    """A corrupted section header, a retagged, blanked or out-of-range
+    line, a program that breaks the structural rules or a truncated
+    section in oracle_key.txt is a usage error with a message, never a
     traceback, whether or not asserts are compiled."""
     bad = tmp_path / "obf"
     shutil.copytree(workdir / "obf", bad)
@@ -281,6 +292,21 @@ def test_obfuscate_rejects_wire_out_of_range(workdir, tmp_path, capsys, line):
     assert invoke(["obfuscate", str(bad), "-o", str(tmp_path / "obf")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad program file: line ") and "out of range" in err
+
+
+@pytest.mark.parametrize("line", ["lambda 2", "kappa 64", "kappa-prime 9", "paper-kappa on"])
+def test_state_file_must_match_the_key(workdir, tmp_path, capsys, line):
+    """A state.txt whose lambda, kappa-prime or label width differs from
+    the oracle key's is a usage error that names its line."""
+    bad = tmp_path / "obf"
+    shutil.copytree(workdir / "obf", bad)
+    state = (bad / "state.txt").read_text().splitlines()
+    tag = line.split()[0]
+    (bad / "state.txt").write_text(
+        "\n".join(line if ln.split()[0] == tag else ln for ln in state) + "\n"
+    )
+    assert invoke(["eval", str(bad), "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: unusable obfuscation directory: line ")
 
 
 def test_serve_child_finds_the_parents_lmobf(workdir, tmp_path, capsys):
