@@ -20,7 +20,6 @@ from .gf2 import (
     BitVector,
     Subspace,
     canonical_delta_hat,
-    concat,
     coset_decode,
     coset_decode_batch,
     dual,
@@ -36,7 +35,6 @@ from .sim import (
     StateVector,
     apply_cnots,
     apply_encoding_isometry,
-    apply_pauli_mask,
     measure,
     measure_branches,
 )
@@ -116,13 +114,16 @@ def gen(security: int, num_wires: int, rng: np.random.Generator) -> AuthKey:
 
 
 def enc(key: AuthKey, logical: StateVector) -> StateVector:
-    """Expand each qubit into a masked coset-state block of p qubits."""
+    """Expand each qubit into a masked coset-state block of p qubits.
+    Each wire's mask X^x Z^z is applied inside its own two isometry
+    columns, so no pass runs over the whole encoded state."""
     if logical.num_qubits != key.num_wires:
         raise ValueError("state width must match the key")
     state = logical
     for wire in range(key.num_wires, 0, -1):
-        state = apply_encoding_isometry(state, wire, key.space, key.delta)
-    return apply_pauli_mask(state, concat(key.x_masks), concat(key.z_masks))
+        x, z = key.x_masks[wire - 1], key.z_masks[wire - 1]
+        state = apply_encoding_isometry(state, wire, key.space, key.delta, x, z)
+    return state
 
 
 def lin_eval(

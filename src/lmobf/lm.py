@@ -14,7 +14,7 @@ teleportation gadgets, two fresh wires per H or T gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Collection, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -70,20 +70,22 @@ class Circuit:
                 raise ValueError(f"output wire {w} out of range")
 
 
-def parse_circuit(text: str) -> Circuit:
+def read_circuit(r: LineReader) -> Circuit:
     """Header 'qubits N inputs M outputs w1,w2,...' then one gate per line."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty circuit text")
-    head = lines[0].split()
-    if len(head) != 6 or head[0] != "qubits" or head[2] != "inputs" or head[4] != "outputs":
-        raise ValueError(f"bad header {lines[0]!r}")
-    outputs = tuple(int(w) for w in head[5].split(","))
+    n, tag_in, m, tag_out, wires = r.fields("qubits", 5)
+    if (tag_in, tag_out) != ("inputs", "outputs"):
+        raise ValueError("expected 'qubits N inputs M outputs w1,w2,...'")
+    n = r.number(n, 1)
+    outs = tuple(r.number(w, 1, n) for w in wires.split(","))
+    head = Circuit(r.number(m, 0, n), n, (), outs)  # checked while r.line is the header's
     gates = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        gates.append(Gate(parts[0], tuple(int(w) for w in parts[1:])))
-    return Circuit(int(head[3]), int(head[1]), tuple(gates), outputs)
+    while kind := next((k for k in GATE_KINDS if r.has(k)), None):
+        gates.append(Gate(kind, tuple(r.number(w, 1, n) for w in r.rest(kind).split())))
+    return replace(head, gates=tuple(gates))
+
+
+def parse_circuit(text: str) -> Circuit:
+    return parse(text, read_circuit)
 
 
 def format_circuit(c: Circuit) -> str:

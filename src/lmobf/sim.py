@@ -16,6 +16,7 @@ measurement consumes are sliced out at the bits the outcome fixes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
@@ -64,7 +65,7 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError("amplitude count does not match qubit count")
-        norm = float(np.linalg.norm(amps))
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm {norm!r} outside tolerance")
         object.__setattr__(self, "amplitudes", amps)
@@ -174,20 +175,27 @@ def prepare_subspace_state(s: Subspace, shift: Optional[BitVector] = None) -> St
 
 
 def apply_encoding_isometry(
-    state: StateVector, qubit: int, s: Subspace, delta: BitVector
+    state: StateVector,
+    qubit: int,
+    s: Subspace,
+    delta: BitVector,
+    x_mask: Optional[BitVector] = None,
+    z_mask: Optional[BitVector] = None,
 ) -> StateVector:
-    """Replace one qubit by ambient_dim qubits via |0> -> |s>, |1> -> |s+delta|>."""
+    """Replace one qubit by ambient_dim qubits via |0> -> P|s>,
+    |1> -> P|s+delta>, where P = X^x_mask Z^z_mask (the identity by
+    default) is applied to the two 2^ambient_dim-amplitude columns, so
+    the mask never touches the whole state."""
     n = state.num_qubits
     p = s.ambient_dim
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit {qubit} out of range 1..{n}")
     new_n = n - 1 + p
     _check_cap(new_n)
-    iso = np.stack(
-        [prepare_subspace_state(s).amplitudes,
-         prepare_subspace_state(s, delta).amplitudes],
-        axis=1,
-    )
+    x = BitVector.zeros(p) if x_mask is None else x_mask
+    z = BitVector.zeros(p) if z_mask is None else z_mask
+    columns = [apply_pauli_mask(prepare_subspace_state(s, c), x, z) for c in (None, delta)]
+    iso = np.stack([c.amplitudes for c in columns], axis=1)
     psi = state.amplitudes.reshape((2,) * n)
     block = np.moveaxis(psi, qubit - 1, 0).reshape(2, -1)
     out = (iso @ block).reshape((2,) * p + (2,) * (n - 1))

@@ -122,12 +122,16 @@ def vk_to_text(kappa_prime: int, vk: Sequence[Subspace]) -> str:
 
 
 def read_vk(r: LineReader) -> tuple[int, tuple[Subspace, ...]]:
-    """kappa' and the subspaces whose vk_to_text lines r reads next."""
+    """kappa' and the subspaces whose vk_to_text lines r reads next; each
+    must have dimension kappa' in F2^(2 kappa')."""
     kappa_prime = r.integer("kappa-prime", 1)
     spaces = []
     for j in range(1, r.integer("bits", 1) + 1):
         r.fields(f"A{j}:", 0)
-        spaces.append(Subspace.span_strings(2 * kappa_prime, r.rows(2 * kappa_prime)))
+        space = Subspace.span_strings(2 * kappa_prime, r.rows(2 * kappa_prime))
+        if space.dim != kappa_prime:
+            raise ValueError(f"A{j} spans dimension {space.dim}, not kappa-prime {kappa_prime}")
+        spaces.append(space)
     return kappa_prime, tuple(spaces)
 
 

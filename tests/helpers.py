@@ -6,8 +6,8 @@ from itertools import product
 
 import numpy as np
 
-from lmobf.gf2 import BitVector
-from lmobf.sim import StateVector, apply_gate
+from lmobf.gf2 import BitVector, concat
+from lmobf.sim import StateVector, apply_encoding_isometry, apply_gate, apply_pauli_mask
 from lmobf.lm import (
     Circuit,
     Gate,
@@ -124,3 +124,13 @@ def reference_consume(state: StateVector, basis, consumed, bits) -> StateVector:
         psi = psi.reshape(-1)
         state = StateVector(state.num_qubits - 1, psi / np.linalg.norm(psi))
     return state
+
+
+def reference_enc(key, logical: StateVector) -> StateVector:
+    """Unmasked encoding isometries wire by wire, then one Pauli mask over
+    the whole encoded state. The reference for auth.enc, which masks each
+    wire's isometry columns instead."""
+    state = logical
+    for wire in range(key.num_wires, 0, -1):
+        state = apply_encoding_isometry(state, wire, key.space, key.delta)
+    return apply_pauli_mask(state, concat(key.x_masks), concat(key.z_masks))

@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import reference_enc
 from lmobf.auth import (
     BOT,
     AuthKey,
@@ -138,6 +140,22 @@ def test_enc_preserves_inner_products():
         want = np.vdot(a.amplitudes, b.amplitudes)
         got = np.vdot(enc(key, a).amplitudes, enc(key, b).amplitudes)
         assert abs(want - got) < 1e-12
+
+
+@given(st.integers(1, 2), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_enc_masks_columns_exactly_as_whole_state_mask(security, wires, sparse, seed):
+    """Masking each wire's two isometry columns gives exactly the
+    amplitudes of masking the whole encoded state afterwards, on dense
+    states and on states with zero amplitudes."""
+    rng = np.random.default_rng(seed)
+    key = gen(security, wires, rng)
+    amps = random_state(wires, rng).amplitudes
+    if sparse:  # keep one amplitude, zero each of the others with probability 1/2
+        keep = np.arange(2**wires) == rng.integers(2**wires)
+        amps = amps * (keep | rng.integers(0, 2, 2**wires).astype(bool))
+    state = StateVector(wires, amps / np.linalg.norm(amps))
+    assert np.array_equal(enc(key, state).amplitudes, reference_enc(key, state).amplitudes)
 
 
 def test_hadamard_swaps_code_and_dual():

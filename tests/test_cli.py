@@ -223,9 +223,12 @@ def corrupt(lines: list[str], case: str) -> list[str]:
     """Lines of oracle_key.txt or of a program file damaged as the case
     says: a section header renamed ("f1:"), a line retagged ("L2: - =>
     L0: -" for the line "L2: -"), a program line replaced ("V1: 99" for
-    the line that starts with "V1:"), the delta-hat line blanked, or a
-    section cut after its first N lines ("cut-N-SECTION")."""
-    if case.endswith(":"):
+    the line that starts with "V1:"), the delta-hat line blanked, a
+    section cut after its first N lines ("cut-N-SECTION"), or the line
+    after a header cut ("cut row under A1:")."""
+    if case.startswith("cut row under "):
+        del lines[lines.index(case.removeprefix("cut row under ")) + 1]
+    elif case.endswith(":"):
         lines[lines.index(case)] = case[:-1] + "?"
     elif " => " in case:
         old, new = case.split(" => ")
@@ -260,14 +263,16 @@ def corrupt(lines: list[str], case: str) -> list[str]:
         "theta1: 2=7",
         "L2: - => L0: -",
         "state 3 magic-T => state 9 magic-T",
+        "cut row under A1:",
     ],
 )
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_corrupted_key_header_is_usage_error(workdir, tmp_path, header, flags):
     """A corrupted section header, a retagged, blanked or out-of-range
-    line, a program that breaks the structural rules or a truncated
-    section in oracle_key.txt is a usage error with a message, never a
-    traceback, whether or not asserts are compiled."""
+    line, a program that breaks the structural rules, a truncated
+    section or a token subspace short of a row in oracle_key.txt is a
+    usage error with a message, never a traceback, whether or not
+    asserts are compiled."""
     bad = tmp_path / "obf"
     shutil.copytree(workdir / "obf", bad)
     key_file = bad / "oracle_key.txt"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import reference_cnots, reference_consume
-from lmobf.gf2 import BitVector, Subspace, dual, sample_subspace
+from lmobf.gf2 import BitVector, Subspace, concat, dual, sample_subspace
 from lmobf import sim
 from lmobf.sim import (
     MeasurementSpec,
@@ -156,6 +156,23 @@ def test_encoding_isometry_middle_qubit_linearity():
     )
     op = np.kron(np.kron(I2, iso), I2)
     assert np.allclose(got.amplitudes, op @ psi.amplitudes, atol=1e-12)
+
+
+def test_encoding_isometry_masks_its_block():
+    """Masks given to the isometry act on its block exactly as a Pauli
+    mask over that block applied afterwards."""
+    rng = np.random.default_rng(13)
+    s = Subspace.span_strings(3, ["101"])
+    delta = BitVector.from_string("010")
+    x, z = BitVector.from_string("110"), BitVector.from_string("011")
+    psi = random_state(3, rng)
+    got = apply_encoding_isometry(psi, 2, s, delta, x, z)
+    after = apply_pauli_mask(
+        apply_encoding_isometry(psi, 2, s, delta),
+        concat([BitVector.zeros(1), x, BitVector.zeros(1)]),
+        concat([BitVector.zeros(1), z, BitVector.zeros(1)]),
+    )
+    assert np.array_equal(got.amplitudes, after.amplitudes)
 
 
 def test_tensor():

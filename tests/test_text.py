@@ -8,7 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from lmobf.auth import key_from_text, key_to_text
 from lmobf.cli import _param_lines, read_state
-from lmobf.lm import Circuit, Gate, compile_circuit, program_from_text, program_to_text
+from lmobf.lm import (
+    Circuit,
+    Gate,
+    compile_circuit,
+    format_circuit,
+    parse_circuit,
+    program_from_text,
+    program_to_text,
+)
 from lmobf.obf import ObfParams, oracle_key_from_text, oracle_key_to_text, qobf
 from lmobf.text import parse
 from lmobf.tokens import vk_from_text, vk_to_text
@@ -19,6 +27,7 @@ KEY = qobf(PARAMS, compile_circuit(CIRCUIT), np.random.default_rng(61)).key
 
 # (text, parser) for every format a file on disk can hold
 FORMATS = [
+    (format_circuit(CIRCUIT), parse_circuit),
     (program_to_text(KEY.program), program_from_text),
     (key_to_text(KEY.auth_key), key_from_text),
     (vk_to_text(KEY.token_dim, KEY.token_vk), vk_from_text),
