@@ -15,7 +15,7 @@ teleportation gadgets, two fresh wires per H or T gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Collection, Hashable, Mapping, Optional, Sequence
+from typing import Any, Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -132,8 +132,10 @@ class ClassicalFn:
         return tuple(name for name, _ in self.outputs)
 
 
-def eval_classical_fn(fn: ClassicalFn, bindings: dict[str, int]) -> dict[str, int]:
-    vals: list[int] = []
+def eval_classical_fn(fn: ClassicalFn, bindings: dict[str, Any]) -> dict[str, Any]:
+    """fn's outputs by name. A binding is a bit or an int array of bits,
+    one per row; an output is an array where it depends on one."""
+    vals: list[Any] = []
     for node in fn.nodes:
         if node[0] == "in":
             if node[1] not in bindings:
@@ -148,27 +150,9 @@ def eval_classical_fn(fn: ClassicalFn, bindings: dict[str, int]) -> dict[str, in
     return {name: vals[nid] for name, nid in fn.outputs}
 
 
-def eval_classical_fn_batch(
-    fn: ClassicalFn, bindings: dict[str, np.ndarray], num_rows: int
-) -> dict[str, np.ndarray]:
-    """Vectorized evaluation: every binding is a bit array of num_rows,
-    or a single bit that stands for num_rows equal ones."""
-    vals: list[np.ndarray] = []
-    for node in fn.nodes:
-        if node[0] == "in":
-            if node[1] not in bindings:
-                raise KeyError(f"unbound input {node[1]!r}")
-            value = bindings[node[1]]
-            if not isinstance(value, np.ndarray):
-                value = np.full(num_rows, value, dtype=np.uint8)
-            vals.append(value)
-        elif node[0] == "const":
-            vals.append(np.full(num_rows, node[1], dtype=np.uint8))
-        elif node[0] == "xor":
-            vals.append(vals[node[1]] ^ vals[node[2]])
-        else:
-            vals.append(vals[node[1]] & vals[node[2]])
-    return {name: vals[nid] for name, nid in fn.outputs}
+# Kept for the benchmark tracer, which looks this name up; a benchmark
+# change removes it.
+eval_classical_fn_batch = eval_classical_fn
 
 
 class FnBuilder:
@@ -453,12 +437,15 @@ def bind(
     return binds
 
 
-def fn_table(fn: ClassicalFn, binds: dict[str, Any], num_rows: int) -> np.ndarray:
-    """fn's outputs over num_rows rows as a (num_rows, outputs) array."""
-    outs = eval_classical_fn_batch(fn, binds, num_rows)
-    if not fn.outputs:
-        return np.zeros((num_rows, 0), dtype=np.uint8)
-    return np.stack([outs[name] for name in fn.output_names], axis=1)
+def fn_code(fn: ClassicalFn, binds: dict[str, Any], rows: Any) -> Any:
+    """fn's outputs packed into one label code like BitVector.value (the
+    first output the most significant bit), in the shape of rows (an int
+    or an int array): an output that depends on no array is broadcast."""
+    outs = eval_classical_fn(fn, binds)
+    code = rows & 0
+    for name in fn.output_names:
+        code = code << 1 | outs[name]
+    return code
 
 
 def block_tags(
@@ -490,11 +477,12 @@ class LogicalRegister:
     def spec(
         self, layer: int, live: list[int], measured: list[int], fn: ClassicalFn, binds
     ) -> MeasurementSpec:
-        """Labels are fn's outputs on each observed substring."""
+        """Label codes are fn's outputs on each observed substring."""
 
-        def outcome_fn(bits: np.ndarray) -> list[tuple[int, ...]]:
-            m = {w: bits[:, col] for col, w in enumerate(measured)}
-            return [tuple(row) for row in fn_table(fn, binds(m), len(bits)).tolist()]
+        def outcome_fn(rows: np.ndarray) -> np.ndarray:
+            top = len(measured) - 1
+            m = {w: rows >> top - k & 1 for k, w in enumerate(measured)}
+            return fn_code(fn, binds(m), rows)
 
         v_wires = self.program.v_sets[layer - 1] if layer <= self.program.t else ()
         consumed = tuple(k for k, w in enumerate(live, start=1) if w in v_wires)
@@ -507,8 +495,8 @@ def walk(
     state: StateVector,
     x: BitVector,
     rng: Optional[np.random.Generator] = None,
-    visit: Optional[Callable[[int, Hashable, Optional[dict]], bool]] = None,
-) -> dict[Hashable, float]:
+    visit: Optional[Callable[[int, int, Optional[dict]], bool]] = None,
+) -> dict[tuple[int, ...], float]:
     """The one loop over a program's layers: CNOT gather, consuming
     measurement, record.
 
@@ -516,12 +504,14 @@ def walk(
     probability above 1e-15 is walked in turn, depth first. The register
     (one qubit or one code block per wire) supplies the CNOT layer and a
     measurement spec that consumes the layer's V wires. Each branch is
-    recorded by visit(layer, label, read), where read maps each measured
-    wire to the BitVector of the sampled substring it was read as (None
-    when enumerating); a false return stops that branch. Returns the
-    final labels with their probabilities."""
+    recorded by visit(layer, code, read), where code is the label code
+    and read maps each measured wire to the BitVector of the sampled
+    substring it was read as (None when enumerating); a false return
+    stops that branch. A code's low bits are the layer function's
+    outputs. Returns the final outputs, as bit tuples, with their
+    probabilities."""
     program = register.program
-    dist: dict[Hashable, float] = {}
+    dist: dict[tuple[int, ...], float] = {}
     # Branches still to walk, the next one on top. A layer's children all
     # go in at the index where the stack ended, so that the first child is
     # on top and the walk is depth first in branch order.
@@ -540,20 +530,21 @@ def walk(
         )
         if rng is None:
             branches = [
-                (label, prob * p, post, None) for label, p, post in measure_branches(state, spec)
+                (code, prob * p, post, None) for code, p, post in measure_branches(state, spec)
             ]
         else:
             result = measure(state, spec, rng)
             read = dict(zip(measured, split(result.raw_bits, len(measured), register.block)))
             branches = [(result.outcome, prob, result.post_state, read)]
         at = len(todo)
-        for label, branch_prob, post, read in branches:
-            if branch_prob <= 1e-15 or (visit is not None and not visit(layer, label, read)):
+        for code, branch_prob, post, read in branches:
+            if branch_prob <= 1e-15 or (visit is not None and not visit(layer, code, read)):
                 continue
+            bits = BitVector.from_int(code & (1 << len(fn.outputs)) - 1, len(fn.outputs)).bits
             if final:
-                dist[label] = dist.get(label, 0.0) + branch_prob
+                dist[bits] = dist.get(bits, 0.0) + branch_prob
                 continue
-            outs = dict(zip(fn.output_names, label[len(label) - len(fn.outputs) :]))
+            outs = dict(zip(fn.output_names, bits))
             todo.insert(at, (
                 layer + 1,
                 branch_prob,

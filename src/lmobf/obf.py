@@ -533,9 +533,9 @@ def _honest_run(
     w_pairs: list[CodewordTuple] = []
     reject: Optional[Reject] = None
 
-    def visit(layer: int, label, read: dict) -> bool:
+    def visit(layer: int, code: int, read: dict) -> bool:
         nonlocal transcript, reject
-        if label is BOT:
+        if code == BOT:
             raise AssertionError("honest read fell outside the code")
         v_wires = lm.v_sets[layer - 1]
         wires = v_wires + (lm.w_sets[layer - 1] if layer <= lm.t else ())
@@ -725,7 +725,9 @@ def attack_harness(
     elif kind == "replay":
         xs, zs = pauli_update(key.layer_cnots(1), key.auth_key.x_masks, key.auth_key.z_masks)
         bits1 = {
-            w: coset_decode(*_wire_decoder(key.auth_key, theta1[w - 1], xs[w - 1], zs[w - 1]), c)
+            w: coset_decode(
+                *_wire_decoder(key.auth_key, theta1[w - 1], xs[w - 1], zs[w - 1]), c.value
+            )
             for w, c in zip(v1_wires, transcript.v_layers[0])
         }
         for _ in range(report.trials):

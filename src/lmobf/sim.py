@@ -8,17 +8,19 @@ A list of CNOTs, on qubits or transversally on blocks of qubits, is a
 permutation of basis indices and is applied as one gather.
 
 Measurements follow the partial-collapse rule: qubits tagged Z or X are
-read out, the outcome function maps the observed substring to a label,
-and only the distinction between labels collapses the state. Basis
-states that share a label keep their relative amplitudes. Qubits a
-measurement consumes are sliced out at the bits the outcome fixes.
+read out, the outcome function maps each observed substring, packed as
+an int like BitVector.value, to the int code of its label (-1 for BOT,
+a substring that does not decode), and only the distinction between
+labels collapses the state. Basis states that share a label keep their
+relative amplitudes. Qubits a measurement consumes are sliced out at
+the bits the outcome fixes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,10 +36,11 @@ _GATES_1Q = {
     "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=np.complex128),
 }
 
-# Outcome functions take a (rows, k) uint8 matrix of observed substrings and
-# return one hashable label per row. None means the identity labelling
-# (each substring is its own outcome, as a tuple of bits).
-OutcomeFn = Callable[[np.ndarray], Sequence[Hashable]]
+# Outcome functions take the int64 array of observed substrings, each
+# packed with the first measured qubit as the most significant bit, and
+# return an int64 array with one label code per substring; -1 is BOT.
+# None means the identity labelling: each substring is its own code.
+OutcomeFn = Callable[[np.ndarray], np.ndarray]
 
 
 class QubitCapError(ValueError):
@@ -85,9 +88,10 @@ class StateVector:
 @dataclass(frozen=True)
 class MeasurementSpec:
     """Per-qubit basis tags ('Z', 'X', or None to skip) plus an outcome
-    function over the observed substring of the measured qubits, listed
-    in ascending qubit order. The consumed qubits (1-based), each fixed
-    by every label, leave the post state at the bits they were read as."""
+    function from the packed substrings of the measured qubits, in
+    ascending qubit order, to label codes (-1 is BOT). The consumed
+    qubits (1-based), each fixed by every label, leave the post state at
+    the bits they were read as."""
 
     basis: tuple[Optional[str], ...]
     outcome_fn: Optional[OutcomeFn] = None
@@ -101,14 +105,9 @@ class MeasurementSpec:
 
 @dataclass(frozen=True)
 class MeasurementResult:
-    outcome: Hashable
+    outcome: int
     raw_bits: BitVector
     post_state: StateVector
-
-
-def rowwise(fn: Callable[[tuple[int, ...]], Hashable]) -> OutcomeFn:
-    """Adapt a per-substring function to the batch outcome protocol."""
-    return lambda m: [fn(tuple(int(b) for b in row)) for row in m]
 
 
 def apply_gate(state: StateVector, gate: str, targets: Sequence[int]) -> StateVector:
@@ -209,8 +208,11 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 
 def _measurement_classes(state: StateVector, spec: MeasurementSpec):
-    """Shared core: rotate X qubits, group rows of the measured register
-    by outcome label. Returns everything measure/measure_branches need."""
+    """Shared core: rotate X qubits, group the rows of the measured
+    register by label code. Returns the measured axes, the rotated state
+    as (rows, rest), every row's probability, the rows with support in
+    ascending order, the class of each (numbered in first-occurrence
+    order), the classes' codes and their probabilities."""
     n = state.num_qubits
     if len(spec.basis) != n:
         raise ValueError("spec length must equal qubit count")
@@ -227,15 +229,13 @@ def _measurement_classes(state: StateVector, spec: MeasurementSpec):
     psi = np.ascontiguousarray(psi).reshape(2**k, -1)
     row_probs = (psi.real**2 + psi.imag**2).sum(axis=1)
     rows = np.flatnonzero(row_probs > 1e-24)
-    bits = ((rows[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
-    if spec.outcome_fn is None:
-        labels = [tuple(int(b) for b in row) for row in bits]
-    else:
-        labels = list(spec.outcome_fn(bits))
-    classes: dict[Hashable, list[int]] = {}  # in first-occurrence order
-    for pos, lab in enumerate(labels):
-        classes.setdefault(lab, []).append(pos)
-    return axes, psi, row_probs, rows, classes
+    codes = rows if spec.outcome_fn is None else np.asarray(spec.outcome_fn(rows), np.int64)
+    uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cls = rank[inverse]
+    return axes, psi, row_probs, rows, cls, uniq[order], np.bincount(cls, row_probs[rows])
 
 
 def _collapse(
@@ -245,22 +245,25 @@ def _collapse(
     keep_rows: np.ndarray,
     class_prob: float,
 ) -> StateVector:
-    """Keep the class's rows of psi, renormalised; slice the consumed
-    qubits out at the bits those rows share; put the other qubits back in
-    order and rotate their X qubits back out of the Hadamard basis."""
+    """Keep the class's rows of psi, renormalised, in a block that holds
+    only the measured qubits that are not consumed: each row goes to its
+    index with the consumed bits, which the class shares, removed. Then
+    put the qubits back in order and rotate the X ones back out of the
+    Hadamard basis."""
     n = len(spec.basis)
     k = len(axes)
-    cut = {axes.index(q - 1) for q in spec.consumed}
+    cut = sorted(axes.index(q - 1) for q in spec.consumed)
     first = int(keep_rows[0])
     if np.any((keep_rows ^ first) & sum(1 << (k - 1 - c) for c in cut)):
         raise ValueError("the outcome does not fix every consumed qubit")
-    post = np.zeros_like(psi)
-    post[keep_rows] = psi[keep_rows] / np.sqrt(class_prob)
-    at = tuple(first >> (k - 1 - c) & 1 if c in cut else slice(None) for c in range(k))
-    post = post.reshape((2,) * n)[at]
+    index = keep_rows
+    for b in (k - 1 - c for c in cut):  # highest bit first: the lower ones stay put
+        index = index >> (b + 1) << b | index & ((1 << b) - 1)
+    post = np.zeros((2 ** (k - len(cut)), psi.shape[1]), dtype=psi.dtype)
+    post[index] = psi[keep_rows] / np.sqrt(class_prob)
     left = [q for q in range(n) if q + 1 not in spec.consumed]
     moved = [left.index(q) for c, q in enumerate(axes) if c not in cut]
-    post = np.moveaxis(post, range(len(moved)), moved)
+    post = np.moveaxis(post.reshape((2,) * len(left)), range(len(moved)), moved)
     result = StateVector(len(left), post.reshape(-1))
     for new, q in enumerate(left):
         if spec.basis[q] == "X":
@@ -274,33 +277,26 @@ def measure(
     """Sample one outcome label, collapse onto its class, and draw a
     concrete substring from within the class. The substring draw does not
     collapse the state further."""
-    axes, psi, row_probs, rows, classes = _measurement_classes(state, spec)
-    if not classes:
-        raise ValueError("state has no support")
-    order = list(classes)
-    class_probs = np.array([row_probs[rows[pos]].sum() for pos in classes.values()])
-    pick = int(rng.choice(len(order), p=class_probs / class_probs.sum()))
-    outcome = order[pick]
-    positions = classes[outcome]
-    keep_rows = rows[positions]
+    axes, psi, row_probs, rows, cls, codes, class_probs = _measurement_classes(state, spec)
+    pick = int(rng.choice(len(codes), p=class_probs / class_probs.sum()))
+    keep_rows = rows[cls == pick]
     within = row_probs[keep_rows]
-    raw_pos = positions[int(rng.choice(len(positions), p=within / within.sum()))]
-    raw_bits = BitVector.from_int(int(rows[raw_pos]), len(axes))
+    raw = keep_rows[int(rng.choice(len(keep_rows), p=within / within.sum()))]
     post = _collapse(spec, axes, psi, keep_rows, float(class_probs[pick]))
-    return MeasurementResult(outcome, raw_bits, post)
+    return MeasurementResult(int(codes[pick]), BitVector.from_int(int(raw), len(axes)), post)
 
 
 def measure_branches(
     state: StateVector, spec: MeasurementSpec
-) -> list[tuple[Hashable, float, StateVector]]:
-    """All outcome labels with their exact probabilities and post states,
-    in first-occurrence order of the labels."""
-    axes, psi, row_probs, rows, classes = _measurement_classes(state, spec)
-    out = []
-    for lab, positions in classes.items():
-        keep_rows = rows[positions]
-        prob = float(row_probs[keep_rows].sum())
-        out.append((lab, prob, _collapse(spec, axes, psi, keep_rows, prob)))
+) -> list[tuple[int, float, StateVector]]:
+    """All outcome label codes with their exact probabilities and post
+    states, in first-occurrence order of the labels."""
+    axes, psi, row_probs, rows, cls, codes, class_probs = _measurement_classes(state, spec)
+    by_class = rows[np.argsort(cls, kind="stable")]
+    out, start = [], 0
+    for code, prob, end in zip(codes.tolist(), class_probs.tolist(), np.cumsum(np.bincount(cls))):
+        out.append((code, prob, _collapse(spec, axes, psi, by_class[start:end], prob)))
+        start = end
     return out
 
 

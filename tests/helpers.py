@@ -6,8 +6,16 @@ from itertools import product
 
 import numpy as np
 
-from lmobf.gf2 import BitVector, concat
-from lmobf.sim import StateVector, apply_encoding_isometry, apply_gate, apply_pauli_mask
+from lmobf.auth import blownup_spec
+from lmobf.gf2 import BitVector, concat, split
+from lmobf.sim import (
+    StateVector,
+    apply_encoding_isometry,
+    apply_gate,
+    apply_pauli_mask,
+    measure,
+    measure_branches,
+)
 from lmobf.lm import (
     Circuit,
     Gate,
@@ -134,3 +142,90 @@ def reference_enc(key, logical: StateVector) -> StateVector:
     for wire in range(key.num_wires, 0, -1):
         state = apply_encoding_isometry(state, wire, key.space, key.delta)
     return apply_pauli_mask(state, concat(key.x_masks), concat(key.z_masks))
+
+
+def logical_measure(key, cnots, basis, fn, state, rng):
+    """One sampled authenticated measurement over the blocks of phi.
+    Returns (label code or BOT, the raw per-wire vectors drawn within the
+    outcome class, post state)."""
+    result = measure(state, blownup_spec(key, cnots, basis, fn), rng)
+    raw = split(result.raw_bits, len(basis.phi), key.code_length)
+    return result.outcome, raw, result.post_state
+
+
+def logical_measure_branches(key, cnots, basis, fn, state):
+    """Exact branch enumeration of the same measurement."""
+    return measure_branches(state, blownup_spec(key, cnots, basis, fn))
+
+
+def _reference_classes(state: StateVector, spec):
+    """The measured register of a spec grouped by a dict of lists: one
+    Python label per row, classes in first-occurrence order, each class's
+    probability summed row by row in ascending row order (the order
+    np.bincount adds in, so that post states compare bit for bit).
+    Returns the measured axes, the rotated state as (rows, rest), the row
+    probabilities and the classes as (label, probability, rows)."""
+    n = state.num_qubits
+    axes = tuple(q for q, b in enumerate(spec.basis) if b is not None)
+    k = len(axes)
+    for q, b in enumerate(spec.basis):
+        if b == "X":
+            state = apply_gate(state, "H", (q + 1,))
+    psi = np.moveaxis(state.amplitudes.reshape((2,) * n), axes, range(k))
+    psi = np.ascontiguousarray(psi).reshape(2**k, -1)
+    row_probs = (psi.real**2 + psi.imag**2).sum(axis=1)
+    rows = [int(r) for r in np.flatnonzero(row_probs > 1e-24)]
+    labels = rows if spec.outcome_fn is None else spec.outcome_fn(np.array(rows)).tolist()
+    members: dict[int, list[int]] = {}
+    for row, label in zip(rows, labels):
+        members.setdefault(label, []).append(row)
+    classes = []
+    for label, keep in members.items():
+        prob = 0.0
+        for row in keep:
+            prob += row_probs[row]
+        classes.append((label, float(prob), keep))
+    return axes, psi, row_probs, classes
+
+
+def _reference_collapse(spec, axes, psi, keep, prob) -> StateVector:
+    """The class's rows of the full register, renormalised, then the
+    consumed qubits sliced out at the bits of the class's first row."""
+    n = len(spec.basis)
+    k = len(axes)
+    cut = {axes.index(q - 1) for q in spec.consumed}
+    post = np.zeros_like(psi)
+    post[keep] = psi[keep] / np.sqrt(prob)
+    at = tuple(keep[0] >> (k - 1 - c) & 1 if c in cut else slice(None) for c in range(k))
+    post = post.reshape((2,) * n)[at]
+    left = [q for q in range(n) if q + 1 not in spec.consumed]
+    moved = [left.index(q) for c, q in enumerate(axes) if c not in cut]
+    result = StateVector(len(left), np.moveaxis(post, range(len(moved)), moved).reshape(-1))
+    for new, q in enumerate(left):
+        if spec.basis[q] == "X":
+            result = apply_gate(result, "H", (new + 1,))
+    return result
+
+
+def reference_measure_branches(state: StateVector, spec):
+    """(label, probability, post state) per class, in first-occurrence
+    order. The reference for sim.measure_branches, which groups packed
+    label codes with np.unique and np.bincount."""
+    axes, psi, _, classes = _reference_classes(state, spec)
+    return [
+        (label, prob, _reference_collapse(spec, axes, psi, keep, prob))
+        for label, prob, keep in classes
+    ]
+
+
+def reference_measure(state: StateVector, spec, rng: np.random.Generator):
+    """(label, raw bits, post state) drawn as sim.measure draws them: the
+    class over the classes in first-occurrence order, then a row of the
+    class in ascending order. The reference for sim.measure."""
+    axes, psi, row_probs, classes = _reference_classes(state, spec)
+    probs = np.array([prob for _, prob, _ in classes])
+    label, prob, keep = classes[int(rng.choice(len(classes), p=probs / probs.sum()))]
+    within = row_probs[keep]
+    raw = keep[int(rng.choice(len(keep), p=within / within.sum()))]
+    post = _reference_collapse(spec, axes, psi, keep, prob)
+    return label, BitVector.from_int(raw, len(axes)), post

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from helpers import all_inputs, max_equivalence_gap, random_circuit
+from helpers import all_inputs, logical_measure_branches, max_equivalence_gap, random_circuit
 from lmobf.auth import (
     BasisString,
     dec,
@@ -19,12 +19,11 @@ from lmobf.auth import (
     gen,
     honest_codeword,
     lin_eval,
-    logical_measure_branches,
     ver,
     verify_pauli_twirl,
 )
 from lmobf.gf2 import BitVector, Subspace, dual, sample_subspace
-from lmobf.lm import Circuit, FnBuilder, Gate, compile_circuit, eval_classical_fn_batch
+from lmobf.lm import Circuit, FnBuilder, Gate, compile_circuit, fn_code
 from lmobf.obf import (
     ObfParams,
     OracleSuite,
@@ -168,11 +167,10 @@ def _coarse_grain(fn, phi):
     if fn is None:
         return None
 
-    def outcome_fn(bits):
-        binds = {name: bits[:, phi.index(int(name[1:]))] for name in fn.input_names}
-        outs = eval_classical_fn_batch(fn, binds, len(bits))
-        cols = [outs[nm] for nm in fn.output_names]
-        return [tuple(int(c[r]) for c in cols) for r in range(len(bits))]
+    def outcome_fn(rows):
+        top = len(phi) - 1
+        binds = {name: rows >> top - phi.index(int(name[1:])) & 1 for name in fn.input_names}
+        return fn_code(fn, binds, rows)
 
     return outcome_fn
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_enc
+from helpers import logical_measure, logical_measure_branches, reference_enc
 from lmobf.auth import (
     BOT,
     AuthKey,
     BasisString,
     dec,
-    dec_batch,
+    dec_words,
     derive_key,
     enc,
     gen,
@@ -18,14 +18,12 @@ from lmobf.auth import (
     key_from_text,
     key_to_text,
     lin_eval,
-    logical_measure,
-    logical_measure_branches,
     pauli_matrix,
     pauli_update,
     ver,
     verify_pauli_twirl,
 )
-from lmobf.gf2 import AffineCoset, BitVector, Subspace, canonical_delta_hat, dual
+from lmobf.gf2 import AffineCoset, BitVector, Subspace, canonical_delta_hat, dual, split
 from lmobf.lm import FnBuilder
 from lmobf.sim import (
     MeasurementSpec,
@@ -291,19 +289,19 @@ def test_space_flips_preserve_decoding():
 
 
 def test_dec_batch_matches_scalar():
+    """dec_words on an int64 array of packed rows equals it on each row's
+    int, element by element, and dec is the same decode on the split row."""
     rng = np.random.default_rng(16)
     key = gen(1, 2, rng)
     basis = BasisString((0, 1), key.code_length)
     cnots = [(1, 2)]
-    rows = rng.integers(0, 2, size=(64, 6), dtype=np.uint8)
-    batch = dec_batch(key, cnots, basis, rows)
-    for row, got in zip(rows, batch):
-        c = (BitVector.from_ints(row[:3]), BitVector.from_ints(row[3:]))
-        want = dec(key, cnots, basis, c)
-        if want is None:
-            assert -1 in got
-        else:
-            assert want == BitVector.from_ints(got)
+    rows = rng.integers(0, 2**6, size=64, dtype=np.int64)
+    batch = dec_words(key, cnots, basis, rows)
+    for row, got in zip(rows.tolist(), batch.tolist()):
+        assert got == dec_words(key, cnots, basis, row)
+        want = dec(key, cnots, basis, split(BitVector.from_int(row, 6), 2, 3))
+        assert got == (BOT if want is None else want.value)
+    assert BOT in batch and (batch != BOT).any()
 
 
 # --- authenticated measurement ----------------------------------------------
@@ -326,7 +324,7 @@ def test_all_skip_measurement_is_trivial():
     basis = BasisString((None,), key.code_length)
     state = enc(key, random_state(1, rng))
     outcome, raw, post = logical_measure(key, [], basis, None, state, rng)
-    assert outcome == ()
+    assert outcome == 0  # the code of the empty label
     assert raw == ()
     assert state_distance(post, state) < 1e-12
 
@@ -338,7 +336,7 @@ def test_raw_codewords_decode_to_outcome():
     state = enc(key, random_state(2, rng))
     for _ in range(10):
         outcome, raw, _ = logical_measure(key, [], basis, None, state, rng)
-        assert dec(key, [], basis, raw) == BitVector(outcome)
+        assert dec(key, [], basis, raw) == BitVector.from_int(outcome, 2)
 
 
 def random_label_fn(phi: tuple[int, ...], rng: np.random.Generator):
@@ -391,13 +389,12 @@ def test_measurement_commutes_with_encoding():
 def _label_with(fn, phi):
     if fn is None:
         return None
-    from lmobf.lm import eval_classical_fn_batch
+    from lmobf.lm import fn_code
 
-    def outcome_fn(bits):
-        binds = {name: bits[:, phi.index(int(name[1:]))] for name in fn.input_names}
-        outs = eval_classical_fn_batch(fn, binds, len(bits))
-        cols = [outs[nm] for nm in fn.output_names]
-        return [tuple(int(c[r]) for c in cols) for r in range(len(bits))]
+    def outcome_fn(rows):
+        top = len(phi) - 1
+        binds = {name: rows >> top - phi.index(int(name[1:])) & 1 for name in fn.input_names}
+        return fn_code(fn, binds, rows)
 
     return outcome_fn
 

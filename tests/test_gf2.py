@@ -17,7 +17,6 @@ from lmobf.gf2 import (
     concat,
     contains,
     coset_decode,
-    coset_decode_batch,
     dual,
     rref,
     sample_coset_vector,
@@ -75,10 +74,11 @@ def test_subspace_membership_and_reduce():
     members = span_set(s.basis.rows, 3)
     for v in all_vectors(3):
         assert s.contains(v) == (v.bits in members)
-    batch = np.array([v.bits for v in all_vectors(3)], dtype=np.uint8)
-    got = s.contains_batch(batch)
-    want = np.array([v.bits in members for v in all_vectors(3)])
-    assert (got == want).all()
+    # the packed reduction takes an int64 array of words as it takes one int
+    batch = np.array([v.value for v in all_vectors(3)], dtype=np.int64)
+    got = s._reduce(batch) == 0
+    want = np.array([s.contains(v) for v in all_vectors(3)])
+    assert np.array_equal(got, want)
 
 
 def test_dual_examples():
@@ -204,21 +204,22 @@ def test_coset_decode():
     s = Subspace.span_strings(3, ["110"])
     delta = BitVector.from_string("001")
     shift = BitVector.from_string("000")
-    assert coset_decode(s, delta, shift, shift) == 0
-    assert coset_decode(s, delta, shift, delta) == 1
-    assert coset_decode(s, delta, shift, BitVector.from_string("100")) is None
+    assert coset_decode(s, delta, shift, shift.value) == 0
+    assert coset_decode(s, delta, shift, delta.value) == 1
+    assert coset_decode(s, delta, shift, 0b100) == -1
     # decode classes partition S ∪ (S+delta) and nothing else
     union = span_set(list(s.basis.rows) + [delta], 3)
     for v in all_vectors(3):
-        d = coset_decode(s, delta, shift, v)
+        d = coset_decode(s, delta, shift, v.value)
         if v.bits in union:
             assert d in (0, 1)
         else:
-            assert d is None
-    batch = np.array([v.bits for v in all_vectors(3)], dtype=np.uint8)
-    got = coset_decode_batch(s, delta, shift, batch)
-    want = [coset_decode(s, delta, shift, v) for v in all_vectors(3)]
-    assert [None if g == -1 else int(g) for g in got] == want
+            assert d == -1
+    # an int64 array of words decodes element by element as the ints do
+    batch = np.array([v.value for v in all_vectors(3)], dtype=np.int64)
+    got = coset_decode(s, delta, shift, batch)
+    want = [coset_decode(s, delta, shift, v.value) for v in all_vectors(3)]
+    assert got.tolist() == want
 
 
 def test_coset_decode_disjoint_classes():
@@ -230,8 +231,8 @@ def test_coset_decode_disjoint_classes():
             if not s.contains(delta):
                 break
         shift = BitVector(tuple(int(b) for b in rng.integers(0, 2, 5)))
-        zeros = {v.bits for v in all_vectors(5) if coset_decode(s, delta, shift, v) == 0}
-        ones = {v.bits for v in all_vectors(5) if coset_decode(s, delta, shift, v) == 1}
+        zeros = {v.bits for v in all_vectors(5) if coset_decode(s, delta, shift, v.value) == 0}
+        ones = {v.bits for v in all_vectors(5) if coset_decode(s, delta, shift, v.value) == 1}
         assert not zeros & ones
         assert len(zeros) == len(ones) == 2**s.dim
 

@@ -17,7 +17,7 @@ from lmobf.lm import (
     circuit_output_distribution,
     compile_circuit,
     eval_classical_fn,
-    eval_classical_fn_batch,
+    fn_code,
     format_circuit,
     lmeval,
     lmeval_distribution,
@@ -87,13 +87,21 @@ def test_gamma_table():
 
 
 def test_batch_eval_matches_scalar():
+    """eval_classical_fn on int arrays of bits equals it on each row's
+    ints, element by element; fn_code packs the outputs the same way and
+    broadcasts an output that depends on no array."""
     fn = gamma_fn()
-    rows = np.array([[c, w1, w2] for c in (0, 1) for w1 in (0, 1) for w2 in (0, 1)], dtype=np.uint8)
-    binds = {"c": rows[:, 0], "w1": rows[:, 1], "w2": rows[:, 2]}
-    batch = eval_classical_fn_batch(fn, binds, len(rows))["r"]
-    for row, got in zip(rows, batch):
-        want = eval_classical_fn(fn, {"c": row[0], "w1": row[1], "w2": row[2]})["r"]
-        assert int(got) == want
+    rows = np.arange(8, dtype=np.int64)  # the bits c, w1, w2, c the most significant
+    binds = {"c": rows >> 2 & 1, "w1": rows >> 1 & 1, "w2": rows & 1}
+    batch = eval_classical_fn(fn, binds)["r"]
+    for row, got in zip(rows.tolist(), batch.tolist()):
+        want = eval_classical_fn(fn, {"c": row >> 2 & 1, "w1": row >> 1 & 1, "w2": row & 1})["r"]
+        assert got == want
+    b = FnBuilder()
+    const = b.extract([("one", b.const(1)), ("w2", b.inp("w2"))])
+    codes = fn_code(const, binds, rows)
+    assert codes.tolist() == [0b10 | row & 1 for row in rows.tolist()]
+    assert codes.tolist() == [fn_code(const, {"w2": row & 1}, row) for row in rows.tolist()]
 
 
 def test_builder_folding():

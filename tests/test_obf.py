@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import hmac as hmac_mod
 from dataclasses import replace
@@ -12,6 +13,7 @@ from lmobf.gf2 import BitVector, coset_decode
 from lmobf.lm import Circuit, Gate, compile_circuit, eval_classical_fn, lmeval_distribution
 from lmobf.obf import (
     ObfParams,
+    _parse_request_fields,
     OracleKey,
     OracleSuite,
     Reject,
@@ -20,6 +22,7 @@ from lmobf.obf import (
     chain_label,
     encode_f_request,
     encode_g_request,
+    frame,
     frame_bits,
     frame_group,
     handle_request_line,
@@ -245,8 +248,8 @@ def test_oracle_f_honest_reply_and_independent_r():
         space, delta, shift = _wire_decoder(
             key.auth_key, theta[wire - 1], xs[wire - 1], zs[wire - 1]
         )
-        bit = coset_decode(space, delta, shift, vec)
-        assert bit is not None
+        bit = coset_decode(space, delta, shift, vec.value)
+        assert bit != -1
         bits[wire] = bit
     fn = program.measurement_fns[0]
     binds = {}
@@ -641,6 +644,70 @@ def test_wire_protocol_rejections():
     assert handle_request_line(key, "gibberish") == "BOT"
     assert handle_request_line(key, "F 1 zz") == "BOT"
     assert handle_request_line(key, "G 0000") == "BOT"
+
+
+_WIRE_CHAR = st.sampled_from("0123456789abcdefFGOK z")
+_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["flip", "insert"]), st.integers(0), _WIRE_CHAR),
+        st.tuples(st.sampled_from(["delete", "truncate"]), st.integers(0), st.just("")),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _honest_lines():
+    """The oracle key and the request lines of one honest evaluation of
+    CNOT_T: its layer query and its output query."""
+    obf, queries, transcript = honest_transcript(CNOT_T, BitVector((1, 0)), seed=58)
+    lines = [encode_f_request(i, tr, w) for i, tr, w in queries] + [encode_g_request(transcript)]
+    return obf.key, tuple(lines)
+
+
+def _oracle_reply_line(key, line: str) -> str:
+    """The reply line of the in-process oracle to the fields that the
+    request line parses to; BOT where it parses to no request or the
+    oracle refuses."""
+    parts = line.split()
+    try:
+        if len(parts) == 3 and parts[0] == "F" and 1 <= int(parts[1]) <= key.program.t:
+            i = int(parts[1])
+            fields = read_frames(bytes.fromhex(parts[2]))
+            reply = oracle_f(key, i, *_parse_request_fields(key, fields, i, with_w=True))
+            if not is_bot(reply):
+                return f"OK {frame_group(reply[0]).hex()} {frame(reply[1]).hex()}"
+        elif len(parts) == 2 and parts[0] == "G":
+            fields = read_frames(bytes.fromhex(parts[1]))
+            tr, _ = _parse_request_fields(key, fields, key.program.t + 1, with_w=False)
+            reply = oracle_g(key, tr)
+            if not is_bot(reply):
+                return f"OK {frame(reply).hex()}"
+    except ValueError:
+        pass
+    return "BOT"
+
+
+@given(st.sampled_from([0, 1]), _MUTATIONS)
+@settings(max_examples=300, deadline=None)
+def test_mutated_request_lines_get_bot_or_the_oracle_reply(which, mutations):
+    """An honest request line with characters flipped, inserted or
+    deleted, or cut short, gets BOT or exactly the in-process oracle's
+    reply to its fields, and never an exception."""
+    key, lines = _honest_lines()
+    line = lines[which]
+    for kind, pos, char in mutations:
+        pos %= len(line) + 1
+        if kind == "flip":
+            line = line[:pos] + char + line[pos + 1 :]
+        elif kind == "insert":
+            line = line[:pos] + char + line[pos:]
+        elif kind == "delete":
+            line = line[:pos] + line[pos + 1 :]
+        else:
+            line = line[:pos]
+    assert handle_request_line(key, line) == _oracle_reply_line(key, line)
 
 
 def test_remote_suite_end_to_end():

@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_cnots, reference_consume
-from lmobf.gf2 import BitVector, Subspace, concat, dual, sample_subspace
+from helpers import (
+    reference_cnots,
+    reference_consume,
+    reference_measure,
+    reference_measure_branches,
+)
+from lmobf.gf2 import BitVector, Subspace, concat, dual, parity, sample_subspace
 from lmobf import sim
 from lmobf.sim import (
     MeasurementSpec,
@@ -22,7 +27,6 @@ from lmobf.sim import (
     measure,
     measure_branches,
     prepare_subspace_state,
-    rowwise,
     state_distance,
     tensor,
 )
@@ -56,6 +60,11 @@ def full_cnot(c, t, n):
 def random_state(n, rng):
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def row_parity(rows):
+    """Outcome function: the parity of each packed row's bits."""
+    return parity(rows, 2**32 - 1)
 
 
 def test_gate_examples():
@@ -198,14 +207,14 @@ def test_measure_all_skip():
     rng = np.random.default_rng(0)
     s = bell()
     r = measure(s, MeasurementSpec((None, None)), rng)
-    assert r.outcome == ()
+    assert r.outcome == 0  # the empty row
     assert len(r.raw_bits) == 0
     assert state_distance(r.post_state, s) <= 1e-12
 
 
 def test_measure_parity_of_bell():
     rng = np.random.default_rng(1)
-    spec = MeasurementSpec(("Z", "Z"), lambda m: [int(r[0] ^ r[1]) for r in m])
+    spec = MeasurementSpec(("Z", "Z"), lambda rows: (rows >> 1 ^ rows) & 1)
     for _ in range(20):
         r = measure(bell(), spec, rng)
         assert r.outcome == 0
@@ -215,27 +224,27 @@ def test_measure_parity_of_bell():
 
 def test_measure_single_qubit_frequencies():
     rng = np.random.default_rng(2)
-    counts = {(0,): 0, (1,): 0}
+    counts = {0: 0, 1: 0}
     trials = 10_000
     for _ in range(trials):
         r = measure(bell(), MeasurementSpec(("Z", None)), rng)
         counts[r.outcome] += 1
         # collapse: remaining qubit agrees with the observed one
-        want = StateVector.basis(BitVector((r.outcome[0], r.outcome[0])))
+        want = StateVector.basis(BitVector((r.outcome, r.outcome)))
         assert state_distance(r.post_state, want) <= 1e-12
     sigma = (trials * 0.25) ** 0.5
-    assert abs(counts[(0,)] - trials / 2) <= 3 * sigma
+    assert abs(counts[0] - trials / 2) <= 3 * sigma
 
 
 def test_measure_x_basis():
     rng = np.random.default_rng(5)
     plus = apply_gate(StateVector.zero(1), "H", (1,))
     r = measure(plus, MeasurementSpec(("X",)), rng)
-    assert r.outcome == (0,)
+    assert r.outcome == 0
     assert state_distance(r.post_state, plus) <= 1e-12
     minus = apply_gate(StateVector.basis(BitVector.from_string("1")), "H", (1,))
     r = measure(minus, MeasurementSpec(("X",)), rng)
-    assert r.outcome == (1,)
+    assert r.outcome == 1
 
 
 def test_partial_collapse_preserves_class_amplitudes():
@@ -254,7 +263,7 @@ def test_measure_repeatability():
         s = random_state(n, rng)
         basis = tuple(str(rng.choice(["Z", "X", "skip"])) for _ in range(n))
         basis = tuple(None if b == "skip" else b for b in basis)
-        spec = MeasurementSpec(basis, rowwise(lambda t: sum(t) % 2))
+        spec = MeasurementSpec(basis, row_parity)
         r1 = measure(s, spec, rng)
         r2 = measure(r1.post_state, spec, rng)
         assert r2.outcome == r1.outcome
@@ -279,8 +288,8 @@ def test_measure_branches_exhaustive():
     s = bell()
     branches = measure_branches(s, MeasurementSpec(("Z", "Z")))
     got = {lab: prob for lab, prob, _ in branches}
-    assert set(got) == {(0, 0), (1, 1)}
-    assert abs(got[(0, 0)] - 0.5) <= 1e-12
+    assert set(got) == {0b00, 0b11}
+    assert abs(got[0b00] - 0.5) <= 1e-12
     assert abs(sum(got.values()) - 1.0) <= 1e-12
 
 
@@ -292,7 +301,7 @@ def test_projector_completeness():
         basis = tuple(rng.choice(["Z", "X", None]) for _ in range(n))
         if all(b is None for b in basis):
             basis = ("Z",) + basis[1:]
-        spec = MeasurementSpec(tuple(basis), rowwise(lambda t: sum(t) % 2))
+        spec = MeasurementSpec(tuple(basis), row_parity)
         total = np.zeros((2**n, 2**n), dtype=np.complex128)
         for j in range(2**n):
             e = np.zeros(2**n, dtype=np.complex128)
@@ -304,12 +313,13 @@ def test_projector_completeness():
 
 def test_raw_bits_consistent_with_outcome():
     rng = np.random.default_rng(10)
-    spec = MeasurementSpec(("Z", "Z", "Z"), rowwise(lambda t: (t[0] ^ t[1], t[2])))
+    # the code of the label (bit 1 xor bit 2, bit 3)
+    spec = MeasurementSpec(("Z", "Z", "Z"), lambda rows: (rows >> 1 ^ rows) & 2 | rows & 1)
     s = apply_gate(apply_gate(StateVector.zero(3), "H", (1,)), "H", (3,))
     s = apply_gate(s, "CNOT", (1, 2))
     for _ in range(30):
         r = measure(s, spec, rng)
-        assert (r.raw_bits[1] ^ r.raw_bits[2], r.raw_bits[3]) == r.outcome
+        assert (r.raw_bits[1] ^ r.raw_bits[2]) << 1 | r.raw_bits[3] == r.outcome
 
 
 def test_state_distance():
@@ -386,17 +396,24 @@ def test_apply_cnots_errors():
 
 def _consuming_case(seed):
     """A random state, basis tags, a random subset of the measured qubits
-    to consume, and labels that fix those qubits (their bits first, then
-    the parity of the whole read)."""
+    to consume, labels that fix those qubits (their bits in place, above
+    the parity of the whole read), and the consumed bits of a label."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 6))
     basis = tuple(str(b) if b != "-" else None for b in rng.choice(["Z", "X", "-"], size=n))
     measured = [q for q in range(1, n + 1) if basis[q - 1] is not None]
     size = int(rng.integers(0, len(measured) + 1))
     consumed = tuple(sorted(int(q) for q in rng.choice(measured, size=size, replace=False)))
-    cols = [measured.index(q) for q in consumed]
-    labels = rowwise(lambda t: (tuple(t[c] for c in cols), sum(t) % 2))
-    return random_state(n, rng), basis, consumed, labels
+    shifts = [len(measured) - 1 - measured.index(q) for q in consumed]
+    mask = sum(1 << b for b in shifts)
+
+    def labels(rows):
+        return (rows & mask) << 1 | row_parity(rows)
+
+    def fixed(code):
+        return [code >> 1 >> b & 1 for b in shifts]
+
+    return random_state(n, rng), basis, consumed, labels, fixed
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -405,32 +422,31 @@ def test_consumed_qubits_are_sliced_at_their_read_bits(seed):
     """Every branch, and the sampled outcome, of a measurement that
     consumes qubits equals the same measurement without consumption
     followed by the reference slicing of those qubits."""
-    s, basis, consumed, labels = _consuming_case(seed)
+    s, basis, consumed, labels, fixed = _consuming_case(seed)
     plain = measure_branches(s, MeasurementSpec(basis, labels))
     eaten = measure_branches(s, MeasurementSpec(basis, labels, consumed))
     assert [(lab, p) for lab, p, _ in eaten] == [(lab, p) for lab, p, _ in plain]
     for (label, _, post), (_, _, got) in zip(plain, eaten):
         assert got.num_qubits == s.num_qubits - len(consumed)
-        assert state_distance(got, reference_consume(post, basis, consumed, label[0])) < 1e-12
+        assert state_distance(got, reference_consume(post, basis, consumed, fixed(label))) < 1e-12
     r_plain = measure(s, MeasurementSpec(basis, labels), np.random.default_rng(seed))
     r_eaten = measure(s, MeasurementSpec(basis, labels, consumed), np.random.default_rng(seed))
     assert (r_eaten.outcome, r_eaten.raw_bits) == (r_plain.outcome, r_plain.raw_bits)
-    want = reference_consume(r_plain.post_state, basis, consumed, r_plain.outcome[0])
+    want = reference_consume(r_plain.post_state, basis, consumed, fixed(r_plain.outcome))
     assert state_distance(r_eaten.post_state, want) < 1e-12
 
 
 def test_consumed_bell_half_leaves_its_partner():
     spec = MeasurementSpec(("Z", "Z"), None, (1,))
     branches = measure_branches(bell(), spec)
-    assert [lab for lab, _, _ in branches] == [(0, 0), (1, 1)]
-    for (b, _), _, post in branches:
-        assert state_distance(post, StateVector.basis(BitVector((b,)))) <= 1e-12
+    assert [lab for lab, _, _ in branches] == [0b00, 0b11]
+    for code, _, post in branches:
+        assert state_distance(post, StateVector.basis(BitVector((code & 1,)))) <= 1e-12
 
 
 def test_consumed_qubit_must_be_fixed_and_measured():
     rng = np.random.default_rng(0)
-    parity = rowwise(lambda t: sum(t) % 2)
-    unfixed = MeasurementSpec(("Z", "Z"), parity, (1,))  # class 0 holds 00 and 11
+    unfixed = MeasurementSpec(("Z", "Z"), row_parity, (1,))  # class 0 holds 00 and 11
     unmeasured = MeasurementSpec(("Z", None), None, (2,))
     outside = MeasurementSpec(("Z", "Z"), None, (3,))
     for spec in (unfixed, unmeasured, outside):
@@ -438,3 +454,37 @@ def test_consumed_qubit_must_be_fixed_and_measured():
             measure_branches(bell(), spec)
         with pytest.raises(ValueError, match="consumed"):
             measure(bell(), spec, rng)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_packed_grouping_matches_the_reference(data):
+    """Grouping packed label codes with np.unique and np.bincount, and
+    collapsing into a block of the surviving qubits only, gives the
+    reference's classes in the same order, the same probabilities and
+    bit-identical post states; with equal seeds, measure draws what the
+    reference draws."""
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(1, 6))
+    basis = tuple(data.draw(st.lists(st.sampled_from(["Z", "X", None]), min_size=n, max_size=n)))
+    measured = [q for q in range(1, n + 1) if basis[q - 1] is not None]
+    consumed = tuple(sorted(data.draw(st.sets(st.sampled_from(measured)))) if measured else ())
+    k = len(measured)
+    mask = sum(1 << k - 1 - measured.index(q) for q in consumed)
+    # Random codes above the consumed bits, so that every label fixes
+    # them; BOT (-1) only where nothing is consumed.
+    table = rng.integers(0 if consumed else -1, 3, size=2**k)
+    outcome_fn = data.draw(st.sampled_from([None, lambda rows: (rows & mask) << 2 | table[rows]]))
+    state = random_state(n, rng)
+    spec = MeasurementSpec(basis, outcome_fn, consumed)
+    got = measure_branches(state, spec)
+    want = reference_measure_branches(state, spec)
+    assert [lab for lab, _, _ in got] == [lab for lab, _, _ in want]
+    for (_, p, post), (_, q, ref) in zip(got, want):
+        assert abs(p - q) <= 1e-12
+        assert np.array_equal(post.amplitudes, ref.amplitudes)
+    r = measure(state, spec, np.random.default_rng(seed))
+    label, raw, post = reference_measure(state, spec, np.random.default_rng(seed))
+    assert (r.outcome, r.raw_bits) == (label, raw)
+    assert np.array_equal(r.post_state.amplitudes, post.amplitudes)
