@@ -58,7 +58,7 @@ from .obf import (
     remote_suite,
     simulated_suite,
 )
-from .sim import QUBIT_CAP, apply_gate, prepare_subspace_state, state_distance
+from .sim import QUBIT_CAP, QubitCapError, apply_gate, prepare_subspace_state, state_distance
 from .text import LineReader, parse
 from .tokens import keypair_from_subspaces, tok_gen, tok_sign, tok_ver
 
@@ -138,10 +138,13 @@ def read_state(r: LineReader, key: OracleKey) -> ObfParams:
     security = agreeing("lambda", key.auth_key.security)
     label_bits = r.integer("kappa", 8)
     token_dim = agreeing("kappa-prime", key.token_dim)
-    params = ObfParams(security, label_bits, token_dim, r.fields("paper-kappa", 1) == ["on"])
+    scaled = r.fields("paper-kappa", 1)
+    if scaled not in (["on"], ["off"]):
+        raise ValueError(f"paper-kappa takes on or off, found {scaled[0]!r}")
+    params = ObfParams(security, label_bits, token_dim, scaled == ["on"])
     if params.labels_for(key.program.num_wires) != key.label_bits:
         raise ValueError(f"labels disagree with the oracle key's {key.label_bits} bits")
-    r.fields("initial-state", 1)
+    r.fields("initial-state program-default", 0)
     return params
 
 
@@ -217,6 +220,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     directory = Path(args.obf_dir)
     try:
         obf = _load_obfuscation(directory)
+    except QubitCapError as exc:
+        return _fail(f"program is too wide for the simulator: {exc}", EXIT_LIMIT)
     except (OSError, ValueError) as exc:
         return _fail(f"unusable obfuscation directory: {exc}", EXIT_USAGE)
     try:
@@ -227,8 +232,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return _fail(
             f"input takes {obf.key.program.num_input_bits} bits, got {len(x)}", EXIT_USAGE
         )
-    if obf.key.program.num_wires > QUBIT_CAP:
-        return _fail("program is too wide for the simulator", EXIT_LIMIT)
     rng = np.random.default_rng(args.seed)
     if args.oracle_mode == "serve":
         # The child imports the lmobf this process runs, wherever it was found.
@@ -273,6 +276,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     try:
         obf = _load_obfuscation(Path(args.obf_dir))
+    except QubitCapError as exc:
+        return _fail(f"program is too wide for the simulator: {exc}", EXIT_LIMIT)
     except (OSError, ValueError) as exc:
         return _fail(f"unusable obfuscation directory: {exc}", EXIT_USAGE)
     try:

@@ -662,6 +662,15 @@ _DEFAULT_TRIALS = {"pauli-tamper": 1000, "label-forge": 10_000, "replay": 100, "
 _NEEDS_A_LAYER = {"label-forge": "label forgery", "replay": "label replay"}
 
 
+def _ask(key: OracleKey, transcript: Transcript, w_pairs: list[CodewordTuple], layer: int):
+    """oracle_f at layer on the transcript's first layer codeword layers and
+    layer-1 labels; past the last layer, oracle_g on the whole transcript."""
+    if layer > key.program.t:
+        return oracle_g(key, transcript)
+    v, labels = transcript.v_layers[:layer], transcript.labels[: layer - 1]
+    return oracle_f(key, layer, replace(transcript, v_layers=v, labels=labels), w_pairs[layer - 1])
+
+
 def attack_harness(
     kind: str,
     program: ObfuscatedProgram,
@@ -699,29 +708,18 @@ def attack_harness(
         for _ in range(report.trials):
             target = z_wires[int(rng.integers(len(z_wires)))]
             err = _sample_outside(accept_z, rng)
-            v1 = list(transcript.v_layers[0])
-            if lm.t == 0:
+            v1, w1 = list(transcript.v_layers[0]), list(w_pairs[0] if lm.t else ())
+            if target in v1_wires:
                 v1[v1_wires.index(target)] ^= err
-                tampered = replace(transcript, v_layers=(tuple(v1),))
-                reply = oracle_g(key, tampered)
             else:
-                w1 = list(w_pairs[0])
-                if target in v1_wires:
-                    v1[v1_wires.index(target)] ^= err
-                else:
-                    w1[lm.w_sets[0].index(target)] ^= err
-                tampered = replace(transcript, v_layers=(tuple(v1),), labels=())
-                reply = oracle_f(key, 1, tampered, tuple(w1))
-            _tally(report, reply)
+                w1[lm.w_sets[0].index(target)] ^= err
+            tampered = replace(transcript, v_layers=(tuple(v1),) + transcript.v_layers[1:])
+            _tally(report, _ask(key, tampered, [tuple(w1)] + w_pairs[1:], 1))
     elif kind == "label-forge":
         for _ in range(report.trials):
             guess = BitVector.from_ints(rng.integers(0, 2, size=key.label_bits))
-            if lm.t >= 2:
-                forged = replace(transcript, v_layers=transcript.v_layers[:2], labels=(guess,))
-                reply = oracle_f(key, 2, forged, w_pairs[1])
-            else:
-                reply = oracle_g(key, replace(transcript, labels=(guess,)))
-            _tally(report, reply)
+            forged = replace(transcript, labels=(guess,) + transcript.labels[1:])
+            _tally(report, _ask(key, forged, w_pairs, 2))
     elif kind == "replay":
         xs, zs = pauli_update(key.layer_cnots(1), key.auth_key.x_masks, key.auth_key.z_masks)
         bits1 = {
@@ -738,17 +736,8 @@ def attack_harness(
             if fresh == transcript.v_layers[0]:
                 report.trials -= 1
                 continue
-            if lm.t >= 2:
-                swapped = replace(
-                    transcript,
-                    v_layers=(fresh,) + transcript.v_layers[1:2],
-                    labels=transcript.labels[:1],
-                )
-                reply = oracle_f(key, 2, swapped, w_pairs[1])
-            else:
-                swapped = replace(transcript, v_layers=(fresh,) + transcript.v_layers[1:])
-                reply = oracle_g(key, swapped)
-            _tally(report, reply)
+            swapped = replace(transcript, v_layers=(fresh,) + transcript.v_layers[1:])
+            _tally(report, _ask(key, swapped, w_pairs, 2))
     else:
         x_other = BitVector.from_int(1 << (lm.num_input_bits - 1), lm.num_input_bits)
         for _ in range(report.trials):
@@ -759,11 +748,7 @@ def attack_harness(
                 report.reasons["sign-consumed"] = report.reasons.get("sign-consumed", 0) + 1
             else:
                 report.accepted += 1
-        if lm.t >= 1:
-            swapped = replace(transcript, x=x_other, v_layers=transcript.v_layers[:1], labels=())
-            reply = oracle_f(key, 1, swapped, w_pairs[0])
-        else:
-            reply = oracle_g(key, replace(transcript, x=x_other))
+        reply = _ask(key, replace(transcript, x=x_other), w_pairs, 1)
         verdict = "rejected" if is_bot(reply) else "accepted"
         report.notes = (f"signature replay under flipped input: {verdict}",)
     return report

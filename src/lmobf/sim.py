@@ -5,13 +5,16 @@ bit_q * 2^(n-q), matching the bit-string order used by the gf2 module.
 Operations never mutate their inputs; every one returns a fresh state.
 
 A list of CNOTs, on qubits or transversally on blocks of qubits, is a
-permutation of basis indices and is applied as one gather.
+permutation of basis indices and is applied as one gather. A one-qubit
+gate, an encoding isometry and the Hadamard rotation of an X-tagged
+qubit are each one small matrix on one axis of the amplitude tensor.
 
-Measurements follow the partial-collapse rule: qubits tagged Z or X are
-read out, the outcome function maps each observed substring, packed as
-an int like BitVector.value, to the int code of its label (-1 for BOT,
-a substring that does not decode), and only the distinction between
-labels collapses the state. Basis states that share a label keep their
+Measurements follow the partial-collapse rule: qubits tagged Z or X
+(rotated within the gathered measured block) are read out, the outcome
+function maps each observed substring, packed as an int like
+BitVector.value, to the int code of its label (-1 for BOT, a substring
+that does not decode), and only the distinction between labels
+collapses the state. Basis states that share a label keep their
 relative amplitudes. Qubits a measurement consumes are sliced out at
 the bits the outcome fixes.
 """
@@ -110,6 +113,15 @@ class MeasurementResult:
     post_state: StateVector
 
 
+def _on_axis(psi: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
+    """matrix applied to one axis of the tensor psi, as one 2-D product
+    over a copy with that axis first. The axis stays in place and takes
+    the matrix's row count as its length."""
+    block = np.moveaxis(psi, axis, 0)
+    out = matrix @ block.reshape(block.shape[0], -1)
+    return np.moveaxis(out.reshape(matrix.shape[:1] + block.shape[1:]), 0, axis)
+
+
 def apply_gate(state: StateVector, gate: str, targets: Sequence[int]) -> StateVector:
     if gate == "CNOT":
         return apply_cnots(state, [tuple(targets)])
@@ -119,9 +131,7 @@ def apply_gate(state: StateVector, gate: str, targets: Sequence[int]) -> StateVe
     (q,) = targets
     if not 1 <= q <= n:
         raise ValueError(f"qubit {q} out of range 1..{n}")
-    psi = state.amplitudes.reshape((2,) * n)
-    block = _GATES_1Q[gate] @ np.moveaxis(psi, q - 1, 0).reshape(2, -1)
-    out = np.moveaxis(block.reshape((2,) * n), 0, q - 1)
+    out = _on_axis(state.amplitudes.reshape((2,) * n), q - 1, _GATES_1Q[gate])
     return StateVector(n, out.reshape(-1))
 
 
@@ -185,8 +195,7 @@ def apply_encoding_isometry(
     |1> -> P|s+delta>, where P = X^x_mask Z^z_mask (the identity by
     default) is applied to the two 2^ambient_dim-amplitude columns, so
     the mask never touches the whole state."""
-    n = state.num_qubits
-    p = s.ambient_dim
+    n, p = state.num_qubits, s.ambient_dim
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit {qubit} out of range 1..{n}")
     new_n = n - 1 + p
@@ -195,10 +204,8 @@ def apply_encoding_isometry(
     z = BitVector.zeros(p) if z_mask is None else z_mask
     columns = [apply_pauli_mask(prepare_subspace_state(s, c), x, z) for c in (None, delta)]
     iso = np.stack([c.amplitudes for c in columns], axis=1)
-    psi = state.amplitudes.reshape((2,) * n)
-    block = np.moveaxis(psi, qubit - 1, 0).reshape(2, -1)
-    out = (iso @ block).reshape((2,) * p + (2,) * (n - 1))
-    out = np.moveaxis(out, tuple(range(p)), tuple(range(qubit - 1, qubit - 1 + p)))
+    # The 2^p axis left at position qubit-1 flattens to the p encoded qubits in order.
+    out = _on_axis(state.amplitudes.reshape((2,) * n), qubit - 1, iso)
     return StateVector(new_n, out.reshape(-1))
 
 
@@ -221,11 +228,10 @@ def _measurement_classes(state: StateVector, spec: MeasurementSpec):
             raise ValueError(f"consumed qubit {q} is not measured")
     axes = tuple(q for q, b in enumerate(spec.basis) if b is not None)
     k = len(axes)
-    work = state
-    for q, b in enumerate(spec.basis):
-        if b == "X":
-            work = apply_gate(work, "H", (q + 1,))
-    psi = np.moveaxis(work.amplitudes.reshape((2,) * n), axes, range(k))
+    psi = np.moveaxis(state.amplitudes.reshape((2,) * n), axes, range(k))
+    for c, q in enumerate(axes):
+        if spec.basis[q] == "X":
+            psi = _on_axis(psi, c, _GATES_1Q["H"])
     psi = np.ascontiguousarray(psi).reshape(2**k, -1)
     row_probs = (psi.real**2 + psi.imag**2).sum(axis=1)
     rows = np.flatnonzero(row_probs > 1e-24)
@@ -264,11 +270,10 @@ def _collapse(
     left = [q for q in range(n) if q + 1 not in spec.consumed]
     moved = [left.index(q) for c, q in enumerate(axes) if c not in cut]
     post = np.moveaxis(post.reshape((2,) * len(left)), range(len(moved)), moved)
-    result = StateVector(len(left), post.reshape(-1))
     for new, q in enumerate(left):
         if spec.basis[q] == "X":
-            result = apply_gate(result, "H", (new + 1,))
-    return result
+            post = _on_axis(post, new, _GATES_1Q["H"])
+    return StateVector(len(left), post.reshape(-1))
 
 
 def measure(

@@ -137,11 +137,3 @@ def read_vk(r: LineReader) -> tuple[int, tuple[Subspace, ...]]:
 
 def vk_from_text(text: str) -> tuple[int, tuple[Subspace, ...]]:
     return parse(text, read_vk)
-
-
-def signature_to_text(sigma: Signature) -> str:
-    return "\n".join(str(a) for a in sigma)
-
-
-def signature_from_text(text: str) -> Signature:
-    return parse(text, lambda r: tuple(BitVector.from_string(row) for row in r.rows()))

@@ -15,6 +15,7 @@ from lmobf.sim import (
     apply_pauli_mask,
     measure,
     measure_branches,
+    prepare_subspace_state,
 )
 from lmobf.lm import (
     Circuit,
@@ -116,6 +117,31 @@ def reference_cnots(state: StateVector, cnots, block: int = 1) -> np.ndarray:
             mat[int("".join(map(str, out)), 2), col] = 1.0
         amps = mat @ amps
     return amps
+
+
+def reference_gate(state: StateVector, matrix: np.ndarray, q: int) -> np.ndarray:
+    """Amplitudes after the 2x2 matrix on qubit q: move that axis first,
+    multiply the (2, rest) block, move the axis back. The reference for
+    sim.apply_gate on one qubit."""
+    n = state.num_qubits
+    psi = state.amplitudes.reshape((2,) * n)
+    block = matrix @ np.moveaxis(psi, q - 1, 0).reshape(2, -1)
+    return np.moveaxis(block.reshape((2,) * n), 0, q - 1).reshape(-1)
+
+
+def reference_isometry(state: StateVector, qubit, s, delta, x_mask, z_mask) -> np.ndarray:
+    """Amplitudes after |0> -> P|s>, |1> -> P|s+delta> on one qubit, with
+    P the Pauli mask X^x_mask Z^z_mask on both columns: move the qubit's
+    axis first, multiply, split the 2^p rows into p axes and move those
+    into the qubit's place. The reference for sim.apply_encoding_isometry."""
+    n, p = state.num_qubits, s.ambient_dim
+    columns = [prepare_subspace_state(s, c) for c in (None, delta)]
+    iso = np.stack([apply_pauli_mask(c, x_mask, z_mask).amplitudes for c in columns], axis=1)
+    psi = state.amplitudes.reshape((2,) * n)
+    block = np.moveaxis(psi, qubit - 1, 0).reshape(2, -1)
+    out = (iso @ block).reshape((2,) * p + (2,) * (n - 1))
+    out = np.moveaxis(out, tuple(range(p)), tuple(range(qubit - 1, qubit - 1 + p)))
+    return out.reshape(-1)
 
 
 def reference_consume(state: StateVector, basis, consumed, bits) -> StateVector:

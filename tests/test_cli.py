@@ -8,11 +8,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lmobf.cli import main
-from lmobf.lm import check_lm_invariants, program_from_text, program_to_text
+from lmobf.auth import gen
+from lmobf.cli import _param_lines, main
+from lmobf.lm import (
+    check_lm_invariants,
+    compile_circuit,
+    parse_circuit,
+    program_from_text,
+    program_to_text,
+)
 from lmobf.gf2 import BitVector
+from lmobf.obf import ObfParams, OracleKey, oracle_key_to_text
+from lmobf.tokens import tok_gen
 
 CIRCUIT = "qubits 2 inputs 2 outputs 1,2\nCNOT 1 2\nT 2\n"
 IDENTITY3 = "qubits 3 inputs 3 outputs 1,2,3\n"
@@ -299,10 +309,22 @@ def test_obfuscate_rejects_wire_out_of_range(workdir, tmp_path, capsys, line):
     assert err.startswith("error: bad program file: line ") and "out of range" in err
 
 
-@pytest.mark.parametrize("line", ["lambda 2", "kappa 64", "kappa-prime 9", "paper-kappa on"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "lambda 2",
+        "kappa 64",
+        "kappa-prime 9",
+        "paper-kappa on",
+        "paper-kappa maybe",
+        "initial-state whatever",
+    ],
+)
 def test_state_file_must_match_the_key(workdir, tmp_path, capsys, line):
     """A state.txt whose lambda, kappa-prime or label width differs from
-    the oracle key's is a usage error that names its line."""
+    the oracle key's, or whose paper-kappa is not on or off or whose
+    initial-state is not program-default, is a usage error that names
+    its line."""
     bad = tmp_path / "obf"
     shutil.copytree(workdir / "obf", bad)
     state = (bad / "state.txt").read_text().splitlines()
@@ -312,6 +334,40 @@ def test_state_file_must_match_the_key(workdir, tmp_path, capsys, line):
     )
     assert invoke(["eval", str(bad), "10"]) == 2
     assert capsys.readouterr().err.startswith("error: unusable obfuscation directory: line ")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_key_wider_than_the_cap_is_a_limit(tmp_path, flags):
+    """An oracle key whose program has more wires than the simulator cap
+    (one qubit with 12 T gates: 25 wires) is exit 3, the simulator-limits
+    code, from eval and attack alike, whether or not asserts are compiled."""
+    rng = np.random.default_rng(0)
+    program = compile_circuit(parse_circuit("qubits 1 inputs 1 outputs 1\n" + "T 1\n" * 12))
+    assert program.num_wires == 25
+    params = ObfParams(security=1, label_bits=32, token_dim=16)
+    key = OracleKey(
+        auth_key=gen(1, program.num_wires, rng),
+        token_dim=16,
+        token_vk=tok_gen(16, program.num_input_bits, rng).vk,
+        prf_key=rng.bytes(32),
+        label_bits=params.labels_for(program.num_wires),
+        program=program,
+    )
+    obf = tmp_path / "obf"
+    obf.mkdir()
+    (obf / "oracle_key.txt").write_text(oracle_key_to_text(key))
+    (obf / "state.txt").write_text("\n".join(_param_lines(params, 0)) + "\n")
+    for command in (["eval", str(obf), "0"], ["attack", str(obf), "pauli-tamper"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "lmobf", *command],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: program is too wide for the simulator: 25 qubits exceeds cap of 24\n"
+        )
 
 
 def test_serve_child_finds_the_parents_lmobf(workdir, tmp_path, capsys):

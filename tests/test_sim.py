@@ -10,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     reference_cnots,
     reference_consume,
+    reference_gate,
+    reference_isometry,
     reference_measure,
     reference_measure_branches,
 )
+from lmobf.auth import gen
 from lmobf.gf2 import BitVector, Subspace, concat, dual, parity, sample_subspace
 from lmobf import sim
 from lmobf.sim import (
@@ -377,6 +380,41 @@ def test_apply_cnots_matches_dense_permutations(data):
     s = random_state(wires * block, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     got = apply_cnots(s, cnots, block)
     assert np.array_equal(got.amplitudes, reference_cnots(s, cnots, block))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_apply_gate_matches_the_reference(data):
+    """A one-qubit gate on a random qubit of a random state gives the
+    reference's amplitudes bit for bit."""
+    n = data.draw(st.integers(1, 10))
+    gate = data.draw(st.sampled_from(["H", "T", "X", "Z"]))
+    q = data.draw(st.integers(1, n))
+    s = random_state(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    want = reference_gate(s, {"H": H, "T": T, "X": X, "Z": Z}[gate], q)
+    assert np.array_equal(apply_gate(s, gate, (q,)).amplitudes, want)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_apply_encoding_isometry_matches_the_reference(data):
+    """Encoding a random qubit under a random key's space, delta and
+    (optionally) one wire's masks gives the reference's amplitudes bit
+    for bit."""
+    security = data.draw(st.sampled_from([1, 2]))
+    n = data.draw(st.integers(1, 8 - 2 * security))
+    q = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    key = gen(security, n, rng)
+    s = random_state(n, rng)
+    if data.draw(st.booleans()):
+        x, z = key.x_masks[q - 1], key.z_masks[q - 1]
+        got = apply_encoding_isometry(s, q, key.space, key.delta, x, z)
+    else:
+        x = z = BitVector.zeros(key.code_length)
+        got = apply_encoding_isometry(s, q, key.space, key.delta)
+    want = reference_isometry(s, q, key.space, key.delta, x, z)
+    assert np.array_equal(got.amplitudes, want)
 
 
 def test_apply_cnots_errors():

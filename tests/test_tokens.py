@@ -4,8 +4,6 @@ import pytest
 from lmobf.gf2 import BitVector, dual
 from lmobf.tokens import (
     measure_register,
-    signature_from_text,
-    signature_to_text,
     tok_gen,
     tok_sign,
     tok_ver,
@@ -40,11 +38,6 @@ def test_vk_roundtrip():
     kappa_prime, spaces = vk_from_text(text)
     assert kappa_prime == 2
     assert spaces == kp.vk
-
-
-def test_signature_roundtrip():
-    sigma = (bv("1010"), bv("0110"))
-    assert signature_from_text(signature_to_text(sigma)) == sigma
 
 
 def test_sign_zero_message_lands_in_subspaces():
