@@ -27,7 +27,7 @@ from .gf2 import (
     sample_coset_vector,
     sample_subspace,
 )
-from .lm import ClassicalFn, bind, block_tags, fn_code
+from .lm import ClassicalFn, block_tags, fn_code
 from .sim import MeasurementSpec, StateVector, apply_cnots, apply_encoding_isometry
 from .text import LineReader, parse
 
@@ -231,34 +231,28 @@ def blownup_spec(
     key: AuthKey,
     cnots: Sequence[tuple[int, int]],
     basis: BasisString,
-    fn: Optional[ClassicalFn],
-    live: Optional[Sequence[int]] = None,
-    raw: Sequence[int] = (),
-    binds: Optional[Callable[[dict[int, np.ndarray]], dict]] = None,
+    fn: ClassicalFn,
+    live: Sequence[int],
+    raw: Sequence[int],
+    binds: Callable[[dict[int, np.ndarray]], dict],
 ) -> MeasurementSpec:
     """Physical measurement over the blocks of phi, in a register that
-    holds the blocks of the live wires in order (by default every wire).
-    A block of a 0-wire is read in the standard basis, a 1-wire in the
-    Hadamard basis. A label code holds the raw bits of the blocks of the
-    raw wires, in place above fn's outputs on the decoded bits, or above
-    the decoded bits themselves when fn is None; the measurement consumes
-    the blocks of the raw wires. binds maps the decoded bits by wire to
-    fn's bindings; by default fn's inputs are m{wire}. Undecodable rows
-    label as BOT."""
+    holds the blocks of the live wires in order. A block of a 0-wire is
+    read in the standard basis, a 1-wire in the Hadamard basis. A label
+    code holds the raw bits of the blocks of the raw wires, in place
+    above fn's outputs on the decoded bits; the measurement consumes the
+    blocks of the raw wires. binds maps the decoded bits by wire to fn's
+    bindings. Undecodable rows label as BOT."""
     p = key.code_length
-    live = range(1, basis.num_wires + 1) if live is None else live
     phi = basis.phi
     raw_mask = sum((1 << p) - 1 << (len(phi) - 1 - phi.index(w)) * p for w in raw)
     consumed = tuple(k * p + q for k, w in enumerate(live) if w in raw for q in range(1, p + 1))
-    width = len(phi) if fn is None else len(fn.outputs)
+    width = len(fn.outputs)
 
     def outcome_fn(rows: np.ndarray) -> np.ndarray:
         decoded = dec_words(key, cnots, basis, rows)
-        if fn is None:
-            vals = decoded
-        else:
-            m = {w: decoded >> len(phi) - 1 - k & 1 for k, w in enumerate(phi)}
-            vals = fn_code(fn, bind(fn, m) if binds is None else binds(m), rows)
+        m = {w: decoded >> len(phi) - 1 - k & 1 for k, w in enumerate(phi)}
+        vals = fn_code(fn, binds(m), rows)
         return np.where(decoded == BOT, BOT, (rows & raw_mask) << width | vals)
 
     return MeasurementSpec(block_tags(basis.theta, live, phi, p), outcome_fn, consumed)

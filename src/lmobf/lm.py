@@ -14,7 +14,7 @@ teleportation gadgets, two fresh wires per H or T gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
@@ -244,7 +244,32 @@ StateTag = tuple
 
 
 @dataclass(frozen=True)
+class Layer:
+    """One measurement round of a program, worked out once. Round index
+    runs 1..t+1, the last (final) being the output round. cnots is the
+    round's own CNOT layer, cnots_so_far every CNOT applied up to its
+    measurement. v holds the wires the round consumes, w its measurement
+    pair (empty on the final round), theta the bases and fn the round's
+    function. read is v and w together, phi every wire the measurement
+    covers (every V set so far, and w). Wire tuples are ascending."""
+
+    index: int
+    final: bool
+    cnots: tuple[tuple[int, int], ...]
+    cnots_so_far: tuple[tuple[int, int], ...]
+    v: tuple[int, ...]
+    w: tuple[int, ...]
+    theta: tuple[Optional[int], ...]
+    fn: ClassicalFn
+    read: tuple[int, ...]
+    phi: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class LMProgram:
+    """A program as its text format declares it. Readers take a round's
+    facts from layers, which sorts the declared V and W sets."""
+
     num_wires: int
     num_input_bits: int
     state_spec: tuple[StateTag, ...]
@@ -255,6 +280,7 @@ class LMProgram:
     w_sets: tuple[tuple[int, ...], ...]
     measurement_fns: tuple[ClassicalFn, ...]
     final_fn: ClassicalFn
+    layers: tuple[Layer, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.linear_layers) != self.t + 1 or len(self.thetas) != self.t + 1:
@@ -268,15 +294,20 @@ class LMProgram:
         for th in self.thetas:
             if len(th) != self.num_wires:
                 raise ValueError("theta length must equal wire count")
-
-    def phi(self, i: int) -> tuple[int, ...]:
-        """Wires the i-th measurement operates on (1-based layer index)."""
-        wires: set[int] = set()
-        for v in self.v_sets[:i]:
-            wires.update(v)
-        if i <= self.t:
-            wires.update(self.w_sets[i - 1])
-        return tuple(sorted(wires))
+        layers: list[Layer] = []
+        so_far: tuple[tuple[int, int], ...] = ()
+        collapsed: set[int] = set()
+        for i, (cnots, theta, v) in enumerate(
+            zip(self.linear_layers, self.thetas, self.v_sets), start=1
+        ):
+            final = i == self.t + 1
+            w = () if final else tuple(sorted(self.w_sets[i - 1]))
+            so_far += cnots
+            collapsed.update(v)
+            fn = self.final_fn if final else self.measurement_fns[i - 1]
+            read, phi = tuple(sorted({*v, *w})), tuple(sorted(collapsed.union(w)))
+            layers.append(Layer(i, final, cnots, so_far, tuple(sorted(v)), w, theta, fn, read, phi))
+        object.__setattr__(self, "layers", tuple(layers))
 
 
 def prepare_program_state(program: LMProgram) -> StateVector:
@@ -465,8 +496,9 @@ def block_tags(
 class LogicalRegister:
     """The program's wires held one qubit each. Every register that
     walk() drives names its program and its block (qubits per wire) and
-    offers the same two steps: its CNOT layer, and its measurement spec,
-    which consumes the wires of the layer's V set (layers 1..t)."""
+    offers the same two steps: its CNOT layer, and its measurement spec
+    for a round, which consumes the wires of the round's V set (rounds
+    1..t)."""
 
     program: LMProgram
     block = 1
@@ -474,20 +506,19 @@ class LogicalRegister:
     def cnot_layer(self, state: StateVector, cnots: list[tuple[int, int]]) -> StateVector:
         return apply_cnot_layer(state, cnots)
 
-    def spec(
-        self, layer: int, live: list[int], measured: list[int], fn: ClassicalFn, binds
-    ) -> MeasurementSpec:
-        """Label codes are fn's outputs on each observed substring."""
+    def spec(self, layer: Layer, live: list[int], binds) -> MeasurementSpec:
+        """Label codes are the round function's outputs on each observed
+        substring."""
+        measured = layer.read
 
         def outcome_fn(rows: np.ndarray) -> np.ndarray:
             top = len(measured) - 1
             m = {w: rows >> top - k & 1 for k, w in enumerate(measured)}
-            return fn_code(fn, binds(m), rows)
+            return fn_code(layer.fn, binds(m), rows)
 
-        v_wires = self.program.v_sets[layer - 1] if layer <= self.program.t else ()
+        v_wires = () if layer.final else layer.v
         consumed = tuple(k for k, w in enumerate(live, start=1) if w in v_wires)
-        theta = self.program.thetas[layer - 1]
-        return MeasurementSpec(block_tags(theta, live, measured, 1), outcome_fn, consumed)
+        return MeasurementSpec(block_tags(layer.theta, live, measured, 1), outcome_fn, consumed)
 
 
 def walk(
@@ -495,7 +526,7 @@ def walk(
     state: StateVector,
     x: BitVector,
     rng: Optional[np.random.Generator] = None,
-    visit: Optional[Callable[[int, int, Optional[dict]], bool]] = None,
+    visit: Optional[Callable[[Layer, int, Optional[dict]], bool]] = None,
 ) -> dict[tuple[int, ...], float]:
     """The one loop over a program's layers: CNOT gather, consuming
     measurement, record.
@@ -504,54 +535,48 @@ def walk(
     probability above 1e-15 is walked in turn, depth first. The register
     (one qubit or one code block per wire) supplies the CNOT layer and a
     measurement spec that consumes the layer's V wires. Each branch is
-    recorded by visit(layer, code, read), where code is the label code
-    and read maps each measured wire to the BitVector of the sampled
-    substring it was read as (None when enumerating); a false return
-    stops that branch. A code's low bits are the layer function's
-    outputs. Returns the final outputs, as bit tuples, with their
-    probabilities."""
+    recorded by visit(layer, code, read), where layer is the round's
+    Layer record, code the label code and read maps each measured wire to
+    the BitVector of the sampled substring it was read as (None when
+    enumerating); a false return stops that branch. A code's low bits are
+    the layer function's outputs. Returns the final outputs, as bit
+    tuples, with their probabilities."""
     program = register.program
     dist: dict[tuple[int, ...], float] = {}
     # Branches still to walk, the next one on top. A layer's children all
     # go in at the index where the stack ended, so that the first child is
     # on top and the walk is depth first in branch order.
-    todo = [(1, 1.0, state, list(range(1, program.num_wires + 1)), {}, {})]
+    todo = [(program.layers[0], 1.0, state, list(range(1, program.num_wires + 1)), {}, {})]
     while todo:
         layer, prob, state, live, stored, rs = todo.pop()
         pos_of = {w: k + 1 for k, w in enumerate(live)}
-        cnots = [(pos_of[c], pos_of[t]) for c, t in program.linear_layers[layer - 1]]
-        state = register.cnot_layer(state, cnots)
-        final = layer == program.t + 1
-        fn = program.final_fn if final else program.measurement_fns[layer - 1]
-        v_wires = program.v_sets[layer - 1]
-        measured = sorted(set(v_wires) | set(() if final else program.w_sets[layer - 1]))
-        spec = register.spec(
-            layer, live, measured, fn, lambda m: bind(fn, {**stored, **m}, x, rs)
-        )
+        state = register.cnot_layer(state, [(pos_of[c], pos_of[t]) for c, t in layer.cnots])
+        fn = layer.fn
+        spec = register.spec(layer, live, lambda m: bind(fn, {**stored, **m}, x, rs))
         if rng is None:
             branches = [
                 (code, prob * p, post, None) for code, p, post in measure_branches(state, spec)
             ]
         else:
             result = measure(state, spec, rng)
-            read = dict(zip(measured, split(result.raw_bits, len(measured), register.block)))
+            read = dict(zip(layer.read, split(result.raw_bits, len(layer.read), register.block)))
             branches = [(result.outcome, prob, result.post_state, read)]
         at = len(todo)
         for code, branch_prob, post, read in branches:
             if branch_prob <= 1e-15 or (visit is not None and not visit(layer, code, read)):
                 continue
             bits = BitVector.from_int(code & (1 << len(fn.outputs)) - 1, len(fn.outputs)).bits
-            if final:
+            if layer.final:
                 dist[bits] = dist.get(bits, 0.0) + branch_prob
                 continue
             outs = dict(zip(fn.output_names, bits))
             todo.insert(at, (
-                layer + 1,
+                program.layers[layer.index],
                 branch_prob,
                 post,
-                [w for w in live if w not in v_wires],
-                {**stored, **{w: outs[f"v{w}"] for w in v_wires}},
-                {**rs, layer: outs["r"]},
+                [w for w in live if w not in layer.v],
+                {**stored, **{w: outs[f"v{w}"] for w in layer.v}},
+                {**rs, layer.index: outs["r"]},
             ))
         # Only todo holds the post states: each dies once its CNOT layer ran.
         branches = result = post = None
@@ -610,77 +635,49 @@ def total_variation(
 def check_lm_invariants(program: LMProgram) -> list[str]:
     """Validate the structural rules; returns human-readable violations."""
     bad: list[str] = []
-    n, t = program.num_wires, program.t
-    all_v: set[int] = set()
-    for i, v in enumerate(program.v_sets, start=1):
-        if all_v & set(v):
+    n = program.num_wires
+    bases: dict[int, Optional[int]] = {}  # collapsed wire -> the basis it collapsed in
+    read_so_far: set[int] = set()
+    targets: dict[int, int] = {}  # CNOT target -> round of its first CNOT
+    known = {f"x{j}" for j in range(1, program.num_input_bits + 1)}  # inputs f_i may read
+    for layer in program.layers:
+        i, theta = layer.index, layer.theta
+        if bases.keys() & set(layer.v):
             bad.append(f"V{i} overlaps an earlier V set")
-        all_v.update(v)
-    all_w: set[int] = set()
-    for i, w in enumerate(program.w_sets, start=1):
-        if len(w) and all_w & set(w):
-            bad.append(f"W{i} overlaps an earlier W set")
-        all_w.update(w)
-    if all_v != set(range(1, n + 1)):
-        bad.append("V sets do not cover every wire by the final layer")
-
-    for i in range(1, t + 2):
-        theta = program.thetas[i - 1]
-        support = {w for w in range(1, n + 1) if theta[w - 1] is not None}
-        if support != set(program.phi(i)):
+        if read_so_far & set(layer.w):
+            bad.append(f"W{i} intersects an earlier measured set")
+        if {w for w, b in enumerate(theta, start=1) if b is not None} != set(layer.phi):
             bad.append(f"theta{i} support differs from the layer-{i} measured set")
-        for j in range(1, i):
-            for w in program.v_sets[j - 1]:
-                if theta[w - 1] != program.thetas[j - 1][w - 1]:
-                    bad.append(f"theta{i} re-measures wire {w} in a different basis")
-
-    for i, layer in enumerate(program.linear_layers, start=1):
-        collapsed = set().union(*program.v_sets[: i - 1]) if i > 1 else set()
-        for c, tgt in layer:
+        for w, basis in bases.items():
+            if theta[w - 1] != basis:
+                bad.append(f"theta{i} re-measures wire {w} in a different basis")
+        for c, tgt in layer.cnots:
             if not (1 <= c <= n and 1 <= tgt <= n and c != tgt):
                 bad.append(f"L{i} has an invalid CNOT ({c},{tgt})")
-            if c in collapsed or tgt in collapsed:
+            if c in bases or tgt in bases:
                 bad.append(f"linear layer {i} touches collapsed wire")
-
-    for i, w_set in enumerate(program.w_sets, start=1):
-        theta = program.thetas[i - 1]
-        for w in w_set:
+            targets.setdefault(tgt, i)
+        for w in layer.w:
             if theta[w - 1] != 0:
                 bad.append(f"wire {w} in W{i} is not standard-basis measured")
-        earlier_phi = set()
-        for j in range(1, i):
-            earlier_phi.update(program.phi(j))
-        if earlier_phi & set(w_set):
-            bad.append(f"W{i} intersects an earlier measured set")
-        for j in range(1, i + 1):
-            for c, tgt in program.linear_layers[j - 1]:
-                if tgt in w_set:
-                    bad.append(f"L{j} targets wire {tgt} of W{i}; controls only")
-
-    for i in range(1, t + 1):
-        fn = program.measurement_fns[i - 1]
-        allowed = (
-            {_mname(w) for w in program.phi(i)}
-            | {f"x{j}" for j in range(1, program.num_input_bits + 1)}
-            | {f"r{j}" for j in range(1, i)}
-        )
-        extra = set(fn.input_names) - allowed
+            if w in targets:
+                bad.append(f"L{targets[w]} targets wire {w} of W{i}; controls only")
+        known.update(_mname(w) for w in layer.v)
+        name = "g" if layer.final else f"f{i}"
+        extra = set(layer.fn.input_names) - known - {_mname(w) for w in layer.w}
         if extra:
-            bad.append(f"f{i} reads unavailable inputs {sorted(extra)}")
-        want = tuple(f"v{w}" for w in program.v_sets[i - 1]) + ("r",)
-        if fn.output_names != want:
-            bad.append(f"f{i} outputs {fn.output_names}, expected {want}")
-    g_allowed = (
-        {_mname(w) for w in range(1, n + 1)}
-        | {f"x{j}" for j in range(1, program.num_input_bits + 1)}
-        | {f"r{j}" for j in range(1, t + 1)}
-    )
-    extra = set(program.final_fn.input_names) - g_allowed
-    if extra:
-        bad.append(f"final function reads unavailable inputs {sorted(extra)}")
-    for idx, name in enumerate(program.final_fn.output_names, start=1):
-        if name != f"y{idx}":
-            bad.append(f"final output {idx} is named {name!r}")
+            bad.append(f"{name} reads unavailable inputs {sorted(extra)}")
+        if layer.final:
+            want = tuple(f"y{k}" for k in range(1, len(layer.fn.outputs) + 1))
+        else:
+            want = tuple(f"v{w}" for w in program.v_sets[i - 1]) + ("r",)
+        if layer.fn.output_names != want:
+            bad.append(f"{name} outputs {layer.fn.output_names}, expected {want}")
+        bases.update((w, theta[w - 1]) for w in layer.v)
+        read_so_far.update(layer.read)
+        known.add(f"r{i}")
+    if bases.keys() != set(range(1, n + 1)):
+        bad.append("V sets do not cover every wire by the final layer")
 
     input_tags = [tag for tag in program.state_spec if tag[0] == "input"]
     want_tags = [("input", j) for j in range(1, program.num_input_bits + 1)]

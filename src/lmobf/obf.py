@@ -51,6 +51,7 @@ from .auth import (
 )
 from .gf2 import BitVector, Subspace, concat, coset_decode, split
 from .lm import (
+    Layer,
     LMProgram,
     LogicalRegister,
     bind,
@@ -142,13 +143,6 @@ class OracleKey:
         violations = check_lm_invariants(self.program)
         if violations:
             raise ValueError("program fails structural checks: " + "; ".join(violations))
-
-    def layer_cnots(self, i: int) -> tuple[tuple[int, int], ...]:
-        """All CNOTs applied before the i-th measurement, in order."""
-        return tuple(c for layer in self.program.linear_layers[:i] for c in layer)
-
-    def layer_basis(self, i: int) -> BasisString:
-        return BasisString(self.program.thetas[i - 1], self.auth_key.code_length)
 
 
 # --- label PRF and transcript framing ----------------------------------------
@@ -270,43 +264,31 @@ def is_bot(reply: object) -> bool:
     return isinstance(reply, Reject)
 
 
-def _shape_ok(
-    key: OracleKey, transcript: Transcript, upto: int, w_pair: Optional[CodewordTuple]
-) -> bool:
+def _shape_ok(key: OracleKey, transcript: Transcript, layer: Layer, w_pair: CodewordTuple) -> bool:
     program = key.program
     p = key.auth_key.code_length
     if len(transcript.x) != program.num_input_bits:
         return False
-    if len(transcript.v_layers) != upto or len(transcript.labels) != upto - 1:
+    if len(transcript.v_layers) != layer.index or len(transcript.labels) != layer.index - 1:
         return False
-    for idx, layer in enumerate(transcript.v_layers):
-        if len(layer) != len(program.v_sets[idx]):
+    for codewords, earlier in zip(transcript.v_layers, program.layers):
+        if len(codewords) != len(earlier.v):
             return False
-        if any(len(c) != p for c in layer):
+        if any(len(c) != p for c in codewords):
             return False
-    if w_pair is not None:
-        if len(w_pair) != len(program.w_sets[upto - 1]):
-            return False
-        if any(len(c) != p for c in w_pair):
-            return False
-    return True
+    return len(w_pair) == len(layer.w) and all(len(c) == p for c in w_pair)
 
 
-def _prelude(
-    key: OracleKey, i: int, transcript: Transcript, w_pair: Optional[CodewordTuple]
-):
+def _prelude(key: OracleKey, layer: Layer, transcript: Transcript, w_pair: CodewordTuple):
     """What every oracle checks before its own answer, in order: the
-    layer range, the token, the shape, the label-chain replay. A layer
-    oracle passes its pair; the output oracle passes i = t+1 and no pair.
+    token, the shape, the label-chain replay. A layer oracle passes its
+    pair; the output oracle passes the final round, whose pair is empty.
     Returns the Reject, or the chain bits of the earlier layers with the
-    codewords the i-th measurement covers, in ascending wire order."""
-    program = key.program
-    last = program.t if w_pair is not None else program.t + 1
-    if not 1 <= i <= last:
-        raise ValueError(f"layer {i} out of range 1..{last}")
+    codewords the round's measurement covers, in ascending wire order."""
+    i = layer.index
     if not tok_ver(key.token_vk, transcript.x, transcript.signature):
         return Reject(REASON_BAD_TOKEN, i)
-    if not _shape_ok(key, transcript, i, w_pair):
+    if not _shape_ok(key, transcript, layer, w_pair):
         return Reject(REASON_DECODE, i)
     # Each earlier label must be one of its layer's two candidate hashes;
     # the matching trailing bit is that layer's chain bit.
@@ -324,24 +306,32 @@ def _prelude(
         else:
             return Reject(REASON_BAD_LABEL, i)
     by_wire: dict[int, BitVector] = {}
-    for idx, layer in enumerate(transcript.v_layers):
-        by_wire.update(zip(sorted(program.v_sets[idx]), layer))
-    if w_pair is not None:
-        by_wire.update(zip(program.w_sets[i - 1], w_pair))
-    return rs, tuple(by_wire[w] for w in key.layer_basis(i).phi)
+    for codewords, earlier in zip(transcript.v_layers, key.program.layers):
+        by_wire.update(zip(earlier.v, codewords))
+    by_wire.update(zip(layer.w, w_pair))
+    return rs, tuple(by_wire[w] for w in layer.phi)
 
 
-def _decode(key: OracleKey, i: int, x: BitVector, rs: dict[int, int], ordered: CodewordTuple):
-    """Tail of the real oracles: the i-th measurement's function on the
-    decoded codewords, or the Reject if one fails to decode."""
-    program = key.program
-    basis = key.layer_basis(i)
-    decoded = dec(key.auth_key, key.layer_cnots(i), basis, ordered)
+def _basis(key: OracleKey, layer: Layer) -> BasisString:
+    return BasisString(layer.theta, key.auth_key.code_length)
+
+
+def _decode(
+    key: OracleKey, layer: Layer, x: BitVector, rs: dict[int, int], ordered: CodewordTuple
+):
+    """Tail of the real oracles: the round's function on the decoded
+    codewords, or the Reject if one fails to decode."""
+    decoded = dec(key.auth_key, layer.cnots_so_far, _basis(key, layer), ordered)
     if decoded is None:
-        return Reject(REASON_DECODE, i)
-    bits = {wire: decoded[idx + 1] for idx, wire in enumerate(basis.phi)}
-    fn = program.final_fn if i == program.t + 1 else program.measurement_fns[i - 1]
-    return eval_classical_fn(fn, bind(fn, bits, x, rs))
+        return Reject(REASON_DECODE, layer.index)
+    return eval_classical_fn(layer.fn, bind(layer.fn, dict(zip(layer.phi, decoded.bits)), x, rs))
+
+
+def _round(key: OracleKey, i: int) -> Layer:
+    """The Layer a layer oracle answers for; raises past 1..t."""
+    if not 1 <= i <= key.program.t:
+        raise ValueError(f"layer {i} out of range 1..{key.program.t}")
+    return key.program.layers[i - 1]
 
 
 # --- the four oracles ---------------------------------------------------------
@@ -351,10 +341,11 @@ def oracle_f(key: OracleKey, i: int, transcript: Transcript, w_pair: CodewordTup
     """Layer-i oracle: token check, label-chain replay, decode of every
     codeword the i-th measurement covers, then the next chained label.
     Accepts with (echoed layer codewords, label); rejects with a Reject."""
-    checked = _prelude(key, i, transcript, w_pair)
+    layer = _round(key, i)
+    checked = _prelude(key, layer, transcript, w_pair)
     if is_bot(checked):
         return checked
-    outs = _decode(key, i, transcript.x, *checked)
+    outs = _decode(key, layer, transcript.x, *checked)
     if is_bot(outs):
         return outs
     return transcript.v_layers[-1], chain_label(key, transcript, i, outs["r"])
@@ -363,23 +354,25 @@ def oracle_f(key: OracleKey, i: int, transcript: Transcript, w_pair: CodewordTup
 def oracle_g(key: OracleKey, transcript: Transcript):
     """Output oracle: token check, full label-chain replay, decode over
     the final measurement's wires, then the program's output bits."""
-    checked = _prelude(key, key.program.t + 1, transcript, None)
+    layer = key.program.layers[-1]
+    checked = _prelude(key, layer, transcript, ())
     if is_bot(checked):
         return checked
-    outs = _decode(key, key.program.t + 1, transcript.x, *checked)
+    outs = _decode(key, layer, transcript.x, *checked)
     if is_bot(outs):
         return outs
-    return BitVector(tuple(outs[name] for name in key.program.final_fn.output_names))
+    return BitVector(tuple(outs[name] for name in layer.fn.output_names))
 
 
 def oracle_f_sim(key: OracleKey, i: int, transcript: Transcript, w_pair: CodewordTuple):
     """Simulated layer oracle: same token and label-chain checks, but the
     codewords are only membership-verified, never decoded, and the label
     always commits to chain bit 0."""
-    checked = _prelude(key, i, transcript, w_pair)
+    layer = _round(key, i)
+    checked = _prelude(key, layer, transcript, w_pair)
     if is_bot(checked):
         return checked
-    if not ver(key.auth_key, key.layer_cnots(i), key.layer_basis(i), checked[1]):
+    if not ver(key.auth_key, layer.cnots_so_far, _basis(key, layer), checked[1]):
         return Reject(REASON_DECODE, i)
     return transcript.v_layers[-1], chain_label(key, transcript, i, 0)
 
@@ -387,12 +380,12 @@ def oracle_f_sim(key: OracleKey, i: int, transcript: Transcript, w_pair: Codewor
 def oracle_g_sim(key: OracleKey, q_fn: Callable[[BitVector], BitVector], transcript: Transcript):
     """Simulated output oracle: verify instead of decode, then answer
     from the induced classical map on x alone."""
-    checked = _prelude(key, key.program.t + 1, transcript, None)
+    layer = key.program.layers[-1]
+    checked = _prelude(key, layer, transcript, ())
     if is_bot(checked):
         return checked
-    t = key.program.t
-    if not ver(key.auth_key, key.layer_cnots(t + 1), key.layer_basis(t + 1), checked[1]):
-        return Reject(REASON_DECODE, t + 1)
+    if not ver(key.auth_key, layer.cnots_so_far, _basis(key, layer), checked[1]):
+        return Reject(REASON_DECODE, layer.index)
     return q_fn(transcript.x)
 
 
@@ -499,14 +492,12 @@ class EncodedRegister:
     def cnot_layer(self, state: StateVector, cnots: list[tuple[int, int]]) -> StateVector:
         return lin_eval(cnots, state, self.block)
 
-    def spec(self, layer: int, live: list[int], measured: list[int], fn, binds):
-        theta = self.program.thetas[layer - 1]
-        basis = BasisString(
-            tuple(v if w in measured else None for w, v in enumerate(theta, start=1)), self.block
+    def spec(self, layer: Layer, live: list[int], binds):
+        theta = tuple(v if w in layer.read else None for w, v in enumerate(layer.theta, start=1))
+        basis = BasisString(theta, self.block)
+        return blownup_spec(
+            self.key.auth_key, layer.cnots_so_far, basis, layer.fn, live, layer.v, binds
         )
-        cnots = self.key.layer_cnots(layer)
-        raw = self.program.v_sets[layer - 1]
-        return blownup_spec(self.key.auth_key, cnots, basis, fn, live, raw, binds)
 
 
 def _honest_run(
@@ -525,7 +516,6 @@ def _honest_run(
     every exposed bit in a fresh random representative of its wire's
     coset, v wires first, then the pair."""
     key = program.key
-    lm = key.program
     auth_key = key.auth_key
     if mode not in ("physical", "logical"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -533,27 +523,24 @@ def _honest_run(
     w_pairs: list[CodewordTuple] = []
     reject: Optional[Reject] = None
 
-    def visit(layer: int, code: int, read: dict) -> bool:
+    def visit(layer: Layer, code: int, read: dict) -> bool:
         nonlocal transcript, reject
         if code == BOT:
             raise AssertionError("honest read fell outside the code")
-        v_wires = lm.v_sets[layer - 1]
-        wires = v_wires + (lm.w_sets[layer - 1] if layer <= lm.t else ())
+        wires = layer.v + layer.w
         if mode == "physical":
             vectors = [read[w] for w in wires]
         else:
-            theta = lm.thetas[layer - 1]
-            xs, zs = pauli_update(key.layer_cnots(layer), auth_key.x_masks, auth_key.z_masks)
+            xs, zs = pauli_update(layer.cnots_so_far, auth_key.x_masks, auth_key.z_masks)
             vectors = [
-                honest_codeword(auth_key, theta[w - 1], read[w][1], xs[w - 1], zs[w - 1], rng)
+                honest_codeword(auth_key, layer.theta[w - 1], read[w][1], xs[w - 1], zs[w - 1], rng)
                 for w in wires
             ]
-        v_raw = dict(zip(v_wires, vectors))
-        transcript = transcript.with_codewords(tuple(v_raw[w] for w in sorted(v_wires)))
-        if layer > lm.t:
+        transcript = transcript.with_codewords(tuple(vectors[: len(layer.v)]))
+        if layer.final:
             return False
-        w_pair = tuple(vectors[len(v_wires) :])
-        reply = suite.query_f(layer, transcript, w_pair)
+        w_pair = tuple(vectors[len(layer.v) :])
+        reply = suite.query_f(layer.index, transcript, w_pair)
         if is_bot(reply):
             reject = reply
             return False
@@ -566,7 +553,7 @@ def _honest_run(
         # state alive once the first CNOT layer has replaced it.
         walk(EncodedRegister(key), enc(auth_key, program.logical_state), x, rng, visit)
     else:
-        walk(LogicalRegister(lm), program.logical_state, x, rng, visit)
+        walk(LogicalRegister(key.program), program.logical_state, x, rng, visit)
     return reject if reject is not None else (transcript, w_pairs)
 
 
@@ -694,25 +681,28 @@ def attack_harness(
         raise ValueError(f"unknown attack kind {kind!r}")
     if kind in _NEEDS_A_LAYER and lm.t < 1:
         raise ValueError(f"{_NEEDS_A_LAYER[kind]} needs at least one measurement layer")
-    report = AttackReport(kind, _DEFAULT_TRIALS[kind] if trials is None else trials, 0, 0, {})
+    trials = _DEFAULT_TRIALS[kind] if trials is None else trials
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    report = AttackReport(kind, trials, 0, 0, {})
     x = BitVector.zeros(lm.num_input_bits)
     run = _honest_run(x, program, rng, "logical", real_suite(key))
     if is_bot(run):
         return run
     transcript, w_pairs = run
-    v1_wires = sorted(lm.v_sets[0])
-    theta1 = lm.thetas[0]
+    layer1 = lm.layers[0]
+    v1_wires, theta1 = layer1.v, layer1.theta
     if kind == "pauli-tamper":
         accept_z = key.auth_key.accept_space_z
-        z_wires = [w for w in lm.phi(1) if theta1[w - 1] == 0]
+        z_wires = [w for w in layer1.phi if theta1[w - 1] == 0]
         for _ in range(report.trials):
             target = z_wires[int(rng.integers(len(z_wires)))]
             err = _sample_outside(accept_z, rng)
-            v1, w1 = list(transcript.v_layers[0]), list(w_pairs[0] if lm.t else ())
+            v1, w1 = list(transcript.v_layers[0]), list(w_pairs[0] if w_pairs else ())
             if target in v1_wires:
                 v1[v1_wires.index(target)] ^= err
             else:
-                w1[lm.w_sets[0].index(target)] ^= err
+                w1[layer1.w.index(target)] ^= err
             tampered = replace(transcript, v_layers=(tuple(v1),) + transcript.v_layers[1:])
             _tally(report, _ask(key, tampered, [tuple(w1)] + w_pairs[1:], 1))
     elif kind == "label-forge":
@@ -721,7 +711,7 @@ def attack_harness(
             forged = replace(transcript, labels=(guess,) + transcript.labels[1:])
             _tally(report, _ask(key, forged, w_pairs, 2))
     elif kind == "replay":
-        xs, zs = pauli_update(key.layer_cnots(1), key.auth_key.x_masks, key.auth_key.z_masks)
+        xs, zs = pauli_update(layer1.cnots_so_far, key.auth_key.x_masks, key.auth_key.z_masks)
         bits1 = {
             w: coset_decode(
                 *_wire_decoder(key.auth_key, theta1[w - 1], xs[w - 1], zs[w - 1]), c.value
@@ -800,14 +790,14 @@ def _parse_request_fields(
 ) -> tuple[Transcript, Optional[CodewordTuple]]:
     """Inverse of the request payload (plus the pair frame with_w);
     raises ValueError on any misfit."""
-    program = key.program
     p = key.auth_key.code_length
     if len(fields) != 2 + 2 * upto - 1 + (1 if with_w else 0):
         raise ValueError("wrong number of frames")
-    sigma = split(fields[1], program.num_input_bits, 2 * key.token_dim)
-    v_layers = tuple(split(fields[2 * k + 2], len(program.v_sets[k]), p) for k in range(upto))
+    sigma = split(fields[1], key.program.num_input_bits, 2 * key.token_dim)
+    layers = key.program.layers
+    v_layers = tuple(split(fields[2 * k + 2], len(layers[k].v), p) for k in range(upto))
     labels = tuple(fields[2 * k + 3] for k in range(upto - 1))
-    w_pair = split(fields[-1], len(program.w_sets[upto - 1]), p) if with_w else None
+    w_pair = split(fields[-1], len(layers[upto - 1].w), p) if with_w else None
     return Transcript(fields[0], sigma, v_layers, labels), w_pair
 
 
@@ -867,17 +857,19 @@ def remote_suite(key_text: str, send: Callable[[str], str]) -> OracleSuite:
         raise OracleReplyError(repr(answer))
 
     def query_f(i: int, transcript: Transcript, w_pair: CodewordTuple):
-        v_count = len(key.program.v_sets[i - 1])
+        v_count = len(key.program.layers[i - 1].v)
         reply = ask(encode_f_request(i, transcript, w_pair), (v_count * p, key.label_bits))
         if reply is None:
             return Reject(REASON_REMOTE, i)
         echo, label = reply
         return split(echo, v_count, p), label
 
+    final = key.program.layers[-1]
+
     def query_g(transcript: Transcript):
-        reply = ask(encode_g_request(transcript), (len(key.program.final_fn.outputs),))
+        reply = ask(encode_g_request(transcript), (len(final.fn.outputs),))
         if reply is None:
-            return Reject(REASON_REMOTE, key.program.t + 1)
+            return Reject(REASON_REMOTE, final.index)
         return reply[0]
 
     return OracleSuite(query_f=query_f, query_g=query_g)

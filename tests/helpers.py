@@ -19,7 +19,9 @@ from lmobf.sim import (
 )
 from lmobf.lm import (
     Circuit,
+    ClassicalFn,
     Gate,
+    bind,
     circuit_output_distribution,
     compile_circuit,
     lmeval_distribution,
@@ -170,18 +172,28 @@ def reference_enc(key, logical: StateVector) -> StateVector:
     return apply_pauli_mask(state, concat(key.x_masks), concat(key.z_masks))
 
 
+def _blownup_spec(key, cnots, basis, fn):
+    """blownup_spec over a register of every wire, consuming none; with
+    fn None the labels are the decoded bits, m{w} for w in phi."""
+    if fn is None:
+        nodes = tuple(("in", f"m{w}") for w in basis.phi)
+        fn = ClassicalFn(nodes, tuple((f"m{w}", k) for k, w in enumerate(basis.phi)))
+    live = range(1, basis.num_wires + 1)
+    return blownup_spec(key, cnots, basis, fn, live, (), lambda m: bind(fn, m))
+
+
 def logical_measure(key, cnots, basis, fn, state, rng):
     """One sampled authenticated measurement over the blocks of phi.
     Returns (label code or BOT, the raw per-wire vectors drawn within the
     outcome class, post state)."""
-    result = measure(state, blownup_spec(key, cnots, basis, fn), rng)
+    result = measure(state, _blownup_spec(key, cnots, basis, fn), rng)
     raw = split(result.raw_bits, len(basis.phi), key.code_length)
     return result.outcome, raw, result.post_state
 
 
 def logical_measure_branches(key, cnots, basis, fn, state):
     """Exact branch enumeration of the same measurement."""
-    return measure_branches(state, blownup_spec(key, cnots, basis, fn))
+    return measure_branches(state, _blownup_spec(key, cnots, basis, fn))
 
 
 def _reference_classes(state: StateVector, spec):

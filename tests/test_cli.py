@@ -21,7 +21,7 @@ from lmobf.lm import (
     program_to_text,
 )
 from lmobf.gf2 import BitVector
-from lmobf.obf import ObfParams, OracleKey, oracle_key_to_text
+from lmobf.obf import ObfParams, OracleKey, oracle_key_to_text, qeval, qobf
 from lmobf.tokens import tok_gen
 
 CIRCUIT = "qubits 2 inputs 2 outputs 1,2\nCNOT 1 2\nT 2\n"
@@ -176,6 +176,42 @@ def test_attack_default_trials_all_rejected(workdir, capsys):
 
 def test_attack_unknown_kind_is_usage_error(workdir):
     assert invoke(["attack", str(workdir / "obf"), "nonsense"]) == 2
+
+
+def test_attack_negative_trials_is_usage_error(workdir, capsys):
+    obf = str(workdir / "obf")
+    assert invoke(["attack", obf, "replay", "--trials", "-5", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "trials" in err
+    assert invoke(["attack", obf, "replay", "--trials", "0", "--seed", "1"]) == 0
+    assert "trials 0\nrejected 0\naccepted 0\n" in capsys.readouterr().out
+
+
+def test_sets_listed_out_of_order_evaluate_as_ordered(workdir, tmp_path, capsys):
+    """A program file listing a V or W set out of order loads and gives
+    the ordered file's outputs, in process in both modes and through an
+    oracle server: the sets are sorted, not rejected."""
+    text = (workdir / "prog.txt").read_text()
+    assert "\nV2: 1 3 4\n" in text and "\nW1: 3 4\n" in text
+    shuffled = text.replace("\nV2: 1 3 4\n", "\nV2: 4 3 1\n").replace("\nW1: 3 4\n", "\nW1: 4 3\n")
+    (tmp_path / "prog.txt").write_text(shuffled)
+    argv = ["obfuscate", str(tmp_path / "prog.txt"), "-o", str(tmp_path / "obf"), "--seed", "5"]
+    assert invoke(argv + OBF_FLAGS) == 0
+    capsys.readouterr()
+    ordered, unordered = program_from_text(text), program_from_text(shuffled)
+    params = ObfParams(security=1, label_bits=32, token_dim=16)
+    for xs in ("00", "01", "10", "11"):
+        x = BitVector.from_string(xs)
+        outputs = set()
+        for program in (ordered, unordered):
+            for mode in ("physical", "logical"):
+                obf = qobf(params, program, np.random.default_rng(1))
+                outputs.add(str(qeval(x, obf, np.random.default_rng(2), mode)))
+        for directory in (workdir, tmp_path):
+            argv = ["eval", str(directory / "obf"), xs, "--seed", "3", "--oracle-mode", "serve"]
+            assert invoke(argv) == 0
+            outputs.add(capsys.readouterr().out.strip())
+        assert outputs == {xs[0] + str(int(xs[0]) ^ int(xs[1]))}, xs
 
 
 def test_selftest_all_pass(capsys):

@@ -394,6 +394,83 @@ def test_invariants_flag_uncovered_wires():
     assert any("cover" in v for v in check_lm_invariants(bad))
 
 
+# Two T rounds after an H: magic-H halves, W pairs, a CNOT in round 2.
+RULE_BASE = compile_circuit(parse_circuit("qubits 2 inputs 2 outputs 1,2\nH 1\nCNOT 1 2\nT 2\nT 1"))
+
+
+def _rebased(p, i, wire, basis):
+    """Replace-kwargs giving round i of p the basis for wire."""
+    thetas = [list(theta) for theta in p.thetas]
+    thetas[i - 1][wire - 1] = basis
+    return {"thetas": tuple(tuple(theta) for theta in thetas)}
+
+
+def _f1(p, nodes=None, outputs=None):
+    """Replace-kwargs swapping f1's nodes or outputs."""
+    fn = p.measurement_fns[0]
+    f1 = ClassicalFn(nodes or fn.nodes, outputs or fn.outputs)
+    return {"measurement_fns": (f1,) + p.measurement_fns[1:]}
+
+
+# One mutation per rule of check_lm_invariants, with a fragment of the
+# violation it must raise.
+RULE_BREAKS = {
+    "V sets overlap": (lambda p: {"v_sets": p.v_sets[:2] + ((3, 5, 7, 8),)}, "V3 overlaps"),
+    "W meets an earlier read set": (lambda p: {"w_sets": (p.w_sets[0], (5, 8))}, "W2 intersects"),
+    "theta support": (lambda p: _rebased(p, 1, 4, 0), "theta1 support differs"),
+    "re-measured basis": (lambda p: _rebased(p, 2, 1, 0), "re-measures wire 1"),
+    "invalid CNOT": (
+        lambda p: {"linear_layers": (p.linear_layers[0], ((7, 7),), ())},
+        "invalid CNOT (7,7)",
+    ),
+    "CNOT on a collapsed wire": (
+        lambda p: {"linear_layers": (p.linear_layers[0], ((7, 4), (1, 4)), ())},
+        "touches collapsed wire",
+    ),
+    "W wire not standard-basis": (lambda p: _rebased(p, 1, 6, 1), "wire 6 in W1 is not standard"),
+    "CNOT targeting a W wire": (
+        lambda p: {"linear_layers": (p.linear_layers[0], ((4, 7),), ())},
+        "targets wire 7 of W2",
+    ),
+    "f_i reads an unavailable input": (
+        lambda p: _f1(p, nodes=(("in", "m7"),) + p.measurement_fns[0].nodes[1:]),
+        "f1 reads unavailable inputs ['m7']",
+    ),
+    "f_i output names": (
+        lambda p: _f1(p, outputs=(("v2", 4), ("v1", 1), ("v3", 2), ("r", 9))),
+        "f1 outputs",
+    ),
+    "g output names": (
+        lambda p: {"final_fn": ClassicalFn(p.final_fn.nodes, (("y2", 9), ("y1", 10)))},
+        "output",
+    ),
+    "input tags": (
+        lambda p: {"state_spec": (("input", 2), ("input", 1)) + p.state_spec[2:]},
+        "input tags",
+    ),
+    "magic-H halves": (
+        lambda p: {"state_spec": p.state_spec[:3] + (("magic_h", 1, "a"),) + p.state_spec[4:]},
+        "magic pair 1",
+    ),
+    "V sets cover every wire": (
+        lambda p: {"v_sets": p.v_sets[:2] + ((5, 7),)},
+        "do not cover every wire",
+    ),
+}
+
+
+def test_rule_base_passes_invariants():
+    assert check_lm_invariants(RULE_BASE) == []
+    assert RULE_BASE.w_sets == ((5, 6), (7, 8)) and RULE_BASE.linear_layers[1] == ((7, 4),)
+
+
+@pytest.mark.parametrize("rule", list(RULE_BREAKS))
+def test_each_invariant_rule_flags_its_mutation(rule):
+    mutate, fragment = RULE_BREAKS[rule]
+    bad = check_lm_invariants(dataclasses.replace(RULE_BASE, **mutate(RULE_BASE)))
+    assert any(fragment in v for v in bad), bad
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_compiled_programs_pass_invariants(seed):

@@ -239,7 +239,9 @@ def test_oracle_f_honest_reply_and_independent_r():
     echo, label = oracle_f(key, layer, transcript, w_pair)
     assert echo == transcript.v_layers[-1]
 
-    xs, zs = pauli_update(key.layer_cnots(1), key.auth_key.x_masks, key.auth_key.z_masks)
+    xs, zs = pauli_update(
+        key.program.layers[0].cnots_so_far, key.auth_key.x_masks, key.auth_key.z_masks
+    )
     theta = program.thetas[0]
     bits = {}
     for wire, vec in [(sorted(program.v_sets[0])[0], transcript.v_layers[0][0])] + list(
