@@ -6,6 +6,11 @@ zero/one become superpositions over the subspace and its shifted coset;
 transversal CNOTs act homomorphically, and standard- or Hadamard-basis
 reads of a block land in cosets that decode classically. Anything outside
 the accepted cosets is tampering and decodes to a reject.
+
+wire_reads works out, once per CNOT list and theta, how each measured
+wire's block is read: its basis, its code and the wire's mask pushed
+through the CNOTs. dec_words, dec, ver, blownup_spec and honest_codeword
+all take those reads.
 """
 
 from __future__ import annotations
@@ -140,50 +145,49 @@ def pauli_update(
 
 
 @dataclass(frozen=True)
-class BasisString:
-    """Per-wire measurement bases over {0, 1, skip}; each wire is read
-    as a block of code_length physical qubits."""
+class WireRead:
+    """How one wire's block is read at a round: in basis 0 (standard) a
+    block decodes against the code (space, delta), in basis 1
+    (Hadamard) against (hat_space, hat_delta), either shifted by shift,
+    the wire's X mask (basis 0) or Z mask (basis 1) after the CNOTs."""
 
-    theta: tuple[Optional[int], ...]
-    code_length: int
-
-    def __post_init__(self) -> None:
-        if any(v not in (0, 1, None) for v in self.theta):
-            raise ValueError("theta entries must be 0, 1 or None")
-        if self.code_length < 1:
-            raise ValueError("code length must be positive")
-
-    @property
-    def num_wires(self) -> int:
-        return len(self.theta)
-
-    @property
-    def phi(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.theta, start=1) if v is not None)
+    wire: int
+    basis: int
+    space: Subspace
+    delta: BitVector
+    shift: BitVector
 
 
+Reads = tuple[WireRead, ...]
 CodewordTuple = tuple[BitVector, ...]
 
 
-def _wire_decoder(key: AuthKey, wire_basis: int, x_shift: BitVector, z_shift: BitVector):
-    if wire_basis == 0:
-        return key.space, key.delta, x_shift
-    return key.hat_space, key.hat_delta, z_shift
+def wire_reads(
+    key: AuthKey, cnots: Sequence[tuple[int, int]], theta: Sequence[Optional[int]]
+) -> Reads:
+    """The read of every wire theta measures (0 or 1; None skips it), in
+    ascending wire order, after the CNOTs."""
+    if any(b not in (0, 1, None) for b in theta):
+        raise ValueError("theta entries must be 0, 1 or None")
+    xs, zs = pauli_update(cnots, key.x_masks, key.z_masks)
+    return tuple(
+        WireRead(w, 0, key.space, key.delta, xs[w - 1])
+        if b == 0
+        else WireRead(w, 1, key.hat_space, key.hat_delta, zs[w - 1])
+        for w, b in enumerate(theta, start=1)
+        if b is not None
+    )
 
 
-def dec_words(
-    key: AuthKey, cnots: Sequence[tuple[int, int]], basis: BasisString, words: Any
-) -> Any:
-    """Decode the blocks of phi packed in words (an int or an int64
+def dec_words(reads: Reads, words: Any) -> Any:
+    """Decode the blocks of the reads packed in words (an int or an int64
     array, the first block the most significant): the decoded bits packed
     the same way, one per block, or BOT where any block is rejected."""
-    p = key.code_length
-    phi = basis.phi
-    xs, zs = pauli_update(cnots, key.x_masks, key.z_masks)
     code = rejected = words & 0
-    for k, wire in enumerate(phi):
-        space, delta, shift = _wire_decoder(key, basis.theta[wire - 1], xs[wire - 1], zs[wire - 1])
-        bit = coset_decode(space, delta, shift, words >> (len(phi) - 1 - k) * p & (1 << p) - 1)
+    at = sum(len(r.shift) for r in reads)
+    for r in reads:
+        at -= len(r.shift)
+        bit = coset_decode(r.space, r.delta, r.shift, words >> at & (1 << len(r.shift)) - 1)
         code = code << 1 | bit & 1
         rejected = rejected | bit >> 1  # -1 once a block decodes to -1, else 0
     return code | rejected
@@ -194,68 +198,53 @@ def dec_words(
 dec_batch = dec_words
 
 
-def dec(
-    key: AuthKey,
-    cnots: Sequence[tuple[int, int]],
-    basis: BasisString,
-    codewords: CodewordTuple,
-) -> Optional[BitVector]:
-    """Decode one measured vector per wire of phi; None on any reject."""
-    if len(codewords) != len(basis.phi) or any(len(c) != key.code_length for c in codewords):
+def dec(reads: Reads, codewords: CodewordTuple) -> Optional[BitVector]:
+    """Decode one measured vector per read; None on any reject."""
+    if [len(c) for c in codewords] != [len(r.shift) for r in reads]:
         raise ValueError("need one codeword of the code length per measured wire")
-    code = dec_words(key, cnots, basis, concat(codewords).value)
+    code = dec_words(reads, concat(codewords).value)
     return None if code == BOT else BitVector.from_int(code, len(codewords))
 
 
-def ver(
-    key: AuthKey,
-    cnots: Sequence[tuple[int, int]],
-    basis: BasisString,
-    codewords: CodewordTuple,
-) -> bool:
+def ver(key: AuthKey, reads: Reads, codewords: CodewordTuple) -> bool:
     """Accept iff every vector sits in its wire's accepted coset union."""
-    if len(codewords) != len(basis.phi):
+    if len(codewords) != len(reads):
         raise ValueError("need one codeword per measured wire")
-    xs, zs = pauli_update(cnots, key.x_masks, key.z_masks)
-    for wire, c in zip(basis.phi, codewords):
-        if basis.theta[wire - 1] == 0:
-            ok = key.accept_space_z.contains(c ^ xs[wire - 1])
-        else:
-            ok = key.accept_space_x.contains(c ^ zs[wire - 1])
-        if not ok:
+    for r, c in zip(reads, codewords):
+        accept = key.accept_space_z if r.basis == 0 else key.accept_space_x
+        if not accept.contains(c ^ r.shift):
             return False
     return True
 
 
 def blownup_spec(
-    key: AuthKey,
-    cnots: Sequence[tuple[int, int]],
-    basis: BasisString,
+    p: int,
+    reads: Reads,
     fn: ClassicalFn,
     live: Sequence[int],
     raw: Sequence[int],
     binds: Callable[[dict[int, np.ndarray]], dict],
 ) -> MeasurementSpec:
-    """Physical measurement over the blocks of phi, in a register that
-    holds the blocks of the live wires in order. A block of a 0-wire is
-    read in the standard basis, a 1-wire in the Hadamard basis. A label
-    code holds the raw bits of the blocks of the raw wires, in place
-    above fn's outputs on the decoded bits; the measurement consumes the
-    blocks of the raw wires. binds maps the decoded bits by wire to fn's
-    bindings. Undecodable rows label as BOT."""
-    p = key.code_length
-    phi = basis.phi
-    raw_mask = sum((1 << p) - 1 << (len(phi) - 1 - phi.index(w)) * p for w in raw)
+    """Physical measurement over the blocks of the reads' wires, in a
+    register that holds the blocks (p qubits each) of the live wires in
+    order. A block of a 0-wire is read in the standard basis, a 1-wire in
+    the Hadamard basis. A label code holds the raw bits of the blocks of
+    the raw wires, in place above fn's outputs on the decoded bits; the
+    measurement consumes the blocks of the raw wires. binds maps the
+    decoded bits by wire to fn's bindings. Undecodable rows label as BOT."""
+    top = len(reads) - 1
+    raw_mask = sum((1 << p) - 1 << (top - k) * p for k, r in enumerate(reads) if r.wire in raw)
     consumed = tuple(k * p + q for k, w in enumerate(live) if w in raw for q in range(1, p + 1))
     width = len(fn.outputs)
 
     def outcome_fn(rows: np.ndarray) -> np.ndarray:
-        decoded = dec_words(key, cnots, basis, rows)
-        m = {w: decoded >> len(phi) - 1 - k & 1 for k, w in enumerate(phi)}
+        decoded = dec_words(reads, rows)
+        m = {r.wire: decoded >> top - k & 1 for k, r in enumerate(reads)}
         vals = fn_code(fn, binds(m), rows)
         return np.where(decoded == BOT, BOT, (rows & raw_mask) << width | vals)
 
-    return MeasurementSpec(block_tags(basis.theta, live, phi, p), outcome_fn, consumed)
+    bases = {r.wire: r.basis for r in reads}
+    return MeasurementSpec(block_tags(bases, live, p), outcome_fn, consumed)
 
 
 # --- numeric twirl check ----------------------------------------------------
@@ -346,15 +335,7 @@ def key_from_text(text: str) -> AuthKey:
     return parse(text, read_key)
 
 
-def honest_codeword(
-    key: AuthKey,
-    wire_basis: int,
-    logical_bit: int,
-    x_shift: BitVector,
-    z_shift: BitVector,
-    rng: np.random.Generator,
-) -> BitVector:
-    """Sample a vector an untampered measurement of the wire could yield."""
-    space, delta, shift = _wire_decoder(key, wire_basis, x_shift, z_shift)
-    base = shift ^ delta if logical_bit else shift
-    return sample_coset_vector(AffineCoset(space, base), rng)
+def honest_codeword(read: WireRead, logical_bit: int, rng: np.random.Generator) -> BitVector:
+    """Sample a vector an untampered read of the wire could yield."""
+    base = read.shift ^ read.delta if logical_bit else read.shift
+    return sample_coset_vector(AffineCoset(read.space, base), rng)

@@ -254,7 +254,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             return reply
 
         try:
-            y = qeval(x, obf, rng, suite=remote_suite((directory / KEY_FILE).read_text(), send))
+            y = qeval(x, obf, rng, suite=remote_suite(obf.key, send))
         except BrokenPipeError:
             y = None
         except OracleReplyError as exc:

@@ -196,6 +196,23 @@ class Subspace:
         """(position of the pivot bit, packed row) per basis row."""
         return tuple((r.value.bit_length() - 1, r.value) for r in self.basis.rows)
 
+    @cached_property
+    def _dual(self) -> "Subspace":
+        """Orthogonal complement: one vector per free (non-pivot) column,
+        that column plus the pivots of the rows that have it set."""
+        n = self.ambient_dim
+        pivots = sum(1 << piv for piv, _ in self._pivots)
+        null_rows = []
+        for free in (1 << b for b in range(n - 1, -1, -1)):
+            if free & pivots:
+                continue
+            v = free
+            for piv, row in self._pivots:
+                if row & free:
+                    v |= 1 << piv
+            null_rows.append(BitVector.from_int(v, n))
+        return Subspace.span(n, null_rows)
+
     def _reduce(self, words):
         """Reduce packed words (an int or an int64 array) without
         branching: each row is XORed in where its pivot bit is set."""
@@ -255,21 +272,9 @@ def sample_subspace(ambient: int, dim: int, rng: np.random.Generator) -> Subspac
 
 
 def dual(s: Subspace) -> Subspace:
-    """Orthogonal complement {v : v.w = 0 for all w in s}: one vector per
-    free (non-pivot) column, that column plus the pivots of the rows
-    that have it set."""
-    n = s.ambient_dim
-    pivots = sum(1 << piv for piv, _ in s._pivots)
-    null_rows = []
-    for free in (1 << b for b in range(n - 1, -1, -1)):
-        if free & pivots:
-            continue
-        v = free
-        for piv, row in s._pivots:
-            if row & free:
-                v |= 1 << piv
-        null_rows.append(BitVector.from_int(v, n))
-    return Subspace.span(n, null_rows)
+    """Orthogonal complement {v : v.w = 0 for all w in s}, worked out once
+    per Subspace and kept on it."""
+    return s._dual
 
 
 def canonical_delta_hat(s: Subspace, delta: BitVector) -> BitVector:

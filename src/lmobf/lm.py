@@ -15,7 +15,7 @@ teleportation gadgets, two fresh wires per H or T gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Collection, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -480,16 +480,13 @@ def fn_code(fn: ClassicalFn, binds: dict[str, Any], rows: Any) -> Any:
 
 
 def block_tags(
-    theta: Sequence[Optional[int]], live: Sequence[int], measured: Collection[int], block: int
+    bases: Mapping[int, int], live: Sequence[int], block: int
 ) -> tuple[Optional[str], ...]:
     """Basis tags of a register holding the live wires in order, each as
-    a block of qubits: standard basis for a 0-wire, Hadamard for a
-    1-wire, untouched for a wire that is not measured."""
-    return tuple(
-        ("X" if theta[w - 1] == 1 else "Z") if w in measured else None
-        for w in live
-        for _ in range(block)
-    )
+    a block of qubits: standard basis for a wire bases maps to 0,
+    Hadamard for 1, untouched for a wire it does not name."""
+    tags = {w: "X" if b == 1 else "Z" for w, b in bases.items()}
+    return tuple(tags.get(w) for w in live for _ in range(block))
 
 
 @dataclass(frozen=True)
@@ -518,7 +515,8 @@ class LogicalRegister:
 
         v_wires = () if layer.final else layer.v
         consumed = tuple(k for k, w in enumerate(live, start=1) if w in v_wires)
-        return MeasurementSpec(block_tags(layer.theta, live, measured, 1), outcome_fn, consumed)
+        tags = block_tags({w: layer.theta[w - 1] for w in measured}, live, 1)
+        return MeasurementSpec(tags, outcome_fn, consumed)
 
 
 def walk(
@@ -642,6 +640,9 @@ def check_lm_invariants(program: LMProgram) -> list[str]:
     known = {f"x{j}" for j in range(1, program.num_input_bits + 1)}  # inputs f_i may read
     for layer in program.layers:
         i, theta = layer.index, layer.theta
+        for name, wires in ((f"V{i}", layer.v), (f"W{i}", layer.w)):
+            for w in sorted({a for a, b in zip(wires, wires[1:]) if a == b}):
+                bad.append(f"{name} lists wire {w} twice")
         if bases.keys() & set(layer.v):
             bad.append(f"V{i} overlaps an earlier V set")
         if read_so_far & set(layer.w):

@@ -9,7 +9,9 @@ decodes the submitted codewords, and answers with the next chained
 label; the output oracle repeats the checks and releases the program
 output. Simulated variants of both oracles (membership checks instead
 of decoding, labels with a fixed chain bit) exercise the boundary the
-security argument rests on: they reject exactly the same queries.
+security argument rests on: they reject exactly the same queries. Both
+read a round's codewords through OracleKey.reads, the round's wire
+reads worked out once when the key is built.
 
 Evaluation drives the encoded register through the transversal CNOT
 layers. Each layer fully reads the blocks of the newly collapsing
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,9 +37,8 @@ import numpy as np
 from .auth import (
     AuthKey,
     BOT,
-    BasisString,
     CodewordTuple,
-    _wire_decoder,
+    Reads,
     blownup_spec,
     dec,
     enc,
@@ -45,11 +46,11 @@ from .auth import (
     honest_codeword,
     key_to_text,
     lin_eval,
-    pauli_update,
     read_key,
     ver,
+    wire_reads,
 )
-from .gf2 import BitVector, Subspace, concat, coset_decode, split
+from .gf2 import BitVector, Subspace, concat, split
 from .lm import (
     Layer,
     LMProgram,
@@ -120,7 +121,9 @@ class ObfParams:
 class OracleKey:
     """Everything the classical oracles close over: the authentication
     key, the token verification subspaces, the label PRF key, and the
-    program's classical part."""
+    program's classical part. reads holds, per round, the wire reads
+    (auth.wire_reads) of every wire in the round's phi, worked out once
+    from the key."""
 
     auth_key: AuthKey
     token_dim: int
@@ -128,6 +131,7 @@ class OracleKey:
     prf_key: bytes
     label_bits: int
     program: LMProgram
+    reads: tuple[Reads, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.auth_key.num_wires != self.program.num_wires:
@@ -143,6 +147,9 @@ class OracleKey:
         violations = check_lm_invariants(self.program)
         if violations:
             raise ValueError("program fails structural checks: " + "; ".join(violations))
+        # The invariants make each round's theta measure exactly its phi.
+        reads = [wire_reads(self.auth_key, ly.cnots_so_far, ly.theta) for ly in self.program.layers]
+        object.__setattr__(self, "reads", tuple(reads))
 
 
 # --- label PRF and transcript framing ----------------------------------------
@@ -312,16 +319,12 @@ def _prelude(key: OracleKey, layer: Layer, transcript: Transcript, w_pair: Codew
     return rs, tuple(by_wire[w] for w in layer.phi)
 
 
-def _basis(key: OracleKey, layer: Layer) -> BasisString:
-    return BasisString(layer.theta, key.auth_key.code_length)
-
-
 def _decode(
     key: OracleKey, layer: Layer, x: BitVector, rs: dict[int, int], ordered: CodewordTuple
 ):
     """Tail of the real oracles: the round's function on the decoded
     codewords, or the Reject if one fails to decode."""
-    decoded = dec(key.auth_key, layer.cnots_so_far, _basis(key, layer), ordered)
+    decoded = dec(key.reads[layer.index - 1], ordered)
     if decoded is None:
         return Reject(REASON_DECODE, layer.index)
     return eval_classical_fn(layer.fn, bind(layer.fn, dict(zip(layer.phi, decoded.bits)), x, rs))
@@ -372,7 +375,7 @@ def oracle_f_sim(key: OracleKey, i: int, transcript: Transcript, w_pair: Codewor
     checked = _prelude(key, layer, transcript, w_pair)
     if is_bot(checked):
         return checked
-    if not ver(key.auth_key, layer.cnots_so_far, _basis(key, layer), checked[1]):
+    if not ver(key.auth_key, key.reads[layer.index - 1], checked[1]):
         return Reject(REASON_DECODE, i)
     return transcript.v_layers[-1], chain_label(key, transcript, i, 0)
 
@@ -384,7 +387,7 @@ def oracle_g_sim(key: OracleKey, q_fn: Callable[[BitVector], BitVector], transcr
     checked = _prelude(key, layer, transcript, ())
     if is_bot(checked):
         return checked
-    if not ver(key.auth_key, layer.cnots_so_far, _basis(key, layer), checked[1]):
+    if not ver(key.auth_key, key.reads[layer.index - 1], checked[1]):
         return Reject(REASON_DECODE, layer.index)
     return q_fn(transcript.x)
 
@@ -493,11 +496,8 @@ class EncodedRegister:
         return lin_eval(cnots, state, self.block)
 
     def spec(self, layer: Layer, live: list[int], binds):
-        theta = tuple(v if w in layer.read else None for w, v in enumerate(layer.theta, start=1))
-        basis = BasisString(theta, self.block)
-        return blownup_spec(
-            self.key.auth_key, layer.cnots_so_far, basis, layer.fn, live, layer.v, binds
-        )
+        reads = tuple(r for r in self.key.reads[layer.index - 1] if r.wire in layer.read)
+        return blownup_spec(self.block, reads, layer.fn, live, layer.v, binds)
 
 
 def _honest_run(
@@ -516,7 +516,6 @@ def _honest_run(
     every exposed bit in a fresh random representative of its wire's
     coset, v wires first, then the pair."""
     key = program.key
-    auth_key = key.auth_key
     if mode not in ("physical", "logical"):
         raise ValueError(f"unknown mode {mode!r}")
     transcript = Transcript(x=x, signature=tok_sign(x, program.token, rng))
@@ -531,11 +530,8 @@ def _honest_run(
         if mode == "physical":
             vectors = [read[w] for w in wires]
         else:
-            xs, zs = pauli_update(layer.cnots_so_far, auth_key.x_masks, auth_key.z_masks)
-            vectors = [
-                honest_codeword(auth_key, layer.theta[w - 1], read[w][1], xs[w - 1], zs[w - 1], rng)
-                for w in wires
-            ]
+            reads = {r.wire: r for r in key.reads[layer.index - 1]}
+            vectors = [honest_codeword(reads[w], read[w][1], rng) for w in wires]
         transcript = transcript.with_codewords(tuple(vectors[: len(layer.v)]))
         if layer.final:
             return False
@@ -551,7 +547,7 @@ def _honest_run(
     if mode == "physical":
         # Handed over without a name, so that no frame keeps the encoded
         # state alive once the first CNOT layer has replaced it.
-        walk(EncodedRegister(key), enc(auth_key, program.logical_state), x, rng, visit)
+        walk(EncodedRegister(key), enc(key.auth_key, program.logical_state), x, rng, visit)
     else:
         walk(LogicalRegister(key.program), program.logical_state, x, rng, visit)
     return reject if reject is not None else (transcript, w_pairs)
@@ -691,10 +687,10 @@ def attack_harness(
         return run
     transcript, w_pairs = run
     layer1 = lm.layers[0]
-    v1_wires, theta1 = layer1.v, layer1.theta
+    v1_wires = layer1.v
     if kind == "pauli-tamper":
         accept_z = key.auth_key.accept_space_z
-        z_wires = [w for w in layer1.phi if theta1[w - 1] == 0]
+        z_wires = [r.wire for r in key.reads[0] if r.basis == 0]
         for _ in range(report.trials):
             target = z_wires[int(rng.integers(len(z_wires)))]
             err = _sample_outside(accept_z, rng)
@@ -711,18 +707,10 @@ def attack_harness(
             forged = replace(transcript, labels=(guess,) + transcript.labels[1:])
             _tally(report, _ask(key, forged, w_pairs, 2))
     elif kind == "replay":
-        xs, zs = pauli_update(layer1.cnots_so_far, key.auth_key.x_masks, key.auth_key.z_masks)
-        bits1 = {
-            w: coset_decode(
-                *_wire_decoder(key.auth_key, theta1[w - 1], xs[w - 1], zs[w - 1]), c.value
-            )
-            for w, c in zip(v1_wires, transcript.v_layers[0])
-        }
+        reads1 = tuple(r for r in key.reads[0] if r.wire in v1_wires)
+        bits1 = dec(reads1, transcript.v_layers[0]).bits
         for _ in range(report.trials):
-            fresh = tuple(
-                honest_codeword(key.auth_key, theta1[w - 1], bits1[w], xs[w - 1], zs[w - 1], rng)
-                for w in v1_wires
-            )
+            fresh = tuple(honest_codeword(r, b, rng) for r, b in zip(reads1, bits1))
             if fresh == transcript.v_layers[0]:
                 report.trials -= 1
                 continue
@@ -833,12 +821,11 @@ class OracleReplyError(ValueError):
     well-formed OK line for the query it answers."""
 
 
-def remote_suite(key_text: str, send: Callable[[str], str]) -> OracleSuite:
+def remote_suite(key: OracleKey, send: Callable[[str], str]) -> OracleSuite:
     """Oracle suite that speaks the wire protocol through a transport
-    callable (request line in, response line out). The key text is used
-    only for the response parsing widths. A reply that does not parse
-    raises OracleReplyError."""
-    key = oracle_key_from_text(key_text)
+    callable (request line in, response line out). The key is used only
+    for the response parsing widths. A reply that does not parse raises
+    OracleReplyError."""
     p = key.auth_key.code_length
 
     def ask(line: str, widths: Sequence[int]) -> Optional[list[BitVector]]:

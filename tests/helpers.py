@@ -6,8 +6,8 @@ from itertools import product
 
 import numpy as np
 
-from lmobf.auth import blownup_spec
-from lmobf.gf2 import BitVector, concat, split
+from lmobf.auth import blownup_spec, pauli_update
+from lmobf.gf2 import BitVector, concat, coset_decode, split
 from lmobf.sim import (
     StateVector,
     apply_encoding_isometry,
@@ -172,28 +172,50 @@ def reference_enc(key, logical: StateVector) -> StateVector:
     return apply_pauli_mask(state, concat(key.x_masks), concat(key.z_masks))
 
 
-def _blownup_spec(key, cnots, basis, fn):
+def reference_dec(key, cnots, theta, words):
+    """Decode the blocks of the wires theta measures, packed in words (an
+    int or an int64 array), as dec_words did before the per-round reads:
+    the masks pushed through the CNOTs on every call, then each block
+    decoded against its basis's code. The reference for auth.dec_words
+    on auth.wire_reads."""
+    p = key.code_length
+    phi = [w for w, b in enumerate(theta, start=1) if b is not None]
+    xs, zs = pauli_update(cnots, key.x_masks, key.z_masks)
+    code = rejected = words & 0
+    for k, wire in enumerate(phi):
+        if theta[wire - 1] == 0:
+            space, delta, shift = key.space, key.delta, xs[wire - 1]
+        else:
+            space, delta, shift = key.hat_space, key.hat_delta, zs[wire - 1]
+        bit = coset_decode(space, delta, shift, words >> (len(phi) - 1 - k) * p & (1 << p) - 1)
+        code = code << 1 | bit & 1
+        rejected = rejected | bit >> 1
+    return code | rejected
+
+
+def _blownup_spec(key, reads, fn):
     """blownup_spec over a register of every wire, consuming none; with
-    fn None the labels are the decoded bits, m{w} for w in phi."""
+    fn None the labels are the decoded bits, m{w} for each read wire."""
+    phi = [r.wire for r in reads]
     if fn is None:
-        nodes = tuple(("in", f"m{w}") for w in basis.phi)
-        fn = ClassicalFn(nodes, tuple((f"m{w}", k) for k, w in enumerate(basis.phi)))
-    live = range(1, basis.num_wires + 1)
-    return blownup_spec(key, cnots, basis, fn, live, (), lambda m: bind(fn, m))
+        nodes = tuple(("in", f"m{w}") for w in phi)
+        fn = ClassicalFn(nodes, tuple((f"m{w}", k) for k, w in enumerate(phi)))
+    live = range(1, key.num_wires + 1)
+    return blownup_spec(key.code_length, reads, fn, live, (), lambda m: bind(fn, m))
 
 
-def logical_measure(key, cnots, basis, fn, state, rng):
-    """One sampled authenticated measurement over the blocks of phi.
-    Returns (label code or BOT, the raw per-wire vectors drawn within the
-    outcome class, post state)."""
-    result = measure(state, _blownup_spec(key, cnots, basis, fn), rng)
-    raw = split(result.raw_bits, len(basis.phi), key.code_length)
+def logical_measure(key, reads, fn, state, rng):
+    """One sampled authenticated measurement over the blocks of the read
+    wires. Returns (label code or BOT, the raw per-wire vectors drawn
+    within the outcome class, post state)."""
+    result = measure(state, _blownup_spec(key, reads, fn), rng)
+    raw = split(result.raw_bits, len(reads), key.code_length)
     return result.outcome, raw, result.post_state
 
 
-def logical_measure_branches(key, cnots, basis, fn, state):
+def logical_measure_branches(key, reads, fn, state):
     """Exact branch enumeration of the same measurement."""
-    return measure_branches(state, _blownup_spec(key, cnots, basis, fn))
+    return measure_branches(state, _blownup_spec(key, reads, fn))
 
 
 def _reference_classes(state: StateVector, spec):

@@ -13,7 +13,6 @@ import numpy as np
 
 from helpers import all_inputs, logical_measure_branches, max_equivalence_gap, random_circuit
 from lmobf.auth import (
-    BasisString,
     dec,
     enc,
     gen,
@@ -21,6 +20,7 @@ from lmobf.auth import (
     lin_eval,
     ver,
     verify_pauli_twirl,
+    wire_reads,
 )
 from lmobf.gf2 import BitVector, Subspace, dual, sample_subspace
 from lmobf.lm import Circuit, FnBuilder, Gate, compile_circuit, fn_code
@@ -188,15 +188,16 @@ def test_04_measurement_commutes_with_encoding():
         theta = tuple(
             None if v is None else int(v) for v in (rng.choice([0, 1, None]) for _ in range(2))
         )
-        basis = BasisString(theta, key.code_length)
-        fn = _random_outcome_fn(basis.phi, rng) if basis.phi else None
+        reads = wire_reads(key, cnots, theta)
+        phi = tuple(r.wire for r in reads)
+        fn = _random_outcome_fn(phi, rng) if phi else None
 
         moved = logical
         for c, t in cnots:
             moved = apply_gate(moved, "CNOT", (c, t))
         plain_spec = MeasurementSpec(
             tuple(None if v is None else ("Z", "X")[v] for v in theta),
-            _coarse_grain(fn, basis.phi),
+            _coarse_grain(fn, phi),
         )
         reference = {}
         for label, prob, post in measure_branches(moved, plain_spec):
@@ -206,7 +207,7 @@ def test_04_measurement_commutes_with_encoding():
             reference[label] = (prob, enc(key, undone))
 
         encoded = lin_eval(cnots, enc(key, logical), key.code_length)
-        branches = logical_measure_branches(key, cnots, basis, fn, encoded)
+        branches = logical_measure_branches(key, reads, fn, encoded)
         assert {lab for lab, _, _ in branches} == set(reference)
         for label, prob, post in branches:
             want_prob, want_state = reference[label]
@@ -267,30 +268,30 @@ def test_06_tamper_rejection():
 
     key = gen(2, 1, rng)
     p = key.code_length
-    basis = BasisString((0,), p)
+    reads = wire_reads(key, (), (0,))
     rejected = 0
     for _ in range(1000):
-        v = honest_codeword(key, 0, int(rng.integers(2)), key.x_masks[0], key.z_masks[0], rng)
+        v = honest_codeword(reads[0], int(rng.integers(2)), rng)
         while True:
             e = BitVector.from_ints(rng.integers(0, 2, p))
             if not key.accept_space_z.contains(e):
                 break
         flipped = (v ^ e,)
-        rejected += (not ver(key, (), basis, flipped)) and dec(key, (), basis, flipped) is None
+        rejected += (not ver(key, reads, flipped)) and dec(reads, flipped) is None
     ok_det = rejected == 1000
 
     key4 = gen(4, 1, rng)
     p4 = key4.code_length
-    basis4 = BasisString((0,), p4)
+    reads4 = wire_reads(key4, (), (0,))
     trials, accepted = 10_000, 0
     for _ in range(trials):
-        v = honest_codeword(key4, 0, int(rng.integers(2)), key4.x_masks[0], key4.z_masks[0], rng)
+        v = honest_codeword(reads4[0], int(rng.integers(2)), rng)
         while True:
             e = BitVector.from_ints(rng.integers(0, 2, p4))
             f = BitVector.from_ints(rng.integers(0, 2, p4))
             if not (key4.accept_space_z.contains(e) and key4.accept_space_x.contains(f)):
                 break
-        accepted += ver(key4, (), basis4, (v ^ e,))
+        accepted += ver(key4, reads4, (v ^ e,))
     bound = 2.0**-4
     sigma = (bound * (1 - bound) / trials) ** 0.5
     rate = accepted / trials

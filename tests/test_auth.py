@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import logical_measure, logical_measure_branches, reference_enc
+from helpers import logical_measure, logical_measure_branches, reference_dec, reference_enc
 from lmobf.auth import (
     BOT,
     AuthKey,
-    BasisString,
     dec,
     dec_words,
     derive_key,
@@ -22,8 +21,9 @@ from lmobf.auth import (
     pauli_update,
     ver,
     verify_pauli_twirl,
+    wire_reads,
 )
-from lmobf.gf2 import AffineCoset, BitVector, Subspace, canonical_delta_hat, dual, split
+from lmobf.gf2 import AffineCoset, BitVector, Subspace, canonical_delta_hat, concat, dual, split
 from lmobf.lm import FnBuilder
 from lmobf.sim import (
     MeasurementSpec,
@@ -217,16 +217,16 @@ def test_pauli_update_reversal():
 def test_dec_examples():
     rng = np.random.default_rng(11)
     key = gen(1, 1, rng)
-    z_basis = BasisString((0,), key.code_length)
-    x_basis = BasisString((1,), key.code_length)
-    assert dec(key, [], z_basis, (key.x_masks[0],)) == bv("0")
-    assert dec(key, [], x_basis, (key.hat_delta ^ key.z_masks[0],)) == bv("1")
+    z_reads = wire_reads(key, [], (0,))
+    x_reads = wire_reads(key, [], (1,))
+    assert dec(z_reads, (key.x_masks[0],)) == bv("0")
+    assert dec(x_reads, (key.hat_delta ^ key.z_masks[0],)) == bv("1")
     outside = next(
         v
         for v in _all_vectors(3)
         if not key.accept_space_z.contains(v ^ key.x_masks[0])
     )
-    assert dec(key, [], z_basis, (outside,)) is None
+    assert dec(z_reads, (outside,)) is None
 
 
 def _all_vectors(p: int):
@@ -238,34 +238,31 @@ def test_dec_iff_ver_exhaustive():
     rng = np.random.default_rng(12)
     key = gen(1, 1, rng)
     for theta in ((0,), (1,)):
-        basis = BasisString(theta, key.code_length)
+        reads = wire_reads(key, [], theta)
         for v in _all_vectors(3):
-            assert (dec(key, [], basis, (v,)) is not None) == ver(key, [], basis, (v,))
+            assert (dec(reads, (v,)) is not None) == ver(key, reads, (v,))
     key2 = gen(1, 2, rng)
-    basis2 = BasisString((0, 1), key2.code_length)
+    reads2 = wire_reads(key2, [], (0, 1))
     for v in _all_vectors(3):
         for w in _all_vectors(3):
             both = (v, w)
-            assert (dec(key2, [], basis2, both) is not None) == ver(key2, [], basis2, both)
+            assert (dec(reads2, both) is not None) == ver(key2, reads2, both)
 
 
 def test_honest_codewords_verify_and_decode():
     rng = np.random.default_rng(13)
     key = gen(2, 2, rng)
-    basis = BasisString((0, 1), key.code_length)
+    reads = wire_reads(key, [], (0, 1))
     for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        c = tuple(
-            honest_codeword(key, basis.theta[i], bits[i], key.x_masks[i], key.z_masks[i], rng)
-            for i in range(2)
-        )
-        assert ver(key, [], basis, c)
-        assert dec(key, [], basis, c) == BitVector(bits)
+        c = tuple(honest_codeword(reads[i], bits[i], rng) for i in range(2))
+        assert ver(key, reads, c)
+        assert dec(reads, c) == BitVector(bits)
 
 
 def test_deterministic_rejection_of_nonspace_flips():
     rng = np.random.default_rng(14)
     key = gen(1, 1, rng)
-    basis = BasisString((0,), key.code_length)
+    reads = wire_reads(key, [], (0,))
     honest = [
         v ^ key.x_masks[0]
         for v in AffineCoset(key.accept_space_z, BitVector.zeros(3)).space.elements()
@@ -273,19 +270,19 @@ def test_deterministic_rejection_of_nonspace_flips():
     flips = [e for e in _all_vectors(3) if not key.accept_space_z.contains(e)]
     assert flips
     for c in honest:
-        assert ver(key, [], basis, (c,))
+        assert ver(key, reads, (c,))
         for e in flips:
-            assert not ver(key, [], basis, (c ^ e,))
+            assert not ver(key, reads, (c ^ e,))
 
 
 def test_space_flips_preserve_decoding():
     rng = np.random.default_rng(15)
     key = gen(1, 1, rng)
-    basis = BasisString((0,), key.code_length)
+    reads = wire_reads(key, [], (0,))
     for bit in (0, 1):
-        c = honest_codeword(key, 0, bit, key.x_masks[0], key.z_masks[0], rng)
+        c = honest_codeword(reads[0], bit, rng)
         for e in key.space.elements():
-            assert dec(key, [], basis, (c ^ e,)) == dec(key, [], basis, (c,))
+            assert dec(reads, (c ^ e,)) == dec(reads, (c,))
 
 
 def test_dec_batch_matches_scalar():
@@ -293,15 +290,44 @@ def test_dec_batch_matches_scalar():
     int, element by element, and dec is the same decode on the split row."""
     rng = np.random.default_rng(16)
     key = gen(1, 2, rng)
-    basis = BasisString((0, 1), key.code_length)
-    cnots = [(1, 2)]
+    reads = wire_reads(key, [(1, 2)], (0, 1))
     rows = rng.integers(0, 2**6, size=64, dtype=np.int64)
-    batch = dec_words(key, cnots, basis, rows)
+    batch = dec_words(reads, rows)
     for row, got in zip(rows.tolist(), batch.tolist()):
-        assert got == dec_words(key, cnots, basis, row)
-        want = dec(key, cnots, basis, split(BitVector.from_int(row, 6), 2, 3))
+        assert got == dec_words(reads, row)
+        want = dec(reads, split(BitVector.from_int(row, 6), 2, 3))
         assert got == (BOT if want is None else want.value)
     assert BOT in batch and (batch != BOT).any()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_dec_words_matches_the_reference(seed, security, num_wires):
+    """dec_words on the reads of wire_reads equals the decode that pushed
+    the masks through the CNOTs on every call (helpers.reference_dec),
+    exactly: random keys, CNOT lists and thetas with skipped wires, on
+    int words and on int64 row arrays of random and honest words."""
+    rng = np.random.default_rng(seed)
+    key = gen(security, num_wires, rng)
+    cnots = [
+        tuple(int(w) + 1 for w in rng.choice(num_wires, 2, replace=False))
+        for _ in range(rng.integers(5) if num_wires > 1 else 0)
+    ]
+    theta = tuple(None if b == 2 else int(b) for b in rng.integers(0, 3, num_wires))
+    reads = wire_reads(key, cnots, theta)
+    assert [r.wire for r in reads] == [w for w, b in enumerate(theta, start=1) if b is not None]
+    honest = [
+        concat(honest_codeword(r, int(rng.integers(2)), rng) for r in reads).value
+        for _ in range(8)
+    ]
+    width = len(reads) * key.code_length
+    rows = np.array(rng.integers(0, 2**width, size=24).tolist() + honest, dtype=np.int64)
+    got = dec_words(reads, rows)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_dec(key, cnots, theta, rows))
+    assert (got[-8:] != BOT).all()
+    for row in rows.tolist():
+        assert dec_words(reads, row) == reference_dec(key, cnots, theta, row)
 
 
 # --- authenticated measurement ----------------------------------------------
@@ -311,9 +337,9 @@ def test_honest_state_never_rejects():
     rng = np.random.default_rng(17)
     for theta in ((0, 1), (0, None), (1, 1), (None, None)):
         key = gen(1, 2, rng)
-        basis = BasisString(theta, key.code_length)
+        reads = wire_reads(key, [(1, 2)], theta)
         state = lin_eval([(1, 2)], enc(key, random_state(2, rng)), key.code_length)
-        branches = logical_measure_branches(key, [(1, 2)], basis, None, state)
+        branches = logical_measure_branches(key, reads, None, state)
         assert all(label != BOT for label, _, _ in branches)
         assert abs(sum(p for _, p, _ in branches) - 1.0) < 1e-9
 
@@ -321,9 +347,9 @@ def test_honest_state_never_rejects():
 def test_all_skip_measurement_is_trivial():
     rng = np.random.default_rng(18)
     key = gen(1, 1, rng)
-    basis = BasisString((None,), key.code_length)
+    reads = wire_reads(key, [], (None,))
     state = enc(key, random_state(1, rng))
-    outcome, raw, post = logical_measure(key, [], basis, None, state, rng)
+    outcome, raw, post = logical_measure(key, reads, None, state, rng)
     assert outcome == 0  # the code of the empty label
     assert raw == ()
     assert state_distance(post, state) < 1e-12
@@ -332,11 +358,11 @@ def test_all_skip_measurement_is_trivial():
 def test_raw_codewords_decode_to_outcome():
     rng = np.random.default_rng(19)
     key = gen(1, 2, rng)
-    basis = BasisString((0, 1), key.code_length)
+    reads = wire_reads(key, [], (0, 1))
     state = enc(key, random_state(2, rng))
     for _ in range(10):
-        outcome, raw, _ = logical_measure(key, [], basis, None, state, rng)
-        assert dec(key, [], basis, raw) == BitVector.from_int(outcome, 2)
+        outcome, raw, _ = logical_measure(key, reads, None, state, rng)
+        assert dec(reads, raw) == BitVector.from_int(outcome, 2)
 
 
 def random_label_fn(phi: tuple[int, ...], rng: np.random.Generator):
@@ -357,15 +383,16 @@ def test_measurement_commutes_with_encoding():
         cnots = [tuple(int(w) + 1 for w in rng.choice(2, 2, replace=False)) for _ in range(rng.integers(3))]
         theta = tuple(rng.choice([0, 1, None]) for _ in range(2))
         theta = tuple(None if v is None else int(v) for v in theta)
-        basis = BasisString(theta, key.code_length)
-        fn = random_label_fn(basis.phi, rng) if basis.phi and trial % 2 else None
+        reads = wire_reads(key, cnots, theta)
+        phi = tuple(r.wire for r in reads)
+        fn = random_label_fn(phi, rng) if phi and trial % 2 else None
 
         moved = logical
         for c, t in cnots:
             moved = apply_gate(moved, "CNOT", (c, t))
         logical_spec = MeasurementSpec(
             tuple(None if v is None else ("Z", "X")[v] for v in theta),
-            _label_with(fn, basis.phi),
+            _label_with(fn, phi),
         )
         reference = {}
         for label, prob, post in measure_branches(moved, logical_spec):
@@ -375,7 +402,7 @@ def test_measurement_commutes_with_encoding():
             reference[label] = (prob, enc(key, undone))
 
         physical = lin_eval(cnots, enc(key, logical), key.code_length)
-        branches = logical_measure_branches(key, cnots, basis, fn, physical)
+        branches = logical_measure_branches(key, reads, fn, physical)
         assert set(lab for lab, _, _ in branches) == set(reference)
         for label, prob, post in branches:
             want_prob, want_state = reference[label]
@@ -402,13 +429,13 @@ def _label_with(fn, phi):
 def test_z_phase_attack_invisible_to_z_reads():
     rng = np.random.default_rng(21)
     key = gen(1, 1, rng)
-    basis = BasisString((0,), key.code_length)
+    reads = wire_reads(key, [], (0,))
     state = enc(key, random_state(1, rng))
     for _ in range(5):
         e = BitVector.from_ints(rng.integers(0, 2, 3))
         attacked = apply_pauli_mask(state, BitVector.zeros(3), e)
-        a = {lab: p for lab, p, _ in logical_measure_branches(key, [], basis, None, state)}
-        b = {lab: p for lab, p, _ in logical_measure_branches(key, [], basis, None, attacked)}
+        a = {lab: p for lab, p, _ in logical_measure_branches(key, reads, None, state)}
+        b = {lab: p for lab, p, _ in logical_measure_branches(key, reads, None, attacked)}
         assert set(a) == set(b)
         assert all(abs(a[k] - b[k]) < 1e-9 for k in a)
 
@@ -416,11 +443,11 @@ def test_z_phase_attack_invisible_to_z_reads():
 def test_x_attack_outside_code_rejects_whole_state():
     rng = np.random.default_rng(22)
     key = gen(1, 1, rng)
-    basis = BasisString((0,), key.code_length)
+    reads = wire_reads(key, [], (0,))
     state = enc(key, random_state(1, rng))
     e = next(v for v in _all_vectors(3) if not key.accept_space_z.contains(v))
     attacked = apply_pauli_mask(state, e, BitVector.zeros(3))
-    branches = logical_measure_branches(key, [], basis, None, attacked)
+    branches = logical_measure_branches(key, reads, None, attacked)
     assert [lab for lab, _, _ in branches] == [BOT]
     assert abs(branches[0][1] - 1.0) < 1e-12
 

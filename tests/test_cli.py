@@ -214,6 +214,38 @@ def test_sets_listed_out_of_order_evaluate_as_ordered(workdir, tmp_path, capsys)
         assert outputs == {xs[0] + str(int(xs[0]) ^ int(xs[1]))}, xs
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_wire_listed_twice_in_a_set_is_refused(workdir, tmp_path, flags):
+    """A program whose V set lists a wire twice is refused by obfuscate
+    with exit 3 and the rule it breaks, and an oracle key carrying that
+    line is a usage error from eval and attack that names the line, never
+    a traceback, whether or not asserts are compiled."""
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "lmobf", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    text = (workdir / "prog.txt").read_text()
+    assert "\nV2: 1 3 4\n" in text
+    (tmp_path / "prog.txt").write_text(text.replace("\nV2: 1 3 4\n", "\nV2: 1 3 4 4\n"))
+    proc = run("obfuscate", str(tmp_path / "prog.txt"), "-o", str(tmp_path / "o"), *OBF_FLAGS)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: program fails structural checks: V2 lists wire 4 twice\n"
+    bad = tmp_path / "obf"
+    shutil.copytree(workdir / "obf", bad)
+    key_file = bad / "oracle_key.txt"
+    key_file.write_text(key_file.read_text().replace("\nV2: 1 3 4\n", "\nV2: 1 3 4 4\n"))
+    for command in (["eval", str(bad), "10", "--seed", "3"], ["attack", str(bad), "replay"]):
+        proc = run(*command)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: unusable obfuscation directory: line ")
+        assert proc.stderr.endswith(": V2 lists wire 4 twice\n")
+
+
 def test_selftest_all_pass(capsys):
     assert invoke(["selftest"]) == 0
     out = capsys.readouterr().out

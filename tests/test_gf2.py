@@ -91,6 +91,15 @@ def test_dual_examples():
     assert dual(z).dim == 4
 
 
+def test_dual_is_worked_out_once_per_subspace():
+    """dual hands back the complement kept on the Subspace, so a token
+    check asks for it without recomputing it; an equal but separately
+    built subspace gets an equal dual."""
+    s = Subspace.span_strings(4, ["1100", "0110"])
+    assert dual(s) is dual(s)
+    assert dual(Subspace.span_strings(4, ["1010", "0110"])) == dual(s)
+
+
 @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_dual_involution(ambient, dim, seed):

@@ -452,6 +452,11 @@ RULE_BREAKS = {
         lambda p: {"state_spec": p.state_spec[:3] + (("magic_h", 1, "a"),) + p.state_spec[4:]},
         "magic pair 1",
     ),
+    "V lists a wire twice": (
+        lambda p: {"v_sets": ((1, 2, 3, 3),) + p.v_sets[1:]},
+        "V1 lists wire 3 twice",
+    ),
+    "W lists a wire twice": (lambda p: {"w_sets": ((5, 5), p.w_sets[1])}, "W1 lists wire 5 twice"),
     "V sets cover every wire": (
         lambda p: {"v_sets": p.v_sets[:2] + ((5, 7),)},
         "do not cover every wire",

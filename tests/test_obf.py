@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import all_inputs
-from lmobf.auth import _wire_decoder, pauli_update
+from lmobf.auth import wire_reads
 from lmobf.gf2 import BitVector, coset_decode
 from lmobf.lm import Circuit, Gate, compile_circuit, eval_classical_fn, lmeval_distribution
 from lmobf.obf import (
@@ -239,18 +239,14 @@ def test_oracle_f_honest_reply_and_independent_r():
     echo, label = oracle_f(key, layer, transcript, w_pair)
     assert echo == transcript.v_layers[-1]
 
-    xs, zs = pauli_update(
-        key.program.layers[0].cnots_so_far, key.auth_key.x_masks, key.auth_key.z_masks
-    )
     theta = program.thetas[0]
+    read_of = {r.wire: r for r in wire_reads(key.auth_key, program.layers[0].cnots_so_far, theta)}
     bits = {}
     for wire, vec in [(sorted(program.v_sets[0])[0], transcript.v_layers[0][0])] + list(
         zip(program.w_sets[0], w_pair)
     ):
-        space, delta, shift = _wire_decoder(
-            key.auth_key, theta[wire - 1], xs[wire - 1], zs[wire - 1]
-        )
-        bit = coset_decode(space, delta, shift, vec.value)
+        r = read_of[wire]
+        bit = coset_decode(r.space, r.delta, r.shift, vec.value)
         assert bit != -1
         bits[wire] = bit
     fn = program.measurement_fns[0]
@@ -717,7 +713,9 @@ def test_remote_suite_end_to_end():
     q_fn = induced_map(program)
     obf = qobf(PARAMS, program, np.random.default_rng(59))
     key_text = oracle_key_to_text(obf.key)
-    suite = remote_suite(key_text, lambda line: handle_request_line(obf.key, line))
+    suite = remote_suite(
+        oracle_key_from_text(key_text), lambda line: handle_request_line(obf.key, line)
+    )
     x = BitVector((1,))
     y = qeval(x, obf, np.random.default_rng(60), mode="logical", suite=suite)
     assert y == q_fn(x)
