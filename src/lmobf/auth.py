@@ -5,7 +5,8 @@ plus a coset shift encoding logical one, and per-wire Pauli masks. Logical
 zero/one become superpositions over the subspace and its shifted coset;
 transversal CNOTs act homomorphically, and standard- or Hadamard-basis
 reads of a block land in cosets that decode classically. Anything outside
-the accepted cosets is tampering and decodes to a reject.
+the accepted cosets is tampering and decodes to a reject. A key works out
+its Hadamard-side code and accepted spaces from its code.
 
 wire_reads works out, once per CNOT list and theta, how each measured
 wire's block is read: its basis, its code and the wire's mask pushed
@@ -15,7 +16,7 @@ all take those reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -47,11 +48,12 @@ class AuthKey:
     delta: BitVector
     x_masks: tuple[BitVector, ...]
     z_masks: tuple[BitVector, ...]
-    # derived at construction, so decode/verify are pure membership tests
-    hat_space: Subspace
-    hat_delta: BitVector
-    accept_space_z: Subspace
-    accept_space_x: Subspace
+    # Worked out from (space, delta) in __post_init__, so decode/verify are
+    # pure membership tests and no key's dual code disagrees with its space.
+    hat_space: Subspace = field(init=False, repr=False, compare=False)
+    hat_delta: BitVector = field(init=False, repr=False, compare=False)
+    accept_space_z: Subspace = field(init=False, repr=False, compare=False)
+    accept_space_x: Subspace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = self.code_length
@@ -65,35 +67,15 @@ class AuthKey:
             raise ValueError("need one x and one z mask per wire")
         if any(len(v) != p for v in self.x_masks + self.z_masks + (self.delta,)):
             raise ValueError("masks and delta must have length p")
+        accept_z = Subspace.span(p, list(self.space.basis.rows) + [self.delta])
+        object.__setattr__(self, "accept_space_z", accept_z)
+        object.__setattr__(self, "accept_space_x", dual(self.space))
+        object.__setattr__(self, "hat_space", dual(accept_z))
+        object.__setattr__(self, "hat_delta", canonical_delta_hat(self.space, self.delta))
 
     @property
     def code_length(self) -> int:
         return 2 * self.security + 1
-
-
-def derive_key(
-    security: int,
-    num_wires: int,
-    space: Subspace,
-    delta: BitVector,
-    x_masks: Sequence[BitVector],
-    z_masks: Sequence[BitVector],
-) -> AuthKey:
-    accept_z = Subspace.span(space.ambient_dim, list(space.basis.rows) + [delta])
-    hat_space = dual(accept_z)
-    hat_delta = canonical_delta_hat(space, delta)
-    return AuthKey(
-        security=security,
-        num_wires=num_wires,
-        space=space,
-        delta=delta,
-        x_masks=tuple(x_masks),
-        z_masks=tuple(z_masks),
-        hat_space=hat_space,
-        hat_delta=hat_delta,
-        accept_space_z=accept_z,
-        accept_space_x=dual(space),
-    )
 
 
 def gen(security: int, num_wires: int, rng: np.random.Generator) -> AuthKey:
@@ -105,8 +87,8 @@ def gen(security: int, num_wires: int, rng: np.random.Generator) -> AuthKey:
         delta = BitVector.from_ints(rng.integers(0, 2, size=p))
         if not space.contains(delta):
             break
-    masks = [BitVector.from_ints(rng.integers(0, 2, size=p)) for _ in range(2 * num_wires)]
-    return derive_key(security, num_wires, space, delta, masks[:num_wires], masks[num_wires:])
+    masks = tuple(BitVector.from_ints(rng.integers(0, 2, size=p)) for _ in range(2 * num_wires))
+    return AuthKey(security, num_wires, space, delta, masks[:num_wires], masks[num_wires:])
 
 
 def enc(key: AuthKey, logical: StateVector) -> StateVector:
@@ -157,6 +139,15 @@ class WireRead:
     delta: BitVector
     shift: BitVector
 
+    @classmethod
+    def of(cls, key: AuthKey, wire: int, basis: Optional[int], xs, zs) -> WireRead:
+        """The read of wire in basis; xs and zs are the masks after the CNOTs."""
+        if basis == 0:
+            return cls(wire, 0, key.space, key.delta, xs[wire - 1])
+        if basis == 1:
+            return cls(wire, 1, key.hat_space, key.hat_delta, zs[wire - 1])
+        raise ValueError("theta entries must be 0, 1 or None")
+
 
 Reads = tuple[WireRead, ...]
 CodewordTuple = tuple[BitVector, ...]
@@ -167,16 +158,8 @@ def wire_reads(
 ) -> Reads:
     """The read of every wire theta measures (0 or 1; None skips it), in
     ascending wire order, after the CNOTs."""
-    if any(b not in (0, 1, None) for b in theta):
-        raise ValueError("theta entries must be 0, 1 or None")
     xs, zs = pauli_update(cnots, key.x_masks, key.z_masks)
-    return tuple(
-        WireRead(w, 0, key.space, key.delta, xs[w - 1])
-        if b == 0
-        else WireRead(w, 1, key.hat_space, key.hat_delta, zs[w - 1])
-        for w, b in enumerate(theta, start=1)
-        if b is not None
-    )
+    return tuple(WireRead.of(key, w, b, xs, zs) for w, b in enumerate(theta, 1) if b is not None)
 
 
 def dec_words(reads: Reads, words: Any) -> Any:
@@ -321,11 +304,9 @@ def read_key(r: LineReader) -> AuthKey:
     r.fields("space:", 0)
     space = Subspace.span_strings(p, r.rows(p))
     delta, hat_delta = (BitVector.from_string(r.bits(tag, p)) for tag in ("delta", "delta-hat"))
-    xs, zs = [], []
-    for i in range(1, wires + 1):
-        xs.append(BitVector.from_string(r.bits(f"x{i}", p)))
-        zs.append(BitVector.from_string(r.bits(f"z{i}", p)))
-    key = derive_key(security, wires, space, delta, xs, zs)
+    tags = (f"{c}{i}" for i in range(1, wires + 1) for c in "xz")
+    masks = tuple(BitVector.from_string(r.bits(tag, p)) for tag in tags)
+    key = AuthKey(security, wires, space, delta, masks[::2], masks[1::2])
     if key.hat_delta != hat_delta:
         raise ValueError("serialized dual shift is inconsistent with the key")
     return key

@@ -172,7 +172,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
         return _fail("compiled program is malformed: " + "; ".join(violations), EXIT_LIMIT)
     text = program_to_text(program)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            return _fail(str(exc), EXIT_USAGE)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -193,23 +196,29 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
         )
     try:
         params = _params_from_args(args)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    try:
         obf = qobf(params, program, np.random.default_rng(args.seed))
     except ValueError as exc:
         return _fail(str(exc), EXIT_LIMIT)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     key_text = oracle_key_to_text(obf.key)
-    (out / KEY_FILE).write_text(key_text)
-    (out / STATE_FILE).write_text("\n".join(_param_lines(params, args.seed)) + "\n")
-    manifest = RunManifest(
-        command="obfuscate",
-        seed=args.seed,
-        params=tuple(tuple(ln.split(None, 1)) for ln in _param_lines(params, args.seed)[1:]),
-        inputs=(str(args.program),),
-        outputs=(str(out / KEY_FILE), str(out / STATE_FILE)),
-        elapsed_ms=int(1000 * (time.monotonic() - started)),
-    )
-    (out / MANIFEST_FILE).write_text(manifest.to_text())
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / KEY_FILE).write_text(key_text)
+        (out / STATE_FILE).write_text("\n".join(_param_lines(params, args.seed)) + "\n")
+        manifest = RunManifest(
+            command="obfuscate",
+            seed=args.seed,
+            params=tuple(tuple(ln.split(None, 1)) for ln in _param_lines(params, args.seed)[1:]),
+            inputs=(str(args.program),),
+            outputs=(str(out / KEY_FILE), str(out / STATE_FILE)),
+            elapsed_ms=int(1000 * (time.monotonic() - started)),
+        )
+        (out / MANIFEST_FILE).write_text(manifest.to_text())
+    except OSError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     digest = hashlib.sha256(key_text.encode()).hexdigest()
     print(f"oracle-key sha256 {digest}")
     print(f"wires {program.num_wires} layers {program.t + 1} label-bits {obf.key.label_bits}")

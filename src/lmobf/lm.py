@@ -247,16 +247,15 @@ StateTag = tuple
 class Layer:
     """One measurement round of a program, worked out once. Round index
     runs 1..t+1, the last (final) being the output round. cnots is the
-    round's own CNOT layer, cnots_so_far every CNOT applied up to its
-    measurement. v holds the wires the round consumes, w its measurement
-    pair (empty on the final round), theta the bases and fn the round's
-    function. read is v and w together, phi every wire the measurement
-    covers (every V set so far, and w). Wire tuples are ascending."""
+    round's own CNOT layer, v the wires the round consumes, w its
+    measurement pair (empty on the final round), theta the bases and fn
+    the round's function. read is v and w together, phi every wire the
+    measurement covers (every V set so far, and w). Wire tuples are
+    ascending."""
 
     index: int
     final: bool
     cnots: tuple[tuple[int, int], ...]
-    cnots_so_far: tuple[tuple[int, int], ...]
     v: tuple[int, ...]
     w: tuple[int, ...]
     theta: tuple[Optional[int], ...]
@@ -295,18 +294,16 @@ class LMProgram:
             if len(th) != self.num_wires:
                 raise ValueError("theta length must equal wire count")
         layers: list[Layer] = []
-        so_far: tuple[tuple[int, int], ...] = ()
         collapsed: set[int] = set()
         for i, (cnots, theta, v) in enumerate(
             zip(self.linear_layers, self.thetas, self.v_sets), start=1
         ):
             final = i == self.t + 1
             w = () if final else tuple(sorted(self.w_sets[i - 1]))
-            so_far += cnots
             collapsed.update(v)
             fn = self.final_fn if final else self.measurement_fns[i - 1]
             read, phi = tuple(sorted({*v, *w})), tuple(sorted(collapsed.union(w)))
-            layers.append(Layer(i, final, cnots, so_far, tuple(sorted(v)), w, theta, fn, read, phi))
+            layers.append(Layer(i, final, cnots, tuple(sorted(v)), w, theta, fn, read, phi))
         object.__setattr__(self, "layers", tuple(layers))
 
 
@@ -348,7 +345,9 @@ def compile_circuit(circuit: Circuit) -> LMProgram:
 
     Pauli frames (one X/Z expression pair per active wire) start as
     (x_j, 0) and absorb every gate's correction, so the physical state is
-    input-independent and all input dependence lives in the functions."""
+    input-independent and all input dependence lives in the functions.
+    A gadget fixes the one basis each of its wires is read in; theta_i
+    reads V_1..V_i in those bases and W_i in the standard basis."""
     b = FnBuilder()
     nq = circuit.num_logical_qubits
     n = nq
@@ -361,13 +360,11 @@ def compile_circuit(circuit: Circuit) -> LMProgram:
         for q in range(1, nq + 1)
     }
     layers: list[list[tuple[int, int]]] = [[]]
-    theta_dicts: list[dict[int, int]] = []
     v_sets: list[set[int]] = []
     w_sets: list[set[int]] = []
     fns: list[ClassicalFn] = []
-    collapsed_theta: dict[int, int] = {}
-    v_star: set[int] = set()
-    theta_star: dict[int, int] = {}
+    basis: dict[int, int] = {}  # wire -> the basis its V set reads it in
+    v_star: set[int] = set()  # wires waiting for the next V set
     h_pairs = 0
 
     for gate in circuit.gates:
@@ -386,8 +383,7 @@ def compile_circuit(circuit: Circuit) -> LMProgram:
             tags += [("magic_h", h_pairs, "a"), ("magic_h", h_pairs, "b")]
             layers[-1].append((i, w1))
             v_star.update((i, w1))
-            theta_star[i] = 1
-            theta_star[w1] = 0
+            basis.update({i: 1, w1: 0})
             xi, zi = frames.pop(i)
             frames[w2] = (b.xor(b.inp(_mname(i)), zi), b.xor(b.inp(_mname(w1)), xi))
             pos[gate.wires[0]] = w2
@@ -405,43 +401,32 @@ def compile_circuit(circuit: Circuit) -> LMProgram:
             fns.append(b.extract(f_out))
             v_sets.append(v_new)
             w_sets.append({w1, w2})
-            theta = dict(collapsed_theta)
-            theta.update(theta_star)
-            theta[i] = 0
-            theta[w1] = 0
-            theta[w2] = 0
-            theta_dicts.append(theta)
-            collapsed_theta.update(theta_star)
-            collapsed_theta[i] = 0
+            basis.update({i: 0, w2: 1})
             r_in = b.inp(f"r{len(fns)}")
             frames[w1] = (c, b.xor(b.and_(c, b.xor(b.inp(_mname(w2)), r_in)), zi))
             v_star = {w2}
-            theta_star = {w2: 1}
             layers.append([])
             pos[gate.wires[0]] = w1
 
-    active = sorted(frames)
-    v_final = v_star | set(active)
-    theta = dict(collapsed_theta)
-    theta.update(theta_star)
-    theta.update({w: 0 for w in active})
-    theta_dicts.append(theta)
-    v_sets.append(v_final)
+    basis.update((w, 0) for w in frames)
+    v_sets.append(v_star | set(frames))
     g_out = []
     for idx, q in enumerate(circuit.output_wires, start=1):
         w = pos[q]
         g_out.append((f"y{idx}", b.xor(b.inp(_mname(w)), frames[w][0])))
     g = b.extract(g_out)
 
+    thetas, seen = [], {}
+    for v, w in zip(v_sets, w_sets + [set()]):
+        seen.update((q, basis[q]) for q in v)
+        thetas.append(tuple(0 if q in w else seen.get(q) for q in range(1, n + 1)))
     return LMProgram(
         num_wires=n,
         num_input_bits=circuit.num_input_bits,
         state_spec=tuple(tags),
         t=len(fns),
         linear_layers=tuple(tuple(layer) for layer in layers),
-        thetas=tuple(
-            tuple(d.get(w) for w in range(1, n + 1)) for d in theta_dicts
-        ),
+        thetas=tuple(thetas),
         v_sets=tuple(tuple(sorted(v)) for v in v_sets),
         w_sets=tuple(tuple(sorted(w)) for w in w_sets),
         measurement_fns=tuple(fns),

@@ -39,6 +39,7 @@ from .auth import (
     BOT,
     CodewordTuple,
     Reads,
+    WireRead,
     blownup_spec,
     dec,
     enc,
@@ -46,9 +47,9 @@ from .auth import (
     honest_codeword,
     key_to_text,
     lin_eval,
+    pauli_update,
     read_key,
     ver,
-    wire_reads,
 )
 from .gf2 import BitVector, Subspace, concat, split
 from .lm import (
@@ -121,9 +122,9 @@ class ObfParams:
 class OracleKey:
     """Everything the classical oracles close over: the authentication
     key, the token verification subspaces, the label PRF key, and the
-    program's classical part. reads holds, per round, the wire reads
-    (auth.wire_reads) of every wire in the round's phi, worked out once
-    from the key."""
+    program's classical part. reads holds, per round i, the WireRead of
+    every wire in phi_i, equal to auth.wire_reads on the CNOTs of rounds
+    1..i: one pass builds them, and a collapsed wire's read is shared."""
 
     auth_key: AuthKey
     token_dim: int
@@ -147,8 +148,13 @@ class OracleKey:
         violations = check_lm_invariants(self.program)
         if violations:
             raise ValueError("program fails structural checks: " + "; ".join(violations))
-        # The invariants make each round's theta measure exactly its phi.
-        reads = [wire_reads(self.auth_key, ly.cnots_so_far, ly.theta) for ly in self.program.layers]
+        # check_lm_invariants: a collapsed wire keeps its basis and no CNOT touches it.
+        key, read_of, reads = self.auth_key, {}, []
+        xs, zs = key.x_masks, key.z_masks
+        for ly in self.program.layers:
+            xs, zs = pauli_update(ly.cnots, xs, zs)
+            read_of.update((w, WireRead.of(key, w, ly.theta[w - 1], xs, zs)) for w in ly.read)
+            reads.append(tuple(read_of[w] for w in ly.phi))
         object.__setattr__(self, "reads", tuple(reads))
 
 
@@ -606,11 +612,14 @@ def induced_map(program: LMProgram) -> Callable[[BitVector], BitVector]:
 @dataclass
 class AttackReport:
     kind: str
-    trials: int
     rejected: int
     accepted: int
     reasons: dict[str, int]
     notes: tuple[str, ...] = ()
+
+    @property
+    def trials(self) -> int:
+        return self.rejected + self.accepted
 
     def to_text(self) -> str:
         lines = [
@@ -680,7 +689,7 @@ def attack_harness(
     trials = _DEFAULT_TRIALS[kind] if trials is None else trials
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    report = AttackReport(kind, trials, 0, 0, {})
+    report = AttackReport(kind, 0, 0, {})
     x = BitVector.zeros(lm.num_input_bits)
     run = _honest_run(x, program, rng, "logical", real_suite(key))
     if is_bot(run):
@@ -691,7 +700,7 @@ def attack_harness(
     if kind == "pauli-tamper":
         accept_z = key.auth_key.accept_space_z
         z_wires = [r.wire for r in key.reads[0] if r.basis == 0]
-        for _ in range(report.trials):
+        for _ in range(trials):
             target = z_wires[int(rng.integers(len(z_wires)))]
             err = _sample_outside(accept_z, rng)
             v1, w1 = list(transcript.v_layers[0]), list(w_pairs[0] if w_pairs else ())
@@ -702,23 +711,22 @@ def attack_harness(
             tampered = replace(transcript, v_layers=(tuple(v1),) + transcript.v_layers[1:])
             _tally(report, _ask(key, tampered, [tuple(w1)] + w_pairs[1:], 1))
     elif kind == "label-forge":
-        for _ in range(report.trials):
+        for _ in range(trials):
             guess = BitVector.from_ints(rng.integers(0, 2, size=key.label_bits))
             forged = replace(transcript, labels=(guess,) + transcript.labels[1:])
             _tally(report, _ask(key, forged, w_pairs, 2))
     elif kind == "replay":
         reads1 = tuple(r for r in key.reads[0] if r.wire in v1_wires)
         bits1 = dec(reads1, transcript.v_layers[0]).bits
-        for _ in range(report.trials):
+        for _ in range(trials):
             fresh = tuple(honest_codeword(r, b, rng) for r, b in zip(reads1, bits1))
             if fresh == transcript.v_layers[0]:
-                report.trials -= 1
                 continue
             swapped = replace(transcript, v_layers=(fresh,) + transcript.v_layers[1:])
             _tally(report, _ask(key, swapped, w_pairs, 2))
     else:
         x_other = BitVector.from_int(1 << (lm.num_input_bits - 1), lm.num_input_bits)
-        for _ in range(report.trials):
+        for _ in range(trials):
             try:
                 tok_sign(x_other, program.token, rng)
             except RuntimeError:

@@ -10,7 +10,6 @@ from lmobf.auth import (
     AuthKey,
     dec,
     dec_words,
-    derive_key,
     enc,
     gen,
     honest_codeword,
@@ -85,6 +84,23 @@ def test_gen_derived_fields():
         assert key.accept_space_x == dual(key.space)
         assert key.hat_delta == canonical_delta_hat(key.space, key.delta)
         assert not key.hat_space.contains(key.hat_delta)
+
+
+def test_replaced_key_derives_its_dual_code():
+    """A key built with another delta works out its dual code and
+    accepted spaces afresh; none of them can be passed in."""
+    for lam in (1, 2):
+        key = gen(lam, 2, np.random.default_rng(lam))
+        p = key.code_length
+        d = next(v for v in _all_vectors(p) if not key.accept_space_z.contains(v))
+        moved = dataclasses.replace(key, delta=d)
+        accept_z = Subspace.span(p, list(key.space.basis.rows) + [d])
+        assert moved.accept_space_z == accept_z
+        assert moved.hat_space == dual(accept_z)
+        assert moved.accept_space_x == dual(key.space)
+        assert moved.hat_delta == canonical_delta_hat(key.space, d)
+        with pytest.raises(TypeError):
+            AuthKey(lam, 2, key.space, key.delta, key.x_masks, key.z_masks, hat_space=key.hat_space)
 
 
 def test_key_text_roundtrip():

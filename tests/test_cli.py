@@ -101,6 +101,39 @@ def test_obfuscate_stdout_is_seed_deterministic(workdir, tmp_path, capsys):
     assert capsys.readouterr().out != first
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        "kappa 4",
+        "lambda 0",
+        "kappa-prime 0",
+        "compile into a missing directory",
+        "obfuscate onto a file",
+    ],
+)
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_unusable_arguments_exit_2(workdir, tmp_path, case, flags):
+    """A parameter out of range or an output path that cannot be written
+    is a usage error with one message line, never exit 3 or a traceback,
+    whether or not asserts are compiled."""
+    prog, out = str(workdir / "prog.txt"), str(tmp_path / "o")
+    argv = {
+        "kappa 4": ["obfuscate", prog, "-o", out, "--kappa", "4"],
+        "lambda 0": ["obfuscate", prog, "-o", out, "--lambda", "0"],
+        "kappa-prime 0": ["obfuscate", prog, "-o", out, "--kappa-prime", "0"],
+        "compile into a missing directory": [
+            "compile", str(workdir / "circ.txt"), "-o", str(tmp_path / "missing" / "x.txt")
+        ],
+        "obfuscate onto a file": ["obfuscate", prog, "-o", prog],
+    }[case]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "lmobf", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_obfuscate_rejects_program_over_cap(tmp_path, capsys):
     wide = "qubits 25 inputs 25 outputs " + ",".join(str(i) for i in range(1, 26)) + "\n"
     (tmp_path / "wide.txt").write_text(wide)

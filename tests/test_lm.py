@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -254,6 +255,27 @@ def test_compile_single_h():
         env = {"m1": bits & 1, "m2": (bits >> 1) & 1, "m3": (bits >> 2) & 1, "x1": (bits >> 3) & 1}
         binds = {k: env[k] for k in p.final_fn.input_names}
         assert eval_classical_fn(p.final_fn, binds)["y1"] == env["m1"] ^ env["m3"]
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        ("H 1", "bbdc15f1bc5c55c12ca0337d42212883828e765ac745b76ea20b68f14988c3fc"),
+        ("H 1\nT 1\nH 1", "6404aadf7f5b98d682a5527c5e5f55758a735026e648cd9ab081d1db23b342ec"),
+        (
+            "H 1\nCNOT 1 2\nT 2\nH 2\nT 1\nCNOT 2 1\nH 1",
+            "298c97e00f57c67f5572790ef2834af13d87bc560f8799be07d82788a2bc4f0d",
+        ),
+    ],
+)
+def test_compiled_hadamard_programs_are_pinned(text, digest):
+    """The text of compiled programs with H gadgets, whose wires are the
+    only V wires read in basis 1, stays byte for byte what it was."""
+    n = 2 if "2" in text else 1
+    outs = ",".join(str(q) for q in range(1, n + 1))
+    circuit = parse_circuit(f"qubits {n} inputs {n} outputs {outs}\n{text}")
+    program_text = program_to_text(compile_circuit(circuit))
+    assert hashlib.sha256(program_text.encode()).hexdigest() == digest
 
 
 def test_compile_single_t():

@@ -1,14 +1,15 @@
 import functools
 import hashlib
 import hmac as hmac_mod
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_inputs
-from lmobf.auth import wire_reads
+from helpers import all_inputs, random_circuit
+from lmobf.auth import gen, wire_reads
 from lmobf.gf2 import BitVector, coset_decode
 from lmobf.lm import Circuit, Gate, compile_circuit, eval_classical_fn, lmeval_distribution
 from lmobf.obf import (
@@ -43,7 +44,7 @@ from lmobf.obf import (
     remote_suite,
     simulated_suite,
 )
-from lmobf.tokens import tok_sign
+from lmobf.tokens import tok_gen, tok_sign
 
 IDENTITY = Circuit(1, 1, (), (1,))
 T_ONLY = Circuit(1, 1, (Gate("T", (1,)),), (1,))
@@ -240,7 +241,7 @@ def test_oracle_f_honest_reply_and_independent_r():
     assert echo == transcript.v_layers[-1]
 
     theta = program.thetas[0]
-    read_of = {r.wire: r for r in wire_reads(key.auth_key, program.layers[0].cnots_so_far, theta)}
+    read_of = {r.wire: r for r in wire_reads(key.auth_key, program.layers[0].cnots, theta)}
     bits = {}
     for wire, vec in [(sorted(program.v_sets[0])[0], transcript.v_layers[0][0])] + list(
         zip(program.w_sets[0], w_pair)
@@ -531,6 +532,45 @@ def test_qobf_structure_and_validation():
     tall = qobf(wide, program, np.random.default_rng(39))
     with pytest.raises(ValueError):
         tall.encoded_state()
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_oracle_key_reads_match_the_per_round_reference(seed, security):
+    """The one-pass read table equals wire_reads on every CNOT of rounds
+    1..i, round by round."""
+    rng = np.random.default_rng(seed)
+    program = compile_circuit(random_circuit(rng, max_gates=10, max_t=4))
+    auth_key = gen(security, program.num_wires, rng)
+    key = OracleKey(auth_key, 4, tok_gen(4, program.num_input_bits, rng).vk, b"k", 16, program)
+    cnots = ()
+    for layer, reads in zip(program.layers, key.reads, strict=True):
+        cnots += layer.cnots
+        assert reads == wire_reads(auth_key, cnots, layer.theta)
+
+
+def test_oracle_key_build_is_linear_in_program_length():
+    """A 3-qubit chain of 800 T and CNOT gates (537 wires, 268 rounds)
+    builds its OracleKey well inside a budget that a build pushing the
+    masks through every earlier round's CNOTs again overran."""
+    rng = np.random.default_rng(19)
+    gates = []
+    for _ in range(800):
+        if rng.random() < 1 / 3:
+            gates.append(Gate("T", (int(rng.integers(1, 4)),)))
+        else:
+            a, b = rng.permutation(3)[:2] + 1
+            gates.append(Gate("CNOT", (int(a), int(b))))
+    program = compile_circuit(Circuit(1, 3, tuple(gates), (1, 2, 3)))
+    assert (program.num_wires, program.t) == (537, 267)
+    rng = np.random.default_rng(20)
+    auth_key, vk = gen(1, program.num_wires, rng), tok_gen(16, 1, rng).vk
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        OracleKey(auth_key, 16, vk, b"k" * 32, 16, program)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.25
 
 
 def test_scaled_label_width():
