@@ -632,6 +632,9 @@ def check_lm_invariants(program: LMProgram) -> list[str]:
             bad.append(f"V{i} overlaps an earlier V set")
         if read_so_far & set(layer.w):
             bad.append(f"W{i} intersects an earlier measured set")
+        for w, b in enumerate(theta, start=1):
+            if b not in (0, 1, None):
+                bad.append(f"theta{i} reads wire {w} in basis {b!r}, not 0 or 1")
         if {w for w, b in enumerate(theta, start=1) if b is not None} != set(layer.phi):
             bad.append(f"theta{i} support differs from the layer-{i} measured set")
         for w, basis in bases.items():

@@ -5,9 +5,11 @@ bit_q * 2^(n-q), matching the bit-string order used by the gf2 module.
 Operations never mutate their inputs; every one returns a fresh state.
 
 A list of CNOTs, on qubits or transversally on blocks of qubits, is a
-permutation of basis indices and is applied as one gather. A one-qubit
-gate, an encoding isometry and the Hadamard rotation of an X-tagged
-qubit are each one small matrix on one axis of the amplitude tensor.
+permutation of basis indices. Only the blocks it touches move: their
+axes go to the front, one gather permutes the rows they index, and the
+axes go back. A one-qubit gate, an encoding isometry and the Hadamard
+rotation of an X-tagged qubit are each one small matrix on one axis of
+the amplitude tensor.
 
 Measurements follow the partial-collapse rule: qubits tagged Z or X
 (rotated within the gathered measured block) are read out, the outcome
@@ -138,9 +140,14 @@ def apply_gate(state: StateVector, gate: str, targets: Sequence[int]) -> StateVe
 def apply_cnots(
     state: StateVector, cnots: Sequence[tuple[int, int]], block: int = 1
 ) -> StateVector:
-    """Apply the CNOTs (i, j) in list order as one gather. The qubits
-    form consecutive blocks of block qubits each, and CNOT(i, j) XORs
-    block i into block j qubit by qubit (a plain CNOT when block is 1)."""
+    """Apply the CNOTs (i, j) in list order. The qubits form consecutive
+    blocks of block qubits each, and CNOT(i, j) XORs block i into block j
+    qubit by qubit (a plain CNOT when block is 1).
+
+    Only the k blocks the CNOTs touch move: their axes go to the front,
+    in ascending order, so the state is a (2^(k*block), rest) matrix
+    whose rows the touched bits index. One gather with a 2^(k*block)
+    entry index permutes those rows, and the axes go back."""
     n = state.num_qubits
     if block < 1 or n % block:
         raise ValueError("state is not a whole number of blocks")
@@ -150,13 +157,22 @@ def apply_cnots(
             raise ValueError(f"CNOT ({i}, {j}) needs two distinct wires in 1..{wires}")
     if not cnots:
         return state
-    # Each CNOT is its own inverse, so output index k reads the input at k
+    touched = sorted({w for pair in cnots for w in pair})
+    k = len(touched)
+    # The shift of each touched block within a row index: the first is
+    # the most significant, as in a basis index.
+    shift = {w: (k - 1 - c) * block for c, w in enumerate(touched)}
+    order = [w - 1 for w in touched] + [a for a in range(wires) if a + 1 not in shift]
+    psi = state.amplitudes.reshape((1 << block,) * wires).transpose(order)
+    # Each CNOT is its own inverse, so output row r reads the input at r
     # with the CNOTs applied last to first.
-    idx = np.arange(2**n, dtype=np.int64)
+    idx = np.arange(1 << k * block, dtype=np.int64)
     ones = (1 << block) - 1
     for i, j in reversed(cnots):
-        idx ^= ((idx >> (wires - i) * block) & ones) << (wires - j) * block
-    return StateVector(n, state.amplitudes[idx])
+        idx ^= ((idx >> shift[i]) & ones) << shift[j]
+    rows = psi.reshape(len(idx), -1)[idx].reshape(psi.shape)
+    back = sorted(range(wires), key=order.__getitem__)
+    return StateVector(n, rows.transpose(back).reshape(-1))
 
 
 def apply_pauli_mask(state: StateVector, x_mask: BitVector, z_mask: BitVector) -> StateVector:

@@ -121,6 +121,21 @@ def reference_cnots(state: StateVector, cnots, block: int = 1) -> np.ndarray:
     return amps
 
 
+def reference_gather(state: StateVector, cnots, block: int = 1) -> np.ndarray:
+    """Amplitudes after the CNOTs (i, j) in order, each XOR-ing block i of
+    block qubits into block j, as one gather with a 2**n entry index over
+    the whole state. The wide-state reference for sim.apply_cnots."""
+    n = state.num_qubits
+    wires = n // block
+    # Each CNOT is its own inverse, so output index k reads the input at k
+    # with the CNOTs applied last to first.
+    idx = np.arange(2**n, dtype=np.int64)
+    ones = (1 << block) - 1
+    for i, j in reversed(cnots):
+        idx ^= ((idx >> (wires - i) * block) & ones) << (wires - j) * block
+    return state.amplitudes[idx]
+
+
 def reference_gate(state: StateVector, matrix: np.ndarray, q: int) -> np.ndarray:
     """Amplitudes after the 2x2 matrix on qubit q: move that axis first,
     multiply the (2, rest) block, move the axis back. The reference for

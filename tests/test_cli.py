@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,26 @@ def test_sets_listed_out_of_order_evaluate_as_ordered(workdir, tmp_path, capsys)
             assert invoke(argv) == 0
             outputs.add(capsys.readouterr().out.strip())
         assert outputs == {xs[0] + str(int(xs[0]) ^ int(xs[1]))}, xs
+
+
+def test_theta_entry_that_is_no_basis_is_refused(tmp_path, capsys, monkeypatch):
+    """The text format cannot carry a theta entry of 2, but a program
+    built with one (the compiled `H 1` with theta1 = 2 0 0) is refused by
+    obfuscate with exit 3 and the rule it breaks, like the other
+    structural violations."""
+    import lmobf.cli as cli_mod
+
+    program = compile_circuit(parse_circuit("qubits 1 inputs 1 outputs 1\nH 1"))
+    bad = replace(program, thetas=((2, 0, 0),))
+    monkeypatch.setattr(cli_mod, "program_from_text", lambda text: bad)
+    (tmp_path / "prog.txt").write_text("")
+    argv = ["obfuscate", str(tmp_path / "prog.txt"), "-o", str(tmp_path / "o")] + OBF_FLAGS
+    assert invoke(argv) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "error: program fails structural checks: theta1 reads wire 1 in basis 2, not 0 or 1\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])

@@ -405,6 +405,17 @@ def test_invariants_flag_w_measured_in_hadamard_basis():
     assert any("standard-basis" in v for v in check_lm_invariants(bad))
 
 
+def test_invariants_flag_a_theta_entry_that_is_no_basis():
+    """A theta entry other than 0, 1 or None is a violation: lmeval
+    would read it as the standard basis, and read_program refuses the
+    text program_to_text writes for it."""
+    p = compile_circuit(parse_circuit("qubits 1 inputs 1 outputs 1\nH 1"))
+    bad = dataclasses.replace(p, thetas=((2, 0, 0),))
+    assert check_lm_invariants(bad) == ["theta1 reads wire 1 in basis 2, not 0 or 1"]
+    with pytest.raises(ValueError, match="out of range"):
+        program_from_text(program_to_text(bad))
+
+
 def test_invariants_flag_uncovered_wires():
     p = compile_circuit(Circuit(1, 1, (), (1,)))
     bad = dataclasses.replace(

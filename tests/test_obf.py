@@ -481,6 +481,40 @@ def test_qeval_trace_and_emission_log():
     assert trace[0][3] == log[0][2]
 
 
+@pytest.mark.parametrize(
+    "security, digest",
+    [
+        (1, "ab3d6e6c3d66a7a3a1927192eb85cac79a174165e11b453ff8cab11d99a20fd2"),
+        (2, "cdea140e20d59a6b5d52fb6c84f4048804ebd904614c104030269b824c329a93"),
+    ],
+)
+def test_physical_honest_runs_are_pinned(security, digest):
+    """Seeded physical evaluations of the README circuit (the 20-qubit
+    register at security 2) keep their codewords, labels, output and the
+    next draw of the evaluation's rng, byte for byte."""
+    program = compile_circuit(CNOT_T)
+    params = ObfParams(security=security, label_bits=32, token_dim=16)
+    h = hashlib.sha256()
+    for seed in (0, 1, 2):
+        for x, want in (("01", "01"), ("10", "11"), ("11", "10")):
+            obf = qobf(params, program, np.random.default_rng(seed))
+            final = []
+
+            def query_g(tr):
+                final.append(tr)
+                return obf.suite.query_g(tr)
+
+            rng = np.random.default_rng(seed + 100)
+            suite = OracleSuite(obf.suite.query_f, query_g)
+            y = qeval(BitVector.from_string(x), obf, rng, "physical", suite)
+            assert str(y) == want
+            (tr,) = final
+            words = " ".join(" ".join(map(str, layer)) for layer in tr.v_layers)
+            labels = " ".join(map(str, tr.labels))
+            h.update(f"{words}|{labels}|{y}|{rng.integers(2**62)}\n".encode())
+    assert h.hexdigest() == digest
+
+
 def test_qeval_rejects_on_tampered_suite():
     """A suite whose layer oracle lies about the label makes the final
     oracle refuse the transcript."""

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     reference_cnots,
     reference_consume,
+    reference_gather,
     reference_gate,
     reference_isometry,
     reference_measure,
@@ -380,6 +381,49 @@ def test_apply_cnots_matches_dense_permutations(data):
     s = random_state(wires * block, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     got = apply_cnots(s, cnots, block)
     assert np.array_equal(got.amplitudes, reference_cnots(s, cnots, block))
+
+
+def cnot_shapes(wires, order):
+    """CNOT lists of each shape the touched-block gather must get right,
+    on the wires of one register, with order a permutation of 1..wires."""
+    a, b = order[0], order[1]
+    every = [(order[c], order[c + 1]) for c in range(0, wires - 1, 2)] + [(order[-1], order[0])]
+    return {
+        "pair": [(a, b)],
+        "apart": [(1, wires)],
+        "trailing": [(wires - 1, wires)],
+        "every": every,
+        "chain": list(zip(order, order[1:])),
+        "back and forth": [(a, b), (b, a), (a, b)],
+    }
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_apply_cnots_matches_the_full_gather_on_wide_states(data):
+    """On up to 20 qubits in blocks of 1 to 5, CNOT lists that touch one
+    pair, two blocks far apart, the trailing blocks only, every block, or
+    a chain whose targets later control give the full-index gather's
+    amplitudes bit for bit."""
+    block = data.draw(st.integers(1, 5))
+    wires = data.draw(st.integers(2, 20 // block))
+    order = data.draw(st.permutations(range(1, wires + 1)))
+    shapes = cnot_shapes(wires, order)
+    cnots = shapes[data.draw(st.sampled_from(sorted(shapes)))]
+    s = random_state(wires * block, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    got = apply_cnots(s, cnots, block)
+    assert np.array_equal(got.amplitudes, reference_gather(s, cnots, block))
+
+
+@pytest.mark.parametrize(
+    "cnots",
+    [[(1, 2), (3, 2)], [(2, 3)], [(1, 4)], [(3, 4)], [(1, 2), (3, 4)], [(1, 2), (2, 3), (3, 4)]],
+)
+def test_apply_cnots_on_the_physical_register(cnots):
+    """Four blocks of 5 qubits, the encoded README register at security
+    2: the layer it runs and the other touched patterns."""
+    s = random_state(20, np.random.default_rng(len(cnots)))
+    assert np.array_equal(apply_cnots(s, cnots, 5).amplitudes, reference_gather(s, cnots, 5))
 
 
 @given(st.data())
