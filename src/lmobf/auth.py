@@ -91,16 +91,19 @@ def gen(security: int, num_wires: int, rng: np.random.Generator) -> AuthKey:
     return AuthKey(security, num_wires, space, delta, masks[:num_wires], masks[num_wires:])
 
 
-def enc(key: AuthKey, logical: StateVector) -> StateVector:
+def enc(key: AuthKey, logical: StateVector, wires: Optional[Sequence[int]] = None) -> StateVector:
     """Expand each qubit into a masked coset-state block of p qubits.
-    Each wire's mask X^x Z^z is applied inside its own two isometry
-    columns, so no pass runs over the whole encoded state."""
-    if logical.num_qubits != key.num_wires:
+    Qubit k holds wires[k-1] (every wire of the key, in order, by
+    default) and takes that wire's mask X^x Z^z, applied inside its own
+    two isometry columns, so no pass runs over the whole encoded state."""
+    wires = range(1, key.num_wires + 1) if wires is None else wires
+    if logical.num_qubits != len(wires):
         raise ValueError("state width must match the key")
     state = logical
-    for wire in range(key.num_wires, 0, -1):
+    for qubit in range(len(wires), 0, -1):
+        wire = wires[qubit - 1]
         x, z = key.x_masks[wire - 1], key.z_masks[wire - 1]
-        state = apply_encoding_isometry(state, wire, key.space, key.delta, x, z)
+        state = apply_encoding_isometry(state, qubit, key.space, key.delta, x, z)
     return state
 
 

@@ -35,7 +35,6 @@ from .lm import (
     compile_circuit,
     lmeval_distribution,
     parse_circuit,
-    prepare_program_state,
     program_from_text,
     program_to_text,
     total_variation,
@@ -58,7 +57,14 @@ from .obf import (
     remote_suite,
     simulated_suite,
 )
-from .sim import QUBIT_CAP, QubitCapError, apply_gate, prepare_subspace_state, state_distance
+from .sim import (
+    QUBIT_CAP,
+    QubitCapError,
+    apply_gate,
+    check_cap,
+    prepare_subspace_state,
+    state_distance,
+)
 from .text import LineReader, parse
 from .tokens import keypair_from_subspaces, tok_gen, tok_sign, tok_ver
 
@@ -149,14 +155,17 @@ def read_state(r: LineReader, key: OracleKey) -> ObfParams:
 
 
 def _load_obfuscation(directory: Path) -> ObfuscatedProgram:
+    """The handle an obfuscation directory describes. Raises
+    QubitCapError when the program's live wires outgrow the cap."""
     key = oracle_key_from_text((directory / KEY_FILE).read_text())
-    return ObfuscatedProgram(
+    obf = ObfuscatedProgram(
         params=parse((directory / STATE_FILE).read_text(), lambda r: read_state(r, key)),
         key=key,
         token=keypair_from_subspaces(key.token_dim, key.token_vk),
-        logical_state=prepare_program_state(key.program),
         suite=real_suite(key),
     )
+    check_cap(key.program.peak_live)
+    return obf
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -189,9 +198,9 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_USAGE)
     except ValueError as exc:
         return _fail(f"bad program file: {exc}", EXIT_USAGE)
-    if program.num_wires > QUBIT_CAP:
+    if program.peak_live > QUBIT_CAP:
         return _fail(
-            f"program needs {program.num_wires} wires; simulator cap is {QUBIT_CAP}",
+            f"program needs {program.peak_live} wires; simulator cap is {QUBIT_CAP}",
             EXIT_LIMIT,
         )
     try:

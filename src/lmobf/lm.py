@@ -8,6 +8,14 @@ bit r_i of a grouped standard-basis measurement, and everything still
 active stays coherent. Classical inputs never touch the quantum state:
 they enter through the measurement functions as virtual Pauli frames.
 
+The program state is a product of per-wire states, so a wire joins the
+register only at the first round that touches it. walk() starts from
+the empty register, and each round takes three steps: admit the wires
+of Layer.admit (both halves of an H pair together), apply the round's
+CNOT layer, and take its consuming measurement. The register holds its
+live wires in wire order, so rows and their classes are those of a run
+on the whole program state.
+
 The compiler rewrites any {CNOT, H, T} circuit into this shape using
 teleportation gadgets, two fresh wires per H or T gate.
 """
@@ -246,15 +254,18 @@ StateTag = tuple
 @dataclass(frozen=True)
 class Layer:
     """One measurement round of a program, worked out once. Round index
-    runs 1..t+1, the last (final) being the output round. cnots is the
-    round's own CNOT layer, v the wires the round consumes, w its
-    measurement pair (empty on the final round), theta the bases and fn
-    the round's function. read is v and w together, phi every wire the
-    measurement covers (every V set so far, and w). Wire tuples are
-    ascending."""
+    runs 1..t+1, the last (final) being the output round. admit lists
+    the wires the round is the first to touch (by its CNOTs, v or w),
+    with the other half of any H pair among them; they join the register
+    before the round's CNOT layer. cnots is the round's own CNOT layer,
+    v the wires the round consumes, w its measurement pair (empty on the
+    final round), theta the bases and fn the round's function. read is v
+    and w together, phi every wire the measurement covers (every V set
+    so far, and w). Wire tuples are ascending."""
 
     index: int
     final: bool
+    admit: tuple[int, ...]
     cnots: tuple[tuple[int, int], ...]
     v: tuple[int, ...]
     w: tuple[int, ...]
@@ -267,7 +278,9 @@ class Layer:
 @dataclass(frozen=True)
 class LMProgram:
     """A program as its text format declares it. Readers take a round's
-    facts from layers, which sorts the declared V and W sets."""
+    facts from layers, which sorts the declared V and W sets.
+    peak_live is the most wires live in any round, after its admission:
+    the width of the logical register a run needs."""
 
     num_wires: int
     num_input_bits: int
@@ -280,6 +293,7 @@ class LMProgram:
     measurement_fns: tuple[ClassicalFn, ...]
     final_fn: ClassicalFn
     layers: tuple[Layer, ...] = field(init=False, repr=False, compare=False)
+    peak_live: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.linear_layers) != self.t + 1 or len(self.thetas) != self.t + 1:
@@ -293,43 +307,91 @@ class LMProgram:
         for th in self.thetas:
             if len(th) != self.num_wires:
                 raise ValueError("theta length must equal wire count")
+        pairs: dict[int, list[int]] = {}  # H pair id -> its wires
+        for wire, tag in enumerate(self.state_spec, start=1):
+            if tag[0] == "magic_h":
+                pairs.setdefault(tag[1], []).append(wire)
+        partners = {q: pair for pair in pairs.values() for q in pair}
         layers: list[Layer] = []
         collapsed: set[int] = set()
+        admitted: set[int] = set()
+        live: set[int] = set()
+        peak = 0
         for i, (cnots, theta, v) in enumerate(
             zip(self.linear_layers, self.thetas, self.v_sets), start=1
         ):
             final = i == self.t + 1
             w = () if final else tuple(sorted(self.w_sets[i - 1]))
+            touched = {q for pair in cnots for q in pair}.union(v, w) - admitted
+            admit = {p for q in touched for p in partners.get(q, (q,))} - admitted
+            admitted.update(admit)
+            live.update(admit)
+            peak = max(peak, len(live))
+            live.difference_update(v)
             collapsed.update(v)
             fn = self.final_fn if final else self.measurement_fns[i - 1]
             read, phi = tuple(sorted({*v, *w})), tuple(sorted(collapsed.union(w)))
-            layers.append(Layer(i, final, cnots, tuple(sorted(v)), w, theta, fn, read, phi))
+            layers.append(Layer(
+                i, final, tuple(sorted(admit)), cnots, tuple(sorted(v)), w, theta, fn, read, phi
+            ))
         object.__setattr__(self, "layers", tuple(layers))
+        object.__setattr__(self, "peak_live", peak)
 
 
-def prepare_program_state(program: LMProgram) -> StateVector:
-    state = StateVector(0, np.array([1.0], dtype=np.complex128))
-    w = 1
-    n = program.num_wires
-    while w <= n:
+# The 0-qubit register every walk starts from.
+EMPTY = StateVector(0, np.ones(1, dtype=np.complex128))
+
+
+def initial_state(program: LMProgram, wires: Sequence[int]) -> StateVector:
+    """The product of the wires' initial states, in the order given. The
+    halves of an H pair must be adjacent wires, a then b, listed
+    together."""
+    state = EMPTY
+    k = 0
+    while k < len(wires):
+        w = wires[k]
         tag = program.state_spec[w - 1]
         if tag[0] in ("zero", "input"):
             state = tensor(state, StateVector.zero(1))
-            w += 1
         elif tag[0] == "magic_t":
             state = tensor(state, magic_state("T"))
-            w += 1
         elif tag[0] == "magic_px":
             state = tensor(state, magic_state("PX"))
-            w += 1
         elif tag[0] == "magic_h":
-            if tag[2] != "a" or w == n or program.state_spec[w] != ("magic_h", tag[1], "b"):
+            half_b = (("magic_h", tag[1], "b"),)
+            if tag[2] != "a" or (
+                tuple(wires[k + 1 : k + 2]) != (w + 1,) or program.state_spec[w : w + 1] != half_b
+            ):
                 raise ValueError(f"magic_h pair {tag[1]} is not two adjacent wires")
             state = tensor(state, magic_state("H"))
-            w += 2
+            k += 1
         else:
             raise ValueError(f"unknown state tag {tag!r}")
+        k += 1
     return state
+
+
+def prepare_program_state(program: LMProgram) -> StateVector:
+    """The whole program state: every wire admitted at once."""
+    return initial_state(program, range(1, program.num_wires + 1))
+
+
+def place(
+    state: StateVector, live: Sequence[int], wires: Sequence[int], fresh: StateVector, block: int
+) -> StateVector:
+    """state, which holds the blocks (block qubits each) of the live
+    wires in order, with fresh, the blocks of the new wires in order,
+    tensored in so that every block sits in wire order. Where the new
+    wires all come after the live ones this is one tensor; otherwise the
+    blocks are put in order by one axis permutation."""
+    if not live:
+        return fresh
+    out = tensor(state, fresh)
+    if wires[0] > live[-1]:
+        return out
+    order = sorted(range(len(live) + len(wires)), key=[*live, *wires].__getitem__)
+    psi = out.amplitudes.reshape((1 << block,) * len(order)).transpose(order)
+    return StateVector(out.num_qubits, psi.reshape(-1))
 
 
 def apply_cnot_layer(state: StateVector, cnots: Sequence[tuple[int, int]]) -> StateVector:
@@ -478,12 +540,20 @@ def block_tags(
 class LogicalRegister:
     """The program's wires held one qubit each. Every register that
     walk() drives names its program and its block (qubits per wire) and
-    offers the same two steps: its CNOT layer, and its measurement spec
-    for a round, which consumes the wires of the round's V set (rounds
-    1..t)."""
+    offers the same three steps: admitting a round's new wires, its CNOT
+    layer, and its measurement spec for a round, which consumes the
+    wires of the round's V set (rounds 1..t). Each admission's product
+    state is built once per register, so the branches of an enumeration
+    share it."""
 
     program: LMProgram
     block = 1
+    _fresh: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def admit(self, state: StateVector, live: list[int], wires: tuple[int, ...]) -> StateVector:
+        if wires not in self._fresh:
+            self._fresh[wires] = initial_state(self.program, wires)
+        return place(state, live, wires, self._fresh[wires], 1)
 
     def cnot_layer(self, state: StateVector, cnots: list[tuple[int, int]]) -> StateVector:
         return apply_cnot_layer(state, cnots)
@@ -506,32 +576,36 @@ class LogicalRegister:
 
 def walk(
     register,
-    state: StateVector,
     x: BitVector,
     rng: Optional[np.random.Generator] = None,
     visit: Optional[Callable[[Layer, int, Optional[dict]], bool]] = None,
 ) -> dict[tuple[int, ...], float]:
-    """The one loop over a program's layers: CNOT gather, consuming
-    measurement, record.
+    """The one loop over a program's layers. It starts from the empty
+    register, and each round admits its new wires (Layer.admit), applies
+    its CNOT layer and takes its consuming measurement, then records.
 
     With rng, each layer samples one outcome. Without, every branch of
     probability above 1e-15 is walked in turn, depth first. The register
-    (one qubit or one code block per wire) supplies the CNOT layer and a
-    measurement spec that consumes the layer's V wires. Each branch is
-    recorded by visit(layer, code, read), where layer is the round's
-    Layer record, code the label code and read maps each measured wire to
-    the BitVector of the sampled substring it was read as (None when
-    enumerating); a false return stops that branch. A code's low bits are
-    the layer function's outputs. Returns the final outputs, as bit
+    (one qubit or one code block per wire) supplies the admission, the
+    CNOT layer and a measurement spec that consumes the layer's V wires;
+    it holds the live wires in wire order. Each branch is recorded by
+    visit(layer, code, read), where layer is the round's Layer record,
+    code the label code and read maps each measured wire to the
+    BitVector of the sampled substring it was read as (None when
+    enumerating); a false return stops that branch. A code's low bits
+    are the layer function's outputs. Returns the final outputs, as bit
     tuples, with their probabilities."""
     program = register.program
     dist: dict[tuple[int, ...], float] = {}
     # Branches still to walk, the next one on top. A layer's children all
     # go in at the index where the stack ended, so that the first child is
     # on top and the walk is depth first in branch order.
-    todo = [(program.layers[0], 1.0, state, list(range(1, program.num_wires + 1)), {}, {})]
+    todo = [(program.layers[0], 1.0, EMPTY, [], {}, {})]
     while todo:
         layer, prob, state, live, stored, rs = todo.pop()
+        if layer.admit:
+            state = register.admit(state, live, layer.admit)
+            live = sorted([*live, *layer.admit])
         pos_of = {w: k + 1 for k, w in enumerate(live)}
         state = register.cnot_layer(state, [(pos_of[c], pos_of[t]) for c, t in layer.cnots])
         fn = layer.fn
@@ -570,7 +644,7 @@ def lmeval(x: BitVector, program: LMProgram, rng: np.random.Generator) -> BitVec
     """Sample one run of the program on classical input x."""
     if len(x) != program.num_input_bits:
         raise ValueError("input length mismatch")
-    dist = walk(LogicalRegister(program), prepare_program_state(program), x, rng)
+    dist = walk(LogicalRegister(program), x, rng)
     return BitVector(next(iter(dist)))
 
 
@@ -578,7 +652,7 @@ def lmeval_distribution(x: BitVector, program: LMProgram) -> dict[tuple[int, ...
     """Exact output distribution via branch enumeration, no sampling."""
     if len(x) != program.num_input_bits:
         raise ValueError("input length mismatch")
-    return walk(LogicalRegister(program), prepare_program_state(program), x)
+    return walk(LogicalRegister(program), x)
 
 
 def simulate_circuit(circuit: Circuit, x: BitVector) -> StateVector:
@@ -679,6 +753,8 @@ def check_lm_invariants(program: LMProgram) -> list[str]:
     for pid, halves in pairs.items():
         if sorted(h for _, h in halves) != ["a", "b"]:
             bad.append(f"magic pair {pid} must have exactly halves a and b")
+        elif halves != [(halves[0][0], "a"), (halves[0][0] + 1, "b")]:
+            bad.append(f"magic pair {pid} is not two adjacent wires, a then b")
     return bad
 
 

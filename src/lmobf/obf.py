@@ -14,13 +14,14 @@ read a round's codewords through OracleKey.reads, the round's wire
 reads worked out once when the key is built.
 
 Evaluation drives the encoded register through the transversal CNOT
-layers. Each layer fully reads the blocks of the newly collapsing
+layers, admitting each wire's masked block at the first layer that
+touches it. Each layer fully reads the blocks of the newly collapsing
 wires but takes only one bit from the layer's measurement pair, the
 bit the layer function exposes, so the pair's blocks stay in coherent
 coset superpositions for their deferred reads; the pair vectors handed
 to the oracle are a consistent sample from inside the observed class.
 A logical evaluation route produces the same records from the
-unencoded program state and dresses them in random coset
+unencoded program wires and dresses them in random coset
 representatives, which keeps larger parameter choices inside the
 simulator's qubit budget.
 """
@@ -59,7 +60,9 @@ from .lm import (
     bind,
     check_lm_invariants,
     eval_classical_fn,
+    initial_state,
     lmeval_distribution,
+    place,
     prepare_program_state,
     program_to_text,
     read_program,
@@ -429,15 +432,18 @@ def simulated_suite(key: OracleKey, q_fn: Callable[[BitVector], BitVector]) -> O
 @dataclass
 class ObfuscatedProgram:
     """Handle on one obfuscation: the oracle key (private to the suite
-    in a real deployment), the one-shot token registers, and the program
-    state. The encoded register is materialized on demand so that wide
+    in a real deployment), the one-shot token registers and the oracle
+    suite. Evaluation admits the program's wires as it walks, and the
+    whole encoded register is materialized only on demand, so that wide
     parameter choices stay constructible."""
 
     params: ObfParams
     key: OracleKey
     token: TokenKeypair
-    logical_state: StateVector
     suite: OracleSuite
+    # Kept for the benchmark, which passes it; nothing here reads it, and
+    # a benchmark change removes it.
+    logical_state: Optional[StateVector] = None
 
     @property
     def num_code_qubits(self) -> int:
@@ -449,14 +455,16 @@ class ObfuscatedProgram:
 
     def encoded_state(self) -> StateVector:
         """The authenticated register, exactly the encoding isometry
-        applied to the program state. Raises past the simulator cap."""
-        return enc(self.key.auth_key, self.logical_state)
+        applied to the whole program state. Raises past the simulator
+        cap."""
+        return enc(self.key.auth_key, prepare_program_state(self.key.program))
 
 
 def qobf(params: ObfParams, program: LMProgram, rng: np.random.Generator) -> ObfuscatedProgram:
     """Sample all key material for one obfuscation of the program and
     package the oracle suite. The program state is the program's own
-    (inputs zeroed, magic wires loaded)."""
+    (inputs zeroed, magic wires loaded), admitted wire by wire when the
+    program is evaluated."""
     auth_key = gen(params.security, program.num_wires, rng)
     keypair = tok_gen(params.token_dim, program.num_input_bits, rng)
     key = OracleKey(
@@ -467,13 +475,7 @@ def qobf(params: ObfParams, program: LMProgram, rng: np.random.Generator) -> Obf
         label_bits=params.labels_for(program.num_wires),
         program=program,
     )
-    return ObfuscatedProgram(
-        params=params,
-        key=key,
-        token=keypair,
-        logical_state=prepare_program_state(program),
-        suite=real_suite(key),
-    )
+    return ObfuscatedProgram(params=params, key=key, token=keypair, suite=real_suite(key))
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -482,11 +484,15 @@ def qobf(params: ObfParams, program: LMProgram, rng: np.random.Generator) -> Obf
 @dataclass(frozen=True)
 class EncodedRegister:
     """The program's wires held as code blocks of the authenticated
-    register, for walk(). A layer reads the blocks of its newly
-    collapsing wires down to their raw bits and consumes them, but the
-    layer's measurement pair only down to the single bit its function
-    exposes, which leaves the pair blocks coherent for the deferred reads
-    of later layers."""
+    register, for walk(). A wire joins as its encoded block under the
+    key's own masks: no CNOT has touched it yet, so its mask is the one
+    the key holds. A layer reads the blocks of its newly collapsing wires
+    down to their raw bits and consumes them, but the layer's
+    measurement pair only down to the single bit its function exposes,
+    which leaves the pair blocks coherent for the deferred reads of
+    later layers. Admitted blocks are built afresh at each admission: a
+    sampled walk admits each round once, and one admission can hold
+    2^20 amplitudes."""
 
     key: OracleKey
 
@@ -497,6 +503,10 @@ class EncodedRegister:
     @property
     def block(self) -> int:
         return self.key.auth_key.code_length
+
+    def admit(self, state: StateVector, live: list[int], wires: tuple[int, ...]) -> StateVector:
+        fresh = enc(self.key.auth_key, initial_state(self.program, wires), wires)
+        return place(state, live, wires, fresh, self.block)
 
     def cnot_layer(self, state: StateVector, cnots: list[tuple[int, int]]) -> StateVector:
         return lin_eval(cnots, state, self.block)
@@ -518,7 +528,7 @@ def _honest_run(
     up to the output query) with the pair each layer query carried.
 
     "physical" walks the encoded register, whose reads are the
-    codewords. "logical" walks the unencoded program state and dresses
+    codewords. "logical" walks the unencoded program wires and dresses
     every exposed bit in a fresh random representative of its wire's
     coset, v wires first, then the pair."""
     key = program.key
@@ -550,12 +560,8 @@ def _honest_run(
         w_pairs.append(w_pair)
         return True
 
-    if mode == "physical":
-        # Handed over without a name, so that no frame keeps the encoded
-        # state alive once the first CNOT layer has replaced it.
-        walk(EncodedRegister(key), enc(key.auth_key, program.logical_state), x, rng, visit)
-    else:
-        walk(LogicalRegister(key.program), program.logical_state, x, rng, visit)
+    register = EncodedRegister(key) if mode == "physical" else LogicalRegister(key.program)
+    walk(register, x, rng, visit)
     return reject if reject is not None else (transcript, w_pairs)
 
 
@@ -572,9 +578,11 @@ def qeval(
     that refuses.
 
     mode picks the register the measurements run on: "physical" drives
-    the full encoded state, "logical" samples wire records from the
-    unencoded state and dresses them in coset representatives, "auto"
-    takes the physical route whenever it fits the simulator cap.
+    the encoded register, "logical" samples wire records from the
+    unencoded wires and dresses them in coset representatives, "auto"
+    takes the physical route whenever the whole encoded register
+    (num_code_qubits) fits the simulator cap, although the walk only
+    ever holds the blocks of the live wires.
     """
     if len(x) != program.key.program.num_input_bits:
         raise ValueError("input length mismatch")

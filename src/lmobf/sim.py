@@ -52,7 +52,7 @@ class QubitCapError(ValueError):
     """An operation would exceed the configured qubit cap."""
 
 
-def _check_cap(num_qubits: int) -> None:
+def check_cap(num_qubits: int) -> None:
     if num_qubits > QUBIT_CAP:
         raise QubitCapError(f"{num_qubits} qubits exceeds cap of {QUBIT_CAP}")
 
@@ -69,7 +69,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_cap(self.num_qubits)
+        check_cap(self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError("amplitude count does not match qubit count")
@@ -84,7 +84,7 @@ class StateVector:
 
     @staticmethod
     def basis(bits: BitVector) -> "StateVector":
-        _check_cap(len(bits))
+        check_cap(len(bits))
         amps = np.zeros(2 ** len(bits), dtype=np.complex128)
         amps[bits.value] = 1.0
         return StateVector(len(bits), amps)
@@ -190,7 +190,7 @@ def apply_pauli_mask(state: StateVector, x_mask: BitVector, z_mask: BitVector) -
 def prepare_subspace_state(s: Subspace, shift: Optional[BitVector] = None) -> StateVector:
     """Uniform superposition over the coset s + shift."""
     n = s.ambient_dim
-    _check_cap(n)
+    check_cap(n)
     indices = np.array([0 if shift is None else shift.value], dtype=np.int64)
     for row in s.basis.rows:
         indices = np.concatenate([indices, indices ^ row.value])
@@ -215,7 +215,7 @@ def apply_encoding_isometry(
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit {qubit} out of range 1..{n}")
     new_n = n - 1 + p
-    _check_cap(new_n)
+    check_cap(new_n)
     x = BitVector.zeros(p) if x_mask is None else x_mask
     z = BitVector.zeros(p) if z_mask is None else z_mask
     columns = [apply_pauli_mask(prepare_subspace_state(s, c), x, z) for c in (None, delta)]
@@ -226,8 +226,11 @@ def apply_encoding_isometry(
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    _check_cap(a.num_qubits + b.num_qubits)
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
+    """a then b. The amplitudes are np.kron's, the flattened outer
+    product, without np.kron's general-case overhead."""
+    check_cap(a.num_qubits + b.num_qubits)
+    amps = (a.amplitudes[:, None] * b.amplitudes).reshape(-1)
+    return StateVector(a.num_qubits + b.num_qubits, amps)
 
 
 def _measurement_classes(state: StateVector, spec: MeasurementSpec):

@@ -55,6 +55,19 @@ def random_circuit(
     return Circuit(m, nq, tuple(gates), outs)
 
 
+def tchain_circuit(rng: np.random.Generator, h_slot: int) -> Circuit:
+    """Two qubits, two inputs, with 7 T, 1 H and 8 CNOT in random order,
+    the H being the h_slot-th (0-based) of the eight one-qubit gates."""
+    singles = ["T"] * 7
+    singles.insert(h_slot, "H")
+    gates = []
+    for single in rng.permutation(16) < 8:
+        kind = singles.pop(0) if single else "CNOT"
+        a = int(rng.integers(1, 3))
+        gates.append(Gate(kind, (a, 3 - a) if kind == "CNOT" else (a,)))
+    return Circuit(2, 2, tuple(gates), (1, 2))
+
+
 def all_inputs(m: int):
     for v in range(2**m):
         yield BitVector.from_int(v, m)

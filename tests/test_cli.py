@@ -460,11 +460,13 @@ def test_state_file_must_match_the_key(workdir, tmp_path, capsys, line):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
 def test_key_wider_than_the_cap_is_a_limit(tmp_path, flags):
-    """An oracle key whose program has more wires than the simulator cap
-    (one qubit with 12 T gates: 25 wires) is exit 3, the simulator-limits
-    code, from eval and attack alike, whether or not asserts are compiled."""
+    """An oracle key whose program needs more live wires than the
+    simulator cap (25 qubits, all read by the final round) is exit 3, the
+    simulator-limits code, from eval and attack alike, whether or not
+    asserts are compiled."""
     rng = np.random.default_rng(0)
-    program = compile_circuit(parse_circuit("qubits 1 inputs 1 outputs 1\n" + "T 1\n" * 12))
+    wide = "qubits 25 inputs 25 outputs " + ",".join(str(i) for i in range(1, 26))
+    program = compile_circuit(parse_circuit(wide))
     assert program.num_wires == 25
     params = ObfParams(security=1, label_bits=32, token_dim=16)
     key = OracleKey(
@@ -490,6 +492,78 @@ def test_key_wider_than_the_cap_is_a_limit(tmp_path, flags):
         assert proc.stderr == (
             "error: program is too wide for the simulator: 25 qubits exceeds cap of 24\n"
         )
+
+
+def test_key_with_many_wires_but_few_live_evaluates(tmp_path, capsys):
+    """One qubit with 12 T gates has 25 wires but never more than 4 live
+    at once, so its key evaluates (T is diagonal: the output is the
+    input) and the attack harness runs on it."""
+    rng = np.random.default_rng(0)
+    program = compile_circuit(parse_circuit("qubits 1 inputs 1 outputs 1\n" + "T 1\n" * 12))
+    assert (program.num_wires, program.peak_live) == (25, 4)
+    params = ObfParams(security=1, label_bits=32, token_dim=16)
+    key = OracleKey(
+        auth_key=gen(1, program.num_wires, rng),
+        token_dim=16,
+        token_vk=tok_gen(16, program.num_input_bits, rng).vk,
+        prf_key=rng.bytes(32),
+        label_bits=params.labels_for(program.num_wires),
+        program=program,
+    )
+    obf = tmp_path / "obf"
+    obf.mkdir()
+    (obf / "oracle_key.txt").write_text(oracle_key_to_text(key))
+    (obf / "state.txt").write_text("\n".join(_param_lines(params, 0)) + "\n")
+    for x in ("0", "1"):
+        assert invoke(["eval", str(obf), x, "--seed", "4"]) == 0
+        assert capsys.readouterr().out == x + "\n"
+    assert invoke(["attack", str(obf), "pauli-tamper", "--trials", "50"]) == 0
+    assert "trials 50\nrejected 50\naccepted 0\n" in capsys.readouterr().out
+
+
+# The compiled `H 1` with the halves of its H pair swapped: halves a
+# and b are both there, but not as two adjacent wires, a then b.
+H_PROGRAM = program_to_text(compile_circuit(parse_circuit("qubits 1 inputs 1 outputs 1\nH 1")))
+SPLIT_H_PROGRAM = H_PROGRAM.replace(
+    "state 2 magic-H 1 a\nstate 3 magic-H 1 b", "state 2 magic-H 1 b\nstate 3 magic-H 1 a"
+)
+SPLIT_PAIR_RULE = "magic pair 1 is not two adjacent wires, a then b"
+
+
+def run_cli(flags, *argv):
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "lmobf", *argv], capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_obfuscate_refuses_a_split_hadamard_pair(tmp_path, flags):
+    """obfuscate refuses a program whose H pair is split with exit 3 and
+    the rule it breaks, whether or not asserts are compiled."""
+    assert SPLIT_H_PROGRAM != H_PROGRAM
+    (tmp_path / "prog.txt").write_text(SPLIT_H_PROGRAM)
+    argv = ["obfuscate", str(tmp_path / "prog.txt"), "-o", str(tmp_path / "o"), *OBF_FLAGS]
+    proc = run_cli(flags, *argv)
+    assert proc.returncode == 3
+    assert proc.stderr == f"error: program fails structural checks: {SPLIT_PAIR_RULE}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_key_with_a_split_hadamard_pair_is_a_usage_error(tmp_path, flags):
+    """An oracle key whose program has a split H pair is a usage error
+    from eval and attack that names the rule, never a traceback."""
+    (tmp_path / "prog.txt").write_text(H_PROGRAM)
+    obf = tmp_path / "obf"
+    proc = run_cli(flags, "obfuscate", str(tmp_path / "prog.txt"), "-o", str(obf), *OBF_FLAGS)
+    assert proc.returncode == 0
+    key_file = obf / "oracle_key.txt"
+    key_file.write_text(key_file.read_text().replace(H_PROGRAM, SPLIT_H_PROGRAM))
+    for command in (["eval", str(obf), "1"], ["attack", str(obf), "replay"]):
+        proc = run_cli(flags, *command)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: unusable obfuscation directory: line ")
+        assert proc.stderr.endswith(f": {SPLIT_PAIR_RULE}\n")
 
 
 def test_serve_child_finds_the_parents_lmobf(workdir, tmp_path, capsys):

@@ -24,13 +24,14 @@ from lmobf.lm import (
     lmeval_distribution,
     magic_state,
     parse_circuit,
+    place,
     prepare_program_state,
     program_from_text,
     program_to_text,
     simulate_circuit,
     total_variation,
 )
-from lmobf.sim import StateVector, state_distance
+from lmobf.sim import StateVector, state_distance, tensor
 
 
 def bv(s: str) -> BitVector:
@@ -390,6 +391,91 @@ def test_prepare_state_rejects_split_pair():
         prepare_program_state(broken)
 
 
+# --- lazy admission ----------------------------------------------------------
+
+
+def test_rounds_admit_the_wires_they_touch_first():
+    """A wire joins at the first round whose CNOTs, V set or W set touch
+    it: in `T 1; CNOT 1 2` qubit 2 waits for round 2, below wires 3 and 4
+    that round 1 left live."""
+    p = compile_circuit(parse_circuit("qubits 2 inputs 2 outputs 1,2\nT 1\nCNOT 1 2"))
+    assert [ly.admit for ly in p.layers] == [(1, 3, 4), (2,)]
+    assert p.layers[0].v == (1,) and p.layers[1].cnots == ((3, 2),)
+    assert p.peak_live == 3
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_admission_covers_each_wire_once_with_pairs_together(seed):
+    """Every wire is admitted exactly once, no later than the first round
+    that touches it, the halves of an H pair in the same round, and the
+    peak live count is the most wires admitted and not yet consumed."""
+    rng = np.random.default_rng(seed)
+    p = compile_circuit(random_circuit(rng, max_gates=10, max_t=4))
+    admitted = [w for ly in p.layers for w in ly.admit]
+    assert sorted(admitted) == list(range(1, p.num_wires + 1))
+    round_of = {w: ly.index for ly in p.layers for w in ly.admit}
+    for ly in p.layers:
+        for w in {q for pair in ly.cnots for q in pair}.union(ly.v, ly.w):
+            assert round_of[w] <= ly.index
+    for w, tag in enumerate(p.state_spec, start=1):
+        if tag[0] == "magic_h" and tag[2] == "a":
+            assert round_of[w] == round_of[w + 1]
+    live, peak = set(), 0
+    for ly in p.layers:
+        live.update(ly.admit)
+        peak = max(peak, len(live))
+        live.difference_update(ly.v)
+    assert p.peak_live == peak <= p.num_wires
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_place_puts_blocks_in_wire_order(block):
+    """Admitted blocks land among the live ones in wire order: on top
+    with one tensor, or through the axis permutation."""
+    rng = np.random.default_rng(5)
+
+    def random_state(n):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        return StateVector(n, amps / np.linalg.norm(amps))
+
+    blocks = {w: random_state(block) for w in range(1, 6)}
+
+    def product(wires):
+        out = StateVector(0, np.ones(1, dtype=np.complex128))
+        for w in wires:
+            out = tensor(out, blocks[w])
+        return out
+
+    for live, wires in (([], (1, 2)), ([1, 2], (4, 5)), ([3, 5], (1, 4)), ([2, 4], (1, 3, 5))):
+        got = place(product(live), live, wires, product(wires), block)
+        want = product(sorted([*live, *wires]))
+        # The products associate differently, so the floats may move by ulps.
+        np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=1e-13, atol=1e-15)
+
+
+def test_long_t_chain_runs_on_a_few_live_wires():
+    """H, 101 T and H on one qubit compile to 207 wires, but at most 5
+    are ever live, so the chain evaluates: lmeval matches the circuit's
+    output distribution, and one physical run at security 1 (15
+    qubits) lands in its support."""
+    from lmobf.obf import ObfParams, qeval, qobf
+
+    circuit = parse_circuit("qubits 1 inputs 1 outputs 1\nH 1\n" + "T 1\n" * 101 + "H 1\n")
+    p = compile_circuit(circuit)
+    assert (p.num_wires, p.peak_live) == (207, 5)
+    x = bv("0")
+    want = circuit_output_distribution(circuit, x)
+    rng = np.random.default_rng(17)
+    n = 100
+    ones = sum(lmeval(x, p, rng)[1] for _ in range(n))
+    q = want[(1,)]
+    assert abs(ones - n * q) <= 3 * np.sqrt(n * q * (1 - q))
+    obf = qobf(ObfParams(security=1, label_bits=32, token_dim=16), p, np.random.default_rng(18))
+    y = qeval(x, obf, np.random.default_rng(19), mode="physical")
+    assert y.bits in want
+
+
 # --- invariant checker ------------------------------------------------------
 
 
@@ -484,6 +570,10 @@ RULE_BREAKS = {
     "magic-H halves": (
         lambda p: {"state_spec": p.state_spec[:3] + (("magic_h", 1, "a"),) + p.state_spec[4:]},
         "magic pair 1",
+    ),
+    "magic-H halves not adjacent": (
+        lambda p: {"state_spec": p.state_spec[:2] + p.state_spec[3:1:-1] + p.state_spec[4:]},
+        "magic pair 1 is not two adjacent wires",
     ),
     "V lists a wire twice": (
         lambda p: {"v_sets": ((1, 2, 3, 3),) + p.v_sets[1:]},

@@ -8,10 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_inputs, random_circuit
+from helpers import all_inputs, random_circuit, tchain_circuit
 from lmobf.auth import gen, wire_reads
 from lmobf.gf2 import BitVector, coset_decode
-from lmobf.lm import Circuit, Gate, compile_circuit, eval_classical_fn, lmeval_distribution
+from lmobf.lm import (
+    Circuit,
+    Gate,
+    circuit_output_distribution,
+    compile_circuit,
+    eval_classical_fn,
+    lmeval,
+    lmeval_distribution,
+    parse_circuit,
+)
 from lmobf.obf import (
     ObfParams,
     _parse_request_fields,
@@ -513,6 +522,56 @@ def test_physical_honest_runs_are_pinned(security, digest):
             labels = " ".join(map(str, tr.labels))
             h.update(f"{words}|{labels}|{y}|{rng.integers(2**62)}\n".encode())
     assert h.hexdigest() == digest
+
+
+# Digest of test_logical_honest_runs_are_pinned, taken when every wire was
+# allocated at the start of a run.
+LOGICAL_PIN = "90c759219bfe464982f3355c015b5ddf71012d21036798bebc2ab2979da6524e"
+
+# Qubit 2 is first touched by the CNOT of round 2, below wires 3 and 4,
+# which the T gadget of round 1 left live.
+LATE_QUBIT_2 = parse_circuit(
+    "qubits 2 inputs 2 outputs 1,2\n"
+    "T 1\nCNOT 1 2\nT 2\nCNOT 2 1\nH 1\nT 1\nCNOT 1 2\nT 2\n"
+    "CNOT 2 1\nT 1\nCNOT 1 2\nT 2\nCNOT 2 1\nT 1\nCNOT 1 2\nCNOT 2 1\n"
+)
+
+
+def test_logical_honest_runs_are_pinned():
+    """Seeded logical evaluations of tchain-shaped circuits (7 T, 1 H and
+    8 CNOT on two qubits, one circuit per H slot, and one that touches
+    qubit 2 only once wires above it are live) keep their codewords,
+    labels and output and the next draw of the evaluation's rng, byte
+    for byte, through qeval and through lmeval alike."""
+    late = compile_circuit(LATE_QUBIT_2).layers
+    assert late[0].admit == (1, 3, 4) and late[0].v == (1,) and late[1].admit[0] == 2
+    pool = np.random.default_rng(2024)
+    circuits = [tchain_circuit(pool, slot) for slot in range(8)] + [LATE_QUBIT_2]
+    params = ObfParams(security=2, label_bits=32, token_dim=16)
+    h = hashlib.sha256()
+    for c, circuit in enumerate(circuits):
+        program = compile_circuit(circuit)
+        for x in all_inputs(2):
+            support = circuit_output_distribution(circuit, x)
+            obf = qobf(params, program, np.random.default_rng((c, x.value)))
+            final = []
+
+            def query_g(tr, obf=obf, final=final):
+                final.append(tr)
+                return obf.suite.query_g(tr)
+
+            rng = np.random.default_rng((c, x.value, 1))
+            y = qeval(x, obf, rng, "logical", OracleSuite(obf.suite.query_f, query_g))
+            assert y.bits in support
+            (tr,) = final
+            words = " ".join(" ".join(map(str, layer)) for layer in tr.v_layers)
+            labels = " ".join(map(str, tr.labels))
+            h.update(f"{words}|{labels}|{y}|{rng.integers(2**62)}\n".encode())
+            rng = np.random.default_rng((c, x.value, 2))
+            ys = [lmeval(x, program, rng) for _ in range(2)]
+            assert all(y.bits in support for y in ys)
+            h.update(f"{' '.join(map(str, ys))}|{rng.integers(2**62)}\n".encode())
+    assert h.hexdigest() == LOGICAL_PIN
 
 
 def test_qeval_rejects_on_tampered_suite():

@@ -195,6 +195,21 @@ def test_tensor():
     assert np.allclose(ab.amplitudes, [0, 0, 1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
+@pytest.mark.parametrize("na, nb", [(0, 1), (1, 0), (1, 2), (3, 4), (6, 1)])
+def test_tensor_equals_kron(na, nb):
+    """tensor's outer product gives np.kron's amplitudes bit for bit."""
+    rng = np.random.default_rng(na * 10 + nb)
+
+    def random_state(n):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        return StateVector(n, amps / np.linalg.norm(amps))
+
+    a, b = random_state(na), random_state(nb)
+    got = tensor(a, b)
+    assert got.num_qubits == na + nb
+    assert np.array_equal(got.amplitudes, np.kron(a.amplitudes, b.amplitudes))
+
+
 def test_qubit_cap():
     with pytest.raises(QubitCapError):
         StateVector(sim.QUBIT_CAP + 1, np.zeros(2))
