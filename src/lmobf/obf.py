@@ -6,12 +6,15 @@ classical input, and publishes one classical oracle per measurement
 layer plus a final output oracle. Each layer oracle checks the token,
 replays a hash chain that commits to every earlier measurement record,
 decodes the submitted codewords, and answers with the next chained
-label; the output oracle repeats the checks and releases the program
-output. Simulated variants of both oracles (membership checks instead
-of decoding, labels with a fixed chain bit) exercise the boundary the
-security argument rests on: they reject exactly the same queries. Both
-read a round's codewords through OracleKey.reads, the round's wire
-reads worked out once when the key is built.
+label. The replay frames each field of the transcript once and hashes
+every label from the framed prefix that ends at its layer, so a query
+at layer i frames O(i) vectors. The output oracle repeats the checks
+and releases the program output. Simulated variants of both oracles
+(membership checks instead of decoding, labels with a fixed chain bit)
+exercise the boundary the security argument rests on: they reject
+exactly the same queries. Both read a round's codewords through
+OracleKey.reads, the round's wire reads worked out once when the key
+is built.
 
 Evaluation drives the encoded register through the transversal CNOT
 layers, admitting each wire's masked block at the first layer that
@@ -238,29 +241,53 @@ class Transcript:
         return replace(self, labels=self.labels + (label,))
 
 
-def request_payload(transcript: Transcript, upto: Optional[int] = None) -> bytes:
-    """The framed transcript: the input, the signature, then each
-    codeword layer followed by its label where it has one. With upto,
-    only the first upto layers and the labels of the first upto-1."""
+def _framed(transcript: Transcript, upto: Optional[int] = None) -> tuple[bytes, list[int]]:
+    """The one framing pass: each field of the transcript framed once, in
+    the order x, signature, then each codeword layer followed by its label
+    where it has one. With upto, only the first upto layers and the labels
+    of the first upto-1. Returns the bytes and, per codeword layer, the
+    offset where its frame ends: the prefix up to there is what the
+    layer's label hashes."""
     v_layers, labels = transcript.v_layers, transcript.labels
     if upto is not None:
         v_layers, labels = v_layers[:upto], labels[: upto - 1]
     parts = [frame(transcript.x), frame_group(transcript.signature)]
+    at = len(parts[0]) + len(parts[1])
+    ends = []
     for idx, layer in enumerate(v_layers):
         parts.append(frame_group(layer))
+        at += len(parts[-1])
+        ends.append(at)
         if idx < len(labels):
             parts.append(frame(labels[idx]))
-    return b"".join(parts)
+            at += len(parts[-1])
+    return b"".join(parts), ends
+
+
+def request_payload(transcript: Transcript, upto: Optional[int] = None) -> bytes:
+    """The framed transcript: the input, the signature, then each
+    codeword layer followed by its label where it has one. With upto,
+    only the first upto layers and the labels of the first upto-1."""
+    return _framed(transcript, upto)[0]
+
+
+# The frames of the one-bit chain bits that end every label message.
+_CHAIN_BITS = (frame_bits((0,)), frame_bits((1,)))
 
 
 def label_message(transcript: Transcript, upto: int, trailing_bit: int) -> bytes:
     """Canonical bytes hashed for the layer-upto label: the request
     payload of the first upto layers, and the chain bit last."""
-    return request_payload(transcript, upto) + frame_bits((trailing_bit & 1,))
+    return request_payload(transcript, upto) + _CHAIN_BITS[trailing_bit & 1]
+
+
+def _label(key: OracleKey, prefix: bytes, bit: int) -> BitVector:
+    """The chained label of a framed prefix ending in a codeword layer."""
+    return prf(key.prf_key, prefix + _CHAIN_BITS[bit & 1], key.label_bits)
 
 
 def chain_label(key: OracleKey, transcript: Transcript, upto: int, bit: int) -> BitVector:
-    return prf(key.prf_key, label_message(transcript, upto, bit), key.label_bits)
+    return _label(key, request_payload(transcript, upto), bit)
 
 
 # --- oracle internals ---------------------------------------------------------
@@ -299,19 +326,24 @@ def _prelude(key: OracleKey, layer: Layer, transcript: Transcript, w_pair: Codew
     """What every oracle checks before its own answer, in order: the
     token, the shape, the label-chain replay. A layer oracle passes its
     pair; the output oracle passes the final round, whose pair is empty.
-    Returns the Reject, or the chain bits of the earlier layers with the
-    codewords the round's measurement covers, in ascending wire order."""
+    The replay frames each field of the transcript once and hashes every
+    label's candidates from the prefix that ends at its layer. Returns the
+    Reject, or the chain bits of the earlier layers, the codewords the
+    round's measurement covers in ascending wire order, and the framed
+    transcript, which is the prefix the round's own label hashes."""
     i = layer.index
     if not tok_ver(key.token_vk, transcript.x, transcript.signature):
         return Reject(REASON_BAD_TOKEN, i)
     if not _shape_ok(key, transcript, layer, w_pair):
         return Reject(REASON_DECODE, i)
+    payload, ends = _framed(transcript)
     # Each earlier label must be one of its layer's two candidate hashes;
     # the matching trailing bit is that layer's chain bit.
     rs: dict[int, int] = {}
     for idx in range(1, i):
-        cand0 = chain_label(key, transcript, idx, 0)
-        cand1 = chain_label(key, transcript, idx, 1)
+        prefix = payload[: ends[idx - 1]]
+        cand0 = _label(key, prefix, 0)
+        cand1 = _label(key, prefix, 1)
         if cand0 == cand1:
             return Reject(REASON_COLLISION, i)
         given = transcript.labels[idx - 1]
@@ -325,7 +357,7 @@ def _prelude(key: OracleKey, layer: Layer, transcript: Transcript, w_pair: Codew
     for codewords, earlier in zip(transcript.v_layers, key.program.layers):
         by_wire.update(zip(earlier.v, codewords))
     by_wire.update(zip(layer.w, w_pair))
-    return rs, tuple(by_wire[w] for w in layer.phi)
+    return rs, tuple(by_wire[w] for w in layer.phi), payload
 
 
 def _decode(
@@ -357,10 +389,11 @@ def oracle_f(key: OracleKey, i: int, transcript: Transcript, w_pair: CodewordTup
     checked = _prelude(key, layer, transcript, w_pair)
     if is_bot(checked):
         return checked
-    outs = _decode(key, layer, transcript.x, *checked)
+    rs, ordered, payload = checked
+    outs = _decode(key, layer, transcript.x, rs, ordered)
     if is_bot(outs):
         return outs
-    return transcript.v_layers[-1], chain_label(key, transcript, i, outs["r"])
+    return transcript.v_layers[-1], _label(key, payload, outs["r"])
 
 
 def oracle_g(key: OracleKey, transcript: Transcript):
@@ -370,7 +403,8 @@ def oracle_g(key: OracleKey, transcript: Transcript):
     checked = _prelude(key, layer, transcript, ())
     if is_bot(checked):
         return checked
-    outs = _decode(key, layer, transcript.x, *checked)
+    rs, ordered, _ = checked
+    outs = _decode(key, layer, transcript.x, rs, ordered)
     if is_bot(outs):
         return outs
     return BitVector(tuple(outs[name] for name in layer.fn.output_names))
@@ -384,9 +418,10 @@ def oracle_f_sim(key: OracleKey, i: int, transcript: Transcript, w_pair: Codewor
     checked = _prelude(key, layer, transcript, w_pair)
     if is_bot(checked):
         return checked
-    if not ver(key.auth_key, key.reads[layer.index - 1], checked[1]):
+    _, ordered, payload = checked
+    if not ver(key.auth_key, key.reads[layer.index - 1], ordered):
         return Reject(REASON_DECODE, i)
-    return transcript.v_layers[-1], chain_label(key, transcript, i, 0)
+    return transcript.v_layers[-1], _label(key, payload, 0)
 
 
 def oracle_g_sim(key: OracleKey, q_fn: Callable[[BitVector], BitVector], transcript: Transcript):
@@ -396,7 +431,8 @@ def oracle_g_sim(key: OracleKey, q_fn: Callable[[BitVector], BitVector], transcr
     checked = _prelude(key, layer, transcript, ())
     if is_bot(checked):
         return checked
-    if not ver(key.auth_key, key.reads[layer.index - 1], checked[1]):
+    _, ordered, _ = checked
+    if not ver(key.auth_key, key.reads[layer.index - 1], ordered):
         return Reject(REASON_DECODE, layer.index)
     return q_fn(transcript.x)
 

@@ -27,6 +27,8 @@ from lmobf.obf import (
     OracleKey,
     OracleSuite,
     Reject,
+    _framed,
+    _prelude,
     Transcript,
     attack_harness,
     chain_label,
@@ -51,6 +53,7 @@ from lmobf.obf import (
     read_frames,
     real_suite,
     remote_suite,
+    request_payload,
     simulated_suite,
 )
 from lmobf.tokens import tok_gen, tok_sign
@@ -235,6 +238,67 @@ def test_label_message_commits_to_every_field():
     assert label_message(transcript, 1, 0) != base
 
 
+_vectors = st.lists(st.integers(0, 1), max_size=12).map(lambda b: BitVector(tuple(b)))
+
+
+@given(
+    _vectors,
+    st.lists(_vectors, max_size=3),
+    st.lists(st.lists(_vectors, max_size=3), min_size=1, max_size=6),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_single_pass_prefixes_equal_the_request_payloads(x, sig, v_layers, equal, data):
+    """The one framing pass ends each codeword layer's frame exactly
+    where request_payload of that many layers ends, for labels one
+    behind the layers and for equal counts, as encode_*_request sends;
+    widths vary and zero-length vectors occur."""
+    v_layers = tuple(tuple(layer) for layer in v_layers)
+    num_labels = len(v_layers) - (0 if equal else 1)
+    labels = tuple(data.draw(_vectors) for _ in range(num_labels))
+    tr = Transcript(x, tuple(sig), v_layers, labels)
+    payload, ends = _framed(tr)
+    assert payload == request_payload(tr)
+    assert len(ends) == len(v_layers)
+    for upto in range(1, len(v_layers) + 1):
+        assert payload[: ends[upto - 1]] == request_payload(tr, upto)
+        assert _framed(tr, upto)[1] == ends[:upto]
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_key():
+    """An obfuscation of H T T T H at security 1 (t = 3) and the signature
+    of its input 1."""
+    circuit = parse_circuit("qubits 1 inputs 1 outputs 1\nH 1\n" + "T 1\n" * 3 + "H 1\n")
+    _, obf = make_obf(circuit)
+    x = BitVector((1,))
+    return obf.key, x, tok_sign(x, obf.token, np.random.default_rng(1))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_replay_accepts_the_chain_label_of_each_layer(data):
+    """A transcript of arbitrary codewords whose labels were chained with
+    arbitrary bits: the replay accepts every label as the candidate
+    chain_label gives for its layer and bit, and reads those bits back."""
+    key, x, sig = _chain_key()
+    p = key.auth_key.code_length
+    tr = Transcript(x, sig)
+    bits = {}
+    for layer in key.program.layers:
+        v = tuple(BitVector.from_int(data.draw(st.integers(0, 2**p - 1)), p) for _ in layer.v)
+        tr = tr.with_codewords(v)
+        if layer.index <= key.program.t:
+            bits[layer.index] = data.draw(st.integers(0, 1))
+            tr = tr.with_label(chain_label(key, tr, layer.index, bits[layer.index]))
+    rs, _, payload = _prelude(key, key.program.layers[-1], tr, ())
+    assert rs == bits
+    assert payload == request_payload(tr)
+    for idx, r in rs.items():
+        assert tr.labels[idx - 1] == chain_label(key, tr, idx, r)
+
+
 # --- layer oracle gates ------------------------------------------------------
 
 
@@ -411,6 +475,95 @@ def test_real_and_sim_rejection_sets_agree_under_mutation():
         v[li][vi] = flip_bit(v[li][vi], int(rng.integers(len(v[li][vi]))))
         mutated = replace(transcript, v_layers=tuple(tuple(layer_v) for layer_v in v))
         assert is_bot(oracle_g(key, mutated)) == is_bot(oracle_g_sim(key, q_fn, mutated))
+
+
+# --- deep label chains ----------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _deep_chain():
+    """One honest logical evaluation of H, 104 T and H at security 1 and
+    token_dim 16 (t = 104): the key, the layer-t query and the final
+    transcript. T^104 is the identity, so the output is the input."""
+    program, obf = make_obf(
+        parse_circuit("qubits 1 inputs 1 outputs 1\nH 1\n" + "T 1\n" * 104 + "H 1\n"),
+        seed=5,
+        params=ObfParams(security=1, token_dim=16),
+    )
+    assert program.t == 104
+    queries, final = [], []
+
+    def query_f(i, tr, w):
+        queries.append((i, tr, w))
+        return obf.suite.query_f(i, tr, w)
+
+    def query_g(tr):
+        final.append(tr)
+        return obf.suite.query_g(tr)
+
+    suite = OracleSuite(query_f, query_g)
+    y = qeval(BitVector((1,)), obf, np.random.default_rng(6), mode="logical", suite=suite)
+    assert y == BitVector((1,))
+    return obf.key, queries[-1], final[0]
+
+
+def _identity(x: BitVector) -> BitVector:
+    return x
+
+
+def test_chain_replay_frames_each_field_once(monkeypatch):
+    """One query frames each field of its transcript once (the trailing
+    chain-bit frames are constants) and calls the PRF twice per earlier
+    layer, plus once for a layer oracle's own label."""
+    import lmobf.obf as obf_mod
+
+    key, (i, tr_f, w_pair), tr_g = _deep_chain()
+    t = key.program.t
+    assert i == t
+    counts = {"frame": 0, "prf": 0}
+    for name in counts:
+        original = getattr(obf_mod, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(obf_mod, name, counted)
+    assert oracle_g(key, tr_g) == BitVector((1,))
+    assert counts["frame"] <= 2 * t + 3
+    assert counts["prf"] == 2 * t
+    counts.update(frame=0, prf=0)
+    assert not is_bot(oracle_f(key, t, tr_f, w_pair))
+    assert counts["frame"] <= 2 * t + 2
+    assert counts["prf"] == 2 * (t - 1) + 1
+
+
+@pytest.mark.parametrize("k", [1, 52, 104])
+def test_deep_chain_tampering_is_a_bad_label_at_the_output(k):
+    """A flipped bit in label k, or in a codeword of layer k, fails the
+    replay at label k: both output oracles reject with bad-label at t+1."""
+    key, _, tr = _deep_chain()
+    t = key.program.t
+    labels = list(tr.labels)
+    labels[k - 1] = flip_bit(labels[k - 1], k)
+    v_layers = list(tr.v_layers)
+    v_layers[k - 1] = (flip_bit(v_layers[k - 1][0], k),) + v_layers[k - 1][1:]
+    for forged in (replace(tr, labels=tuple(labels)), replace(tr, v_layers=tuple(v_layers))):
+        assert oracle_g(key, forged) == Reject("bad-label", t + 1)
+        assert oracle_g_sim(key, _identity, forged) == Reject("bad-label", t + 1)
+
+
+def test_deep_chain_shape_is_checked_before_the_chain():
+    """A codeword of the wrong width in layer 100 and a forged label 1:
+    the shape check fires first."""
+    key, _, tr = _deep_chain()
+    t = key.program.t
+    v_layers = list(tr.v_layers)
+    v_layers[99] = (BitVector((1,)),) + v_layers[99][1:]
+    labels = (flip_bit(tr.labels[0], 0),) + tr.labels[1:]
+    forged = replace(tr, v_layers=tuple(v_layers), labels=labels)
+    assert oracle_g(key, forged) == Reject("decode-fail", t + 1)
+    assert oracle_g_sim(key, _identity, forged) == Reject("decode-fail", t + 1)
 
 
 # --- end-to-end evaluation ------------------------------------------------------
