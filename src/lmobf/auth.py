@@ -10,14 +10,16 @@ its Hadamard-side code and accepted spaces from its code.
 
 wire_reads works out, once per CNOT list and theta, how each measured
 wire's block is read: its basis, its code and the wire's mask pushed
-through the CNOTs. dec_words, dec, ver, blownup_spec and honest_codeword
-all take those reads.
+through the CNOTs. dec_words, dec, ver and honest_codeword all take
+those reads. The scheme knows nothing of the programs it protects: a
+round's measurement over the encoded register is lm.read_spec with
+dec_words as its decoder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -33,11 +35,8 @@ from .gf2 import (
     sample_coset_vector,
     sample_subspace,
 )
-from .lm import ClassicalFn, block_tags, fn_code
-from .sim import MeasurementSpec, StateVector, apply_cnots, apply_encoding_isometry
+from .sim import BOT, StateVector, apply_cnots, apply_encoding_isometry
 from .text import LineReader, parse
-
-BOT = -1  # the label code of a read that does not decode
 
 
 @dataclass(frozen=True)
@@ -201,36 +200,6 @@ def ver(key: AuthKey, reads: Reads, codewords: CodewordTuple) -> bool:
         if not accept.contains(c ^ r.shift):
             return False
     return True
-
-
-def blownup_spec(
-    p: int,
-    reads: Reads,
-    fn: ClassicalFn,
-    live: Sequence[int],
-    raw: Sequence[int],
-    binds: Callable[[dict[int, np.ndarray]], dict],
-) -> MeasurementSpec:
-    """Physical measurement over the blocks of the reads' wires, in a
-    register that holds the blocks (p qubits each) of the live wires in
-    order. A block of a 0-wire is read in the standard basis, a 1-wire in
-    the Hadamard basis. A label code holds the raw bits of the blocks of
-    the raw wires, in place above fn's outputs on the decoded bits; the
-    measurement consumes the blocks of the raw wires. binds maps the
-    decoded bits by wire to fn's bindings. Undecodable rows label as BOT."""
-    top = len(reads) - 1
-    raw_mask = sum((1 << p) - 1 << (top - k) * p for k, r in enumerate(reads) if r.wire in raw)
-    consumed = tuple(k * p + q for k, w in enumerate(live) if w in raw for q in range(1, p + 1))
-    width = len(fn.outputs)
-
-    def outcome_fn(rows: np.ndarray) -> np.ndarray:
-        decoded = dec_words(reads, rows)
-        m = {r.wire: decoded >> top - k & 1 for k, r in enumerate(reads)}
-        vals = fn_code(fn, binds(m), rows)
-        return np.where(decoded == BOT, BOT, (rows & raw_mask) << width | vals)
-
-    bases = {r.wire: r.basis for r in reads}
-    return MeasurementSpec(block_tags(bases, live, p), outcome_fn, consumed)
 
 
 # --- numeric twirl check ----------------------------------------------------

@@ -14,7 +14,9 @@ the empty register, and each round takes three steps: admit the wires
 of Layer.admit (both halves of an H pair together), apply the round's
 CNOT layer, and take its consuming measurement. The register holds its
 live wires in wire order, so rows and their classes are those of a run
-on the whole program state.
+on the whole program state. read_spec builds a round's measurement for
+either register: the logical one, whose wires read as their own bits,
+and the encoded one, whose caller passes the block decoder.
 
 The compiler rewrites any {CNOT, H, T} circuit into this shape using
 teleportation gadgets, two fresh wires per H or T gate.
@@ -29,6 +31,7 @@ import numpy as np
 
 from .gf2 import BitVector, concat, split
 from .sim import (
+    BOT,
     MeasurementSpec,
     StateVector,
     apply_cnots,
@@ -526,14 +529,38 @@ def fn_code(fn: ClassicalFn, binds: dict[str, Any], rows: Any) -> Any:
     return code
 
 
-def block_tags(
-    bases: Mapping[int, int], live: Sequence[int], block: int
-) -> tuple[Optional[str], ...]:
-    """Basis tags of a register holding the live wires in order, each as
-    a block of qubits: standard basis for a wire bases maps to 0,
-    Hadamard for 1, untouched for a wire it does not name."""
+def read_spec(
+    block: int,
+    bases: Mapping[int, int],
+    decode: Callable[[np.ndarray], np.ndarray],
+    fn: ClassicalFn,
+    live: Sequence[int],
+    raw: Sequence[int],
+    binds: Callable[[dict[int, np.ndarray]], dict],
+) -> MeasurementSpec:
+    """A round's measurement over the blocks (block qubits each) of the
+    read wires, the keys of bases in ascending order, in a register that
+    holds the blocks of the live wires in order: basis 0 reads a block in
+    the standard basis, 1 in the Hadamard basis. decode maps the packed
+    substrings to the read wires' bits, packed alike, or to BOT. A label
+    code holds the raw bits of the raw wires' blocks, in place above fn's
+    outputs on the decoded bits, or is BOT; the measurement consumes the
+    raw wires' blocks. binds maps the decoded bits by wire to fn's inputs."""
+    wires = tuple(bases)
+    top = len(wires) - 1
+    raw_mask = sum((1 << block) - 1 << (top - k) * block for k, w in enumerate(wires) if w in raw)
+    owner = [w for w in live for _ in range(block)]  # the wire of each register qubit
+    consumed = tuple(q for q, w in enumerate(owner, start=1) if w in raw)
+    width = len(fn.outputs)
+
+    def outcome_fn(rows: np.ndarray) -> np.ndarray:
+        decoded = decode(rows)
+        m = {w: decoded >> top - k & 1 for k, w in enumerate(wires)}
+        vals = fn_code(fn, binds(m), rows)
+        return np.where(decoded == BOT, BOT, (rows & raw_mask) << width | vals)
+
     tags = {w: "X" if b == 1 else "Z" for w, b in bases.items()}
-    return tuple(tags.get(w) for w in live for _ in range(block))
+    return MeasurementSpec(tuple(tags.get(w) for w in owner), outcome_fn, consumed)
 
 
 @dataclass(frozen=True)
@@ -559,19 +586,11 @@ class LogicalRegister:
         return apply_cnot_layer(state, cnots)
 
     def spec(self, layer: Layer, live: list[int], binds) -> MeasurementSpec:
-        """Label codes are the round function's outputs on each observed
-        substring."""
-        measured = layer.read
-
-        def outcome_fn(rows: np.ndarray) -> np.ndarray:
-            top = len(measured) - 1
-            m = {w: rows >> top - k & 1 for k, w in enumerate(measured)}
-            return fn_code(layer.fn, binds(m), rows)
-
-        v_wires = () if layer.final else layer.v
-        consumed = tuple(k for k, w in enumerate(live, start=1) if w in v_wires)
-        tags = block_tags({w: layer.theta[w - 1] for w in measured}, live, 1)
-        return MeasurementSpec(tags, outcome_fn, consumed)
+        """A wire's read bit is its decoded bit. A final round keeps no
+        raw bits: they would split its classes by wires no output reads."""
+        bases = {w: layer.theta[w - 1] for w in layer.read}
+        raw = () if layer.final else layer.v
+        return read_spec(1, bases, lambda rows: rows, layer.fn, live, raw, binds)
 
 
 def walk(

@@ -40,12 +40,11 @@ import numpy as np
 
 from .auth import (
     AuthKey,
-    BOT,
     CodewordTuple,
     Reads,
     WireRead,
-    blownup_spec,
     dec,
+    dec_words,
     enc,
     gen,
     honest_codeword,
@@ -69,9 +68,10 @@ from .lm import (
     prepare_program_state,
     program_to_text,
     read_program,
+    read_spec,
     walk,
 )
-from .sim import QUBIT_CAP, StateVector, measure  # noqa: F401  (measure is re-exported)
+from .sim import BOT, QUBIT_CAP, StateVector, measure  # noqa: F401  (measure is re-exported)
 from .text import LineReader, parse
 from .tokens import (
     Signature,
@@ -91,8 +91,21 @@ REASON_DECODE = "decode-fail"
 # oracle-serve sees this one reason whatever the oracle's was.
 REASON_REMOTE = "remote-bot"
 
+# Widest label accepted. Labels are hashed and framed on every oracle
+# query, and paper-sized labels (wires**4 bits) pass it only up to 32 wires.
+MAX_LABEL_BITS = 1 << 20
+
 
 # --- parameters and key material ---------------------------------------------
+
+
+def check_label_bits(bits: int) -> None:
+    """Raise ValueError unless labels of this width are 8 to
+    MAX_LABEL_BITS bits wide."""
+    if bits < 8:
+        raise ValueError("labels shorter than 8 bits are not collision safe")
+    if bits > MAX_LABEL_BITS:
+        raise ValueError(f"labels of {bits} bits are wider than the cap of {MAX_LABEL_BITS}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +128,7 @@ class ObfParams:
             raise ValueError("security must be at least 1")
         if self.token_dim < 1:
             raise ValueError("token_dim must be at least 1")
-        if self.label_bits < 8:
-            raise ValueError("labels shorter than 8 bits are not collision safe")
+        check_label_bits(self.label_bits)
 
     def labels_for(self, num_wires: int) -> int:
         if self.scaled_labels:
@@ -147,8 +159,7 @@ class OracleKey:
             raise ValueError("token must cover every input bit")
         if any(s.ambient_dim != 2 * self.token_dim for s in self.token_vk):
             raise ValueError("token subspace width must be 2*token_dim")
-        if self.label_bits < 8:
-            raise ValueError("labels shorter than 8 bits are not collision safe")
+        check_label_bits(self.label_bits)
         if not self.prf_key:
             raise ValueError("empty PRF key")
         violations = check_lm_invariants(self.program)
@@ -172,13 +183,12 @@ def prf(key: bytes, message: bytes, num_bits: int) -> BitVector:
     counter-extended when the requested width passes one digest)."""
     if num_bits < 1:
         raise ValueError("label width must be positive")
-    digest = b""
-    counter = 0
-    while 8 * len(digest) < num_bits:
-        block = message + counter.to_bytes(4, "big")
-        digest += hmac.new(key, block, hashlib.sha256).digest()
-        counter += 1
-    value = int.from_bytes(digest, "big") >> (8 * len(digest) - num_bits)
+    digests: list[bytes] = []
+    while 256 * len(digests) < num_bits:
+        block = message + len(digests).to_bytes(4, "big")
+        digests.append(hmac.new(key, block, hashlib.sha256).digest())
+    # Drop the bits past num_bits, -num_bits mod 256, from the last digest.
+    value = int.from_bytes(b"".join(digests), "big") >> (-num_bits & 255)
     return BitVector.from_int(value, num_bits)
 
 
@@ -501,6 +511,8 @@ def qobf(params: ObfParams, program: LMProgram, rng: np.random.Generator) -> Obf
     package the oracle suite. The program state is the program's own
     (inputs zeroed, magic wires loaded), admitted wire by wire when the
     program is evaluated."""
+    if program.num_input_bits < 1:
+        raise ValueError("the program has no input bits for the token to sign")
     auth_key = gen(params.security, program.num_wires, rng)
     keypair = tok_gen(params.token_dim, program.num_input_bits, rng)
     key = OracleKey(
@@ -549,7 +561,10 @@ class EncodedRegister:
 
     def spec(self, layer: Layer, live: list[int], binds):
         reads = tuple(r for r in self.key.reads[layer.index - 1] if r.wire in layer.read)
-        return blownup_spec(self.block, reads, layer.fn, live, layer.v, binds)
+        bases = {r.wire: r.basis for r in reads}
+        return read_spec(
+            self.block, bases, lambda rows: dec_words(reads, rows), layer.fn, live, layer.v, binds
+        )
 
 
 def _honest_run(

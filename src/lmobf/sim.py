@@ -32,6 +32,7 @@ import numpy as np
 from .gf2 import BitVector, Subspace, parity
 
 QUBIT_CAP = 24
+BOT = -1  # the label code of a substring that does not decode
 
 _SQRT2 = np.sqrt(2.0)
 _GATES_1Q = {

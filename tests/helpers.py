@@ -6,9 +6,11 @@ from itertools import product
 
 import numpy as np
 
-from lmobf.auth import blownup_spec, pauli_update
+from lmobf.auth import dec_words, pauli_update
 from lmobf.gf2 import BitVector, concat, coset_decode, split
 from lmobf.sim import (
+    BOT,
+    MeasurementSpec,
     StateVector,
     apply_encoding_isometry,
     apply_gate,
@@ -24,7 +26,9 @@ from lmobf.lm import (
     bind,
     circuit_output_distribution,
     compile_circuit,
+    fn_code,
     lmeval_distribution,
+    read_spec,
     total_variation,
 )
 
@@ -221,15 +225,59 @@ def reference_dec(key, cnots, theta, words):
     return code | rejected
 
 
+def reference_blownup_spec(p, reads, fn, live, raw, binds) -> MeasurementSpec:
+    """Physical measurement over the blocks of the reads' wires, in a
+    register that holds the blocks (p qubits each) of the live wires in
+    order, as auth built it before lm.read_spec: a label code holds the
+    raw bits of the blocks of the raw wires above fn's outputs on the
+    bits dec_words decodes, BOT where a block does not decode. The
+    reference for read_spec on an encoded register."""
+    top = len(reads) - 1
+    raw_mask = sum((1 << p) - 1 << (top - k) * p for k, r in enumerate(reads) if r.wire in raw)
+    consumed = tuple(k * p + q for k, w in enumerate(live) if w in raw for q in range(1, p + 1))
+    width = len(fn.outputs)
+
+    def outcome_fn(rows: np.ndarray) -> np.ndarray:
+        decoded = dec_words(reads, rows)
+        m = {r.wire: decoded >> top - k & 1 for k, r in enumerate(reads)}
+        vals = fn_code(fn, binds(m), rows)
+        return np.where(decoded == BOT, BOT, (rows & raw_mask) << width | vals)
+
+    tags = {r.wire: "X" if r.basis == 1 else "Z" for r in reads}
+    return MeasurementSpec(tuple(tags.get(w) for w in live for _ in range(p)), outcome_fn, consumed)
+
+
+def reference_logical_spec(layer, live, binds) -> MeasurementSpec:
+    """The logical register's measurement as lm built it before
+    read_spec: label codes are the round function's outputs alone on
+    each observed substring, and a round other than the final one
+    consumes its V wires. The reference for LogicalRegister.spec."""
+    measured = layer.read
+
+    def outcome_fn(rows: np.ndarray) -> np.ndarray:
+        top = len(measured) - 1
+        m = {w: rows >> top - k & 1 for k, w in enumerate(measured)}
+        return fn_code(layer.fn, binds(m), rows)
+
+    v_wires = () if layer.final else layer.v
+    consumed = tuple(k for k, w in enumerate(live, start=1) if w in v_wires)
+    tags = {w: "X" if layer.theta[w - 1] == 1 else "Z" for w in measured}
+    return MeasurementSpec(tuple(tags.get(w) for w in live), outcome_fn, consumed)
+
+
 def _blownup_spec(key, reads, fn):
-    """blownup_spec over a register of every wire, consuming none; with
-    fn None the labels are the decoded bits, m{w} for each read wire."""
+    """read_spec over the encoded blocks of every wire, consuming none;
+    with fn None the labels are the decoded bits, m{w} for each read wire."""
     phi = [r.wire for r in reads]
     if fn is None:
         nodes = tuple(("in", f"m{w}") for w in phi)
         fn = ClassicalFn(nodes, tuple((f"m{w}", k) for k, w in enumerate(phi)))
     live = range(1, key.num_wires + 1)
-    return blownup_spec(key.code_length, reads, fn, live, (), lambda m: bind(fn, m))
+    bases = {r.wire: r.basis for r in reads}
+    return read_spec(
+        key.code_length, bases, lambda rows: dec_words(reads, rows), fn, live, (),
+        lambda m: bind(fn, m),
+    )
 
 
 def logical_measure(key, reads, fn, state, rng):

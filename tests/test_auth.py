@@ -1,4 +1,6 @@
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -543,3 +545,14 @@ def test_twirl_zero_state_and_bad_shifts():
     inside = space_r.basis.rows[0]
     with pytest.raises(ValueError):
         verify_pauli_twirl(space_r, space_r_hat, inside, delta_hat, x0, z0, x1, z1, zero)
+
+
+@pytest.mark.parametrize("module", ["lmobf.auth", "lmobf.tokens"])
+def test_scheme_modules_load_no_program_model(module):
+    """The authentication scheme and the tokens stand on gf2 and sim
+    alone: importing either, in a fresh interpreter, loads no lmobf.lm."""
+    probe = f"import sys, {module}; print('lmobf.lm' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

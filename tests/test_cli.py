@@ -106,6 +106,7 @@ def test_obfuscate_stdout_is_seed_deterministic(workdir, tmp_path, capsys):
     "case",
     [
         "kappa 4",
+        "kappa 1048577",
         "lambda 0",
         "kappa-prime 0",
         "compile into a missing directory",
@@ -120,6 +121,7 @@ def test_unusable_arguments_exit_2(workdir, tmp_path, case, flags):
     prog, out = str(workdir / "prog.txt"), str(tmp_path / "o")
     argv = {
         "kappa 4": ["obfuscate", prog, "-o", out, "--kappa", "4"],
+        "kappa 1048577": ["obfuscate", prog, "-o", out, "--kappa", "1048577"],
         "lambda 0": ["obfuscate", prog, "-o", out, "--lambda", "0"],
         "kappa-prime 0": ["obfuscate", prog, "-o", out, "--kappa-prime", "0"],
         "compile into a missing directory": [
@@ -133,6 +135,53 @@ def test_unusable_arguments_exit_2(workdir, tmp_path, case, flags):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_key_and_state_wider_than_the_label_cap_are_refused(workdir, tmp_path, capsys):
+    """An oracle key and a state.txt that agree on labels one bit wider
+    than the cap of 2^20 bits are a usage error that names the key's
+    line, not an evaluation that hashes megabit labels."""
+    bad = tmp_path / "obf"
+    shutil.copytree(workdir / "obf", bad)
+    for name, old, new in (
+        ("oracle_key.txt", "label-bits 32", "label-bits 1048577"),
+        ("state.txt", "kappa 32", "kappa 1048577"),
+    ):
+        lines = (bad / name).read_text().splitlines()
+        (bad / name).write_text("\n".join(corrupt(lines, f"{old} => {new}")) + "\n")
+    assert invoke(["eval", str(bad), "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "wider than the cap of 1048576" in err
+
+
+@pytest.mark.parametrize("qubits, t_gates, wires, code", [(2, 15, 32, 0), (1, 16, 33, 3)])
+def test_paper_labels_past_32_wires_are_a_limit(tmp_path, capsys, qubits, t_gates, wires, code):
+    """--paper-kappa sizes labels as wires**4 bits: 32 wires reach the
+    cap of 2^20 bits exactly, 33 wires pass it, which obfuscate reports
+    as a limit."""
+    head = f"qubits {qubits} inputs {qubits} outputs {qubits}\n"
+    (tmp_path / "c.txt").write_text(head + "T 1\n" * t_gates)
+    prog, out = str(tmp_path / "p.txt"), str(tmp_path / "o")
+    assert invoke(["compile", str(tmp_path / "c.txt"), "-o", prog]) == 0
+    assert program_from_text(Path(prog).read_text()).num_wires == wires
+    assert invoke(["obfuscate", prog, "-o", out, "--lambda", "1", "--paper-kappa"]) == code
+    stdout, err = capsys.readouterr()
+    if code:
+        assert err == "error: labels of 1185921 bits are wider than the cap of 1048576\n"
+    else:
+        assert stdout.endswith("label-bits 1048576\n")
+
+
+def test_obfuscate_names_a_program_without_inputs(tmp_path, capsys):
+    """A program with no input bits compiles, but obfuscate refuses it
+    (exit 3) with a message that says the token has nothing to sign."""
+    (tmp_path / "c.txt").write_text("qubits 1 inputs 0 outputs 1\nH 1\n")
+    prog = str(tmp_path / "p.txt")
+    assert invoke(["compile", str(tmp_path / "c.txt"), "-o", prog]) == 0
+    assert invoke(["obfuscate", prog, "-o", str(tmp_path / "o"), "--kappa-prime", "4"]) == 3
+    assert capsys.readouterr().err == (
+        "error: the program has no input bits for the token to sign\n"
+    )
 
 
 def test_obfuscate_rejects_program_over_cap(tmp_path, capsys):

@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_inputs, random_circuit, tchain_circuit
-from lmobf.auth import gen, wire_reads
-from lmobf.gf2 import BitVector, coset_decode
+from helpers import (
+    all_inputs,
+    random_circuit,
+    reference_blownup_spec,
+    reference_logical_spec,
+    tchain_circuit,
+)
+from lmobf.auth import gen, honest_codeword, wire_reads
+from lmobf.gf2 import BitVector, concat, coset_decode
 from lmobf.lm import (
     Circuit,
     Gate,
+    LogicalRegister,
+    bind,
     circuit_output_distribution,
     compile_circuit,
     eval_classical_fn,
@@ -22,6 +30,7 @@ from lmobf.lm import (
     parse_circuit,
 )
 from lmobf.obf import (
+    EncodedRegister,
     ObfParams,
     _parse_request_fields,
     OracleKey,
@@ -109,10 +118,10 @@ def test_prf_matches_independent_hmac_expansion():
     key, msg = b"k" * 32, b"transcript bytes"
     stream = b"".join(
         hmac_mod.new(key, msg + c.to_bytes(4, "big"), hashlib.sha256).digest()
-        for c in range(3)
+        for c in range(4096)
     )
     want = "".join(format(byte, "08b") for byte in stream)
-    for n in (1, 8, 63, 256, 300, 512):
+    for n in (1, 8, 63, 256, 300, 512, 2**20):
         got = prf(key, msg, n)
         assert "".join(str(b) for b in got.bits) == want[:n]
 
@@ -725,6 +734,58 @@ def test_logical_honest_runs_are_pinned():
             assert all(y.bits in support for y in ys)
             h.update(f"{' '.join(map(str, ys))}|{rng.integers(2**62)}\n".encode())
     assert h.hexdigest() == LOGICAL_PIN
+
+
+def first_row_of_class(codes: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first row with its code: equal
+    arrays mean equal partitions into classes, in the same order."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    return first[inverse.reshape(-1)]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_read_spec_matches_the_specs_it_replaced(seed, security):
+    """On every round of a random compiled program, the spec read_spec
+    builds for the encoded register equals the one auth's blownup_spec
+    built: tags, consumed blocks and codes, on honest and random rows.
+    For the logical register, tags and consumed wires equal those of the
+    logical outcome function's spec, and its codes agree in the outputs
+    and split every row into the same classes in the same order."""
+    rng = np.random.default_rng(seed)
+    program = compile_circuit(random_circuit(rng))
+    key = qobf(ObfParams(security=security, label_bits=8, token_dim=1), program, rng).key
+    p = key.auth_key.code_length
+    x = BitVector.from_ints(rng.integers(0, 2, size=program.num_input_bits))
+    stored = dict(enumerate(rng.integers(0, 2, size=program.num_wires).tolist(), start=1))
+    rs = dict(enumerate(rng.integers(0, 2, size=program.t).tolist(), start=1))
+    live: list[int] = []
+    for layer in program.layers:
+        live = sorted([*live, *layer.admit])
+
+        def binds(m, fn=layer.fn):
+            return bind(fn, {**stored, **m}, x, rs)
+
+        got = LogicalRegister(program).spec(layer, live, binds)
+        want = reference_logical_spec(layer, live, binds)
+        assert (got.basis, got.consumed) == (want.basis, want.consumed)
+        rows = np.arange(1 << len(layer.read))
+        codes, ref = got.outcome_fn(rows), want.outcome_fn(rows)
+        assert np.array_equal(codes & (1 << len(layer.fn.outputs)) - 1, ref)
+        assert np.array_equal(first_row_of_class(codes), first_row_of_class(ref))
+
+        reads = tuple(r for r in key.reads[layer.index - 1] if r.wire in layer.read)
+        got = EncodedRegister(key).spec(layer, live, binds)
+        want = reference_blownup_spec(p, reads, layer.fn, live, layer.v, binds)
+        assert (got.basis, got.consumed) == (want.basis, want.consumed)
+        if p * len(reads) < 63:  # wider substrings do not fit the int64 rows of a measurement
+            honest = [
+                concat([honest_codeword(r, int(rng.integers(2)), rng) for r in reads]).value
+                for _ in range(64)
+            ]
+            rows = np.array(honest + rng.integers(0, 1 << p * len(reads), size=64).tolist())
+            assert np.array_equal(got.outcome_fn(rows), want.outcome_fn(rows))
+        live = [w for w in live if w not in layer.v]
 
 
 def test_qeval_rejects_on_tampered_suite():
