@@ -272,7 +272,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             return reply
 
         try:
-            y = qeval(x, obf, rng, suite=remote_suite(obf.key, send))
+            y = qeval(x, obf, rng, suite=remote_suite(obf.key.chain, send))
         except BrokenPipeError:
             y = None
         except OracleReplyError as exc:
@@ -383,7 +383,7 @@ def _check_simulated_oracles() -> bool:
     for v in range(4):
         x = BitVector.from_int(v, 2)
         obf = qobf(params, program, np.random.default_rng(7))
-        suite = simulated_suite(obf.key, q_fn)
+        suite = simulated_suite(obf.key.chain, obf.key.verify, q_fn)
         y = qeval(x, obf, np.random.default_rng(8), suite=suite)
         if is_bot(y) or y != q_fn(x):
             return False

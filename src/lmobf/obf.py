@@ -9,12 +9,12 @@ decodes the submitted codewords, and answers with the next chained
 label. The replay frames each field of the transcript once and hashes
 every label from the framed prefix that ends at its layer, so a query
 at layer i frames O(i) vectors. The output oracle repeats the checks
-and releases the program output. Simulated variants of both oracles
-(membership checks instead of decoding, labels with a fixed chain bit)
-exercise the boundary the security argument rests on: they reject
-exactly the same queries. Both read a round's codewords through
-OracleKey.reads, the round's wire reads worked out once when the key
-is built.
+and releases the program output. Real and simulated oracles share one
+body over a Chain and differ in how a round is opened: the real ones
+decode through OracleKey.reads, simulated_suite(chain, verify, q_fn)
+only calls verify, the V_k of OracleKey.verify, as in the paper: "we can
+implement these simulated oracles just given access to the
+public-verification oracles V_k". Both reject exactly the same queries.
 
 Evaluation drives the encoded register through the transversal CNOT
 layers, admitting each wire's masked block at the first layer that
@@ -65,7 +65,6 @@ from .lm import (
     initial_state,
     lmeval_distribution,
     place,
-    prepare_program_state,
     program_to_text,
     read_program,
     read_spec,
@@ -137,24 +136,19 @@ class ObfParams:
 
 
 @dataclass(frozen=True)
-class OracleKey:
-    """Everything the classical oracles close over: the authentication
-    key, the token verification subspaces, the label PRF key, and the
-    program's classical part. reads holds, per round i, the WireRead of
-    every wire in phi_i, equal to auth.wire_reads on the CNOTs of rounds
-    1..i: one pass builds them, and a collapsed wire's read is shared."""
+class Chain:
+    """What every oracle, real or simulated, closes over: the token vk and
+    its token_dim (kappa'), the label PRF key and width, the program and
+    its codeword length; nothing of the authentication key's code or masks."""
 
-    auth_key: AuthKey
     token_dim: int
     token_vk: tuple[Subspace, ...]
     prf_key: bytes
     label_bits: int
     program: LMProgram
-    reads: tuple[Reads, ...] = field(init=False, repr=False, compare=False)
+    code_length: int
 
     def __post_init__(self) -> None:
-        if self.auth_key.num_wires != self.program.num_wires:
-            raise ValueError("authentication key width must match the program")
         if len(self.token_vk) != self.program.num_input_bits:
             raise ValueError("token must cover every input bit")
         if any(s.ambient_dim != 2 * self.token_dim for s in self.token_vk):
@@ -165,6 +159,30 @@ class OracleKey:
         violations = check_lm_invariants(self.program)
         if violations:
             raise ValueError("program fails structural checks: " + "; ".join(violations))
+
+
+@dataclass(frozen=True)
+class OracleKey:
+    """Everything the real oracles close over: the authentication key
+    and the fields of the Chain, which is built from them. reads holds,
+    per round i, the WireRead of every wire in phi_i, equal to
+    auth.wire_reads on the CNOTs of rounds 1..i: one pass builds them,
+    and a collapsed wire's read is shared."""
+
+    auth_key: AuthKey
+    token_dim: int
+    token_vk: tuple[Subspace, ...]
+    prf_key: bytes
+    label_bits: int
+    program: LMProgram
+    chain: Chain = field(init=False, repr=False, compare=False)
+    reads: tuple[Reads, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.auth_key.num_wires != self.program.num_wires:
+            raise ValueError("authentication key width must match the program")
+        public = (self.token_dim, self.token_vk, self.prf_key, self.label_bits, self.program)
+        object.__setattr__(self, "chain", Chain(*public, self.auth_key.code_length))
         # check_lm_invariants: a collapsed wire keeps its basis and no CNOT touches it.
         key, read_of, reads = self.auth_key, {}, []
         xs, zs = key.x_masks, key.z_masks
@@ -173,6 +191,20 @@ class OracleKey:
             read_of.update((w, WireRead.of(key, w, ly.theta[w - 1], xs, zs)) for w in ly.read)
             reads.append(tuple(read_of[w] for w in ly.phi))
         object.__setattr__(self, "reads", tuple(reads))
+
+    def verify(self, i: int, codewords: CodewordTuple) -> bool:
+        """V_k of round i: every covered codeword in its accepted coset union."""
+        return ver(self.auth_key, self.reads[i - 1], codewords)
+
+    def open_round(self, layer: Layer, x: BitVector, rs: dict[int, int], ordered: CodewordTuple):
+        """The real oracles' opening of a round: decode, then the round's
+        function (the output bits on the final round); None if decoding fails."""
+        decoded = dec(self.reads[layer.index - 1], ordered)
+        if decoded is None:
+            return None
+        binds = bind(layer.fn, dict(zip(layer.phi, decoded.bits)), x, rs)
+        outs = eval_classical_fn(layer.fn, binds)
+        return BitVector(tuple(outs[n] for n in layer.fn.output_names)) if layer.final else outs
 
 
 # --- label PRF and transcript framing ----------------------------------------
@@ -198,11 +230,6 @@ def frame(v: BitVector) -> bytes:
     concatenation."""
     nbytes = (len(v) + 7) // 8
     return len(v).to_bytes(4, "big") + (v.value << (8 * nbytes - len(v))).to_bytes(nbytes, "big")
-
-
-def frame_bits(bits: Sequence[int]) -> bytes:
-    """The frame of a tuple of bits."""
-    return frame(BitVector(tuple(bits)))
 
 
 def frame_group(vectors: Sequence[BitVector]) -> bytes:
@@ -282,22 +309,12 @@ def request_payload(transcript: Transcript, upto: Optional[int] = None) -> bytes
 
 
 # The frames of the one-bit chain bits that end every label message.
-_CHAIN_BITS = (frame_bits((0,)), frame_bits((1,)))
+_CHAIN_BITS = (frame(BitVector((0,))), frame(BitVector((1,))))
 
 
-def label_message(transcript: Transcript, upto: int, trailing_bit: int) -> bytes:
-    """Canonical bytes hashed for the layer-upto label: the request
-    payload of the first upto layers, and the chain bit last."""
-    return request_payload(transcript, upto) + _CHAIN_BITS[trailing_bit & 1]
-
-
-def _label(key: OracleKey, prefix: bytes, bit: int) -> BitVector:
+def _label(chain: Chain, prefix: bytes, bit: int) -> BitVector:
     """The chained label of a framed prefix ending in a codeword layer."""
-    return prf(key.prf_key, prefix + _CHAIN_BITS[bit & 1], key.label_bits)
-
-
-def chain_label(key: OracleKey, transcript: Transcript, upto: int, bit: int) -> BitVector:
-    return _label(key, request_payload(transcript, upto), bit)
+    return prf(chain.prf_key, prefix + _CHAIN_BITS[bit & 1], chain.label_bits)
 
 
 # --- oracle internals ---------------------------------------------------------
@@ -317,9 +334,9 @@ def is_bot(reply: object) -> bool:
     return isinstance(reply, Reject)
 
 
-def _shape_ok(key: OracleKey, transcript: Transcript, layer: Layer, w_pair: CodewordTuple) -> bool:
-    program = key.program
-    p = key.auth_key.code_length
+def _shape_ok(chain: Chain, transcript: Transcript, layer: Layer, w_pair: CodewordTuple) -> bool:
+    program = chain.program
+    p = chain.code_length
     if len(transcript.x) != program.num_input_bits:
         return False
     if len(transcript.v_layers) != layer.index or len(transcript.labels) != layer.index - 1:
@@ -332,7 +349,7 @@ def _shape_ok(key: OracleKey, transcript: Transcript, layer: Layer, w_pair: Code
     return len(w_pair) == len(layer.w) and all(len(c) == p for c in w_pair)
 
 
-def _prelude(key: OracleKey, layer: Layer, transcript: Transcript, w_pair: CodewordTuple):
+def _prelude(chain: Chain, layer: Layer, transcript: Transcript, w_pair: CodewordTuple):
     """What every oracle checks before its own answer, in order: the
     token, the shape, the label-chain replay. A layer oracle passes its
     pair; the output oracle passes the final round, whose pair is empty.
@@ -342,9 +359,9 @@ def _prelude(key: OracleKey, layer: Layer, transcript: Transcript, w_pair: Codew
     round's measurement covers in ascending wire order, and the framed
     transcript, which is the prefix the round's own label hashes."""
     i = layer.index
-    if not tok_ver(key.token_vk, transcript.x, transcript.signature):
+    if not tok_ver(chain.token_vk, transcript.x, transcript.signature):
         return Reject(REASON_BAD_TOKEN, i)
-    if not _shape_ok(key, transcript, layer, w_pair):
+    if not _shape_ok(chain, transcript, layer, w_pair):
         return Reject(REASON_DECODE, i)
     payload, ends = _framed(transcript)
     # Each earlier label must be one of its layer's two candidate hashes;
@@ -352,8 +369,8 @@ def _prelude(key: OracleKey, layer: Layer, transcript: Transcript, w_pair: Codew
     rs: dict[int, int] = {}
     for idx in range(1, i):
         prefix = payload[: ends[idx - 1]]
-        cand0 = _label(key, prefix, 0)
-        cand1 = _label(key, prefix, 1)
+        cand0 = _label(chain, prefix, 0)
+        cand1 = _label(chain, prefix, 1)
         if cand0 == cand1:
             return Reject(REASON_COLLISION, i)
         given = transcript.labels[idx - 1]
@@ -364,87 +381,60 @@ def _prelude(key: OracleKey, layer: Layer, transcript: Transcript, w_pair: Codew
         else:
             return Reject(REASON_BAD_LABEL, i)
     by_wire: dict[int, BitVector] = {}
-    for codewords, earlier in zip(transcript.v_layers, key.program.layers):
+    for codewords, earlier in zip(transcript.v_layers, chain.program.layers):
         by_wire.update(zip(earlier.v, codewords))
     by_wire.update(zip(layer.w, w_pair))
     return rs, tuple(by_wire[w] for w in layer.phi), payload
 
 
-def _decode(
-    key: OracleKey, layer: Layer, x: BitVector, rs: dict[int, int], ordered: CodewordTuple
-):
-    """Tail of the real oracles: the round's function on the decoded
-    codewords, or the Reject if one fails to decode."""
-    decoded = dec(key.reads[layer.index - 1], ordered)
-    if decoded is None:
-        return Reject(REASON_DECODE, layer.index)
-    return eval_classical_fn(layer.fn, bind(layer.fn, dict(zip(layer.phi, decoded.bits)), x, rs))
-
-
-def _round(key: OracleKey, i: int) -> Layer:
+def _round(chain: Chain, i: int) -> Layer:
     """The Layer a layer oracle answers for; raises past 1..t."""
-    if not 1 <= i <= key.program.t:
-        raise ValueError(f"layer {i} out of range 1..{key.program.t}")
-    return key.program.layers[i - 1]
+    if not 1 <= i <= chain.program.t:
+        raise ValueError(f"layer {i} out of range 1..{chain.program.t}")
+    return chain.program.layers[i - 1]
 
 
-# --- the four oracles ---------------------------------------------------------
+def _answer(chain: Chain, open_: Callable, layer: Layer, tr: Transcript, w_pair: CodewordTuple):
+    """The one oracle body: the prelude, then open_(layer, x, chain bits,
+    covered codewords), whose None is a decode-fail Reject. A layer round
+    replies with its echoed codewords and the label of chain bit
+    outs["r"]; the final round replies with the output bits open_ gives."""
+    checked = _prelude(chain, layer, tr, w_pair)
+    if is_bot(checked):
+        return checked
+    rs, ordered, payload = checked
+    outs = open_(layer, tr.x, rs, ordered)
+    if outs is None:
+        return Reject(REASON_DECODE, layer.index)
+    if layer.final:
+        return outs
+    return tr.v_layers[-1], _label(chain, payload, outs["r"])
+
+
+# --- the oracles --------------------------------------------------------------
 
 
 def oracle_f(key: OracleKey, i: int, transcript: Transcript, w_pair: CodewordTuple):
     """Layer-i oracle: token check, label-chain replay, decode of every
     codeword the i-th measurement covers, then the next chained label.
     Accepts with (echoed layer codewords, label); rejects with a Reject."""
-    layer = _round(key, i)
-    checked = _prelude(key, layer, transcript, w_pair)
-    if is_bot(checked):
-        return checked
-    rs, ordered, payload = checked
-    outs = _decode(key, layer, transcript.x, rs, ordered)
-    if is_bot(outs):
-        return outs
-    return transcript.v_layers[-1], _label(key, payload, outs["r"])
+    return _answer(key.chain, key.open_round, _round(key.chain, i), transcript, w_pair)
 
 
 def oracle_g(key: OracleKey, transcript: Transcript):
     """Output oracle: token check, full label-chain replay, decode over
     the final measurement's wires, then the program's output bits."""
-    layer = key.program.layers[-1]
-    checked = _prelude(key, layer, transcript, ())
-    if is_bot(checked):
-        return checked
-    rs, ordered, _ = checked
-    outs = _decode(key, layer, transcript.x, rs, ordered)
-    if is_bot(outs):
-        return outs
-    return BitVector(tuple(outs[name] for name in layer.fn.output_names))
+    return _answer(key.chain, key.open_round, key.program.layers[-1], transcript, ())
 
 
 def oracle_f_sim(key: OracleKey, i: int, transcript: Transcript, w_pair: CodewordTuple):
-    """Simulated layer oracle: same token and label-chain checks, but the
-    codewords are only membership-verified, never decoded, and the label
-    always commits to chain bit 0."""
-    layer = _round(key, i)
-    checked = _prelude(key, layer, transcript, w_pair)
-    if is_bot(checked):
-        return checked
-    _, ordered, payload = checked
-    if not ver(key.auth_key, key.reads[layer.index - 1], ordered):
-        return Reject(REASON_DECODE, i)
-    return transcript.v_layers[-1], _label(key, payload, 0)
+    """The simulated layer oracle of simulated_suite on key's own V_k."""
+    return simulated_suite(key.chain, key.verify, None).query_f(i, transcript, w_pair)
 
 
 def oracle_g_sim(key: OracleKey, q_fn: Callable[[BitVector], BitVector], transcript: Transcript):
-    """Simulated output oracle: verify instead of decode, then answer
-    from the induced classical map on x alone."""
-    layer = key.program.layers[-1]
-    checked = _prelude(key, layer, transcript, ())
-    if is_bot(checked):
-        return checked
-    _, ordered, _ = checked
-    if not ver(key.auth_key, key.reads[layer.index - 1], ordered):
-        return Reject(REASON_DECODE, layer.index)
-    return q_fn(transcript.x)
+    """The simulated output oracle of simulated_suite on key's own V_k."""
+    return simulated_suite(key.chain, key.verify, q_fn).query_g(transcript)
 
 
 @dataclass(frozen=True)
@@ -465,10 +455,25 @@ def real_suite(key: OracleKey) -> OracleSuite:
     )
 
 
-def simulated_suite(key: OracleKey, q_fn: Callable[[BitVector], BitVector]) -> OracleSuite:
+def simulated_suite(
+    chain: Chain,
+    verify: Callable[[int, CodewordTuple], bool],
+    q_fn: Callable[[BitVector], BitVector],
+) -> OracleSuite:
+    """The simulated oracles: the same token and label-chain checks as
+    the real ones, then verify(round, codewords), the public-verification
+    oracle V_k and their only access to the authentication key, in place
+    of decoding. A layer query's label always commits to chain bit 0, and
+    the output query answers q_fn(x), the induced classical map."""
+
+    def open_(layer: Layer, x: BitVector, rs: dict, ordered: CodewordTuple):
+        if not verify(layer.index, ordered):
+            return None
+        return q_fn(x) if layer.final else {"r": 0}
+
     return OracleSuite(
-        query_f=lambda i, tr, w: oracle_f_sim(key, i, tr, w),
-        query_g=lambda tr: oracle_g_sim(key, q_fn, tr),
+        query_f=lambda i, tr, w: _answer(chain, open_, _round(chain, i), tr, w),
+        query_g=lambda tr: _answer(chain, open_, chain.program.layers[-1], tr, ()),
     )
 
 
@@ -479,9 +484,9 @@ def simulated_suite(key: OracleKey, q_fn: Callable[[BitVector], BitVector]) -> O
 class ObfuscatedProgram:
     """Handle on one obfuscation: the oracle key (private to the suite
     in a real deployment), the one-shot token registers and the oracle
-    suite. Evaluation admits the program's wires as it walks, and the
-    whole encoded register is materialized only on demand, so that wide
-    parameter choices stay constructible."""
+    suite. Evaluation admits the program's wires as it walks and never
+    builds the whole encoded register, so that wide parameter choices
+    stay constructible."""
 
     params: ObfParams
     key: OracleKey
@@ -498,12 +503,6 @@ class ObfuscatedProgram:
     @property
     def num_token_qubits(self) -> int:
         return 2 * self.token.kappa_prime * self.token.num_bits
-
-    def encoded_state(self) -> StateVector:
-        """The authenticated register, exactly the encoding isometry
-        applied to the whole program state. Raises past the simulator
-        cap."""
-        return enc(self.key.auth_key, prepare_program_state(self.key.program))
 
 
 def qobf(params: ObfParams, program: LMProgram, rng: np.random.Generator) -> ObfuscatedProgram:
@@ -888,12 +887,12 @@ class OracleReplyError(ValueError):
     well-formed OK line for the query it answers."""
 
 
-def remote_suite(key: OracleKey, send: Callable[[str], str]) -> OracleSuite:
+def remote_suite(chain: Chain, send: Callable[[str], str]) -> OracleSuite:
     """Oracle suite that speaks the wire protocol through a transport
-    callable (request line in, response line out). The key is used only
-    for the response parsing widths. A reply that does not parse raises
-    OracleReplyError."""
-    p = key.auth_key.code_length
+    callable (request line in, response line out). The chain is used
+    only for the response parsing widths. A reply that does not parse
+    raises OracleReplyError."""
+    p = chain.code_length
 
     def ask(line: str, widths: Sequence[int]) -> Optional[list[BitVector]]:
         """None if the server answers BOT, else the vectors of its OK
@@ -911,14 +910,14 @@ def remote_suite(key: OracleKey, send: Callable[[str], str]) -> OracleSuite:
         raise OracleReplyError(repr(answer))
 
     def query_f(i: int, transcript: Transcript, w_pair: CodewordTuple):
-        v_count = len(key.program.layers[i - 1].v)
-        reply = ask(encode_f_request(i, transcript, w_pair), (v_count * p, key.label_bits))
+        v_count = len(chain.program.layers[i - 1].v)
+        reply = ask(encode_f_request(i, transcript, w_pair), (v_count * p, chain.label_bits))
         if reply is None:
             return Reject(REASON_REMOTE, i)
         echo, label = reply
         return split(echo, v_count, p), label
 
-    final = key.program.layers[-1]
+    final = chain.program.layers[-1]
 
     def query_g(transcript: Transcript):
         reply = ask(encode_g_request(transcript), (len(final.fn.outputs),))

@@ -6,7 +6,8 @@ from itertools import product
 
 import numpy as np
 
-from lmobf.auth import dec_words, pauli_update
+import lmobf.obf as obf_mod
+from lmobf.auth import dec_words, enc, pauli_update
 from lmobf.gf2 import BitVector, concat, coset_decode, split
 from lmobf.sim import (
     BOT,
@@ -28,6 +29,7 @@ from lmobf.lm import (
     compile_circuit,
     fn_code,
     lmeval_distribution,
+    prepare_program_state,
     read_spec,
     total_variation,
 )
@@ -365,3 +367,26 @@ def reference_measure(state: StateVector, spec, rng: np.random.Generator):
     raw = keep[int(rng.choice(len(keep), p=within / within.sum()))]
     post = _reference_collapse(spec, axes, psi, keep, prob)
     return label, BitVector.from_int(raw, len(axes)), post
+
+
+def frame_bits(bits) -> bytes:
+    """The frame of a tuple of bits."""
+    return obf_mod.frame(BitVector(tuple(bits)))
+
+
+def label_message(transcript, upto: int, trailing_bit: int) -> bytes:
+    """Canonical bytes hashed for the layer-upto label: the request
+    payload of the first upto layers, and the chain bit last."""
+    return obf_mod.request_payload(transcript, upto) + frame_bits((trailing_bit & 1,))
+
+
+def chain_label(key, transcript, upto: int, bit: int) -> BitVector:
+    """The layer-upto label of chain bit `bit`, hashed through obf.prf."""
+    return obf_mod.prf(key.prf_key, label_message(transcript, upto, bit), key.label_bits)
+
+
+def encoded_state(program) -> StateVector:
+    """The authenticated register of an ObfuscatedProgram: the encoding
+    isometry applied to the whole program state. Raises past the
+    simulator cap."""
+    return enc(program.key.auth_key, prepare_program_state(program.key.program))

@@ -11,7 +11,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from helpers import all_inputs, logical_measure_branches, max_equivalence_gap, random_circuit
+from helpers import (
+    all_inputs,
+    chain_label,
+    logical_measure_branches,
+    max_equivalence_gap,
+    random_circuit,
+)
 from lmobf.auth import (
     dec,
     enc,
@@ -30,7 +36,6 @@ from lmobf.obf import (
     Reject,
     Transcript,
     attack_harness,
-    chain_label,
     induced_map,
     is_bot,
     oracle_f,
@@ -437,7 +442,7 @@ def test_09_simulated_oracles():
         q_fn = induced_map(program)
         for x in all_inputs(circuit.num_input_bits):
             obf = qobf(FAST_PARAMS, program, np.random.default_rng((909, c_idx)))
-            suite = simulated_suite(obf.key, q_fn)
+            suite = simulated_suite(obf.key.chain, obf.key.verify, q_fn)
             y = qeval(x, obf, rng, mode="logical", suite=suite)
             assert not is_bot(y) and y == q_fn(x)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import hmac as hmac_mod
@@ -10,13 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     all_inputs,
+    chain_label,
+    encoded_state,
+    frame_bits,
+    label_message,
     random_circuit,
     reference_blownup_spec,
     reference_logical_spec,
     tchain_circuit,
 )
-from lmobf.auth import gen, honest_codeword, wire_reads
-from lmobf.gf2 import BitVector, concat, coset_decode
+from lmobf.auth import AuthKey, WireRead, gen, honest_codeword, ver, wire_reads
+from lmobf.gf2 import BitVector, Subspace, concat, coset_decode
 from lmobf.lm import (
     Circuit,
     Gate,
@@ -40,16 +45,13 @@ from lmobf.obf import (
     _prelude,
     Transcript,
     attack_harness,
-    chain_label,
     encode_f_request,
     encode_g_request,
     frame,
-    frame_bits,
     frame_group,
     handle_request_line,
     induced_map,
     is_bot,
-    label_message,
     oracle_f,
     oracle_f_sim,
     oracle_g,
@@ -301,7 +303,7 @@ def test_replay_accepts_the_chain_label_of_each_layer(data):
         if layer.index <= key.program.t:
             bits[layer.index] = data.draw(st.integers(0, 1))
             tr = tr.with_label(chain_label(key, tr, layer.index, bits[layer.index]))
-    rs, _, payload = _prelude(key, key.program.layers[-1], tr, ())
+    rs, _, payload = _prelude(key.chain, key.program.layers[-1], tr, ())
     assert rs == bits
     assert payload == request_payload(tr)
     for idx, r in rs.items():
@@ -438,7 +440,7 @@ def test_sim_suite_evaluates_program():
         q_fn = induced_map(program)
         for x in all_inputs(circuit.num_input_bits):
             obf = qobf(PARAMS, program, np.random.default_rng(17))
-            suite = simulated_suite(obf.key, q_fn)
+            suite = simulated_suite(obf.key.chain, obf.key.verify, q_fn)
             got = qeval(x, obf, np.random.default_rng(18), mode="logical", suite=suite)
             assert got == q_fn(x)
 
@@ -451,13 +453,68 @@ def test_sim_f_label_commits_to_zero_bit():
     assert label == chain_label(obf.key, transcript, 1, 0)
 
 
+def _table_verify(key: OracleKey):
+    """A V_k read from a brute-force table: per round, the accepted
+    p-bit words of each covered wire, found by trying every word. The
+    returned verify closes over the table of ints alone."""
+    p = key.auth_key.code_length
+    table = {
+        i: [{v for v in range(2**p) if ver(key.auth_key, (r,), (BitVector.from_int(v, p),))}
+            for r in reads]
+        for i, reads in enumerate(key.reads, start=1)
+    }
+    return lambda i, cw: all(c.value in table[i][k] for k, c in enumerate(cw))
+
+
+def test_table_backed_verify_runs_the_simulated_suite():
+    """simulated_suite on a Chain and a table-backed V_k, with no
+    Subspace or AuthKey reachable from verify, returns q_fn(x) on honest
+    runs of both routes."""
+    program = compile_circuit(T_T)
+    q_fn = induced_map(program)
+    for x in all_inputs(1):
+        for mode in ("logical", "physical"):
+            obf = qobf(PARAMS, program, np.random.default_rng(60))
+            verify = _table_verify(obf.key)
+            assert [type(cell.cell_contents) for cell in verify.__closure__] == [dict]
+            suite = simulated_suite(obf.key.chain, verify, q_fn)
+            assert qeval(x, obf, np.random.default_rng(61), mode=mode, suite=suite) == q_fn(x)
+
+
+def test_chain_holds_no_authentication_key_material():
+    """The Chain's fields, through tuples, hold no AuthKey, OracleKey or
+    WireRead, and no Subspace of odd ambient dimension: code spaces live
+    in F2^(2λ+1), token spaces in F2^(2κ'). The checks moved into the
+    Chain raise the messages they raised in OracleKey."""
+    key = make_obf(CNOT_T, seed=62)[1].key
+
+    def leaves(value):
+        if isinstance(value, tuple):
+            for v in value:
+                yield from leaves(v)
+        else:
+            yield value
+
+    found = [v for f in dataclasses.fields(key.chain) for v in leaves(getattr(key.chain, f.name))]
+    assert not [v for v in found if isinstance(v, (AuthKey, OracleKey, WireRead))]
+    spaces = [v for v in found if isinstance(v, Subspace)]
+    assert spaces and all(s.ambient_dim % 2 == 0 for s in spaces)
+    for holder in (key, key.chain):
+        with pytest.raises(ValueError, match=r"^token subspace width must be 2\*token_dim$"):
+            replace(holder, token_dim=holder.token_dim + 1)
+        with pytest.raises(ValueError, match="^empty PRF key$"):
+            replace(holder, prf_key=b"")
+
+
 def test_real_and_sim_rejection_sets_agree_under_mutation():
     """Verification-only oracles must refuse exactly the queries the
-    decoding oracles refuse."""
+    decoding oracles refuse, and a table-backed V_k gives the simulated
+    oracles' replies."""
     x = BitVector((0,))
     obf, queries, transcript = honest_transcript(T_T, x, seed=21)
     key = obf.key
     q_fn = induced_map(key.program)
+    tabled = simulated_suite(key.chain, _table_verify(key), q_fn)
     rng = np.random.default_rng(22)
     layer, tr, w_pair = queries[1]
     for trial in range(120):
@@ -477,6 +534,7 @@ def test_real_and_sim_rejection_sets_agree_under_mutation():
         real = oracle_f(key, layer, mutated, pair)
         sim = oracle_f_sim(key, layer, mutated, pair)
         assert is_bot(real) == is_bot(sim)
+        assert tabled.query_f(layer, mutated, pair) == sim
     for trial in range(60):
         v = [list(layer_v) for layer_v in transcript.v_layers]
         li = int(rng.integers(len(v)))
@@ -484,6 +542,7 @@ def test_real_and_sim_rejection_sets_agree_under_mutation():
         v[li][vi] = flip_bit(v[li][vi], int(rng.integers(len(v[li][vi]))))
         mutated = replace(transcript, v_layers=tuple(tuple(layer_v) for layer_v in v))
         assert is_bot(oracle_g(key, mutated)) == is_bot(oracle_g_sim(key, q_fn, mutated))
+        assert tabled.query_g(mutated) == oracle_g_sim(key, q_fn, mutated)
 
 
 # --- deep label chains ----------------------------------------------------------
@@ -827,7 +886,7 @@ def test_qobf_structure_and_validation():
     p = 2 * PARAMS.security + 1
     assert obf.num_code_qubits == program.num_wires * p
     assert obf.num_token_qubits == 2 * PARAMS.token_dim * program.num_input_bits
-    assert obf.encoded_state().num_qubits == obf.num_code_qubits
+    assert encoded_state(obf).num_qubits == obf.num_code_qubits
     broken = replace(program, v_sets=(program.v_sets[0], program.v_sets[0]))
     with pytest.raises(ValueError):
         qobf(PARAMS, broken, np.random.default_rng(38))
@@ -838,7 +897,7 @@ def test_qobf_structure_and_validation():
     wide = ObfParams(security=3, label_bits=16, token_dim=4)
     tall = qobf(wide, program, np.random.default_rng(39))
     with pytest.raises(ValueError):
-        tall.encoded_state()
+        encoded_state(tall)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
@@ -1061,7 +1120,7 @@ def test_remote_suite_end_to_end():
     obf = qobf(PARAMS, program, np.random.default_rng(59))
     key_text = oracle_key_to_text(obf.key)
     suite = remote_suite(
-        oracle_key_from_text(key_text), lambda line: handle_request_line(obf.key, line)
+        oracle_key_from_text(key_text).chain, lambda line: handle_request_line(obf.key, line)
     )
     x = BitVector((1,))
     y = qeval(x, obf, np.random.default_rng(60), mode="logical", suite=suite)
