@@ -458,9 +458,9 @@ def _table_verify(key: OracleKey):
     p-bit words of each covered wire, found by trying every word. The
     returned verify closes over the table of ints alone."""
     p = key.auth_key.code_length
+    words = [BitVector.from_int(v, p) for v in range(2**p)]
     table = {
-        i: [{v for v in range(2**p) if ver(key.auth_key, (r,), (BitVector.from_int(v, p),))}
-            for r in reads]
+        i: [{c.value for c in words if ver(key.auth_key, (r,), (c,))} for r in reads]
         for i, reads in enumerate(key.reads, start=1)
     }
     return lambda i, cw: all(c.value in table[i][k] for k, c in enumerate(cw))
