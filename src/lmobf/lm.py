@@ -569,18 +569,13 @@ class LogicalRegister:
     walk() drives names its program and its block (qubits per wire) and
     offers the same three steps: admitting a round's new wires, its CNOT
     layer, and its measurement spec for a round, which consumes the
-    wires of the round's V set (rounds 1..t). Each admission's product
-    state is built once per register, so the branches of an enumeration
-    share it."""
+    wires of the round's V set (rounds 1..t)."""
 
     program: LMProgram
     block = 1
-    _fresh: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def admit(self, state: StateVector, live: list[int], wires: tuple[int, ...]) -> StateVector:
-        if wires not in self._fresh:
-            self._fresh[wires] = initial_state(self.program, wires)
-        return place(state, live, wires, self._fresh[wires], 1)
+        return place(state, live, wires, initial_state(self.program, wires), 1)
 
     def cnot_layer(self, state: StateVector, cnots: list[tuple[int, int]]) -> StateVector:
         return apply_cnot_layer(state, cnots)

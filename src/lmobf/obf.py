@@ -278,16 +278,13 @@ class Transcript:
         return replace(self, labels=self.labels + (label,))
 
 
-def _framed(transcript: Transcript, upto: Optional[int] = None) -> tuple[bytes, list[int]]:
+def _framed(transcript: Transcript) -> tuple[bytes, list[int]]:
     """The one framing pass: each field of the transcript framed once, in
     the order x, signature, then each codeword layer followed by its label
-    where it has one. With upto, only the first upto layers and the labels
-    of the first upto-1. Returns the bytes and, per codeword layer, the
+    where it has one. Returns the bytes and, per codeword layer, the
     offset where its frame ends: the prefix up to there is what the
     layer's label hashes."""
     v_layers, labels = transcript.v_layers, transcript.labels
-    if upto is not None:
-        v_layers, labels = v_layers[:upto], labels[: upto - 1]
     parts = [frame(transcript.x), frame_group(transcript.signature)]
     at = len(parts[0]) + len(parts[1])
     ends = []
@@ -301,11 +298,10 @@ def _framed(transcript: Transcript, upto: Optional[int] = None) -> tuple[bytes, 
     return b"".join(parts), ends
 
 
-def request_payload(transcript: Transcript, upto: Optional[int] = None) -> bytes:
+def request_payload(transcript: Transcript) -> bytes:
     """The framed transcript: the input, the signature, then each
-    codeword layer followed by its label where it has one. With upto,
-    only the first upto layers and the labels of the first upto-1."""
-    return _framed(transcript, upto)[0]
+    codeword layer followed by its label where it has one."""
+    return _framed(transcript)[0]
 
 
 # The frames of the one-bit chain bits that end every label message.
@@ -537,9 +533,7 @@ class EncodedRegister:
     down to their raw bits and consumes them, but the layer's
     measurement pair only down to the single bit its function exposes,
     which leaves the pair blocks coherent for the deferred reads of
-    later layers. Admitted blocks are built afresh at each admission: a
-    sampled walk admits each round once, and one admission can hold
-    2^20 amplitudes."""
+    later layers."""
 
     key: OracleKey
 

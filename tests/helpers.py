@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -377,7 +378,10 @@ def frame_bits(bits) -> bytes:
 def label_message(transcript, upto: int, trailing_bit: int) -> bytes:
     """Canonical bytes hashed for the layer-upto label: the request
     payload of the first upto layers, and the chain bit last."""
-    return obf_mod.request_payload(transcript, upto) + frame_bits((trailing_bit & 1,))
+    head = replace(
+        transcript, v_layers=transcript.v_layers[:upto], labels=transcript.labels[: upto - 1]
+    )
+    return obf_mod.request_payload(head) + frame_bits((trailing_bit & 1,))
 
 
 def chain_label(key, transcript, upto: int, bit: int) -> BitVector:

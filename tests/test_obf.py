@@ -273,8 +273,9 @@ def test_single_pass_prefixes_equal_the_request_payloads(x, sig, v_layers, equal
     assert payload == request_payload(tr)
     assert len(ends) == len(v_layers)
     for upto in range(1, len(v_layers) + 1):
-        assert payload[: ends[upto - 1]] == request_payload(tr, upto)
-        assert _framed(tr, upto)[1] == ends[:upto]
+        head = replace(tr, v_layers=tr.v_layers[:upto], labels=tr.labels[: upto - 1])
+        assert payload[: ends[upto - 1]] == request_payload(head)
+        assert _framed(head)[1] == ends[:upto]
 
 
 @functools.lru_cache(maxsize=None)

@@ -399,11 +399,14 @@ def test_apply_cnots_matches_dense_permutations(data):
 
 
 def cnot_shapes(wires, order):
-    """CNOT lists of each shape the touched-block gather must get right,
-    on the wires of one register, with order a permutation of 1..wires."""
+    """CNOT lists of each shape the span gather must get right, on the
+    wires of one register, with order a permutation of 1..wires. The
+    span of "apart" and "every" is the whole register, "trailing" has
+    untouched blocks before it only, and "middle" (4 or more wires) on
+    both sides."""
     a, b = order[0], order[1]
     every = [(order[c], order[c + 1]) for c in range(0, wires - 1, 2)] + [(order[-1], order[0])]
-    return {
+    shapes = {
         "pair": [(a, b)],
         "apart": [(1, wires)],
         "trailing": [(wires - 1, wires)],
@@ -411,6 +414,9 @@ def cnot_shapes(wires, order):
         "chain": list(zip(order, order[1:])),
         "back and forth": [(a, b), (b, a), (a, b)],
     }
+    if wires >= 4:
+        shapes["middle"] = [(2, wires - 1)]
+    return shapes
 
 
 @given(st.data())
