@@ -211,6 +211,10 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
         obf = qobf(params, program, np.random.default_rng(args.seed))
     except ValueError as exc:
         return _fail(str(exc), EXIT_LIMIT)
+    # Each input bit's signature vector is zero, which the verifier
+    # rejects, with probability 2^-kappa', so m input bits bound the
+    # honest failure rate by m * 2^-kappa'.
+    bound = program.num_input_bits * 2.0**-params.token_dim
     out = Path(args.out)
     key_text = oracle_key_to_text(obf.key)
     try:
@@ -220,7 +224,8 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
         manifest = RunManifest(
             command="obfuscate",
             seed=args.seed,
-            params=tuple(tuple(ln.split(None, 1)) for ln in _param_lines(params, args.seed)[1:]),
+            params=tuple(tuple(ln.split(None, 1)) for ln in _param_lines(params, args.seed)[1:])
+            + (("honest-failure-bound", f"{bound:.3g}"),),
             inputs=(str(args.program),),
             outputs=(str(out / KEY_FILE), str(out / STATE_FILE)),
             elapsed_ms=int(1000 * (time.monotonic() - started)),
@@ -429,7 +434,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="security", type=int, default=2, metavar="N")
     parser.add_argument("--kappa", type=int, default=64, metavar="N")
-    parser.add_argument("--kappa-prime", dest="kappa_prime", type=int, default=4, metavar="N")
+    parser.add_argument("--kappa-prime", dest="kappa_prime", type=int, default=16, metavar="N")
     parser.add_argument("--paper-kappa", action="store_true")
 
 

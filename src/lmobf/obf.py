@@ -119,7 +119,7 @@ class ObfParams:
 
     security: int = 2
     label_bits: int = 64
-    token_dim: int = 4
+    token_dim: int = 16
     scaled_labels: bool = False
 
     def __post_init__(self) -> None:

@@ -7,9 +7,9 @@ Operations never mutate their inputs; every one returns a fresh state.
 A list of CNOTs, on qubits or transversally on blocks of qubits, is a
 permutation of basis indices. Only the span from the first to the last
 block it touches is permuted: the state is viewed as a (before, span,
-after) array and one gather permutes its middle axis. A one-qubit gate, an encoding isometry and the Hadamard
-rotation of an X-tagged qubit are each one small matrix on one axis of
-the amplitude tensor.
+after) array and one gather permutes its middle axis. A one-qubit
+gate, an encoding isometry and the Hadamard rotation of an X-tagged
+qubit are each one small matrix on one axis of the amplitude tensor.
 
 Measurements follow the partial-collapse rule: qubits tagged Z or X
 (rotated within the gathered measured block) are read out, the outcome

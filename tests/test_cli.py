@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from lmobf.auth import gen
-from lmobf.cli import _param_lines, main
+from lmobf.cli import _param_lines, _params_from_args, build_parser, main
 from lmobf.lm import (
     check_lm_invariants,
     compile_circuit,
@@ -86,6 +86,23 @@ def test_obfuscate_writes_key_state_manifest(workdir):
     assert "elapsed-ms" in manifest
     state = (workdir / "obf" / "state.txt").read_text()
     assert "lambda 1" in state and "kappa 32" in state and "kappa-prime 16" in state
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """obfuscate with no parameter flags makes the ObfParams() defaults:
+    lambda 2, kappa 64, kappa' 16, fixed-width labels."""
+    args = build_parser().parse_args(["obfuscate", "prog.txt", "-o", "out"])
+    assert _params_from_args(args) == ObfParams() == ObfParams(2, 64, 16, False)
+
+
+@pytest.mark.parametrize("kappa_prime, bound", [("4", "0.125"), ("16", "3.05e-05")])
+def test_manifest_states_the_honest_failure_bound(workdir, tmp_path, kappa_prime, bound):
+    """manifest.txt carries m * 2^-kappa', the bound on an honest run
+    being refused for a zero signature vector; the circuit has m = 2
+    input bits."""
+    argv = ["obfuscate", str(workdir / "prog.txt"), "-o", str(tmp_path), "--seed", "1"]
+    assert invoke(argv + ["--kappa-prime", kappa_prime]) == 0
+    assert f"\nhonest-failure-bound {bound}\n" in (tmp_path / "manifest.txt").read_text()
 
 
 def test_obfuscate_stdout_is_seed_deterministic(workdir, tmp_path, capsys):
@@ -387,9 +404,10 @@ def test_eval_output_matches_library_map(workdir, capsys):
 def test_golden_stdout_and_exit_codes(tmp_path, capsys):
     """Seeded stdout and exit codes, byte for byte, of every command on
     the README circuit obfuscated with the default flags at --seed 0
-    (cli_golden.json, whose file arguments live in one directory). Its
-    exit-4 rows are honest evaluations whose token signature drew a
-    zero vector; their stderr says so."""
+    (cli_golden.json, whose file arguments live in one directory). The
+    last rows obfuscate it again at --kappa-prime 4, where the honest
+    evaluation at --seed 0 draws a zero token signature vector and exits
+    4; its stderr says so."""
     (tmp_path / "circ.txt").write_text(CIRCUIT)
     files = ("circ.txt", "prog.txt", "obf")
     for row in GOLDEN:
