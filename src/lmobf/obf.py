@@ -3,18 +3,21 @@
 The obfuscator wraps a program's initial state in the coset-code
 authentication layer, attaches a one-shot signature token for the
 classical input, and publishes one classical oracle per measurement
-layer plus a final output oracle. Each layer oracle checks the token,
-replays a hash chain that commits to every earlier measurement record,
-decodes the submitted codewords, and answers with the next chained
-label. The replay frames each field of the transcript once and hashes
-every label from the framed prefix that ends at its layer, so a query
-at layer i frames O(i) vectors. The output oracle repeats the checks
-and releases the program output. Real and simulated oracles share one
-body over a Chain and differ in how a round is opened: the real ones
-decode through OracleKey.reads, simulated_suite(chain, verify, q_fn)
-only calls verify, the V_k of OracleKey.verify, as in the paper: "we can
-implement these simulated oracles just given access to the
-public-verification oracles V_k". Both reject exactly the same queries.
+layer plus a final output oracle. Every oracle runs one body, _answer,
+whose checks come in this order, the first failure being the refusal:
+the token; the shape of every round's codewords, in one pass over the
+rounds that also files each codeword by wire; the replay of a hash chain
+that commits to every earlier measurement record; the opening of the
+round. A layer oracle then answers with the next chained label, the
+output oracle with the program output. The replay frames each field of
+the transcript once and hashes every label from the framed prefix that
+ends at its layer, so a query at layer i frames O(i) vectors. Real and
+simulated oracles share the body over a Chain and differ only in how a
+round is opened: the real ones decode through OracleKey.reads,
+simulated_suite(chain, verify, q_fn) only calls verify, the V_k of
+OracleKey.verify, as in the paper: "we can implement these simulated
+oracles just given access to the public-verification oracles V_k".
+Both reject exactly the same queries.
 
 Evaluation drives the encoded register through the transversal CNOT
 layers, admitting each wire's masked block at the first layer that
@@ -198,13 +201,16 @@ class OracleKey:
 
     def open_round(self, layer: Layer, x: BitVector, rs: dict[int, int], ordered: CodewordTuple):
         """The real oracles' opening of a round: decode, then the round's
-        function (the output bits on the final round); None if decoding fails."""
+        function. Returns its chain bit r, or the output bits on the final
+        round; None if decoding fails."""
         decoded = dec(self.reads[layer.index - 1], ordered)
         if decoded is None:
             return None
         binds = bind(layer.fn, dict(zip(layer.phi, decoded.bits)), x, rs)
         outs = eval_classical_fn(layer.fn, binds)
-        return BitVector(tuple(outs[n] for n in layer.fn.output_names)) if layer.final else outs
+        if layer.final:
+            return BitVector(tuple(outs[n] for n in layer.fn.output_names))
+        return outs["r"]
 
 
 # --- label PRF and transcript framing ----------------------------------------
@@ -330,59 +336,6 @@ def is_bot(reply: object) -> bool:
     return isinstance(reply, Reject)
 
 
-def _shape_ok(chain: Chain, transcript: Transcript, layer: Layer, w_pair: CodewordTuple) -> bool:
-    program = chain.program
-    p = chain.code_length
-    if len(transcript.x) != program.num_input_bits:
-        return False
-    if len(transcript.v_layers) != layer.index or len(transcript.labels) != layer.index - 1:
-        return False
-    for codewords, earlier in zip(transcript.v_layers, program.layers):
-        if len(codewords) != len(earlier.v):
-            return False
-        if any(len(c) != p for c in codewords):
-            return False
-    return len(w_pair) == len(layer.w) and all(len(c) == p for c in w_pair)
-
-
-def _prelude(chain: Chain, layer: Layer, transcript: Transcript, w_pair: CodewordTuple):
-    """What every oracle checks before its own answer, in order: the
-    token, the shape, the label-chain replay. A layer oracle passes its
-    pair; the output oracle passes the final round, whose pair is empty.
-    The replay frames each field of the transcript once and hashes every
-    label's candidates from the prefix that ends at its layer. Returns the
-    Reject, or the chain bits of the earlier layers, the codewords the
-    round's measurement covers in ascending wire order, and the framed
-    transcript, which is the prefix the round's own label hashes."""
-    i = layer.index
-    if not tok_ver(chain.token_vk, transcript.x, transcript.signature):
-        return Reject(REASON_BAD_TOKEN, i)
-    if not _shape_ok(chain, transcript, layer, w_pair):
-        return Reject(REASON_DECODE, i)
-    payload, ends = _framed(transcript)
-    # Each earlier label must be one of its layer's two candidate hashes;
-    # the matching trailing bit is that layer's chain bit.
-    rs: dict[int, int] = {}
-    for idx in range(1, i):
-        prefix = payload[: ends[idx - 1]]
-        cand0 = _label(chain, prefix, 0)
-        cand1 = _label(chain, prefix, 1)
-        if cand0 == cand1:
-            return Reject(REASON_COLLISION, i)
-        given = transcript.labels[idx - 1]
-        if given == cand0:
-            rs[idx] = 0
-        elif given == cand1:
-            rs[idx] = 1
-        else:
-            return Reject(REASON_BAD_LABEL, i)
-    by_wire: dict[int, BitVector] = {}
-    for codewords, earlier in zip(transcript.v_layers, chain.program.layers):
-        by_wire.update(zip(earlier.v, codewords))
-    by_wire.update(zip(layer.w, w_pair))
-    return rs, tuple(by_wire[w] for w in layer.phi), payload
-
-
 def _round(chain: Chain, i: int) -> Layer:
     """The Layer a layer oracle answers for; raises past 1..t."""
     if not 1 <= i <= chain.program.t:
@@ -391,20 +344,50 @@ def _round(chain: Chain, i: int) -> Layer:
 
 
 def _answer(chain: Chain, open_: Callable, layer: Layer, tr: Transcript, w_pair: CodewordTuple):
-    """The one oracle body: the prelude, then open_(layer, x, chain bits,
-    covered codewords), whose None is a decode-fail Reject. A layer round
-    replies with its echoed codewords and the label of chain bit
-    outs["r"]; the final round replies with the output bits open_ gives."""
-    checked = _prelude(chain, layer, tr, w_pair)
-    if is_bot(checked):
-        return checked
-    rs, ordered, payload = checked
-    outs = open_(layer, tr.x, rs, ordered)
-    if outs is None:
-        return Reject(REASON_DECODE, layer.index)
+    """The one oracle body. In order it checks the token; the codeword
+    count and widths of every round, then of the pair (empty on the final
+    round), filing the codewords by wire in the same pass; the label-chain
+    replay; then open_(layer, x, chain bits, covered codewords), which
+    gives the round's chain bit, the output bits on the final round, or
+    None for a decode-fail. The first failure is the Reject; a layer
+    round replies with its echoed codewords and the label of its bit."""
+    i = layer.index
+    if not tok_ver(chain.token_vk, tr.x, tr.signature):
+        return Reject(REASON_BAD_TOKEN, i)
+    if len(tr.v_layers) != i or len(tr.labels) != i - 1:
+        return Reject(REASON_DECODE, i)
+    p = chain.code_length
+    by_wire: dict[int, BitVector] = {}
+    for earlier, codewords in zip(chain.program.layers, tr.v_layers):
+        if len(codewords) != len(earlier.v) or any(len(c) != p for c in codewords):
+            return Reject(REASON_DECODE, i)
+        by_wire.update(zip(earlier.v, codewords))
+    if len(w_pair) != len(layer.w) or any(len(c) != p for c in w_pair):
+        return Reject(REASON_DECODE, i)
+    by_wire.update(zip(layer.w, w_pair))
+    # Each earlier label must be one of its layer's two candidate hashes;
+    # the matching trailing bit is that layer's chain bit.
+    payload, ends = _framed(tr)
+    rs: dict[int, int] = {}
+    for idx in range(1, i):
+        prefix = payload[: ends[idx - 1]]
+        cand0 = _label(chain, prefix, 0)
+        cand1 = _label(chain, prefix, 1)
+        if cand0 == cand1:
+            return Reject(REASON_COLLISION, i)
+        given = tr.labels[idx - 1]
+        if given == cand0:
+            rs[idx] = 0
+        elif given == cand1:
+            rs[idx] = 1
+        else:
+            return Reject(REASON_BAD_LABEL, i)
+    opened = open_(layer, tr.x, rs, tuple(by_wire[w] for w in layer.phi))
+    if opened is None:
+        return Reject(REASON_DECODE, i)
     if layer.final:
-        return outs
-    return tr.v_layers[-1], _label(chain, payload, outs["r"])
+        return opened
+    return tr.v_layers[-1], _label(chain, payload, opened)
 
 
 # --- the oracles --------------------------------------------------------------
@@ -465,7 +448,7 @@ def simulated_suite(
     def open_(layer: Layer, x: BitVector, rs: dict, ordered: CodewordTuple):
         if not verify(layer.index, ordered):
             return None
-        return q_fn(x) if layer.final else {"r": 0}
+        return q_fn(x) if layer.final else 0
 
     return OracleSuite(
         query_f=lambda i, tr, w: _answer(chain, open_, _round(chain, i), tr, w),
@@ -834,18 +817,18 @@ def encode_g_request(transcript: Transcript) -> str:
 
 
 def _parse_request_fields(
-    key: OracleKey, fields: list[BitVector], upto: int, with_w: bool
-) -> tuple[Transcript, Optional[CodewordTuple]]:
-    """Inverse of the request payload (plus the pair frame with_w);
-    raises ValueError on any misfit."""
-    p = key.auth_key.code_length
-    if len(fields) != 2 + 2 * upto - 1 + (1 if with_w else 0):
+    chain: Chain, fields: list[BitVector], layer: Layer
+) -> tuple[Transcript, CodewordTuple]:
+    """Inverse of the request payload of a query at layer, plus the pair
+    frame unless layer is the final one; raises ValueError on any misfit."""
+    p, upto, with_w = chain.code_length, layer.index, not layer.final
+    if len(fields) != 2 * upto + 1 + with_w:
         raise ValueError("wrong number of frames")
-    sigma = split(fields[1], key.program.num_input_bits, 2 * key.token_dim)
-    layers = key.program.layers
+    sigma = split(fields[1], chain.program.num_input_bits, 2 * chain.token_dim)
+    layers = chain.program.layers
     v_layers = tuple(split(fields[2 * k + 2], len(layers[k].v), p) for k in range(upto))
     labels = tuple(fields[2 * k + 3] for k in range(upto - 1))
-    w_pair = split(fields[-1], len(layers[upto - 1].w), p) if with_w else None
+    w_pair = split(fields[-1], len(layer.w), p) if with_w else ()
     return Transcript(fields[0], sigma, v_layers, labels), w_pair
 
 
@@ -854,26 +837,23 @@ def handle_request_line(key: OracleKey, line: str) -> str:
     parts = line.strip().split()
     try:
         if len(parts) == 3 and parts[0] == "F":
-            i = int(parts[1])
-            if not 1 <= i <= key.program.t:
-                return "BOT"
-            fields = read_frames(bytes.fromhex(parts[2]))
-            transcript, w_pair = _parse_request_fields(key, fields, i, with_w=True)
-            reply = oracle_f(key, i, transcript, w_pair)
-            if is_bot(reply):
-                return "BOT"
-            echo, label = reply
-            return f"OK {frame_group(echo).hex()} {frame(label).hex()}"
-        if len(parts) == 2 and parts[0] == "G":
-            fields = read_frames(bytes.fromhex(parts[1]))
-            transcript, _ = _parse_request_fields(key, fields, key.program.t + 1, with_w=False)
+            layer = _round(key.chain, int(parts[1]))
+        elif len(parts) == 2 and parts[0] == "G":
+            layer = key.program.layers[-1]
+        else:
+            return "BOT"
+        fields = read_frames(bytes.fromhex(parts[-1]))
+        transcript, w_pair = _parse_request_fields(key.chain, fields, layer)
+        if layer.final:
             reply = oracle_g(key, transcript)
-            if is_bot(reply):
-                return "BOT"
-            return f"OK {frame(reply).hex()}"
+            return "BOT" if is_bot(reply) else f"OK {frame(reply).hex()}"
+        reply = oracle_f(key, layer.index, transcript, w_pair)
+        if is_bot(reply):
+            return "BOT"
+        echo, label = reply
+        return f"OK {frame_group(echo).hex()} {frame(label).hex()}"
     except (ValueError, OverflowError):
         return "BOT"
-    return "BOT"
 
 
 class OracleReplyError(ValueError):
@@ -904,7 +884,7 @@ def remote_suite(chain: Chain, send: Callable[[str], str]) -> OracleSuite:
         raise OracleReplyError(repr(answer))
 
     def query_f(i: int, transcript: Transcript, w_pair: CodewordTuple):
-        v_count = len(chain.program.layers[i - 1].v)
+        v_count = len(_round(chain, i).v)
         reply = ask(encode_f_request(i, transcript, w_pair), (v_count * p, chain.label_bits))
         if reply is None:
             return Reject(REASON_REMOTE, i)

@@ -41,8 +41,8 @@ from lmobf.obf import (
     OracleKey,
     OracleSuite,
     Reject,
+    _answer,
     _framed,
-    _prelude,
     Transcript,
     attack_harness,
     encode_f_request,
@@ -304,9 +304,15 @@ def test_replay_accepts_the_chain_label_of_each_layer(data):
         if layer.index <= key.program.t:
             bits[layer.index] = data.draw(st.integers(0, 1))
             tr = tr.with_label(chain_label(key, tr, layer.index, bits[layer.index]))
-    rs, _, payload = _prelude(key.chain, key.program.layers[-1], tr, ())
+    seen = []
+
+    def recording_open(layer, x, rs, ordered):
+        seen.append(rs)
+        return BitVector((0,))
+
+    _answer(key.chain, recording_open, key.program.layers[-1], tr, ())
+    (rs,) = seen
     assert rs == bits
-    assert payload == request_payload(tr)
     for idx, r in rs.items():
         assert tr.labels[idx - 1] == chain_label(key, tr, idx, r)
 
@@ -347,11 +353,25 @@ def test_oracle_f_honest_reply_and_independent_r():
 
 
 def test_oracle_f_layer_range():
+    """A layer index outside 1..t raises ValueError from oracle_f and from
+    the layer query of every suite; the remote suite sends no line."""
     obf, queries, _ = honest_transcript(T_ONLY, BitVector((0,)))
     _, transcript, w_pair = queries[0]
-    for bad in (0, 2, -1):
+    key = obf.key
+    t = key.program.t
+    sent = []
+    suites = (
+        real_suite(key),
+        simulated_suite(key.chain, key.verify, induced_map(key.program)),
+        remote_suite(key.chain, lambda line: sent.append(line) or handle_request_line(key, line)),
+    )
+    for bad in (0, t + 1, t + 2, -1):
         with pytest.raises(ValueError):
-            oracle_f(obf.key, bad, transcript, w_pair)
+            oracle_f(key, bad, transcript, w_pair)
+        for suite in suites:
+            with pytest.raises(ValueError):
+                suite.query_f(bad, transcript, w_pair)
+    assert sent == []
 
 
 def test_oracle_f_bad_token_reasons():
@@ -424,6 +444,42 @@ def test_oracle_g_honest_and_cross_signature():
     _, other = make_obf(CNOT_T, seed=14)
     swapped = replace(transcript, signature=tok_sign(x, other.token, np.random.default_rng(2)))
     assert oracle_g(obf.key, swapped) == Reject("bad-token", 2)
+
+
+def test_the_earlier_of_two_faults_decides_the_reject():
+    """A transcript with two faults is refused for the one checked first,
+    in the order token, shape, label chain, opening: by the real and the
+    simulated oracles, at layer 2 of t = 2 and at the output. The shape
+    and opening faults sit in the last codeword layer, which no checked
+    label hashes, and the forged label is label 1."""
+    obf, queries, final = honest_transcript(T_T, BitVector((0,)), seed=23)
+    key = obf.key
+    q_fn = induced_map(key.program)
+    p = key.auth_key.code_length
+    _, tr_f, w_pair = queries[1]
+    cases = (
+        (2, tr_f, lambda tr: oracle_f(key, 2, tr, w_pair)),
+        (2, tr_f, lambda tr: oracle_f_sim(key, 2, tr, w_pair)),
+        (3, final, lambda tr: oracle_g(key, tr)),
+        (3, final, lambda tr: oracle_g_sim(key, q_fn, tr)),
+    )
+    for i, tr, ask in cases:
+
+        def last_word(word):
+            last = (word,) + tr.v_layers[-1][1:]
+            return replace(tr, v_layers=tr.v_layers[:-1] + (last,))
+
+        honest = tr.v_layers[-1][0]
+        flipped = (honest ^ BitVector.from_int(e, p) for e in range(1, 2**p))
+        out_of_code = next(c for c in flipped if is_bot(ask(last_word(c))))
+        assert ask(last_word(out_of_code)) == Reject("decode-fail", i)
+        wide = last_word(BitVector.zeros(p + 1))
+        bad_sig = (BitVector.zeros(len(tr.signature[0])),) + tr.signature[1:]
+        forged = (flip_bit(tr.labels[0], 0),) + tr.labels[1:]
+        assert ask(replace(wide, signature=bad_sig)) == Reject("bad-token", i)
+        assert ask(replace(wide, labels=forged)) == Reject("decode-fail", i)
+        assert ask(replace(last_word(out_of_code), labels=forged)) == Reject("bad-label", i)
+        assert ask(replace(tr, x=BitVector(tr.x.bits + (0,)))) == Reject("bad-token", i)
 
 
 def test_oracle_g_truncated_transcript():
@@ -1043,8 +1099,15 @@ def test_wire_protocol_matches_in_process():
 
 
 def test_wire_protocol_rejections():
-    program, obf = make_obf(T_ONLY, seed=57)
+    """Malformed lines, and an honest F payload under any index outside
+    1..t, are answered BOT."""
+    obf, queries, _ = honest_transcript(T_ONLY, BitVector((0,)), seed=57)
     key = obf.key
+    t = key.program.t
+    payload = encode_f_request(*queries[0]).split()[2]
+    assert handle_request_line(key, f"F 1 {payload}").startswith("OK ")
+    for i in (0, t + 1, t + 2, -1, 10**30):
+        assert handle_request_line(key, f"F {i} {payload}") == "BOT"
     assert handle_request_line(key, "F 9 00") == "BOT"
     assert handle_request_line(key, "gibberish") == "BOT"
     assert handle_request_line(key, "F 1 zz") == "BOT"
@@ -1080,12 +1143,13 @@ def _oracle_reply_line(key, line: str) -> str:
         if len(parts) == 3 and parts[0] == "F" and 1 <= int(parts[1]) <= key.program.t:
             i = int(parts[1])
             fields = read_frames(bytes.fromhex(parts[2]))
-            reply = oracle_f(key, i, *_parse_request_fields(key, fields, i, with_w=True))
+            layer = key.program.layers[i - 1]
+            reply = oracle_f(key, i, *_parse_request_fields(key.chain, fields, layer))
             if not is_bot(reply):
                 return f"OK {frame_group(reply[0]).hex()} {frame(reply[1]).hex()}"
         elif len(parts) == 2 and parts[0] == "G":
             fields = read_frames(bytes.fromhex(parts[1]))
-            tr, _ = _parse_request_fields(key, fields, key.program.t + 1, with_w=False)
+            tr, _ = _parse_request_fields(key.chain, fields, key.program.layers[-1])
             reply = oracle_g(key, tr)
             if not is_bot(reply):
                 return f"OK {frame(reply).hex()}"
