@@ -353,8 +353,16 @@ def test_oracle_f_honest_reply_and_independent_r():
 
 
 def test_oracle_f_layer_range():
-    """A layer index outside 1..t raises ValueError from oracle_f and from
-    the layer query of every suite; the remote suite sends no line."""
+    obf, queries, _ = honest_transcript(T_ONLY, BitVector((0,)))
+    _, transcript, w_pair = queries[0]
+    for bad in (0, 2, -1):
+        with pytest.raises(ValueError):
+            oracle_f(obf.key, bad, transcript, w_pair)
+
+
+def test_every_suite_refuses_a_layer_index_outside_1_to_t():
+    """The real, simulated and remote suites raise ValueError for a layer
+    query outside 1..t, and the remote suite sends no line for it."""
     obf, queries, _ = honest_transcript(T_ONLY, BitVector((0,)))
     _, transcript, w_pair = queries[0]
     key = obf.key
@@ -366,8 +374,6 @@ def test_oracle_f_layer_range():
         remote_suite(key.chain, lambda line: sent.append(line) or handle_request_line(key, line)),
     )
     for bad in (0, t + 1, t + 2, -1):
-        with pytest.raises(ValueError):
-            oracle_f(key, bad, transcript, w_pair)
         for suite in suites:
             with pytest.raises(ValueError):
                 suite.query_f(bad, transcript, w_pair)
