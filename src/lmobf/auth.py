@@ -24,7 +24,6 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .gf2 import (
-    AffineCoset,
     BitVector,
     Subspace,
     canonical_delta_hat,
@@ -66,7 +65,7 @@ class AuthKey:
             raise ValueError("need one x and one z mask per wire")
         if any(len(v) != p for v in self.x_masks + self.z_masks + (self.delta,)):
             raise ValueError("masks and delta must have length p")
-        accept_z = Subspace.span(p, list(self.space.basis.rows) + [self.delta])
+        accept_z = Subspace.span(p, self.space.basis + (self.delta,))
         object.__setattr__(self, "accept_space_z", accept_z)
         object.__setattr__(self, "accept_space_x", dual(self.space))
         object.__setattr__(self, "hat_space", dual(accept_z))
@@ -259,7 +258,7 @@ def verify_pauli_twirl(
 
 def key_to_text(key: AuthKey) -> str:
     lines = [f"security {key.security}", f"wires {key.num_wires}", "space:"]
-    lines += [str(row) for row in key.space.basis.rows]
+    lines += [str(row) for row in key.space.basis]
     lines.append(f"delta {key.delta}")
     lines.append(f"delta-hat {key.hat_delta}")
     for i in range(key.num_wires):
@@ -291,4 +290,4 @@ def key_from_text(text: str) -> AuthKey:
 def honest_codeword(read: WireRead, logical_bit: int, rng: np.random.Generator) -> BitVector:
     """Sample a vector an untampered read of the wire could yield."""
     base = read.shift ^ read.delta if logical_bit else read.shift
-    return sample_coset_vector(AffineCoset(read.space, base), rng)
+    return sample_coset_vector(read.space, base, rng)

@@ -431,6 +431,18 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # --- argument wiring -------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """The type of every --seed flag: a non-negative integer, as
+    np.random.default_rng takes."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="security", type=int, default=2, metavar="N")
     parser.add_argument("--kappa", type=int, default=64, metavar="N")
@@ -448,20 +460,20 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile", help="circuit file -> measurement program")
     c.add_argument("circuit")
     c.add_argument("-o", "--out", default=None)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.set_defaults(handler=cmd_compile)
 
     o = sub.add_parser("obfuscate", help="program file -> oracle-key directory")
     o.add_argument("program")
     o.add_argument("-o", "--out", required=True)
-    o.add_argument("--seed", type=int, default=0)
+    o.add_argument("--seed", type=_seed, default=0)
     _add_param_flags(o)
     o.set_defaults(handler=cmd_obfuscate)
 
     e = sub.add_parser("eval", help="evaluate an obfuscation on classical input bits")
     e.add_argument("obf_dir")
     e.add_argument("x", metavar="BITS")
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_seed, default=0)
     e.add_argument("--oracle-mode", choices=("inproc", "serve"), default="inproc")
     e.set_defaults(handler=cmd_eval)
 
@@ -471,16 +483,16 @@ def build_parser() -> argparse.ArgumentParser:
         "kind", choices=("pauli-tamper", "label-forge", "replay", "mixed-input")
     )
     a.add_argument("--trials", type=int, default=None)
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--seed", type=_seed, default=0)
     a.set_defaults(handler=cmd_attack)
 
     s = sub.add_parser("selftest", help="fast built-in checks")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.set_defaults(handler=cmd_selftest)
 
     v = sub.add_parser("oracle-serve", help="answer oracle queries on stdin")
     v.add_argument("obf_dir")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.set_defaults(handler=cmd_oracle_serve)
 
     return parser

@@ -1,4 +1,4 @@
-"""GF(2) vectors, subspaces, and affine cosets.
+"""GF(2) vectors and subspaces; a coset is a subspace and a shift.
 
 Bit order convention used across the whole package: coordinate 1 is the
 leftmost character of the textual form, and indexing a BitVector uses
@@ -121,35 +121,14 @@ def parity(words: np.ndarray, mask: int) -> np.ndarray:
     return par
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    rows: tuple[BitVector, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows:
-            n = len(self.rows[0])
-            if any(len(r) != n for r in self.rows):
-                raise ValueError("ragged matrix")
-
-    @staticmethod
-    def from_strings(rows: Sequence[str]) -> "BitMatrix":
-        return BitMatrix(tuple(BitVector.from_string(r) for r in rows))
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    def num_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-
-def rref(m: BitMatrix) -> BitMatrix:
-    """Reduced row-echelon form over GF(2); zero rows dropped."""
-    n = m.num_cols()
+def rref(rows: tuple[BitVector, ...]) -> tuple[BitVector, ...]:
+    """Reduced row-echelon form over GF(2) of rows of equal width; zero
+    rows dropped."""
+    n = len(rows[0]) if rows else 0
     # Reduced rows keyed by their pivot, the row's leading bit; no pivot
     # bit is set in any other row.
     reduced: dict[int, int] = {}
-    for row in m.rows:
+    for row in rows:
         value = row.value
         for piv, other in reduced.items():
             if value & piv:
@@ -158,8 +137,7 @@ def rref(m: BitMatrix) -> BitMatrix:
             piv = 1 << (value.bit_length() - 1)
             reduced = {p: other ^ value if other & piv else other for p, other in reduced.items()}
             reduced[piv] = value
-    rows = (BitVector.from_int(reduced[p], n) for p in sorted(reduced, reverse=True))
-    return BitMatrix(tuple(rows))
+    return tuple(BitVector.from_int(reduced[p], n) for p in sorted(reduced, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -167,17 +145,20 @@ class Subspace:
     """Linear subspace of F2^ambient_dim with canonical RREF basis."""
 
     ambient_dim: int
-    basis: BitMatrix
+    basis: tuple[BitVector, ...]
 
     def __post_init__(self) -> None:
-        if self.basis.rows and self.basis.num_cols() != self.ambient_dim:
+        if any(len(r) != self.ambient_dim for r in self.basis):
             raise ValueError("basis width != ambient_dim")
         if self.basis != rref(self.basis):
             raise ValueError("basis must be in RREF (use span())")
 
     @staticmethod
     def span(ambient_dim: int, rows: Sequence[BitVector]) -> "Subspace":
-        return Subspace(ambient_dim, rref(BitMatrix(tuple(rows))))
+        rows = tuple(rows)
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("row width != ambient_dim")
+        return Subspace(ambient_dim, rref(rows))
 
     @staticmethod
     def span_strings(ambient_dim: int, rows: Sequence[str]) -> "Subspace":
@@ -185,16 +166,16 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, BitMatrix(()))
+        return Subspace(ambient_dim, ())
 
     @property
     def dim(self) -> int:
-        return self.basis.num_rows
+        return len(self.basis)
 
     @cached_property
     def _pivots(self) -> tuple[tuple[int, int], ...]:
         """(position of the pivot bit, packed row) per basis row."""
-        return tuple((r.value.bit_length() - 1, r.value) for r in self.basis.rows)
+        return tuple((r.value.bit_length() - 1, r.value) for r in self.basis)
 
     @cached_property
     def _dual(self) -> "Subspace":
@@ -238,24 +219,7 @@ class Subspace:
             yield BitVector.from_int(acc, self.ambient_dim)
 
     def to_text(self) -> str:
-        return "\n".join(str(r) for r in self.basis.rows)
-
-
-@dataclass(frozen=True)
-class AffineCoset:
-    space: Subspace
-    shift: BitVector
-
-    def __post_init__(self) -> None:
-        if len(self.shift) != self.space.ambient_dim:
-            raise ValueError("shift length mismatch")
-        reduced = self.space.reduce(self.shift)
-        if reduced != self.shift:
-            object.__setattr__(self, "shift", reduced)
-
-
-def contains(c: AffineCoset, v: BitVector) -> bool:
-    return c.space.contains(v ^ c.shift)
+        return "\n".join(str(r) for r in self.basis)
 
 
 def sample_subspace(ambient: int, dim: int, rng: np.random.Generator) -> Subspace:
@@ -266,8 +230,8 @@ def sample_subspace(ambient: int, dim: int, rng: np.random.Generator) -> Subspac
         return Subspace.zero(ambient)
     while True:
         rows = rng.integers(0, 2, size=(dim, ambient), dtype=np.uint8)
-        reduced = rref(BitMatrix(tuple(BitVector.from_ints(r) for r in rows)))
-        if reduced.num_rows == dim:
+        reduced = rref(tuple(BitVector.from_ints(r) for r in rows))
+        if len(reduced) == dim:
             return Subspace(ambient, reduced)
 
 
@@ -285,23 +249,27 @@ def canonical_delta_hat(s: Subspace, delta: BitVector) -> BitVector:
     """
     if s.contains(delta):
         raise ValueError("delta must lie outside the subspace")
-    s_delta = Subspace.span(s.ambient_dim, list(s.basis.rows) + [delta])
+    s_delta = Subspace.span(s.ambient_dim, s.basis + (delta,))
     s_perp = dual(s)
     s_hat = dual(s_delta)
-    for row in s_perp.basis.rows:
+    for row in s_perp.basis:
         if not s_hat.contains(row):
             return s_hat.reduce(row)
     raise AssertionError("dual(s) \\ dual(s+delta) cannot be empty")
 
 
-def sample_coset_vector(c: AffineCoset, rng: np.random.Generator) -> BitVector:
-    acc = c.shift.value
-    if c.space.dim:
-        combo = rng.integers(0, 2, size=c.space.dim)
-        for bit, (_, row) in zip(combo, c.space._pivots):
+def sample_coset_vector(space: Subspace, shift: BitVector, rng: np.random.Generator) -> BitVector:
+    """Uniform vector of space + shift, drawn from the coset's least
+    representative so that equal cosets give equal draws."""
+    if len(shift) != space.ambient_dim:
+        raise ValueError("shift length mismatch")
+    acc = space._reduce(shift.value)
+    if space.dim:
+        combo = rng.integers(0, 2, size=space.dim)
+        for bit, (_, row) in zip(combo, space._pivots):
             if bit:
                 acc ^= row
-    return BitVector.from_int(acc, c.space.ambient_dim)
+    return BitVector.from_int(acc, space.ambient_dim)
 
 
 def coset_decode(s: Subspace, delta: BitVector, shift: BitVector, words):

@@ -837,7 +837,10 @@ def handle_request_line(key: OracleKey, line: str) -> str:
     parts = line.strip().split()
     try:
         if len(parts) == 3 and parts[0] == "F":
-            layer = _round(key.chain, int(parts[1]))
+            i = int(parts[1])
+            if parts[1] != str(i):
+                return "BOT"
+            layer = _round(key.chain, i)
         elif len(parts) == 2 and parts[0] == "G":
             layer = key.program.layers[-1]
         else:

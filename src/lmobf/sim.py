@@ -188,7 +188,7 @@ def prepare_subspace_state(s: Subspace, shift: Optional[BitVector] = None) -> St
     n = s.ambient_dim
     check_cap(n)
     indices = np.array([0 if shift is None else shift.value], dtype=np.int64)
-    for row in s.basis.rows:
+    for row in s.basis:
         indices = np.concatenate([indices, indices ^ row.value])
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[indices] = 1.0 / np.sqrt(2.0**s.dim)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gf2 import AffineCoset, BitVector, Subspace, dual, sample_coset_vector, sample_subspace
+from .gf2 import BitVector, Subspace, dual, sample_coset_vector, sample_subspace
 from .sim import QUBIT_CAP, MeasurementSpec, StateVector, measure, prepare_subspace_state
 from .text import LineReader, parse
 
@@ -77,7 +77,7 @@ def tok_sign(x: BitVector, keypair: TokenKeypair, rng: np.random.Generator) -> S
         else:
             space = dual(keypair.subspaces[j]) if x[j + 1] else keypair.subspaces[j]
             shift = BitVector.zeros(2 * keypair.kappa_prime)
-            sigma.append(sample_coset_vector(AffineCoset(space, shift), rng))
+            sigma.append(sample_coset_vector(space, shift, rng))
     return tuple(sigma)
 
 
@@ -117,7 +117,7 @@ def vk_to_text(kappa_prime: int, vk: Sequence[Subspace]) -> str:
     lines = [f"kappa-prime {kappa_prime}", f"bits {len(vk)}"]
     for j, space in enumerate(vk, start=1):
         lines.append(f"A{j}:")
-        lines.extend(str(row) for row in space.basis.rows)
+        lines.extend(str(row) for row in space.basis)
     return "\n".join(lines)
 
 

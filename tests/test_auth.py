@@ -24,7 +24,7 @@ from lmobf.auth import (
     verify_pauli_twirl,
     wire_reads,
 )
-from lmobf.gf2 import AffineCoset, BitVector, Subspace, canonical_delta_hat, concat, dual, split
+from lmobf.gf2 import BitVector, Subspace, canonical_delta_hat, concat, dual, split
 from lmobf.lm import FnBuilder
 from lmobf.sim import (
     MeasurementSpec,
@@ -78,7 +78,7 @@ def test_gen_derived_fields():
     for lam in (1, 2):
         key = gen(lam, 2, rng)
         s_delta = Subspace.span(
-            key.code_length, list(key.space.basis.rows) + [key.delta]
+            key.code_length, list(key.space.basis) + [key.delta]
         )
         assert key.accept_space_z == s_delta
         assert key.hat_space == dual(s_delta)
@@ -96,7 +96,7 @@ def test_replaced_key_derives_its_dual_code():
         p = key.code_length
         d = next(v for v in _all_vectors(p) if not key.accept_space_z.contains(v))
         moved = dataclasses.replace(key, delta=d)
-        accept_z = Subspace.span(p, list(key.space.basis.rows) + [d])
+        accept_z = Subspace.span(p, list(key.space.basis) + [d])
         assert moved.accept_space_z == accept_z
         assert moved.hat_space == dual(accept_z)
         assert moved.accept_space_x == dual(key.space)
@@ -281,10 +281,7 @@ def test_deterministic_rejection_of_nonspace_flips():
     rng = np.random.default_rng(14)
     key = gen(1, 1, rng)
     reads = wire_reads(key, [], (0,))
-    honest = [
-        v ^ key.x_masks[0]
-        for v in AffineCoset(key.accept_space_z, BitVector.zeros(3)).space.elements()
-    ]
+    honest = [v ^ key.x_masks[0] for v in key.accept_space_z.elements()]
     flips = [e for e in _all_vectors(3) if not key.accept_space_z.contains(e)]
     assert flips
     for c in honest:
@@ -542,7 +539,7 @@ def test_twirl_zero_state_and_bad_shifts():
     space_r, space_r_hat, delta, delta_hat, x0, z0, x1, z1 = twirl_instance(rng)
     zero = np.zeros((8, 8), dtype=np.complex128)
     assert verify_pauli_twirl(space_r, space_r_hat, delta, delta_hat, x0, z0, x1, z1, zero) == 0.0
-    inside = space_r.basis.rows[0]
+    inside = space_r.basis[0]
     with pytest.raises(ValueError):
         verify_pauli_twirl(space_r, space_r_hat, inside, delta_hat, x0, z0, x1, z1, zero)
 

@@ -287,6 +287,33 @@ def test_attack_negative_trials_is_usage_error(workdir, capsys):
     assert "trials 0\nrejected 0\naccepted 0\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command", ["compile", "obfuscate", "eval", "attack", "selftest", "oracle-serve"]
+)
+def test_negative_seed_is_usage_error(workdir, tmp_path, command):
+    """Every subcommand refuses a negative --seed while parsing its
+    arguments: exit 2 with one message, never a traceback."""
+    obf = str(workdir / "obf")
+    argv = {
+        "compile": ["compile", str(workdir / "circ.txt")],
+        "obfuscate": ["obfuscate", str(workdir / "prog.txt"), "-o", str(tmp_path / "o")],
+        "eval": ["eval", obf, "10"],
+        "attack": ["attack", obf, "pauli-tamper"],
+        "selftest": ["selftest"],
+        "oracle-serve": ["oracle-serve", obf],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lmobf", *argv, "--seed", "-1"],
+        input="",
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "--seed: expected a non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sets_listed_out_of_order_evaluate_as_ordered(workdir, tmp_path, capsys):
     """A program file listing a V or W set out of order loads and gives
     the ordered file's outputs, in process in both modes and through an

@@ -9,13 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import reference_dual, reference_rref
 from lmobf.gf2 import (
-    AffineCoset,
-    BitMatrix,
     BitVector,
     Subspace,
     canonical_delta_hat,
     concat,
-    contains,
     coset_decode,
     dual,
     rref,
@@ -42,11 +39,14 @@ def span_set(rows, n):
     return frozenset(out)
 
 
+def vectors(*strings):
+    return tuple(BitVector.from_string(s) for s in strings)
+
+
 def test_rref_basic():
-    m = BitMatrix.from_strings(["11", "01"])
-    assert rref(m) == BitMatrix.from_strings(["10", "01"])
-    assert rref(BitMatrix(())) == BitMatrix(())
-    assert rref(BitMatrix.from_strings(["111", "111"])) == BitMatrix.from_strings(["111"])
+    assert rref(vectors("11", "01")) == vectors("10", "01")
+    assert rref(()) == ()
+    assert rref(vectors("111", "111")) == vectors("111")
 
 
 def test_rref_preserves_span():
@@ -55,9 +55,8 @@ def test_rref_preserves_span():
         n = int(rng.integers(1, 7))
         k = int(rng.integers(0, n + 1))
         rows = [BitVector(tuple(int(b) for b in rng.integers(0, 2, n))) for _ in range(k)]
-        m = BitMatrix(tuple(rows))
-        r = rref(m)
-        assert span_set(r.rows, n) == span_set(rows, n)
+        r = rref(tuple(rows))
+        assert span_set(r, n) == span_set(rows, n)
         assert rref(r) == r
 
 
@@ -71,7 +70,7 @@ def test_rref_canonical_equal_spans():
 
 def test_subspace_membership_and_reduce():
     s = Subspace.span_strings(3, ["110", "011"])
-    members = span_set(s.basis.rows, 3)
+    members = span_set(s.basis, 3)
     for v in all_vectors(3):
         assert s.contains(v) == (v.bits in members)
     # the packed reduction takes an int64 array of words as it takes one int
@@ -141,17 +140,17 @@ def test_sample_subspace_uniform():
 
 def test_contains_coset():
     s = Subspace.span_strings(2, ["11"])
-    assert contains(AffineCoset(s, BitVector.from_string("00")), BitVector.from_string("11"))
-    assert not contains(AffineCoset(s, BitVector.from_string("01")), BitVector.from_string("11"))
-    assert contains(AffineCoset(s, BitVector.from_string("01")), BitVector.from_string("10"))
+    zero, shift = BitVector.from_string("00"), BitVector.from_string("01")
+    assert s.contains(BitVector.from_string("11") ^ zero)
+    assert not s.contains(BitVector.from_string("11") ^ shift)
+    assert s.contains(BitVector.from_string("10") ^ shift)
 
 
 def test_coset_shift_canonicalized():
     s = Subspace.span_strings(2, ["11"])
-    a = AffineCoset(s, BitVector.from_string("01"))
-    b = AffineCoset(s, BitVector.from_string("10"))
-    assert a == b
-    assert a.shift == s.reduce(BitVector.from_string("10"))
+    a = BitVector.from_string("01")
+    b = BitVector.from_string("10")
+    assert s.reduce(a) == s.reduce(b) == a
 
 
 def test_canonical_delta_hat_example():
@@ -161,7 +160,7 @@ def test_canonical_delta_hat_example():
     # independent recomputation: S-perp and S-hat by enumeration
     s_elems = list(s.elements())
     s_perp = [v for v in all_vectors(5) if all(v.dot(w) == 0 for w in s_elems)]
-    s_delta_elems = span_set(list(s.basis.rows) + [delta], 5)
+    s_delta_elems = span_set(list(s.basis) + [delta], 5)
     s_hat = [v for v in s_perp if all(v.dot(BitVector(w)) == 0 for w in s_delta_elems)]
     candidates = sorted(set(v.bits for v in s_perp) - set(v.bits for v in s_hat))
     assert dh.bits == candidates[0]
@@ -181,9 +180,9 @@ def test_canonical_delta_hat_properties(seed):
             break
     dh = canonical_delta_hat(s, delta)
     assert dh.dot(delta) == 1
-    assert all(dh.dot(w) == 0 for w in s.basis.rows)
+    assert all(dh.dot(w) == 0 for w in s.basis)
     # dual(S) = s_hat ∪ (s_hat + dh) as sets
-    s_hat = dual(Subspace.span(p, list(s.basis.rows) + [delta]))
+    s_hat = dual(Subspace.span(p, list(s.basis) + [delta]))
     lhs = set(e.bits for e in dual(s).elements())
     rhs = set(e.bits for e in s_hat.elements()) | set((e ^ dh).bits for e in s_hat.elements())
     assert lhs == rhs
@@ -198,15 +197,37 @@ def test_delta_hat_rejects_inside_vector():
 
 def test_sample_coset_vector():
     rng = np.random.default_rng(5)
-    pt = AffineCoset(Subspace.zero(3), BitVector.from_string("101"))
-    assert all(sample_coset_vector(pt, rng) == pt.shift for _ in range(10))
-    c = AffineCoset(Subspace.span_strings(2, ["11"]), BitVector.from_string("01"))
+    point = BitVector.from_string("101")
+    assert all(sample_coset_vector(Subspace.zero(3), point, rng) == point for _ in range(10))
+    s, shift = Subspace.span_strings(2, ["11"]), BitVector.from_string("01")
     counts = {"01": 0, "10": 0}
     for _ in range(10_000):
-        v = sample_coset_vector(c, rng)
-        assert contains(c, v)
+        v = sample_coset_vector(s, shift, rng)
+        assert s.contains(v ^ shift)
         counts[str(v)] += 1
     assert abs(counts["01"] - 5000) < 5 * 50
+
+
+def test_sample_coset_vector_starts_from_the_least_representative():
+    """Two shifts of one coset give the same seeded draw, so a caller's
+    choice of shift never changes seeded output."""
+    s = Subspace.span_strings(5, ["11000", "00110"])
+    a = BitVector.from_string("01011")
+    for seed in range(5):
+        want = sample_coset_vector(s, a, np.random.default_rng(seed))
+        for r in s.elements():
+            assert sample_coset_vector(s, a ^ r, np.random.default_rng(seed)) == want
+    with pytest.raises(ValueError, match="shift length"):
+        sample_coset_vector(s, BitVector.from_string("0101"), np.random.default_rng(0))
+
+
+def test_rows_of_another_width_are_refused():
+    """span and the constructor check the width of every row: rref alone
+    would pack a short or long row into the ambient width silently."""
+    with pytest.raises(ValueError, match="width"):
+        Subspace.span(3, vectors("101", "11"))
+    with pytest.raises(ValueError, match="width"):
+        Subspace(3, vectors("100", "01"))
 
 
 def test_coset_decode():
@@ -217,7 +238,7 @@ def test_coset_decode():
     assert coset_decode(s, delta, shift, delta.value) == 1
     assert coset_decode(s, delta, shift, 0b100) == -1
     # decode classes partition S ∪ (S+delta) and nothing else
-    union = span_set(list(s.basis.rows) + [delta], 3)
+    union = span_set(list(s.basis) + [delta], 3)
     for v in all_vectors(3):
         d = coset_decode(s, delta, shift, v.value)
         if v.bits in union:
@@ -291,7 +312,7 @@ def test_packed_value_is_the_basis_index():
 def test_rref_and_dual_match_reference(n, k, seed):
     rng = np.random.default_rng(seed)
     rows = [tuple(int(b) for b in rng.integers(0, 2, n)) for _ in range(k)]
-    got = rref(BitMatrix(tuple(BitVector(r) for r in rows)))
-    assert [r.bits for r in got.rows] == reference_rref(rows)
+    got = rref(tuple(BitVector(r) for r in rows))
+    assert [r.bits for r in got] == reference_rref(rows)
     space = Subspace(n, got)
-    assert [r.bits for r in dual(space).basis.rows] == reference_dual(rows, n)
+    assert [r.bits for r in dual(space).basis] == reference_dual(rows, n)

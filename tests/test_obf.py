@@ -1106,13 +1106,14 @@ def test_wire_protocol_matches_in_process():
 
 def test_wire_protocol_rejections():
     """Malformed lines, and an honest F payload under any index outside
-    1..t, are answered BOT."""
+    1..t or any spelling of an index but its plain decimal, are answered
+    BOT."""
     obf, queries, _ = honest_transcript(T_ONLY, BitVector((0,)), seed=57)
     key = obf.key
     t = key.program.t
     payload = encode_f_request(*queries[0]).split()[2]
     assert handle_request_line(key, f"F 1 {payload}").startswith("OK ")
-    for i in (0, t + 1, t + 2, -1, 10**30):
+    for i in (0, t + 1, t + 2, -1, 10**30, "+1", "01", "0_1", "\u0661"):
         assert handle_request_line(key, f"F {i} {payload}") == "BOT"
     assert handle_request_line(key, "F 9 00") == "BOT"
     assert handle_request_line(key, "gibberish") == "BOT"
@@ -1145,8 +1146,9 @@ def _oracle_reply_line(key, line: str) -> str:
     request line parses to; BOT where it parses to no request or the
     oracle refuses."""
     parts = line.split()
+    indices = [str(i) for i in range(1, key.program.t + 1)]
     try:
-        if len(parts) == 3 and parts[0] == "F" and 1 <= int(parts[1]) <= key.program.t:
+        if len(parts) == 3 and parts[0] == "F" and parts[1] in indices:
             i = int(parts[1])
             fields = read_frames(bytes.fromhex(parts[2]))
             layer = key.program.layers[i - 1]
