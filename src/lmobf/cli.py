@@ -6,9 +6,13 @@ serve the oracles over stdin/stdout, and run a quick self-check. Every
 command takes --seed and produces seed-deterministic stdout; manifests
 and timing live in files, never on stdout.
 
-Exit codes: 0 success, 1 a failed self-check or an oracle server that
-died or sent a malformed reply, 2 unusable arguments or input files, 3
-structural violations or simulator limits, 4 a rejected honest evaluation.
+A step that cannot go on raises Failure(code, message); main prints
+`error: <message>` as the one stderr line and returns the code. Exit
+codes: 0 success, 1 a failed self-check or an oracle server that died
+or sent a malformed reply, 2 unusable arguments or input files, 3
+structural violations or simulator limits (a program wider than the
+cap, in obfuscate, eval and attack alike: `program is too wide for the
+simulator: N qubits exceeds cap of 24`), 4 a rejected honest evaluation.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .gf2 import BitVector, dual, sample_subspace
 from .lm import (
     Circuit,
     Gate,
+    LMProgram,
     check_lm_invariants,
     circuit_output_distribution,
     compile_circuit,
@@ -44,7 +48,6 @@ from .obf import (
     ObfuscatedProgram,
     OracleKey,
     OracleReplyError,
-    Reject,
     attack_harness,
     handle_request_line,
     induced_map,
@@ -58,7 +61,6 @@ from .obf import (
     simulated_suite,
 )
 from .sim import (
-    QUBIT_CAP,
     QubitCapError,
     apply_gate,
     check_cap,
@@ -77,37 +79,51 @@ EXIT_REJECTED = 4
 KEY_FILE = "oracle_key.txt"
 STATE_FILE = "state.txt"
 MANIFEST_FILE = "manifest.txt"
+UNUSABLE = "unusable obfuscation directory: "
+
+T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written next to every produced artifact."""
-
-    command: str
-    seed: int
-    params: tuple[tuple[str, str], ...]
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    elapsed_ms: int
-
-    def to_text(self) -> str:
-        lines = [f"command {self.command}", f"seed {self.seed}"]
-        lines.extend(f"{k} {v}" for k, v in self.params)
-        lines.extend(f"input {p}" for p in self.inputs)
-        lines.extend(f"output {p}" for p in self.outputs)
-        lines.append(f"elapsed-ms {self.elapsed_ms}")
-        return "\n".join(lines) + "\n"
+class Failure(Exception):
+    """Failure(code, message) ends a command: main prints `error:
+    <message>` and returns code."""
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _read(path: Path, parse_text: Callable[[str], T], prefix: str, io_prefix: str = "") -> T:
+    """parse_text of the file at path. An unreadable file is exit 2 with
+    io_prefix before the OSError's text, a ValueError (undecodable text
+    too) exit 2 with prefix before its text."""
+    try:
+        return parse_text(path.read_text())
+    except OSError as exc:
+        raise Failure(EXIT_USAGE, f"{io_prefix}{exc}")
+    except ValueError as exc:
+        raise Failure(EXIT_USAGE, f"{prefix}{exc}")
 
 
-def _rejected(reply: Reject) -> int:
-    return _fail(
-        f"honest evaluation was rejected at layer {reply.layer}: {reply.reason}", EXIT_REJECTED
-    )
+def _write(path: Path, text: str) -> None:
+    """Write text to path; an OSError is exit 2 with its own text."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise Failure(EXIT_USAGE, str(exc))
+
+
+def _check_width(program: LMProgram) -> None:
+    """Exit 3 when the program's live wires outgrow the simulator cap."""
+    try:
+        check_cap(program.peak_live)
+    except QubitCapError as exc:
+        raise Failure(EXIT_LIMIT, f"program is too wide for the simulator: {exc}")
+
+
+def _accepted(reply: T) -> T:
+    """reply, unless it is a Reject, which is exit 4 with its layer and reason."""
+    if is_bot(reply):
+        raise Failure(
+            EXIT_REJECTED, f"honest evaluation was rejected at layer {reply.layer}: {reply.reason}"
+        )
+    return reply
 
 
 def _params_from_args(args: argparse.Namespace) -> ObfParams:
@@ -154,37 +170,37 @@ def read_state(r: LineReader, key: OracleKey) -> ObfParams:
     return params
 
 
+def _load_key(directory: Path) -> OracleKey:
+    """The oracle key of an obfuscation directory."""
+    return _read(directory / KEY_FILE, oracle_key_from_text, UNUSABLE, UNUSABLE)
+
+
 def _load_obfuscation(directory: Path) -> ObfuscatedProgram:
-    """The handle an obfuscation directory describes. Raises
-    QubitCapError when the program's live wires outgrow the cap."""
-    key = oracle_key_from_text((directory / KEY_FILE).read_text())
-    obf = ObfuscatedProgram(
-        params=parse((directory / STATE_FILE).read_text(), lambda r: read_state(r, key)),
+    """The handle an obfuscation directory describes, its program's width
+    checked before the signing registers are built."""
+    key = _load_key(directory)
+    params = _read(
+        directory / STATE_FILE, lambda text: parse(text, lambda r: read_state(r, key)),
+        UNUSABLE, UNUSABLE,
+    )
+    _check_width(key.program)
+    return ObfuscatedProgram(
+        params=params,
         key=key,
         token=keypair_from_subspaces(key.token_dim, key.token_vk),
         suite=real_suite(key),
     )
-    check_cap(key.program.peak_live)
-    return obf
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    try:
-        circuit = parse_circuit(Path(args.circuit).read_text())
-    except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except ValueError as exc:
-        return _fail(f"bad circuit: {exc}", EXIT_USAGE)
+    circuit = _read(Path(args.circuit), parse_circuit, "bad circuit: ")
     program = compile_circuit(circuit)
     violations = check_lm_invariants(program)
     if violations:
-        return _fail("compiled program is malformed: " + "; ".join(violations), EXIT_LIMIT)
+        raise Failure(EXIT_LIMIT, "compiled program is malformed: " + "; ".join(violations))
     text = program_to_text(program)
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            return _fail(str(exc), EXIT_USAGE)
+        _write(Path(args.out), text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -192,47 +208,39 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_obfuscate(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    try:
-        program = program_from_text(Path(args.program).read_text())
-    except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except ValueError as exc:
-        return _fail(f"bad program file: {exc}", EXIT_USAGE)
-    if program.peak_live > QUBIT_CAP:
-        return _fail(
-            f"program needs {program.peak_live} wires; simulator cap is {QUBIT_CAP}",
-            EXIT_LIMIT,
-        )
+    program = _read(Path(args.program), program_from_text, "bad program file: ")
+    _check_width(program)
     try:
         params = _params_from_args(args)
     except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        raise Failure(EXIT_USAGE, str(exc))
     try:
         obf = qobf(params, program, np.random.default_rng(args.seed))
     except ValueError as exc:
-        return _fail(str(exc), EXIT_LIMIT)
+        raise Failure(EXIT_LIMIT, str(exc))
     # Each input bit's signature vector is zero, which the verifier
     # rejects, with probability 2^-kappa', so m input bits bound the
     # honest failure rate by m * 2^-kappa'.
     bound = program.num_input_bits * 2.0**-params.token_dim
     out = Path(args.out)
-    key_text = oracle_key_to_text(obf.key)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / KEY_FILE).write_text(key_text)
-        (out / STATE_FILE).write_text("\n".join(_param_lines(params, args.seed)) + "\n")
-        manifest = RunManifest(
-            command="obfuscate",
-            seed=args.seed,
-            params=tuple(tuple(ln.split(None, 1)) for ln in _param_lines(params, args.seed)[1:])
-            + (("honest-failure-bound", f"{bound:.3g}"),),
-            inputs=(str(args.program),),
-            outputs=(str(out / KEY_FILE), str(out / STATE_FILE)),
-            elapsed_ms=int(1000 * (time.monotonic() - started)),
-        )
-        (out / MANIFEST_FILE).write_text(manifest.to_text())
     except OSError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        raise Failure(EXIT_USAGE, str(exc))
+    key_text = oracle_key_to_text(obf.key)
+    state = _param_lines(params, args.seed)
+    _write(out / KEY_FILE, key_text)
+    _write(out / STATE_FILE, "\n".join(state) + "\n")
+    manifest = [
+        "command obfuscate",
+        *state,
+        f"honest-failure-bound {bound:.3g}",
+        f"input {args.program}",
+        f"output {out / KEY_FILE}",
+        f"output {out / STATE_FILE}",
+        f"elapsed-ms {int(1000 * (time.monotonic() - started))}",
+    ]
+    _write(out / MANIFEST_FILE, "\n".join(manifest) + "\n")
     digest = hashlib.sha256(key_text.encode()).hexdigest()
     print(f"oracle-key sha256 {digest}")
     print(f"wires {program.num_wires} layers {program.t + 1} label-bits {obf.key.label_bits}")
@@ -241,19 +249,14 @@ def cmd_obfuscate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     directory = Path(args.obf_dir)
-    try:
-        obf = _load_obfuscation(directory)
-    except QubitCapError as exc:
-        return _fail(f"program is too wide for the simulator: {exc}", EXIT_LIMIT)
-    except (OSError, ValueError) as exc:
-        return _fail(f"unusable obfuscation directory: {exc}", EXIT_USAGE)
+    obf = _load_obfuscation(directory)
     try:
         x = BitVector.from_string(args.x)
     except ValueError as exc:
-        return _fail(f"bad input bits: {exc}", EXIT_USAGE)
+        raise Failure(EXIT_USAGE, f"bad input bits: {exc}")
     if len(x) != obf.key.program.num_input_bits:
-        return _fail(
-            f"input takes {obf.key.program.num_input_bits} bits, got {len(x)}", EXIT_USAGE
+        raise Failure(
+            EXIT_USAGE, f"input takes {obf.key.program.num_input_bits} bits, got {len(x)}"
         )
     rng = np.random.default_rng(args.seed)
     if args.oracle_mode == "serve":
@@ -281,43 +284,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
         except BrokenPipeError:
             y = None
         except OracleReplyError as exc:
-            return _fail(f"oracle server sent a malformed reply: {exc}", EXIT_FAILED)
+            raise Failure(EXIT_FAILED, f"oracle server sent a malformed reply: {exc}")
         finally:
             with contextlib.suppress(BrokenPipeError):
                 server.stdin.close()
             status = server.wait(timeout=30)
         if y is None:
-            return _fail(f"oracle server stopped answering (exit status {status})", EXIT_FAILED)
+            raise Failure(EXIT_FAILED, f"oracle server stopped answering (exit status {status})")
     else:
         y = qeval(x, obf, rng)
-    if is_bot(y):
-        return _rejected(y)
-    print(y)
+    print(_accepted(y))
     return EXIT_OK
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    try:
-        obf = _load_obfuscation(Path(args.obf_dir))
-    except QubitCapError as exc:
-        return _fail(f"program is too wide for the simulator: {exc}", EXIT_LIMIT)
-    except (OSError, ValueError) as exc:
-        return _fail(f"unusable obfuscation directory: {exc}", EXIT_USAGE)
+    obf = _load_obfuscation(Path(args.obf_dir))
     try:
         report = attack_harness(args.kind, obf, np.random.default_rng(args.seed), args.trials)
     except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    if is_bot(report):
-        return _rejected(report)
-    print(report.to_text())
+        raise Failure(EXIT_USAGE, str(exc))
+    print(_accepted(report).to_text())
     return EXIT_OK
 
 
 def cmd_oracle_serve(args: argparse.Namespace) -> int:
-    try:
-        key = oracle_key_from_text((Path(args.obf_dir) / KEY_FILE).read_text())
-    except (OSError, ValueError) as exc:
-        return _fail(f"unusable obfuscation directory: {exc}", EXIT_USAGE)
+    key = _load_key(Path(args.obf_dir))
     for line in sys.stdin:
         if not line.strip():
             continue
@@ -500,7 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except Failure as exc:
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

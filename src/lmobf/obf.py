@@ -733,11 +733,13 @@ def attack_harness(
     layer1 = lm.layers[0]
     v1_wires = layer1.v
     if kind == "pauli-tamper":
-        accept_z = key.auth_key.accept_space_z
-        z_wires = [r.wire for r in key.reads[0] if r.basis == 0]
+        auth_key = key.auth_key
         for _ in range(trials):
-            target = z_wires[int(rng.integers(len(z_wires)))]
-            err = _sample_outside(accept_z, rng)
+            # An error outside the accepted space of the read it lands on.
+            read = key.reads[0][int(rng.integers(len(key.reads[0])))]
+            target = read.wire
+            accept = auth_key.accept_space_z if read.basis == 0 else auth_key.accept_space_x
+            err = _sample_outside(accept, rng)
             v1, w1 = list(transcript.v_layers[0]), list(w_pairs[0] if w_pairs else ())
             if target in v1_wires:
                 v1[v1_wires.index(target)] ^= err

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, exit codes, determinism, and the
 wire protocol under a real subprocess."""
 
+import io
 import json
 import os
 import shutil
@@ -86,6 +87,30 @@ def test_obfuscate_writes_key_state_manifest(workdir):
     assert "elapsed-ms" in manifest
     state = (workdir / "obf" / "state.txt").read_text()
     assert "lambda 1" in state and "kappa 32" in state and "kappa-prime 16" in state
+
+
+@pytest.mark.parametrize("flags, paper_kappa", [([], "off"), (["--paper-kappa"], "on")])
+def test_obfuscate_manifest_lines(workdir, tmp_path, flags, paper_kappa):
+    """Every line of manifest.txt at the default flags, with and without
+    --paper-kappa; only the elapsed-ms value varies between runs."""
+    prog, out = str(workdir / "prog.txt"), tmp_path / "o"
+    assert invoke(["obfuscate", prog, "-o", str(out), "--seed", "0", *flags]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert lines[:-1] == [
+        "command obfuscate",
+        "seed 0",
+        "lambda 2",
+        "kappa 64",
+        "kappa-prime 16",
+        f"paper-kappa {paper_kappa}",
+        "initial-state program-default",
+        "honest-failure-bound 3.05e-05",
+        f"input {prog}",
+        f"output {out / 'oracle_key.txt'}",
+        f"output {out / 'state.txt'}",
+    ]
+    tag, ms = lines[-1].split(" ")
+    assert tag == "elapsed-ms" and ms.isdigit()
 
 
 def test_cli_defaults_are_the_library_defaults():
@@ -272,6 +297,45 @@ def test_attack_default_trials_all_rejected(workdir, capsys):
     assert invoke(["attack", str(workdir / "obf"), "pauli-tamper"]) == 0
     out = capsys.readouterr().out
     assert "trials 1000" in out and "rejected 1000" in out and "accepted 0" in out
+
+
+def test_pauli_tamper_on_a_hadamard_read_first_round(tmp_path, capsys):
+    """A key whose round 1 reads every wire in the Hadamard basis is
+    attacked too: each error lands outside the accepted space of the
+    read it hits, and every trial is rejected."""
+    program = compile_circuit(parse_circuit("qubits 1 inputs 1 outputs 1\nH 1\n"))
+    (tmp_path / "h.prog").write_text(program_to_text(replace(program, thetas=((1, 1, 1),))))
+    obf = str(tmp_path / "obf")
+    assert invoke(["obfuscate", str(tmp_path / "h.prog"), "-o", obf, "--lambda", "1"]) == 0
+    capsys.readouterr()
+    assert invoke(["attack", obf, "pauli-tamper", "--trials", "200"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "attack pauli-tamper\ntrials 200\nrejected 200\naccepted 0\nreason decode-fail 200\n", ""
+    )
+
+
+@pytest.mark.parametrize("damage", ["missing directory", "key cut after its first line"])
+@pytest.mark.parametrize("command", ["eval", "attack", "oracle-serve"])
+def test_unusable_directory_is_one_error_line(workdir, tmp_path, capsys, monkeypatch, command, damage):
+    """eval, attack and oracle-serve share one directory loader: a
+    missing directory or a cut oracle_key.txt is exit 2 with nothing on
+    stdout and one stderr line."""
+    obf = tmp_path / "obf"
+    if damage != "missing directory":
+        shutil.copytree(workdir / "obf", obf)
+        key = obf / "oracle_key.txt"
+        key.write_text(key.read_text().splitlines()[0] + "\n")
+    argv = {
+        "eval": ["eval", str(obf), "10"],
+        "attack": ["attack", str(obf), "pauli-tamper"],
+        "oracle-serve": ["oracle-serve", str(obf)],
+    }[command]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert invoke(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: unusable obfuscation directory: ")
 
 
 def test_attack_unknown_kind_is_usage_error(workdir):
