@@ -33,6 +33,8 @@ from lmobf.lm import (
     lmeval,
     lmeval_distribution,
     parse_circuit,
+    total_variation,
+    walk,
 )
 from lmobf.obf import (
     EncodedRegister,
@@ -68,6 +70,7 @@ from lmobf.obf import (
     simulated_suite,
 )
 from lmobf.tokens import tok_gen, tok_sign
+from test_acceptance import DETERMINISTIC_CIRCUITS
 
 IDENTITY = Circuit(1, 1, (), (1,))
 T_ONLY = Circuit(1, 1, (Gate("T", (1,)),), (1,))
@@ -717,6 +720,51 @@ def test_qeval_matches_program_map(circuit):
                 got = qeval(x, obf, np.random.default_rng(seed + 40), mode=mode)
                 assert not is_bot(got)
                 assert got == q_fn(x)
+
+
+def encoded_gap(circuit: Circuit, security: int, seeds=(0, 1, 2)) -> float:
+    """Worst total variation, over the keys of the seeds and every input,
+    between walk's exact enumeration of the encoded register and the
+    circuit's own output distribution."""
+    program = compile_circuit(circuit)
+    params = ObfParams(security=security, label_bits=16, token_dim=16)
+    worst = 0.0
+    for seed in seeds:
+        key = qobf(params, program, np.random.default_rng(seed)).key
+        for x in all_inputs(circuit.num_input_bits):
+            dist = walk(EncodedRegister(key), x)
+            worst = max(worst, total_variation(dist, circuit_output_distribution(circuit, x)))
+    return worst
+
+
+# Random 1-2-qubit circuits of at most 6 live wires, so that security 1
+# needs at most 18 qubits.
+EXACT_CIRCUITS = DETERMINISTIC_CIRCUITS + tuple(
+    c
+    for c in (
+        random_circuit(np.random.default_rng((71, k)), max_qubits=2, max_gates=4, max_t=1)
+        for k in range(10)
+    )
+    if compile_circuit(c).peak_live <= 6
+)
+
+
+@pytest.mark.parametrize(
+    "circuit, security",
+    [pytest.param(c, 1, id=f"c{k}-security1") for k, c in enumerate(EXACT_CIRCUITS)]
+    + [
+        pytest.param(c, 2, id=f"c{k}-security2")
+        for k, c in enumerate(EXACT_CIRCUITS)
+        if compile_circuit(c).peak_live * 5 <= 24
+    ],
+)
+def test_encoded_register_enumerates_the_circuit_exactly(circuit, security):
+    """Every input's output distribution of the authenticated route,
+    enumerated exactly over the encoded register with three keys,
+    equals the circuit's within 1e-12: the acceptance suite's
+    deterministic circuits and random 1-2-qubit circuits, at security 1
+    and, where the live blocks fit in 24 qubits, at security 2."""
+    assert encoded_gap(circuit, security) <= 1e-12
 
 
 def test_qeval_tracks_nondeterministic_statistics():
