@@ -112,10 +112,10 @@ def split(v: BitVector, count: int, width: int) -> tuple[BitVector, ...]:
 
 
 def parity(words: np.ndarray, mask: int) -> np.ndarray:
-    """Per packed word w of an int64 array (at most 32 bits), the dot
+    """Per packed word w of an int64 array (at most 63 bits), the dot
     product of w and mask over GF(2), as 0 or 1, in a new array."""
     par = words & mask
-    for shift in (16, 8, 4, 2, 1):
+    for shift in (32, 16, 8, 4, 2, 1):
         par ^= par >> shift
     par &= 1
     return par

@@ -38,6 +38,8 @@ from .sim import (
     apply_gate,
     measure,
     measure_branches,
+    outcome_probabilities,
+    permute_blocks,
     tensor,
 )
 from .text import LineReader, parse
@@ -386,15 +388,14 @@ def place(
     wires in order, with fresh, the blocks of the new wires in order,
     tensored in so that every block sits in wire order. Where the new
     wires all come after the live ones this is one tensor; otherwise the
-    blocks are put in order by one axis permutation."""
+    blocks are put in order by one permutation of the index bits."""
     if not live:
         return fresh
     out = tensor(state, fresh)
     if wires[0] > live[-1]:
         return out
     order = sorted(range(len(live) + len(wires)), key=[*live, *wires].__getitem__)
-    psi = out.amplitudes.reshape((1 << block,) * len(order)).transpose(order)
-    return StateVector(out.num_qubits, psi.reshape(-1))
+    return permute_blocks(out, order, block)
 
 
 def apply_cnot_layer(state: StateVector, cnots: Sequence[tuple[int, int]]) -> StateVector:
@@ -624,7 +625,10 @@ def walk(
         state = register.cnot_layer(state, [(pos_of[c], pos_of[t]) for c, t in layer.cnots])
         fn = layer.fn
         spec = register.spec(layer, live, lambda m: bind(fn, {**stored, **m}, x, rs))
-        if rng is None:
+        if rng is None and layer.final:
+            codes, probs = outcome_probabilities(state, spec)
+            branches = [(code, prob * p, None, None) for code, p in zip(codes, probs)]
+        elif rng is None:
             branches = [
                 (code, prob * p, post, None) for code, p, post in measure_branches(state, spec)
             ]
@@ -633,10 +637,14 @@ def walk(
             read = dict(zip(layer.read, split(result.raw_bits, len(layer.read), register.block)))
             branches = [(result.outcome, prob, result.post_state, read)]
         at = len(todo)
+        outputs: dict[int, tuple[int, ...]] = {}  # a code's output bits
         for code, branch_prob, post, read in branches:
             if branch_prob <= 1e-15 or (visit is not None and not visit(layer, code, read)):
                 continue
-            bits = BitVector.from_int(code & (1 << len(fn.outputs)) - 1, len(fn.outputs)).bits
+            out = code & (1 << len(fn.outputs)) - 1
+            if out not in outputs:
+                outputs[out] = BitVector.from_int(out, len(fn.outputs)).bits
+            bits = outputs[out]
             if layer.final:
                 dist[bits] = dist.get(bits, 0.0) + branch_prob
                 continue

@@ -1,24 +1,45 @@
-"""Exact dense statevector simulator.
+"""Exact sparse statevector simulator.
 
-Qubit 1 is the leftmost qubit: basis-state index = sum over qubits q of
-bit_q * 2^(n-q), matching the bit-string order used by the gf2 module.
-Operations never mutate their inputs; every one returns a fresh state.
+A state stores only its nonzero amplitudes: its support, the sorted
+int64 indices of the basis states it holds, and the complex values on
+them. Qubit 1 is the leftmost qubit: basis-state index = sum over
+qubits q of bit_q * 2^(n-q), matching the bit-string order used by the
+gf2 module. Operations never mutate their inputs; every one returns a
+fresh state, built through a private path that skips the norm check.
+Only exact zeros leave a support.
 
-A list of CNOTs, on qubits or transversally on blocks of qubits, is a
-permutation of basis indices. Only the span from the first to the last
-block it touches is permuted: the state is viewed as a (before, span,
-after) array and one gather permutes its middle axis. A one-qubit
-gate, an encoding isometry and the Hadamard rotation of an X-tagged
-qubit are each one small matrix on one axis of the amplitude tensor.
+The dense entry points cap qubits: StateVector(n, amplitudes), zero,
+basis and the dense amplitudes view take at most QUBIT_CAP. The kernels
+cap nonzero amplitudes instead, and the scratch a measurement sums its
+rows in, both at 2^QUBIT_CAP; indices are int64, so a state has at most
+INDEX_BITS qubits.
+
+A list of CNOTs, on qubits or transversally on blocks of qubits,
+shifts and XORs the indices, and a Pauli mask XORs them and flips
+signs; both then sort. A one-qubit matrix (a gate, or the Hadamard
+rotation of an X-tagged qubit) multiplies the support's entries,
+gathered in pairs that differ only at that qubit, as one zero-filled
+(2, M) array. The encoding isometry expands each index by the nonzero
+rows of its two columns.
 
 Measurements follow the partial-collapse rule: qubits tagged Z or X
-(rotated within the gathered measured block) are read out, the outcome
+(rotated within the measured register) are read out, the outcome
 function maps each observed substring, packed as an int like
 BitVector.value, to the int code of its label (-1 for BOT, a substring
 that does not decode), and only the distinction between labels
 collapses the state. Basis states that share a label keep their
 relative amplitudes. Qubits a measurement consumes are sliced out at
 the bits the outcome fixes.
+
+Every amplitude and probability equals, bit for bit, what the dense
+layout (2^n amplitudes, the tensor axes moved and multiplied) computes.
+A one-qubit matrix is the same BLAS product over the same pairs: M is
+padded to a multiple of 8, or the pairs keep their dense columns on
+small states, so that every pair takes the kernel path it takes in the
+dense (2, 2^(n-1)) product. A row's probability is numpy's pairwise sum
+of a zero-filled scratch row as long as the dense row, so the additions
+fall in the dense order. The isometry's columns are real and disjoint,
+so each product has one nonzero term and needs no BLAS.
 """
 
 from __future__ import annotations
@@ -32,6 +53,7 @@ import numpy as np
 from .gf2 import BitVector, Subspace, parity
 
 QUBIT_CAP = 24
+INDEX_BITS = 62  # the widest state an int64 index can address
 BOT = -1  # the label code of a substring that does not decode
 
 _SQRT2 = np.sqrt(2.0)
@@ -50,7 +72,9 @@ OutcomeFn = Callable[[np.ndarray], np.ndarray]
 
 
 class QubitCapError(ValueError):
-    """An operation would exceed the configured qubit cap."""
+    """An operation would exceed the simulator's cap: more than QUBIT_CAP
+    qubits at a dense entry point, or more than 2^QUBIT_CAP nonzero
+    amplitudes (or scratch entries) in a kernel."""
 
 
 def check_cap(num_qubits: int) -> None:
@@ -58,26 +82,52 @@ def check_cap(num_qubits: int) -> None:
         raise QubitCapError(f"{num_qubits} qubits exceeds cap of {QUBIT_CAP}")
 
 
-@dataclass(frozen=True, eq=False)
+def _check_size(num_qubits: int, entries: int) -> None:
+    if num_qubits > INDEX_BITS:
+        raise QubitCapError(f"{num_qubits} qubits exceeds the {INDEX_BITS}-bit index")
+    if entries > 1 << QUBIT_CAP:
+        raise QubitCapError(f"{entries} amplitudes exceeds cap of 2^{QUBIT_CAP}")
+
+
 class StateVector:
-    """Normalized pure state on num_qubits qubits.
+    """Normalized pure state on num_qubits qubits: the sorted int64
+    indices of its nonzero amplitudes (support) and the complex values
+    on them. StateVector(n, amplitudes) takes the dense 2^n amplitudes of
+    at most QUBIT_CAP qubits and checks their norm.
 
     Equality of states is physical, not structural: compare with
     state_distance, which ignores global phase.
     """
 
-    num_qubits: int
-    amplitudes: np.ndarray
+    __slots__ = ("num_qubits", "support", "values")
 
-    def __post_init__(self) -> None:
-        check_cap(self.num_qubits)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.num_qubits,):
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray) -> None:
+        check_cap(num_qubits)
+        amps = np.asarray(amplitudes, dtype=np.complex128)
+        if amps.shape != (2**num_qubits,):
             raise ValueError("amplitude count does not match qubit count")
         norm = math.sqrt(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm {norm!r} outside tolerance")
-        object.__setattr__(self, "amplitudes", amps)
+        support = np.flatnonzero(amps)
+        self.num_qubits, self.support, self.values = num_qubits, support, amps[support]
+
+    @classmethod
+    def _of(cls, num_qubits: int, support: np.ndarray, values: np.ndarray) -> "StateVector":
+        """The kernels' path: a state from its sorted support and values,
+        unchecked."""
+        state = object.__new__(cls)
+        state.num_qubits, state.support, state.values = num_qubits, support, values
+        return state
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense 2^num_qubits amplitudes, built anew on each access;
+        raises QubitCapError past QUBIT_CAP qubits."""
+        check_cap(self.num_qubits)
+        amps = np.zeros(2**self.num_qubits, dtype=np.complex128)
+        amps[self.support] = self.values
+        return amps
 
     @staticmethod
     def zero(num_qubits: int) -> "StateVector":
@@ -86,9 +136,8 @@ class StateVector:
     @staticmethod
     def basis(bits: BitVector) -> "StateVector":
         check_cap(len(bits))
-        amps = np.zeros(2 ** len(bits), dtype=np.complex128)
-        amps[bits.value] = 1.0
-        return StateVector(len(bits), amps)
+        index = np.array([bits.value], dtype=np.int64)
+        return StateVector._of(len(bits), index, np.ones(1, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -116,13 +165,74 @@ class MeasurementResult:
     post_state: StateVector
 
 
-def _on_axis(psi: np.ndarray, axis: int, matrix: np.ndarray) -> np.ndarray:
-    """matrix applied to one axis of the tensor psi, as one 2-D product
-    over a copy with that axis first. The axis stays in place and takes
-    the matrix's row count as its length."""
-    block = np.moveaxis(psi, axis, 0)
-    out = matrix @ block.reshape(block.shape[0], -1)
-    return np.moveaxis(out.reshape(matrix.shape[:1] + block.shape[1:]), 0, axis)
+def _runs(qubits: Sequence[int]) -> list[list[int]]:
+    """The runs of adjacent qubits in an ascending list, as [first, count]."""
+    runs: list[list[int]] = []
+    for q in qubits:
+        if runs and runs[-1][0] + runs[-1][1] == q:
+            runs[-1][1] += 1
+        else:
+            runs.append([q, 1])
+    return runs
+
+
+def _bits_at(index: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
+    """Each index's bits at the 0-based qubits, ascending, packed with the
+    first as the most significant bit. A run of adjacent qubits is one
+    shift and mask."""
+    out = np.zeros_like(index)
+    for first, count in _runs(qubits):
+        out = out << count | index >> (n - first - count) & (1 << count) - 1
+    return out
+
+
+def _drop_bits(index: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
+    """index with the bits of the 0-based qubits, ascending, removed and
+    the bits above each run moved down."""
+    for first, count in _runs(qubits):  # highest bits first: the lower ones stay put
+        low = n - first - count
+        index = index >> (n - first) << low | index & (1 << low) - 1
+    return index
+
+
+def _rotate(
+    n: int, support: np.ndarray, values: np.ndarray, qubits: Sequence[int], matrix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 2x2 matrix on each of the 0-based qubits, ascending, one after
+    the other, on the state (support, values). Per run of adjacent
+    qubits, the entries that agree off the run form a group, one row of
+    a zero-filled (G, 2^count) block, and per qubit one matrix product
+    multiplies the block's pairs that differ only at that qubit as a
+    (2, M) array. On up to 4 qubits, where the dense product has at most
+    8 columns, every pair of the register keeps its dense column, one
+    qubit at a time; otherwise G is padded so that M is a multiple of 8.
+    Exact zeros leave the support."""
+    runs = [[q, 1] for q in qubits] if n <= 4 else _runs(qubits)
+    for first, count in runs:
+        low = n - first - count
+        width = 1 << count
+        if n <= 4:
+            keys = np.arange(1 << (n - 1), dtype=np.int64)
+            keys = keys >> low << (low + 1) | keys & (1 << low) - 1
+            group = _drop_bits(support, n, (first,))
+            rows = len(keys)
+        else:
+            keys, group = np.unique(support & ~(width - 1 << low), return_inverse=True)
+            step = max(1, 16 // width)
+            rows = -(-len(keys) // step) * step
+        block = np.zeros((rows,) + (2,) * count, dtype=np.complex128)
+        block.reshape(rows, width)[group, support >> low & width - 1] = values
+        for c in range(1, count + 1):
+            pairs = np.moveaxis(block, c, 0)
+            out = matrix @ np.ascontiguousarray(pairs).reshape(2, -1)
+            block = np.moveaxis(out.reshape(pairs.shape), 0, c)
+        block = block.reshape(rows, width)[: len(keys)]
+        index = keys[:, None] | np.arange(width, dtype=np.int64) << low
+        keep = block != 0
+        support, values = index[keep], block[keep]
+        order = np.argsort(support)
+        support, values = support[order], values[order]
+    return support, values
 
 
 def apply_gate(state: StateVector, gate: str, targets: Sequence[int]) -> StateVector:
@@ -134,8 +244,13 @@ def apply_gate(state: StateVector, gate: str, targets: Sequence[int]) -> StateVe
     (q,) = targets
     if not 1 <= q <= n:
         raise ValueError(f"qubit {q} out of range 1..{n}")
-    out = _on_axis(state.amplitudes.reshape((2,) * n), q - 1, _GATES_1Q[gate])
-    return StateVector(n, out.reshape(-1))
+    return StateVector._of(n, *_rotate(n, state.support, state.values, (q - 1,), _GATES_1Q[gate]))
+
+
+def _permuted(state: StateVector, index: np.ndarray, values: np.ndarray) -> StateVector:
+    """The state with each value moved to its new index, sorted."""
+    order = np.argsort(index)
+    return StateVector._of(state.num_qubits, index[order], values[order])
 
 
 def apply_cnots(
@@ -143,12 +258,8 @@ def apply_cnots(
 ) -> StateVector:
     """Apply the CNOTs (i, j) in list order. The qubits form consecutive
     blocks of block qubits each, and CNOT(i, j) XORs block i into block j
-    qubit by qubit (a plain CNOT when block is 1).
-
-    Only the span of blocks lo..hi, the first and last the CNOTs touch,
-    is permuted. The state is viewed as a (2^((lo-1)*block),
-    2^((hi-lo+1)*block), rest) array, and one gather along the middle
-    axis permutes it."""
+    qubit by qubit (a plain CNOT when block is 1): a shift and XOR of
+    every index of the support."""
     n = state.num_qubits
     if block < 1 or n % block:
         raise ValueError("state is not a whole number of blocks")
@@ -158,17 +269,23 @@ def apply_cnots(
             raise ValueError(f"CNOT ({i}, {j}) needs two distinct wires in 1..{wires}")
     if not cnots:
         return state
-    lo = min(min(pair) for pair in cnots)
-    hi = max(max(pair) for pair in cnots)
-    # Block w sits at shift (hi - w) * block within a span index. Each
-    # CNOT is its own inverse, so output row r reads the input at r with
-    # the CNOTs applied last to first.
-    idx = np.arange(1 << (hi - lo + 1) * block, dtype=np.int64)
+    # Block w sits at shift (wires - w) * block within an index.
     ones = (1 << block) - 1
-    for i, j in reversed(cnots):
-        idx ^= ((idx >> (hi - i) * block) & ones) << (hi - j) * block
-    psi = state.amplitudes.reshape(1 << (lo - 1) * block, len(idx), -1)
-    return StateVector(n, np.take(psi, idx, axis=1).reshape(-1))
+    index = state.support
+    for i, j in cnots:
+        index = index ^ (index >> (wires - i) * block & ones) << (wires - j) * block
+    return _permuted(state, index, state.values)
+
+
+def permute_blocks(state: StateVector, order: Sequence[int], block: int) -> StateVector:
+    """The qubits, in consecutive blocks of block qubits, rearranged so
+    that block k (0-based) of the result is block order[k] of state."""
+    count = len(order)
+    ones = (1 << block) - 1
+    index = np.zeros_like(state.support)
+    for old in order:
+        index = index << block | state.support >> (count - 1 - old) * block & ones
+    return _permuted(state, index, state.values)
 
 
 def apply_pauli_mask(state: StateVector, x_mask: BitVector, z_mask: BitVector) -> StateVector:
@@ -176,23 +293,19 @@ def apply_pauli_mask(state: StateVector, x_mask: BitVector, z_mask: BitVector) -
     n = state.num_qubits
     if len(x_mask) != n or len(z_mask) != n:
         raise ValueError("mask length must equal qubit count")
-    idx = np.arange(2**n, dtype=np.int64)
-    signs = 1.0 - 2.0 * parity(idx, z_mask.value)
-    out = np.empty_like(state.amplitudes)
-    out[idx ^ x_mask.value] = state.amplitudes * signs
-    return StateVector(n, out)
+    signs = 1.0 - 2.0 * parity(state.support, z_mask.value)
+    return _permuted(state, state.support ^ x_mask.value, state.values * signs)
 
 
 def prepare_subspace_state(s: Subspace, shift: Optional[BitVector] = None) -> StateVector:
     """Uniform superposition over the coset s + shift."""
     n = s.ambient_dim
-    check_cap(n)
-    indices = np.array([0 if shift is None else shift.value], dtype=np.int64)
+    _check_size(n, 1 << s.dim)
+    index = np.array([0 if shift is None else shift.value], dtype=np.int64)
     for row in s.basis:
-        indices = np.concatenate([indices, indices ^ row.value])
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[indices] = 1.0 / np.sqrt(2.0**s.dim)
-    return StateVector(n, amps)
+        index = np.concatenate([index, index ^ row.value])
+    values = np.full(len(index), 1.0 / np.sqrt(2.0**s.dim), dtype=np.complex128)
+    return StateVector._of(n, np.sort(index), values)
 
 
 def apply_encoding_isometry(
@@ -205,36 +318,72 @@ def apply_encoding_isometry(
 ) -> StateVector:
     """Replace one qubit by ambient_dim qubits via |0> -> P|s>,
     |1> -> P|s+delta>, where P = X^x_mask Z^z_mask (the identity by
-    default) is applied to the two 2^ambient_dim-amplitude columns, so
-    the mask never touches the whole state."""
+    default) is applied to the two columns, so the mask never touches
+    the whole state. Each index of the support expands into the nonzero
+    rows of the column its bit at qubit selects."""
     n, p = state.num_qubits, s.ambient_dim
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit {qubit} out of range 1..{n}")
     new_n = n - 1 + p
-    check_cap(new_n)
+    _check_size(new_n, len(state.support) << s.dim)
     x = BitVector.zeros(p) if x_mask is None else x_mask
     z = BitVector.zeros(p) if z_mask is None else z_mask
     columns = [apply_pauli_mask(prepare_subspace_state(s, c), x, z) for c in (None, delta)]
-    iso = np.stack([c.amplitudes for c in columns], axis=1)
-    # The 2^p axis left at position qubit-1 flattens to the p encoded qubits in order.
-    out = _on_axis(state.amplitudes.reshape((2,) * n), qubit - 1, iso)
-    return StateVector(new_n, out.reshape(-1))
+    b = n - qubit
+    support, values = state.support, state.values
+    # The index with the qubit's bit cleared and the bits above it moved
+    # up by p - 1, so that a column row ORs in at shift b.
+    base = support >> (b + 1) << (b + p) | support & (1 << b) - 1
+    bit = support >> b & 1
+    index, out = [], []
+    for c, column in enumerate(columns):
+        rows = bit == c
+        index.append((base[rows, None] | column.support << b).reshape(-1))
+        out.append((values[rows, None] * column.values).reshape(-1))
+    index, out = np.concatenate(index), np.concatenate(out)
+    order = np.argsort(index)
+    return StateVector._of(new_n, index[order], out[order])
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """a then b. The amplitudes are np.kron's, the flattened outer
-    product, without np.kron's general-case overhead."""
-    check_cap(a.num_qubits + b.num_qubits)
-    amps = (a.amplitudes[:, None] * b.amplitudes).reshape(-1)
-    return StateVector(a.num_qubits + b.num_qubits, amps)
+    """a then b: the outer product of the supports, with np.kron's
+    amplitudes."""
+    n = a.num_qubits + b.num_qubits
+    _check_size(n, len(a.support) * len(b.support))
+    index = (a.support[:, None] << b.num_qubits | b.support).reshape(-1)
+    # numpy multiplies a lone pair of complex scalars in its scalar loop,
+    # which rounds apart from the vector loop of a wider product: a
+    # product of one entry is taken as the first of two.
+    lone = n > 0 and len(index) == 1
+    values = a.values[:, None] * (np.append(b.values, 0) if lone else b.values)
+    return StateVector._of(n, index, values[:, : len(b.values)].reshape(-1))
 
 
-def _measurement_classes(state: StateVector, spec: MeasurementSpec):
-    """Shared core: rotate X qubits, group the rows of the measured
-    register by label code. Returns the measured axes, the rotated state
-    as (rows, rest), every row's probability, the rows with support in
-    ascending order, the class of each (numbered in first-occurrence
-    order), the classes' codes and their probabilities."""
+@dataclass(frozen=True)
+class _Classes:
+    """A measurement's outcome classes over the rotated state (support,
+    values): each entry's class (-1 in a row of probability at most
+    1e-24), the rows with support in ascending order with their
+    probabilities and classes (numbered in first-occurrence order), and
+    the classes' codes and probabilities."""
+
+    axes: tuple[int, ...]
+    support: np.ndarray
+    values: np.ndarray
+    entry_class: np.ndarray
+    rows: np.ndarray
+    row_probs: np.ndarray
+    cls: np.ndarray
+    codes: np.ndarray
+    class_probs: np.ndarray
+
+
+def _measurement_classes(state: StateVector, spec: MeasurementSpec) -> _Classes:
+    """Shared core: rotate X qubits, group the entries by the row of the
+    measured register they lie in, and the rows by label code. The
+    probability of a row of several entries is the pairwise sum of a
+    zero-filled scratch row of the dense row's length, 2^(n-k) for k
+    measured qubits; a row of one entry sums to that entry's alone."""
     n = state.num_qubits
     if len(spec.basis) != n:
         raise ValueError("spec length must equal qubit count")
@@ -242,53 +391,59 @@ def _measurement_classes(state: StateVector, spec: MeasurementSpec):
         if not 1 <= q <= n or spec.basis[q - 1] is None:
             raise ValueError(f"consumed qubit {q} is not measured")
     axes = tuple(q for q, b in enumerate(spec.basis) if b is not None)
-    k = len(axes)
-    psi = np.moveaxis(state.amplitudes.reshape((2,) * n), axes, range(k))
-    for c, q in enumerate(axes):
-        if spec.basis[q] == "X":
-            psi = _on_axis(psi, c, _GATES_1Q["H"])
-    psi = np.ascontiguousarray(psi).reshape(2**k, -1)
-    row_probs = (psi.real**2 + psi.imag**2).sum(axis=1)
-    rows = np.flatnonzero(row_probs > 1e-24)
+    x_qubits = [q for q in axes if spec.basis[q] == "X"]
+    support, values = _rotate(n, state.support, state.values, x_qubits, _GATES_1Q["H"])
+    present, entry_row = np.unique(_bits_at(support, n, axes), return_inverse=True)
+    probs = values.real**2 + values.imag**2
+    present_probs = np.zeros(len(present))
+    present_probs[entry_row] = probs  # exact for a row of one entry
+    shared = np.bincount(entry_row)[entry_row] > 1
+    if shared.any():
+        shared_rows, at = np.unique(entry_row[shared], return_inverse=True)
+        rest = _bits_at(support[shared], n, [q for q in range(n) if spec.basis[q] is None])
+        _check_size(n, len(shared_rows) << (n - len(axes)))
+        scratch = np.zeros((len(shared_rows), 1 << (n - len(axes))))
+        scratch[at, rest] = probs[shared]
+        present_probs[shared_rows] = scratch.sum(axis=1)
+    live = present_probs > 1e-24
+    rows = present[live]
     codes = rows if spec.outcome_fn is None else np.asarray(spec.outcome_fn(rows), np.int64)
     uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     cls = rank[inverse]
-    return axes, psi, row_probs, rows, cls, uniq[order], np.bincount(cls, row_probs[rows])
+    row_probs = present_probs[live]
+    row_class = np.full(len(present), -1)
+    row_class[live] = cls
+    return _Classes(
+        axes, support, values, row_class[entry_row], rows, row_probs, cls,
+        uniq[order], np.bincount(cls, row_probs),
+    )
 
 
 def _collapse(
-    spec: MeasurementSpec,
-    axes: tuple[int, ...],
-    psi: np.ndarray,
-    keep_rows: np.ndarray,
-    class_prob: float,
-) -> StateVector:
-    """Keep the class's rows of psi, renormalised, in a block that holds
-    only the measured qubits that are not consumed: each row goes to its
-    index with the consumed bits, which the class shares, removed. Then
-    put the qubits back in order and rotate the X ones back out of the
-    Hadamard basis."""
+    spec: MeasurementSpec, c: _Classes, picked: np.ndarray, ends: np.ndarray
+) -> list[StateVector]:
+    """The post state of each class whose entries picked lists, class
+    after class, with class k at picked[ends[k]:ends[k + 1]]: its
+    entries renormalised by its probability, with the consumed qubits,
+    whose bits the class shares, sliced out. Then the X qubits that are
+    left rotate back out of the Hadamard basis."""
     n = len(spec.basis)
-    k = len(axes)
-    cut = sorted(axes.index(q - 1) for q in spec.consumed)
-    first = int(keep_rows[0])
-    if np.any((keep_rows ^ first) & sum(1 << (k - 1 - c) for c in cut)):
+    index = c.support[picked]
+    values = c.values[picked] / np.sqrt(c.class_probs)[c.entry_class[picked]]
+    fixed = index & sum(1 << n - q for q in spec.consumed)
+    if np.any(fixed != np.repeat(fixed[ends[:-1]], np.diff(ends))):
         raise ValueError("the outcome does not fix every consumed qubit")
-    index = keep_rows
-    for b in (k - 1 - c for c in cut):  # highest bit first: the lower ones stay put
-        index = index >> (b + 1) << b | index & ((1 << b) - 1)
-    post = np.zeros((2 ** (k - len(cut)), psi.shape[1]), dtype=psi.dtype)
-    post[index] = psi[keep_rows] / np.sqrt(class_prob)
+    index = _drop_bits(index, n, [q - 1 for q in sorted(spec.consumed)])
     left = [q for q in range(n) if q + 1 not in spec.consumed]
-    moved = [left.index(q) for c, q in enumerate(axes) if c not in cut]
-    post = np.moveaxis(post.reshape((2,) * len(left)), range(len(moved)), moved)
-    for new, q in enumerate(left):
-        if spec.basis[q] == "X":
-            post = _on_axis(post, new, _GATES_1Q["H"])
-    return StateVector(len(left), post.reshape(-1))
+    x_left = [k for k, q in enumerate(left) if spec.basis[q] == "X"]
+    posts = []
+    for a, b in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        post = _rotate(len(left), index[a:b], values[a:b], x_left, _GATES_1Q["H"])
+        posts.append(StateVector._of(len(left), *post))
+    return posts
 
 
 def measure(
@@ -297,13 +452,14 @@ def measure(
     """Sample one outcome label, collapse onto its class, and draw a
     concrete substring from within the class. The substring draw does not
     collapse the state further."""
-    axes, psi, row_probs, rows, cls, codes, class_probs = _measurement_classes(state, spec)
-    pick = int(rng.choice(len(codes), p=class_probs / class_probs.sum()))
-    keep_rows = rows[cls == pick]
-    within = row_probs[keep_rows]
+    c = _measurement_classes(state, spec)
+    pick = int(rng.choice(len(c.codes), p=c.class_probs / c.class_probs.sum()))
+    in_class = c.cls == pick
+    keep_rows, within = c.rows[in_class], c.row_probs[in_class]
     raw = keep_rows[int(rng.choice(len(keep_rows), p=within / within.sum()))]
-    post = _collapse(spec, axes, psi, keep_rows, float(class_probs[pick]))
-    return MeasurementResult(int(codes[pick]), BitVector.from_int(int(raw), len(axes)), post)
+    picked = np.flatnonzero(c.entry_class == pick)
+    (post,) = _collapse(spec, c, picked, np.array([0, len(picked)]))
+    return MeasurementResult(int(c.codes[pick]), BitVector.from_int(int(raw), len(c.axes)), post)
 
 
 def measure_branches(
@@ -311,17 +467,24 @@ def measure_branches(
 ) -> list[tuple[int, float, StateVector]]:
     """All outcome label codes with their exact probabilities and post
     states, in first-occurrence order of the labels."""
-    axes, psi, row_probs, rows, cls, codes, class_probs = _measurement_classes(state, spec)
-    by_class = rows[np.argsort(cls, kind="stable")]
-    out, start = [], 0
-    for code, prob, end in zip(codes.tolist(), class_probs.tolist(), np.cumsum(np.bincount(cls))):
-        out.append((code, prob, _collapse(spec, axes, psi, by_class[start:end], prob)))
-        start = end
-    return out
+    c = _measurement_classes(state, spec)
+    by_class = np.argsort(c.entry_class, kind="stable")  # ascending support within a class
+    ends = np.cumsum(np.bincount(c.entry_class + 1, minlength=len(c.codes) + 1))
+    posts = _collapse(spec, c, by_class[ends[0] :], ends - ends[0])
+    return list(zip(c.codes.tolist(), c.class_probs.tolist(), posts))
+
+
+def outcome_probabilities(state: StateVector, spec: MeasurementSpec) -> tuple[list, list]:
+    """The outcome label codes, in first-occurrence order, and their
+    exact probabilities, as lists: measure_branches without building the
+    post states."""
+    c = _measurement_classes(state, spec)
+    return c.codes.tolist(), c.class_probs.tolist()
 
 
 def state_distance(a: StateVector, b: StateVector) -> float:
-    """1 - |<a|b>|, invariant under global phase."""
+    """1 - |<a|b>|, invariant under global phase, over the dense views
+    (at most QUBIT_CAP qubits)."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("qubit counts differ")
     return float(1.0 - abs(np.vdot(a.amplitudes, b.amplitudes)))
@@ -330,7 +493,7 @@ def state_distance(a: StateVector, b: StateVector) -> float:
 def dump(state: StateVector) -> str:
     """One line per nonzero amplitude: 'bitstring re im'."""
     lines = []
-    for idx, amp in enumerate(state.amplitudes):
+    for idx, amp in zip(state.support.tolist(), state.values):
         if abs(amp) > 1e-12:
             bits = BitVector.from_int(idx, state.num_qubits)
             lines.append(f"{bits} {amp.real:.12g} {amp.imag:.12g}")

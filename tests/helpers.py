@@ -391,6 +391,6 @@ def chain_label(key, transcript, upto: int, bit: int) -> BitVector:
 
 def encoded_state(program) -> StateVector:
     """The authenticated register of an ObfuscatedProgram: the encoding
-    isometry applied to the whole program state. Raises past the
-    simulator cap."""
+    isometry applied to the whole program state. Past the simulator's
+    qubit cap only its dense amplitudes view raises."""
     return enc(program.key.auth_key, prepare_program_state(program.key.program))

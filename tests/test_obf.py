@@ -69,6 +69,7 @@ from lmobf.obf import (
     request_payload,
     simulated_suite,
 )
+from lmobf.sim import QUBIT_CAP
 from lmobf.tokens import tok_gen, tok_sign
 from test_acceptance import DETERMINISTIC_CIRCUITS
 
@@ -767,6 +768,29 @@ def test_encoded_register_enumerates_the_circuit_exactly(circuit, security):
     assert encoded_gap(circuit, security) <= 1e-12
 
 
+def test_encoded_register_is_exact_past_the_old_qubit_cap():
+    """H 1; T 1; H 1 at security 2 admits a wire when 5 blocks, 25 qubits,
+    are live, one past the dense layout's cap. Enumerated exactly (4096
+    final branches under each of 1024 first-round branches), each input's
+    distribution equals the circuit's within 1e-11: the 4,194,304 branch
+    probabilities carry about 2.6e-12 of rounding between the outputs."""
+    program = compile_circuit(H_T_H)
+    assert program.peak_live * 5 > QUBIT_CAP
+    assert encoded_gap(H_T_H, 2, seeds=(0,)) <= 1e-11
+
+
+def test_physical_route_runs_past_the_old_qubit_cap():
+    """The README circuit at security 3 has 28 code qubits, past the dense
+    cap: the physical route evaluates it, and each input's output lies
+    in the circuit's support."""
+    program = compile_circuit(CNOT_T)
+    for seed, x in enumerate(all_inputs(2)):
+        obf = qobf(ObfParams(security=3), program, np.random.default_rng(seed))
+        assert obf.num_code_qubits == 28
+        y = qeval(x, obf, np.random.default_rng(seed + 10), mode="physical")
+        assert not is_bot(y) and y.bits in circuit_output_distribution(CNOT_T, x)
+
+
 def test_qeval_tracks_nondeterministic_statistics():
     """Sampled evaluation through the oracles reproduces the compiled
     program's output weights on a branching circuit."""
@@ -1007,8 +1031,10 @@ def test_qobf_structure_and_validation():
         ObfParams(label_bits=4)
     wide = ObfParams(security=3, label_bits=16, token_dim=4)
     tall = qobf(wide, program, np.random.default_rng(39))
+    register = encoded_state(tall)
+    assert register.num_qubits == tall.num_code_qubits > QUBIT_CAP
     with pytest.raises(ValueError):
-        encoded_state(tall)
+        register.amplitudes
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))

@@ -1,6 +1,7 @@
 """sim tests. Gate and Pauli applications are checked against explicit
 matrices assembled with np.kron, measurements against projector arithmetic."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -30,6 +31,7 @@ from lmobf.sim import (
     dump,
     measure,
     measure_branches,
+    permute_blocks,
     prepare_subspace_state,
     state_distance,
     tensor,
@@ -591,3 +593,122 @@ def test_packed_grouping_matches_the_reference(data):
     label, raw, post = reference_measure(state, spec, np.random.default_rng(seed))
     assert (r.outcome, r.raw_bits) == (label, raw)
     assert np.array_equal(r.post_state.amplitudes, post.amplitudes)
+
+
+def sparse_state(n, rng, dense=False):
+    """A random normalized state on n qubits: every amplitude nonzero,
+    or (dense False) a random 1 to 2^n of them."""
+    size = 2**n if dense else int(rng.integers(1, 2**n + 1))
+    amps = np.zeros(2**n, dtype=np.complex128)
+    at = rng.choice(2**n, size=size, replace=False)
+    amps[at] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def assert_well_formed(state):
+    """A strictly ascending support inside the register, and norm 1
+    within 1e-9, taken over the stored values alone."""
+    support = state.support
+    assert support.dtype == np.int64 and len(support) == len(state.values)
+    assert np.all(np.diff(support) > 0)
+    assert len(support) == 0 or 0 <= support[0] and support[-1] < 2**state.num_qubits
+    assert abs(np.linalg.norm(state.values) - 1.0) <= 1e-9
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_every_kernel_keeps_the_norm_and_the_dense_amplitudes(data):
+    """On random sparse and dense inputs, every kernel returns a sorted
+    support with norm 1 within 1e-9 (the kernels do not check it), and
+    amplitudes equal to the dense references bit for bit."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dense = data.draw(st.booleans())
+    n = data.draw(st.integers(1, 7))
+    s = sparse_state(n, rng, dense)
+    q = int(rng.integers(1, n + 1))
+    outs = []
+    for gate, matrix in (("H", H), ("T", T), ("X", X), ("Z", Z)):
+        got = apply_gate(s, gate, (q,))
+        assert np.array_equal(got.amplitudes, reference_gate(s, matrix, q))
+        outs.append(got)
+    if n >= 2:
+        cnots = [tuple(int(w) + 1 for w in rng.choice(n, 2, replace=False)) for _ in range(3)]
+        got = apply_cnots(s, cnots)
+        assert np.array_equal(got.amplitudes, reference_gather(s, cnots))
+        outs.append(got)
+        order = [int(w) for w in rng.permutation(n)]
+        got = permute_blocks(s, order, 1)
+        want = s.amplitudes.reshape((2,) * n).transpose(order).reshape(-1)
+        assert np.array_equal(got.amplitudes, want)
+        outs.append(got)
+    x, z = (BitVector.from_ints(rng.integers(0, 2, size=n)) for _ in range(2))
+    outs.append(apply_pauli_mask(s, x, z))
+    if n <= 4:
+        key = gen(1, n, rng)
+        x, z = key.x_masks[q - 1], key.z_masks[q - 1]
+        got = apply_encoding_isometry(s, q, key.space, key.delta, x, z)
+        assert np.array_equal(got.amplitudes, reference_isometry(s, q, key.space, key.delta, x, z))
+        outs.append(got)
+    other = sparse_state(int(rng.integers(1, 4)), rng, data.draw(st.booleans()))
+    got = tensor(s, other)
+    assert np.array_equal(got.amplitudes, np.kron(s.amplitudes, other.amplitudes))
+    outs.append(got)
+    basis = tuple(data.draw(st.lists(st.sampled_from(["Z", "X", None]), min_size=n, max_size=n)))
+    spec = MeasurementSpec(basis, row_parity if data.draw(st.booleans()) else None)
+    branches = measure_branches(s, spec)
+    for (code, p, post), (label, q_, ref) in zip(branches, reference_measure_branches(s, spec)):
+        assert code == label and abs(p - q_) <= 1e-12
+        assert np.array_equal(post.amplitudes, ref.amplitudes)
+    outs.extend(post for _, _, post in branches)
+    outs.append(measure(s, spec, rng).post_state)
+    for out in outs:
+        assert_well_formed(out)
+
+
+def test_kernels_take_states_past_the_qubit_cap():
+    """The kernels cap nonzero amplitudes, not qubits: a 30-qubit state
+    with two nonzero amplitudes goes through a gate, a CNOT layer and a
+    measurement; only its dense view refuses."""
+    wide = tensor(StateVector.zero(sim.QUBIT_CAP), StateVector.zero(6))
+    bell = apply_cnots(apply_gate(wide, "H", (1,)), [(1, 30)])
+    assert bell.support.tolist() == [0, 2**29 + 1]
+    branches = measure_branches(bell, MeasurementSpec(("Z",) + (None,) * 29))
+    assert [(code, post.support.tolist()) for code, _, post in branches] == [
+        (0, [0]),
+        (1, [2**29 + 1]),
+    ]
+    with pytest.raises(QubitCapError):
+        bell.amplitudes
+
+
+def test_dense_view_past_the_cap_raises_without_allocating():
+    """.amplitudes of a 25-qubit state (512 MiB dense) raises
+    QubitCapError before it allocates anything."""
+    wide = tensor(StateVector.zero(sim.QUBIT_CAP), StateVector.zero(1))
+    assert wide.num_qubits == sim.QUBIT_CAP + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(QubitCapError):
+            wide.amplitudes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_kernels_cap_nonzero_amplitudes():
+    """A tensor product with more than 2^QUBIT_CAP nonzero amplitudes is
+    refused before it is built."""
+    plus = apply_gate(StateVector.zero(1), "H", (1,))
+    wide = plus
+    for _ in range(sim.QUBIT_CAP // 2):
+        wide = tensor(wide, plus)
+    assert len(wide.support) == 2 ** (sim.QUBIT_CAP // 2 + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QubitCapError, match="amplitudes exceeds cap of 2"):
+            tensor(wide, wide)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
