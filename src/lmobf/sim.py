@@ -230,8 +230,9 @@ def _rotate(
         index = keys[:, None] | np.arange(width, dtype=np.int64) << low
         keep = block != 0
         support, values = index[keep], block[keep]
-        order = np.argsort(support)
-        support, values = support[order], values[order]
+        if low:  # a run that ends at the last qubit leaves the index sorted
+            order = np.argsort(support)
+            support, values = support[order], values[order]
     return support, values
 
 
