@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -199,33 +199,33 @@ def _rotate(
     n: int, support: np.ndarray, values: np.ndarray, qubits: Sequence[int], matrix: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The 2x2 matrix on each of the 0-based qubits, ascending, one after
-    the other, on the state (support, values). Per run of adjacent
-    qubits, the entries that agree off the run form a group, one row of
-    a zero-filled (G, 2^count) block, and per qubit one matrix product
-    multiplies the block's pairs that differ only at that qubit as a
-    (2, M) array. On up to 4 qubits, where the dense product has at most
-    8 columns, every pair of the register keeps its dense column, one
-    qubit at a time; otherwise G is padded so that M is a multiple of 8.
-    Exact zeros leave the support."""
-    runs = [[q, 1] for q in qubits] if n <= 4 else _runs(qubits)
-    for first, count in runs:
+    the other, on the state (support, values). Per qubit, one matrix
+    product multiplies the pairs of entries that differ only at that
+    qubit as a zero-filled (2, M) array. A state of at most 4 qubits, or
+    one whose support fills at least 1/16 of the register, is scattered
+    into the whole register, so that M = 2^(n-1) as in the dense
+    product. Otherwise, per run of adjacent qubits, the entries that
+    agree off the run form a group, one row of a zero-filled
+    (G, 2^count) block, and G is padded so that M is a multiple of 8:
+    every pair then takes the BLAS kernel path it takes in the dense
+    product. Exact zeros leave the support."""
+    if not qubits:
+        return support, values
+    if n <= 4 or 1 << n <= 16 * len(support):
+        block = np.zeros(1 << n, dtype=np.complex128)
+        block[support] = values
+        block = _on_pairs(block, [1 << q for q in qubits], matrix)
+        support = np.flatnonzero(block)
+        return support, block[support]
+    for first, count in _runs(qubits):
         low = n - first - count
         width = 1 << count
-        if n <= 4:
-            keys = np.arange(1 << (n - 1), dtype=np.int64)
-            keys = keys >> low << (low + 1) | keys & (1 << low) - 1
-            group = _drop_bits(support, n, (first,))
-            rows = len(keys)
-        else:
-            keys, group = np.unique(support & ~(width - 1 << low), return_inverse=True)
-            step = max(1, 16 // width)
-            rows = -(-len(keys) // step) * step
-        block = np.zeros((rows,) + (2,) * count, dtype=np.complex128)
-        block.reshape(rows, width)[group, support >> low & width - 1] = values
-        for c in range(1, count + 1):
-            pairs = np.moveaxis(block, c, 0)
-            out = matrix @ np.ascontiguousarray(pairs).reshape(2, -1)
-            block = np.moveaxis(out.reshape(pairs.shape), 0, c)
+        keys, group = np.unique(support & ~(width - 1 << low), return_inverse=True)
+        step = max(1, 16 // width)
+        rows = -(-len(keys) // step) * step
+        block = np.zeros(rows * width, dtype=np.complex128)
+        block[group << count | support >> low & width - 1] = values
+        block = _on_pairs(block, [rows << c for c in range(count)], matrix)
         block = block.reshape(rows, width)[: len(keys)]
         index = keys[:, None] | np.arange(width, dtype=np.int64) << low
         keep = block != 0
@@ -234,6 +234,16 @@ def _rotate(
             order = np.argsort(support)
             support, values = support[order], values[order]
     return support, values
+
+
+def _on_pairs(block: np.ndarray, outers: Sequence[int], matrix: np.ndarray) -> np.ndarray:
+    """For each outer in turn, matrix on the middle axis of the flat block
+    viewed as (outer, 2, rest), as one product with a contiguous (2, M)
+    array."""
+    for outer in outers:
+        pairs = np.ascontiguousarray(block.reshape(outer, 2, -1).transpose(1, 0, 2))
+        block = (matrix @ pairs.reshape(2, -1)).reshape(2, outer, -1).transpose(1, 0, 2).reshape(-1)
+    return block
 
 
 def apply_gate(state: StateVector, gate: str, targets: Sequence[int]) -> StateVector:
@@ -352,16 +362,17 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     n = a.num_qubits + b.num_qubits
     _check_size(n, len(a.support) * len(b.support))
     index = (a.support[:, None] << b.num_qubits | b.support).reshape(-1)
-    # numpy multiplies a lone pair of complex scalars in its scalar loop,
-    # which rounds apart from the vector loop of a wider product: a
-    # product of one entry is taken as the first of two.
-    lone = n > 0 and len(index) == 1
-    values = a.values[:, None] * (np.append(b.values, 0) if lone else b.values)
-    return StateVector._of(n, index, values[:, : len(b.values)].reshape(-1))
+    if n and len(index) == 1:
+        # numpy multiplies a lone pair of complex scalars in its scalar
+        # loop, which rounds apart from the vector loop of the dense
+        # product: take it as the first of two.
+        values = (a.values[:, None] * np.append(b.values, 0))[0, :1]
+    else:
+        values = (a.values[:, None] * b.values).reshape(-1)
+    return StateVector._of(n, index, values)
 
 
-@dataclass(frozen=True)
-class _Classes:
+class _Classes(NamedTuple):
     """A measurement's outcome classes over the rotated state (support,
     values): each entry's class (-1 in a row of probability at most
     1e-24), the rows with support in ascending order with their
@@ -398,13 +409,14 @@ def _measurement_classes(state: StateVector, spec: MeasurementSpec) -> _Classes:
     probs = values.real**2 + values.imag**2
     present_probs = np.zeros(len(present))
     present_probs[entry_row] = probs  # exact for a row of one entry
-    shared = np.bincount(entry_row)[entry_row] > 1
-    if shared.any():
-        shared_rows, at = np.unique(entry_row[shared], return_inverse=True)
+    shared_rows = np.bincount(entry_row) > 1
+    if shared_rows.any():
+        slot = np.cumsum(shared_rows) - 1  # each shared row's scratch row
+        shared = shared_rows[entry_row]
         rest = _bits_at(support[shared], n, [q for q in range(n) if spec.basis[q] is None])
-        _check_size(n, len(shared_rows) << (n - len(axes)))
-        scratch = np.zeros((len(shared_rows), 1 << (n - len(axes))))
-        scratch[at, rest] = probs[shared]
+        _check_size(n, int(slot[-1] + 1) << (n - len(axes)))
+        scratch = np.zeros((slot[-1] + 1, 1 << (n - len(axes))))
+        scratch[slot[entry_row[shared]], rest] = probs[shared]
         present_probs[shared_rows] = scratch.sum(axis=1)
     live = present_probs > 1e-24
     rows = present[live]
