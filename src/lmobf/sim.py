@@ -33,13 +33,15 @@ the bits the outcome fixes.
 
 Every amplitude and probability equals, bit for bit, what the dense
 layout (2^n amplitudes, the tensor axes moved and multiplied) computes.
-A one-qubit matrix is the same BLAS product over the same pairs: M is
-padded to a multiple of 8, or the pairs keep their dense columns on
-small states, so that every pair takes the kernel path it takes in the
-dense (2, 2^(n-1)) product. A row's probability is numpy's pairwise sum
-of a zero-filled scratch row as long as the dense row, so the additions
-fall in the dense order. The isometry's columns are real and disjoint,
-so each product has one nonzero term and needs no BLAS.
+BLAS rounds the last columns of a (2, M) product apart from the others
+when M is not a multiple of 4, so a one-qubit matrix either scatters a
+small or dense state into the whole register, M = 2^(n-1) as in the
+dense product, or pads M to a multiple of 8. A row's probability is
+numpy's pairwise sum of a zero-filled scratch row as long as the dense
+row, so the additions fall in the dense order. The isometry's columns
+are real and disjoint, so each product has one nonzero term and needs
+no BLAS. numpy multiplies a lone pair of complex scalars in a loop of
+its own, so tensor never multiplies one entry alone.
 """
 
 from __future__ import annotations
@@ -212,9 +214,9 @@ def _rotate(
     if not qubits:
         return support, values
     if n <= 4 or 1 << n <= 16 * len(support):
-        block = np.zeros(1 << n, dtype=np.complex128)
-        block[support] = values
-        block = _on_pairs(block, [1 << q for q in qubits], matrix)
+        block = np.zeros((2,) * n, dtype=np.complex128)
+        block.reshape(-1)[support] = values
+        block = _on_pairs(block, qubits, matrix).reshape(-1)
         support = np.flatnonzero(block)
         return support, block[support]
     for first, count in _runs(qubits):
@@ -222,11 +224,10 @@ def _rotate(
         width = 1 << count
         keys, group = np.unique(support & ~(width - 1 << low), return_inverse=True)
         step = max(1, 16 // width)
-        rows = -(-len(keys) // step) * step
-        block = np.zeros(rows * width, dtype=np.complex128)
-        block[group << count | support >> low & width - 1] = values
-        block = _on_pairs(block, [rows << c for c in range(count)], matrix)
-        block = block.reshape(rows, width)[: len(keys)]
+        block = np.zeros((-(-len(keys) // step) * step,) + (2,) * count, dtype=np.complex128)
+        block.reshape(len(block), width)[group, support >> low & width - 1] = values
+        block = _on_pairs(block, range(1, count + 1), matrix)
+        block = block.reshape(len(block), width)[: len(keys)]
         index = keys[:, None] | np.arange(width, dtype=np.int64) << low
         keep = block != 0
         support, values = index[keep], block[keep]
@@ -236,14 +237,15 @@ def _rotate(
     return support, values
 
 
-def _on_pairs(block: np.ndarray, outers: Sequence[int], matrix: np.ndarray) -> np.ndarray:
-    """For each outer in turn, matrix on the middle axis of the flat block
-    viewed as (outer, 2, rest), as one product with a contiguous (2, M)
-    array."""
-    for outer in outers:
-        pairs = np.ascontiguousarray(block.reshape(outer, 2, -1).transpose(1, 0, 2))
-        block = (matrix @ pairs.reshape(2, -1)).reshape(2, outer, -1).transpose(1, 0, 2).reshape(-1)
-    return block
+def _on_pairs(block: np.ndarray, axes: Sequence[int], matrix: np.ndarray) -> np.ndarray:
+    """matrix on each of the block's axes of length 2 in turn, as one
+    product with a contiguous (2, M) array whose columns run over the
+    other axes in order; the result is contiguous."""
+    for a in axes:
+        pairs = np.ascontiguousarray(block.transpose(a, *range(a), *range(a + 1, block.ndim)))
+        out = (matrix @ pairs.reshape(2, -1)).reshape(pairs.shape)
+        block = out.transpose(*range(1, a + 1), 0, *range(a + 1, block.ndim))
+    return np.ascontiguousarray(block)
 
 
 def apply_gate(state: StateVector, gate: str, targets: Sequence[int]) -> StateVector:
@@ -405,7 +407,13 @@ def _measurement_classes(state: StateVector, spec: MeasurementSpec) -> _Classes:
     axes = tuple(q for q, b in enumerate(spec.basis) if b is not None)
     x_qubits = [q for q in axes if spec.basis[q] == "X"]
     support, values = _rotate(n, state.support, state.values, x_qubits, _GATES_1Q["H"])
-    present, entry_row = np.unique(_bits_at(support, n, axes), return_inverse=True)
+    row_of = _bits_at(support, n, axes)
+    if axes == tuple(range(len(axes))):  # leading qubits: rows ascend with the support
+        starts = np.ones(len(row_of), dtype=bool)
+        starts[1:] = row_of[1:] != row_of[:-1]
+        present, entry_row = row_of[starts], np.cumsum(starts) - 1
+    else:
+        present, entry_row = np.unique(row_of, return_inverse=True)
     probs = values.real**2 + values.imag**2
     present_probs = np.zeros(len(present))
     present_probs[entry_row] = probs  # exact for a row of one entry
