@@ -204,16 +204,16 @@ def _rotate(
     the other, on the state (support, values). Per qubit, one matrix
     product multiplies the pairs of entries that differ only at that
     qubit as a zero-filled (2, M) array. A state of at most 4 qubits, or
-    one whose support fills at least 1/16 of the register, is scattered
-    into the whole register, so that M = 2^(n-1) as in the dense
-    product. Otherwise, per run of adjacent qubits, the entries that
+    one of at most QUBIT_CAP qubits whose support fills at least 1/16 of
+    the register, is scattered into the whole register, so that
+    M = 2^(n-1) as in the dense product. Otherwise, per run of adjacent qubits, the entries that
     agree off the run form a group, one row of a zero-filled
     (G, 2^count) block, and G is padded so that M is a multiple of 8:
     every pair then takes the BLAS kernel path it takes in the dense
     product. Exact zeros leave the support."""
     if not qubits:
         return support, values
-    if n <= 4 or 1 << n <= 16 * len(support):
+    if n <= 4 or n <= QUBIT_CAP and 1 << n <= 16 * len(support):
         block = np.zeros((2,) * n, dtype=np.complex128)
         block.reshape(-1)[support] = values
         block = _on_pairs(block, qubits, matrix).reshape(-1)
@@ -224,7 +224,9 @@ def _rotate(
         width = 1 << count
         keys, group = np.unique(support & ~(width - 1 << low), return_inverse=True)
         step = max(1, 16 // width)
-        block = np.zeros((-(-len(keys) // step) * step,) + (2,) * count, dtype=np.complex128)
+        rows = -(-len(keys) // step) * step
+        _check_size(n, rows * width)
+        block = np.zeros((rows,) + (2,) * count, dtype=np.complex128)
         block.reshape(len(block), width)[group, support >> low & width - 1] = values
         block = _on_pairs(block, range(1, count + 1), matrix)
         block = block.reshape(len(block), width)[: len(keys)]
