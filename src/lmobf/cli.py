@@ -176,8 +176,8 @@ def _load_key(directory: Path) -> OracleKey:
 
 
 def _load_obfuscation(directory: Path) -> ObfuscatedProgram:
-    """The handle an obfuscation directory describes, its program's width
-    checked before the signing registers are built."""
+    """The handle an obfuscation directory describes, with a fresh token
+    key, once its program's width is checked."""
     key = _load_key(directory)
     params = _read(
         directory / STATE_FILE, lambda text: parse(text, lambda r: read_state(r, key)),
@@ -309,6 +309,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def cmd_oracle_serve(args: argparse.Namespace) -> int:
     key = _load_key(Path(args.obf_dir))
+    sys.stdin.reconfigure(errors="surrogateescape")  # an undecodable byte is a malformed line
     for line in sys.stdin:
         if not line.strip():
             continue

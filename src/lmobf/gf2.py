@@ -258,18 +258,24 @@ def canonical_delta_hat(s: Subspace, delta: BitVector) -> BitVector:
     raise AssertionError("dual(s) \\ dual(s+delta) cannot be empty")
 
 
-def sample_coset_vector(space: Subspace, shift: BitVector, rng: np.random.Generator) -> BitVector:
-    """Uniform vector of space + shift, drawn from the coset's least
-    representative so that equal cosets give equal draws."""
+def coset_vector(space: Subspace, shift: BitVector, rank: int) -> BitVector:
+    """The rank-th least vector of space + shift: in RREF, its least
+    representative plus the rows at the set bits of rank, first row MSB."""
     if len(shift) != space.ambient_dim:
         raise ValueError("shift length mismatch")
     acc = space._reduce(shift.value)
-    if space.dim:
-        combo = rng.integers(0, 2, size=space.dim)
-        for bit, (_, row) in zip(combo, space._pivots):
-            if bit:
-                acc ^= row
+    for j, (_, row) in enumerate(reversed(space._pivots)):
+        acc ^= row * (rank >> j & 1)
     return BitVector.from_int(acc, space.ambient_dim)
+
+
+def sample_coset_vector(space: Subspace, shift: BitVector, rng: np.random.Generator) -> BitVector:
+    """Uniform vector of space + shift, drawn from the coset's least
+    representative so that equal cosets give equal draws."""
+    rank = 0
+    for bit in rng.integers(0, 2, size=space.dim) if space.dim else ():
+        rank = rank << 1 | int(bit)
+    return coset_vector(space, shift, rank)
 
 
 def coset_decode(s: Subspace, delta: BitVector, shift: BitVector, words):

@@ -462,10 +462,10 @@ def simulated_suite(
 @dataclass
 class ObfuscatedProgram:
     """Handle on one obfuscation: the oracle key (private to the suite
-    in a real deployment), the one-shot token registers and the oracle
-    suite. Evaluation admits the program's wires as it walks and never
-    builds the whole encoded register, so that wide parameter choices
-    stay constructible."""
+    in a real deployment), the one-shot token key and the oracle suite.
+    Evaluation admits the program's wires as it walks and never builds
+    the whole encoded register, so that wide parameter choices stay
+    constructible."""
 
     params: ObfParams
     key: OracleKey
@@ -478,10 +478,6 @@ class ObfuscatedProgram:
     @property
     def num_code_qubits(self) -> int:
         return self.key.program.num_wires * self.key.auth_key.code_length
-
-    @property
-    def num_token_qubits(self) -> int:
-        return 2 * self.token.kappa_prime * self.token.num_bits
 
 
 def qobf(params: ObfParams, program: LMProgram, rng: np.random.Generator) -> ObfuscatedProgram:

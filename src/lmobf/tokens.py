@@ -1,43 +1,42 @@
 """One-shot signature tokens from hidden subspace states.
 
-The signing key is one subspace state per message bit; signing measures
-each register once (standard basis for a 0 bit, Hadamard basis for a 1
-bit), so the key physically cannot sign two different messages. The
-verifier checks membership of each signature vector in the bit's secret
-subspace or its dual, rejecting zero vectors.
-
-Registers wider than the simulator cap are not materialized; signing
-then samples the measurement outcome directly (uniform over the
-subspace or its dual, the exact register statistics), and the
-adversary-side register helpers are unavailable.
+The signing key is one subspace state |A> per message bit. Signing reads
+each register in full (standard basis for a 0 bit, Hadamard basis for a
+1 bit), so the key cannot sign two different messages; the verifier
+checks each signature vector against the bit's subspace or its dual,
+rejecting zero vectors. No register is built: a key records the last
+read of each register, which is all of its collapsed state (see
+measure_register).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .gf2 import BitVector, Subspace, dual, sample_coset_vector, sample_subspace
-from .sim import QUBIT_CAP, MeasurementSpec, StateVector, measure, prepare_subspace_state
+from .gf2 import BitVector, Subspace, coset_vector, dual, sample_coset_vector, sample_subspace
 from .text import LineReader, parse
 
 Signature = tuple[BitVector, ...]
 
+# Up to this kappa' (registers of <= 24 qubits) a read draws as sim.measure on
+# the register did, above it as sample_coset_vector; golden rows pin both.
+_MEASURED_UP_TO = 12
+
 
 @dataclass
 class TokenKeypair:
-    """Secret subspaces (the verification side) plus the one-shot signing
-    registers. Registers stay listed after signing, collapsed, so tests
-    can model an adversary holding the post-measurement state; above the
-    simulator cap the slots hold None."""
+    """Secret subspaces (the verification side) and, per message bit, the
+    basis and outcome of its register's last read (None while fresh),
+    kept after signing for an adversary who reads the registers again."""
 
     kappa_prime: int
     num_bits: int
     subspaces: tuple[Subspace, ...]
-    registers: list[Optional[StateVector]]
-    consumed: bool = field(default=False)
+    reads: list[Optional[tuple[str, BitVector]]]
+    consumed: bool = False
 
     @property
     def vk(self) -> tuple[Subspace, ...]:
@@ -45,12 +44,8 @@ class TokenKeypair:
 
 
 def keypair_from_subspaces(kappa_prime: int, spaces: Sequence[Subspace]) -> TokenKeypair:
-    """Fresh unconsumed signing registers over known subspaces."""
-    if 2 * kappa_prime <= QUBIT_CAP:
-        registers: list[Optional[StateVector]] = [prepare_subspace_state(a) for a in spaces]
-    else:
-        registers = [None] * len(spaces)
-    return TokenKeypair(kappa_prime, len(spaces), tuple(spaces), registers)
+    """An unconsumed key of fresh registers over known subspaces."""
+    return TokenKeypair(kappa_prime, len(spaces), tuple(spaces), [None] * len(spaces))
 
 
 def tok_gen(kappa_prime: int, num_bits: int, rng: np.random.Generator) -> TokenKeypair:
@@ -63,33 +58,22 @@ def tok_gen(kappa_prime: int, num_bits: int, rng: np.random.Generator) -> TokenK
 
 
 def tok_sign(x: BitVector, keypair: TokenKeypair, rng: np.random.Generator) -> Signature:
-    """Measure every register once; a zero-vector outcome is returned as-is
+    """Read every register once; a zero-vector outcome is returned as-is
     (it will fail verification) rather than resampled."""
     if keypair.consumed:
         raise RuntimeError("signing key already consumed")
     if len(x) != keypair.num_bits:
         raise ValueError("message length must match the key")
     keypair.consumed = True
-    sigma = []
-    for j in range(keypair.num_bits):
-        if keypair.registers[j] is not None:
-            sigma.append(measure_register(keypair, j + 1, "X" if x[j + 1] else "Z", rng))
-        else:
-            space = dual(keypair.subspaces[j]) if x[j + 1] else keypair.subspaces[j]
-            shift = BitVector.zeros(2 * keypair.kappa_prime)
-            sigma.append(sample_coset_vector(space, shift, rng))
-    return tuple(sigma)
+    return tuple(measure_register(keypair, j, "ZX"[b], rng) for j, b in enumerate(x.bits, 1))
 
 
 def tok_ver(vk: Sequence[Subspace], x: BitVector, sigma: Signature) -> bool:
     if len(x) != len(vk) or len(sigma) != len(vk):
         return False
-    for j, space in enumerate(vk):
-        a = sigma[j]
-        if len(a) != space.ambient_dim or a.is_zero():
-            return False
-        target = dual(space) if x[j + 1] else space
-        if not target.contains(a):
+    for j, (space, a) in enumerate(zip(vk, sigma), start=1):
+        target = dual(space) if x[j] else space
+        if len(a) != space.ambient_dim or a.is_zero() or not target.contains(a):
             return False
     return True
 
@@ -97,17 +81,29 @@ def tok_ver(vk: Sequence[Subspace], x: BitVector, sigma: Signature) -> bool:
 def measure_register(
     keypair: TokenKeypair, bit_index: int, basis: str, rng: np.random.Generator
 ) -> BitVector:
-    """Read one signing register in the given basis, collapsing it.
-    Adversary-side helper: modelling what a holder of the (possibly
-    already measured) register can still extract."""
-    register = keypair.registers[bit_index - 1]
-    if register is None:
-        raise RuntimeError("register above the simulator cap was never materialized")
-    width = 2 * keypair.kappa_prime
-    spec = MeasurementSpec((basis,) * width)
-    result = measure(register, spec, rng)
-    keypair.registers[bit_index - 1] = result.post_state
-    return result.raw_bits
+    """Read message bit bit_index's register in full in basis 'Z' or 'X'
+    and record the read. The outcome is uniform over the bit's A (Z) or
+    dual(A) (X) when fresh, the last outcome after a read in this basis,
+    and uniform over F2^(2 kappa') after one in the other."""
+    if basis not in ("Z", "X"):
+        raise ValueError(f"bad basis tag {basis!r}")
+    width, last = 2 * keypair.kappa_prime, keypair.reads[bit_index - 1]
+    space, shift = keypair.subspaces[bit_index - 1], BitVector.zeros(width)
+    if last is None:
+        space = dual(space) if basis == "X" else space
+    elif last[0] == basis:
+        space, shift = Subspace.zero(width), last[1]
+    else:
+        space = dual(Subspace.zero(width))
+    if keypair.kappa_prime > _MEASURED_UP_TO:
+        outcome = sample_coset_vector(space, shift, rng)
+    else:
+        # sim.measure's two draws: a vector of the coset, ascending, then a row.
+        q = np.full(1 << space.dim, 1 / np.sqrt(2.0**space.dim)) ** 2
+        outcome = coset_vector(space, shift, int(rng.choice(len(q), p=q / q.sum())))
+        rng.choice(1, p=[1.0])
+    keypair.reads[bit_index - 1] = (basis, outcome)
+    return outcome
 
 
 # --- serialization ----------------------------------------------------------

@@ -370,6 +370,24 @@ def reference_measure(state: StateVector, spec, rng: np.random.Generator):
     return label, BitVector.from_int(raw, len(axes)), post
 
 
+class ReferenceRegisters:
+    """The token registers as simulated states: one subspace state per
+    message bit, each read in full with sim.measure and left collapsed.
+    The reference for tokens.tok_sign and tokens.measure_register."""
+
+    def __init__(self, keypair) -> None:
+        self.states = [prepare_subspace_state(a) for a in keypair.subspaces]
+
+    def read(self, bit_index: int, basis: str, rng: np.random.Generator) -> BitVector:
+        state = self.states[bit_index - 1]
+        result = measure(state, MeasurementSpec((basis,) * state.num_qubits), rng)
+        self.states[bit_index - 1] = result.post_state
+        return result.raw_bits
+
+    def sign(self, x: BitVector, rng: np.random.Generator) -> tuple[BitVector, ...]:
+        return tuple(self.read(j, "X" if x[j] else "Z", rng) for j in range(1, len(x) + 1))
+
+
 def frame_bits(bits) -> bytes:
     """The frame of a tuple of bits."""
     return obf_mod.frame(BitVector(tuple(bits)))

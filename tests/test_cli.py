@@ -480,6 +480,19 @@ def test_module_entry_point_and_serve_protocol(workdir):
     assert proc.stdout == "BOT\nBOT\n"
 
 
+def test_serve_answers_undecodable_bytes_with_bot(workdir):
+    """A request line that is not UTF-8 is one more malformed line, also
+    when stdin decodes strictly: BOT, and the server goes on."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "lmobf", "oracle-serve", str(workdir / "obf")],
+        input=b"F 1 zz\n\xff\nG 00\n",
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"BOT\nBOT\nBOT\n", b"")
+
+
 def test_eval_output_matches_library_map(workdir, capsys):
     from lmobf.obf import induced_map, oracle_key_from_text
 

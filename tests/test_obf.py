@@ -1020,7 +1020,6 @@ def test_qobf_structure_and_validation():
     obf = qobf(PARAMS, program, np.random.default_rng(37))
     p = 2 * PARAMS.security + 1
     assert obf.num_code_qubits == program.num_wires * p
-    assert obf.num_token_qubits == 2 * PARAMS.token_dim * program.num_input_bits
     assert encoded_state(obf).num_qubits == obf.num_code_qubits
     broken = replace(program, v_sets=(program.v_sets[0], program.v_sets[0]))
     with pytest.raises(ValueError):

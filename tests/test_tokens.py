@@ -1,8 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from lmobf.gf2 import BitVector, dual
+from helpers import ReferenceRegisters
+from lmobf.gf2 import BitVector, dual, sample_coset_vector
 from lmobf.tokens import (
+    keypair_from_subspaces,
     measure_register,
     tok_gen,
     tok_sign,
@@ -19,7 +24,7 @@ def bv(s: str) -> BitVector:
 def test_gen_structure():
     rng = np.random.default_rng(0)
     kp = tok_gen(1, 1, rng)
-    assert kp.registers[0].num_qubits == 2
+    assert kp.reads == [None] and not kp.consumed
     assert kp.subspaces[0].dim == 1
     kp2 = tok_gen(3, 2, rng)
     assert len(kp2.subspaces) == 2
@@ -128,3 +133,65 @@ def test_one_shot_forgery_rate():
             wins += 1
     p = 2.0**-kappa_prime
     assert wins / trials <= p + 3 * np.sqrt(p * (1 - p) / trials)
+
+
+@pytest.mark.parametrize("kappa_prime", range(1, 9))
+def test_reads_draw_as_the_register_reference(kappa_prime):
+    """Up to kappa' 12 the recorded reads draw exactly as sim.measure on
+    the simulated registers did: the signature, two later reads of every
+    register in each basis order, and the next draw of the rng."""
+    orders = [(a, b) for a in "ZX" for b in "ZX"]
+    for seed in range(10):
+        vk = tok_gen(kappa_prime, 3, np.random.default_rng(seed)).vk
+        x = BitVector.from_ints(np.random.default_rng(seed).integers(0, 2, 3))
+        for first, second in orders:
+            kp = keypair_from_subspaces(kappa_prime, vk)
+            registers = ReferenceRegisters(kp)
+            rng, ref_rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+            assert tok_sign(x, kp, rng) == registers.sign(x, ref_rng)
+            for j in range(1, 4):
+                for basis in (first, second):
+                    got = measure_register(kp, j, basis, rng)
+                    assert got == registers.read(j, basis, ref_rng), (seed, j, first, second)
+            assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("kappa_prime", [13, 16])
+def test_wide_signatures_draw_as_sample_coset_vector(kappa_prime):
+    """Above kappa' 12 a signature bit is sample_coset_vector's draw from
+    the subspace (bit 0) or its dual (bit 1)."""
+    for seed in range(5):
+        kp = tok_gen(kappa_prime, 3, np.random.default_rng(seed))
+        x = BitVector.from_ints(np.random.default_rng(seed).integers(0, 2, 3))
+        rng, ref_rng = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+        zero = BitVector.zeros(2 * kappa_prime)
+        want = tuple(
+            sample_coset_vector(dual(a) if x[j] else a, zero, ref_rng)
+            for j, a in enumerate(kp.subspaces, start=1)
+        )
+        assert tok_sign(x, kp, rng) == want
+        assert rng.random() == ref_rng.random()
+
+
+def test_register_reads_above_twelve():
+    """A register of 32 qubits is read like a narrow one: a fresh X read
+    lies in the dual, and after signing 0 a Z read repeats the signature
+    while an X read is a string of the full width."""
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        kp = tok_gen(16, 2, rng)
+        assert dual(kp.subspaces[1]).contains(measure_register(kp, 2, "X", rng))
+        sigma = tok_sign(bv("00"), kp, rng)
+        assert kp.subspaces[0].contains(sigma[0])
+        assert measure_register(kp, 1, "Z", rng) == sigma[0]
+        assert len(measure_register(kp, 1, "X", rng)) == 32
+    with pytest.raises(ValueError):
+        measure_register(kp, 1, "Y", rng)
+
+
+def test_tokens_load_no_simulator():
+    """Keys record reads, not states: importing tokens in a fresh
+    interpreter loads no lmobf.sim."""
+    probe = "import sys, lmobf.tokens; print('lmobf.sim' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
