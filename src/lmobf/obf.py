@@ -5,15 +5,17 @@ authentication layer, attaches a one-shot signature token for the
 classical input, and publishes one classical oracle per measurement
 layer plus a final output oracle. Every oracle runs one body, _answer,
 whose checks come in this order, the first failure being the refusal:
-the token; the shape of every round's codewords, in one pass over the
-rounds that also files each codeword by wire; the replay of a hash chain
-that commits to every earlier measurement record; the opening of the
-round. A layer oracle then answers with the next chained label, the
-output oracle with the program output. The replay frames each field of
-the transcript once and hashes every label from the framed prefix that
-ends at its layer, so a query at layer i frames O(i) vectors. Real and
-simulated oracles share the body over a Chain and differ only in how a
-round is opened: the real ones decode through OracleKey.reads,
+the token; the count and widths of every round's codewords; the replay
+of a hash chain that commits to every earlier measurement record; the
+opening of the round. A layer oracle then answers with the next chained
+label, the output oracle with the program output. The body reads one
+Request: the framed bytes of the query, which _framed builds once from a
+Transcript and which a wire request line already is, with the input,
+signature, labels and codewords read off them; the pad bits of a frame's
+last byte are ignored. One running HMAC replays the chain over those
+bytes, so a query hashes each byte once, not every prefix again. Real
+and simulated oracles share the body over a Chain and differ only in how
+a round is opened: the real ones decode through OracleKey.reads,
 simulated_suite(chain, verify, q_fn) only calls verify, the V_k of
 OracleKey.verify, as in the paper: "we can implement these simulated
 oracles just given access to the public-verification oracles V_k".
@@ -36,8 +38,9 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import struct
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -142,7 +145,12 @@ class ObfParams:
 class Chain:
     """What every oracle, real or simulated, closes over: the token vk and
     its token_dim (kappa'), the label PRF key and width, the program and
-    its codeword length; nothing of the authentication key's code or masks."""
+    its codeword length; nothing of the authentication key's code or masks.
+    phi_at holds, per round i and wire of phi_i, where a query at i
+    carries the wire's codeword: the index of its round, the pair
+    counting as round i+1, and its place in the round. phi_i is every V
+    set up to i and the pair, so a query carries one codeword per wire
+    of phi_i."""
 
     token_dim: int
     token_vk: tuple[Subspace, ...]
@@ -150,6 +158,7 @@ class Chain:
     label_bits: int
     program: LMProgram
     code_length: int
+    phi_at: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.token_vk) != self.program.num_input_bits:
@@ -162,6 +171,12 @@ class Chain:
         violations = check_lm_invariants(self.program)
         if violations:
             raise ValueError("program fails structural checks: " + "; ".join(violations))
+        at, phi_at = {}, []
+        for k, ly in enumerate(self.program.layers):
+            at.update((w, (k, j)) for j, w in enumerate(ly.v))
+            pair = {w: (k + 1, j) for j, w in enumerate(ly.w)}
+            phi_at.append(tuple(pair[w] if w in pair else at[w] for w in ly.phi))
+        object.__setattr__(self, "phi_at", tuple(phi_at))
 
 
 @dataclass(frozen=True)
@@ -216,18 +231,31 @@ class OracleKey:
 # --- label PRF and transcript framing ----------------------------------------
 
 
-def prf(key: bytes, message: bytes, num_bits: int) -> BitVector:
+def prf(key: bytes, message, num_bits: int) -> BitVector:
     """Deterministic keyed hash truncated to num_bits (HMAC-SHA256 core,
-    counter-extended when the requested width passes one digest)."""
+    counter-extended when the requested width passes one digest).
+
+    message is bytes, or the running HMAC of the message under key
+    (hmac.new(key, digestmod=hashlib.sha256) updated with its bytes),
+    which gives the same bits without hashing the message again; prf
+    uses it up, so pass a copy of one that is still needed."""
     if num_bits < 1:
         raise ValueError("label width must be positive")
+    if not isinstance(message, hmac.HMAC):
+        message = hmac.new(key, message, hashlib.sha256)
+    last = (num_bits - 1) // 256
     digests: list[bytes] = []
-    while 256 * len(digests) < num_bits:
-        block = message + len(digests).to_bytes(4, "big")
-        digests.append(hmac.new(key, block, hashlib.sha256).digest())
+    for counter in range(last + 1):
+        block = message if counter == last else message.copy()
+        block.update(counter.to_bytes(4, "big"))
+        digests.append(block.digest())
     # Drop the bits past num_bits, -num_bits mod 256, from the last digest.
     value = int.from_bytes(b"".join(digests), "big") >> (-num_bits & 255)
     return BitVector.from_int(value, num_bits)
+
+
+# A frame's header: its bit count, 4 bytes big-endian.
+_HEADER = struct.Struct(">I")
 
 
 def frame(v: BitVector) -> bytes:
@@ -244,22 +272,27 @@ def frame_group(vectors: Sequence[BitVector]) -> bytes:
     return frame(concat(vectors))
 
 
+def _frames(buf: bytearray) -> Iterator[tuple[int, int, int]]:
+    """Each frame of a frame sequence as (packed value, bit count, offset
+    where it ends), zeroing in buf the pad bits of its last byte; raises
+    ValueError on truncated bytes."""
+    at, size = 0, len(buf)
+    while at < size:
+        if at + 4 > size:
+            raise ValueError("truncated frame header")
+        (n,) = _HEADER.unpack_from(buf, at)
+        start, at = at + 4, at + 4 + (n + 7) // 8
+        if at > size:
+            raise ValueError("truncated frame body")
+        pad = -n & 7
+        if pad:
+            buf[at - 1] &= 0xFF << pad & 0xFF
+        yield int.from_bytes(buf[start:at], "big") >> pad, n, at
+
+
 def read_frames(raw: bytes) -> list[BitVector]:
     """Inverse of a frame sequence; rejects truncated bytes."""
-    out = []
-    at = 0
-    while at < len(raw):
-        if at + 4 > len(raw):
-            raise ValueError("truncated frame header")
-        n = int.from_bytes(raw[at : at + 4], "big")
-        at += 4
-        nbytes = (n + 7) // 8
-        if at + nbytes > len(raw):
-            raise ValueError("truncated frame body")
-        value = int.from_bytes(raw[at : at + nbytes], "big") >> (8 * nbytes - n)
-        out.append(BitVector.from_int(value, n))
-        at += nbytes
-    return out
+    return [BitVector.from_int(value, n) for value, n, _ in _frames(bytearray(raw))]
 
 
 @dataclass(frozen=True)
@@ -310,13 +343,100 @@ def request_payload(transcript: Transcript) -> bytes:
     return _framed(transcript)[0]
 
 
+class Request(NamedTuple):
+    """One oracle query as the oracle body reads it. payload is the
+    framed transcript (pad bits zero), followed by the pair's frame on a
+    layer query from the wire; ends[k] is where codeword round k+1's
+    frame ends in it. x and signature are for the token check, and
+    labels are (value, width) pairs. codewords() gives each round's
+    codewords, the pair last (empty on the final round); on the wire it
+    builds them from the rounds' packed words, so a line refused before
+    its opening builds none. shaped says whether every round holds its
+    layer's count of code-length codewords: only a Transcript can carry
+    other shapes, since a wire frame of another width does not scan."""
+
+    payload: bytes
+    ends: tuple[int, ...]
+    x: BitVector
+    signature: Signature
+    labels: tuple[tuple[int, int], ...]
+    codewords: Callable[[], tuple[CodewordTuple, ...]]
+    shaped: bool = True
+
+
+def _counts(chain: Chain, layer: Layer) -> list[int]:
+    """How many codewords each round of a query at layer holds, the pair last."""
+    return [len(earlier.v) for earlier in chain.program.layers[: layer.index]] + [len(layer.w)]
+
+
+def _request(chain: Chain, layer: Layer, tr: Transcript, w_pair: CodewordTuple) -> Request:
+    """The Request of a query at layer on a Transcript and the pair: the
+    transcript framed once by _framed, and the count and widths of the
+    codewords of every round and of the pair checked against the program."""
+    payload, ends = _framed(tr)
+    i, rounds = layer.index, tr.v_layers + (w_pair,)
+    shaped = (
+        len(tr.v_layers) == i
+        and len(tr.labels) == i - 1
+        and list(map(len, rounds)) == _counts(chain, layer)
+        and all(c.length == chain.code_length for words in rounds for c in words)
+    )
+    return Request(
+        payload,
+        tuple(ends),
+        tr.x,
+        tr.signature,
+        tuple((label.value, label.length) for label in tr.labels),
+        lambda: rounds,
+        shaped,
+    )
+
+
+def _scan(chain: Chain, layer: Layer, raw: bytes) -> Request:
+    """The Request of a query at layer whose frames raw holds: x, the
+    signature, each round with its label but the last, then the pair
+    unless layer is the final round. One pass over the frame headers,
+    zeroing the pad bits of each frame's last byte; raises ValueError
+    unless raw is exactly such frames, with the signature, every round
+    and the pair as wide as the key makes them."""
+    buf = bytearray(raw)
+    frames = list(_frames(buf))
+    i = layer.index
+    if len(frames) != 2 * i + 1 + (not layer.final):
+        raise ValueError("wrong number of frames")
+    values, widths, ends = zip(*frames)
+    # Frames 2, 4, ..., 2i are the codeword rounds, 3, 5, ..., 2i-1 the labels.
+    rounds, labels = slice(2, 2 * i + 1, 2), slice(3, 2 * i, 2)
+    pair, pair_width = (0, 0) if layer.final else frames[-1][:2]
+    p, counts = chain.code_length, _counts(chain, layer)
+    if widths[rounds] + (pair_width,) != tuple(p * n for n in counts):
+        raise ValueError("a codeword round is not its count of code-length codewords")
+    words = values[rounds] + (pair,)
+
+    def codewords() -> tuple[CodewordTuple, ...]:
+        return tuple(split(BitVector.from_int(w, p * n), n, p) for w, n in zip(words, counts))
+
+    sigma = BitVector.from_int(values[1], widths[1])
+    return Request(
+        bytes(buf),
+        ends[rounds],
+        BitVector.from_int(values[0], widths[0]),
+        split(sigma, chain.program.num_input_bits, 2 * chain.token_dim),
+        tuple(zip(values[labels], widths[labels])),
+        codewords,
+    )
+
+
 # The frames of the one-bit chain bits that end every label message.
 _CHAIN_BITS = (frame(BitVector((0,))), frame(BitVector((1,))))
 
 
-def _label(chain: Chain, prefix: bytes, bit: int) -> BitVector:
-    """The chained label of a framed prefix ending in a codeword layer."""
-    return prf(chain.prf_key, prefix + _CHAIN_BITS[bit & 1], chain.label_bits)
+def _label(chain: Chain, running: hmac.HMAC, bit: int) -> BitVector:
+    """The chained label of a framed prefix ending in a codeword layer,
+    from the running HMAC of that prefix, which is left as it was."""
+    message = running.copy()
+    message.update(_CHAIN_BITS[bit & 1])
+    return prf(chain.prf_key, message, chain.label_bits)
 
 
 # --- oracle internals ---------------------------------------------------------
@@ -343,67 +463,61 @@ def _round(chain: Chain, i: int) -> Layer:
     return chain.program.layers[i - 1]
 
 
-def _answer(chain: Chain, open_: Callable, layer: Layer, tr: Transcript, w_pair: CodewordTuple):
-    """The one oracle body. In order it checks the token; the codeword
-    count and widths of every round, then of the pair (empty on the final
-    round), filing the codewords by wire in the same pass; the label-chain
-    replay; then open_(layer, x, chain bits, covered codewords), which
-    gives the round's chain bit, the output bits on the final round, or
-    None for a decode-fail. The first failure is the Reject; a layer
-    round replies with its echoed codewords and the label of its bit."""
+def _answer(chain: Chain, open_: Callable, layer: Layer, query, w_pair: CodewordTuple = ()):
+    """The one oracle body, on a Request, or on a Transcript and the pair
+    (empty on the final round), whose Request _request builds. In order
+    it checks the token; the codeword count and widths of every round and
+    of the pair; the label-chain replay; then open_(layer, x, chain bits,
+    covered codewords), which gives the round's chain bit, the output
+    bits on the final round, or None for a decode-fail. The first failure
+    is the Reject; a layer round replies with its echoed codewords and
+    the label of its bit."""
     i = layer.index
-    if not tok_ver(chain.token_vk, tr.x, tr.signature):
+    req = query if isinstance(query, Request) else _request(chain, layer, query, w_pair)
+    if not tok_ver(chain.token_vk, req.x, req.signature):
         return Reject(REASON_BAD_TOKEN, i)
-    if len(tr.v_layers) != i or len(tr.labels) != i - 1:
+    if not req.shaped:
         return Reject(REASON_DECODE, i)
-    p = chain.code_length
-    by_wire: dict[int, BitVector] = {}
-    for earlier, codewords in zip(chain.program.layers, tr.v_layers):
-        if len(codewords) != len(earlier.v) or any(len(c) != p for c in codewords):
-            return Reject(REASON_DECODE, i)
-        by_wire.update(zip(earlier.v, codewords))
-    if len(w_pair) != len(layer.w) or any(len(c) != p for c in w_pair):
-        return Reject(REASON_DECODE, i)
-    by_wire.update(zip(layer.w, w_pair))
     # Each earlier label must be one of its layer's two candidate hashes;
-    # the matching trailing bit is that layer's chain bit.
-    payload, ends = _framed(tr)
-    rs: dict[int, int] = {}
-    for idx in range(1, i):
-        prefix = payload[: ends[idx - 1]]
-        cand0 = _label(chain, prefix, 0)
-        cand1 = _label(chain, prefix, 1)
+    # the matching trailing bit is that layer's chain bit. One HMAC runs
+    # over the payload and is copied at the end of each codeword round.
+    running = hmac.new(chain.prf_key, digestmod=hashlib.sha256)
+    payload, start, rs = memoryview(req.payload), 0, {}
+    for idx, (end, (value, width)) in enumerate(zip(req.ends, req.labels), start=1):
+        running.update(payload[start:end])
+        start = end
+        cand0, cand1 = _label(chain, running, 0), _label(chain, running, 1)
         if cand0 == cand1:
             return Reject(REASON_COLLISION, i)
-        given = tr.labels[idx - 1]
-        if given == cand0:
-            rs[idx] = 0
-        elif given == cand1:
-            rs[idx] = 1
-        else:
+        if width != chain.label_bits or value not in (cand0.value, cand1.value):
             return Reject(REASON_BAD_LABEL, i)
-    opened = open_(layer, tr.x, rs, tuple(by_wire[w] for w in layer.phi))
+        rs[idx] = int(value == cand1.value)
+    rounds = req.codewords()
+    opened = open_(layer, req.x, rs, tuple([rounds[k][j] for k, j in chain.phi_at[i - 1]]))
     if opened is None:
         return Reject(REASON_DECODE, i)
     if layer.final:
         return opened
-    return tr.v_layers[-1], _label(chain, payload, opened)
+    running.update(payload[start : req.ends[i - 1]])
+    return rounds[i - 1], _label(chain, running, opened)
 
 
 # --- the oracles --------------------------------------------------------------
 
 
-def oracle_f(key: OracleKey, i: int, transcript: Transcript, w_pair: CodewordTuple):
-    """Layer-i oracle: token check, label-chain replay, decode of every
+def oracle_f(key: OracleKey, i: int, transcript, w_pair: CodewordTuple = ()):
+    """Layer-i oracle on a Transcript and the pair, or on the Request of
+    a request line: token check, label-chain replay, decode of every
     codeword the i-th measurement covers, then the next chained label.
     Accepts with (echoed layer codewords, label); rejects with a Reject."""
     return _answer(key.chain, key.open_round, _round(key.chain, i), transcript, w_pair)
 
 
-def oracle_g(key: OracleKey, transcript: Transcript):
-    """Output oracle: token check, full label-chain replay, decode over
-    the final measurement's wires, then the program's output bits."""
-    return _answer(key.chain, key.open_round, key.program.layers[-1], transcript, ())
+def oracle_g(key: OracleKey, transcript):
+    """Output oracle on a Transcript or a Request: token check, full
+    label-chain replay, decode over the final measurement's wires, then
+    the program's output bits."""
+    return _answer(key.chain, key.open_round, key.program.layers[-1], transcript)
 
 
 def oracle_f_sim(key: OracleKey, i: int, transcript: Transcript, w_pair: CodewordTuple):
@@ -814,24 +928,9 @@ def encode_g_request(transcript: Transcript) -> str:
     return f"G {request_payload(transcript).hex()}"
 
 
-def _parse_request_fields(
-    chain: Chain, fields: list[BitVector], layer: Layer
-) -> tuple[Transcript, CodewordTuple]:
-    """Inverse of the request payload of a query at layer, plus the pair
-    frame unless layer is the final one; raises ValueError on any misfit."""
-    p, upto, with_w = chain.code_length, layer.index, not layer.final
-    if len(fields) != 2 * upto + 1 + with_w:
-        raise ValueError("wrong number of frames")
-    sigma = split(fields[1], chain.program.num_input_bits, 2 * chain.token_dim)
-    layers = chain.program.layers
-    v_layers = tuple(split(fields[2 * k + 2], len(layers[k].v), p) for k in range(upto))
-    labels = tuple(fields[2 * k + 3] for k in range(upto - 1))
-    w_pair = split(fields[-1], len(layer.w), p) if with_w else ()
-    return Transcript(fields[0], sigma, v_layers, labels), w_pair
-
-
 def handle_request_line(key: OracleKey, line: str) -> str:
-    """One request line of the newline protocol -> one response line."""
+    """One request line of the newline protocol -> one response line. The
+    oracles answer the Request that _scan reads off the line's bytes."""
     parts = line.strip().split()
     try:
         if len(parts) == 3 and parts[0] == "F":
@@ -843,12 +942,11 @@ def handle_request_line(key: OracleKey, line: str) -> str:
             layer = key.program.layers[-1]
         else:
             return "BOT"
-        fields = read_frames(bytes.fromhex(parts[-1]))
-        transcript, w_pair = _parse_request_fields(key.chain, fields, layer)
+        request = _scan(key.chain, layer, bytes.fromhex(parts[-1]))
         if layer.final:
-            reply = oracle_g(key, transcript)
+            reply = oracle_g(key, request)
             return "BOT" if is_bot(reply) else f"OK {frame(reply).hex()}"
-        reply = oracle_f(key, layer.index, transcript, w_pair)
+        reply = oracle_f(key, layer.index, request)
         if is_bot(reply):
             return "BOT"
         echo, label = reply

@@ -407,6 +407,22 @@ def chain_label(key, transcript, upto: int, bit: int) -> BitVector:
     return obf_mod.prf(key.prf_key, label_message(transcript, upto, bit), key.label_bits)
 
 
+def _parse_request_fields(chain, fields: list[BitVector], layer):
+    """The reference parse of a request line: the Transcript and pair
+    whose request payload, plus the pair frame unless layer is the final
+    one, the frames (obf.read_frames of the line's bytes) hold; raises
+    ValueError on any misfit."""
+    p, upto, with_w = chain.code_length, layer.index, not layer.final
+    if len(fields) != 2 * upto + 1 + with_w:
+        raise ValueError("wrong number of frames")
+    sigma = split(fields[1], chain.program.num_input_bits, 2 * chain.token_dim)
+    layers = chain.program.layers
+    v_layers = tuple(split(fields[2 * k + 2], len(layers[k].v), p) for k in range(upto))
+    labels = tuple(fields[2 * k + 3] for k in range(upto - 1))
+    w_pair = split(fields[-1], len(layer.w), p) if with_w else ()
+    return obf_mod.Transcript(fields[0], sigma, v_layers, labels), w_pair
+
+
 def encoded_state(program) -> StateVector:
     """The authenticated register of an ObfuscatedProgram: the encoding
     isometry applied to the whole program state. Past the simulator's

@@ -493,6 +493,19 @@ def test_serve_answers_undecodable_bytes_with_bot(workdir):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"BOT\nBOT\nBOT\n", b"")
 
 
+def test_serve_skips_blank_lines_without_a_reply(workdir):
+    """An empty or whitespace-only line is no request: the server sends
+    no reply to it, so two requests around two such lines get two BOTs."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "lmobf", "oracle-serve", str(workdir / "obf")],
+        input="G 00\n\n \t \nG 00\n",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "BOT\nBOT\n", "")
+
+
 def test_eval_output_matches_library_map(workdir, capsys):
     from lmobf.obf import induced_map, oracle_key_from_text
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    _parse_request_fields,
     all_inputs,
     chain_label,
     encoded_state,
@@ -39,7 +40,6 @@ from lmobf.lm import (
 from lmobf.obf import (
     EncodedRegister,
     ObfParams,
-    _parse_request_fields,
     OracleKey,
     OracleSuite,
     Reject,
@@ -1271,3 +1271,94 @@ def test_remote_suite_end_to_end():
     x = BitVector((1,))
     y = qeval(x, obf, np.random.default_rng(60), mode="logical", suite=suite)
     assert y == q_fn(x)
+
+
+def _frame_ends(raw: bytes) -> list[tuple[int, int]]:
+    """(bit count, end offset) of each frame of well-formed frame bytes."""
+    at, out = 0, []
+    while at < len(raw):
+        n = int.from_bytes(raw[at : at + 4], "big")
+        at += 4 + (n + 7) // 8
+        out.append((n, at))
+    return out
+
+
+def _with_pad_bits(line: str, frames) -> str:
+    """The request line with every pad bit of the given frames set."""
+    *head, payload = line.split()
+    raw = bytearray.fromhex(payload)
+    for n, end in frames:
+        raw[end - 1] |= (1 << (-n & 7)) - 1
+    return " ".join(head + [raw.hex()])
+
+
+def test_pad_bits_of_any_frame_are_ignored():
+    """Setting the pad bits of any frame of an honest F or G line, or of
+    all of them at once, gets exactly the reply to the canonical line."""
+    key, lines = _honest_lines()
+    for line in lines:
+        want = handle_request_line(key, line)
+        assert want.startswith("OK ")
+        padded = [f for f in _frame_ends(bytes.fromhex(line.split()[-1])) if f[0] % 8]
+        assert len(padded) >= 3
+        for f in padded:
+            assert _with_pad_bits(line, [f]) != line
+            assert handle_request_line(key, _with_pad_bits(line, [f])) == want
+        assert handle_request_line(key, _with_pad_bits(line, padded)) == want
+
+
+@given(
+    st.binary(min_size=1, max_size=80),
+    st.binary(max_size=400),
+    st.lists(st.integers(0, 400), max_size=4),
+    st.integers(1, 1024),
+)
+@settings(max_examples=150, deadline=None)
+def test_prf_of_a_running_hmac_equals_prf_of_the_bytes(key, message, cuts, num_bits):
+    """prf over a running HMAC fed the message in pieces, split at any
+    points, gives the bits prf gives over the message bytes, at widths of
+    one to four digests."""
+    running = hmac_mod.new(key, digestmod=hashlib.sha256)
+    at = 0
+    for cut in sorted(c % (len(message) + 1) for c in cuts) + [len(message)]:
+        running.update(message[at:cut])
+        at = cut
+    assert prf(key, running, num_bits) == prf(key, message, num_bits)
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_label_lines(label_bits: int):
+    """The key and the request lines of one honest evaluation of T_T
+    (t = 2) under labels of label_bits bits."""
+    _, obf = make_obf(T_T, seed=63, params=replace(PARAMS, label_bits=label_bits))
+    lines = []
+
+    def query_f(i, tr, w):
+        lines.append(encode_f_request(i, tr, w))
+        return obf.suite.query_f(i, tr, w)
+
+    def query_g(tr):
+        lines.append(encode_g_request(tr))
+        return obf.suite.query_g(tr)
+
+    x = BitVector((1,))
+    suite = OracleSuite(query_f, query_g)
+    assert qeval(x, obf, np.random.default_rng(64), mode="logical", suite=suite) == x
+    return obf.key, tuple(lines)
+
+
+@pytest.mark.parametrize("label_bits", [300, 513])
+def test_wide_labels_over_the_wire_match_the_reference(label_bits):
+    """Labels of two and three HMAC digests over the wire: each honest
+    line, and the line with any one payload bit flipped, gets the reply
+    of the reference parse and the in-process oracle."""
+    key, lines = _wide_label_lines(label_bits)
+    for line in lines:
+        assert handle_request_line(key, line).startswith("OK ")
+        *head, payload = line.split()
+        raw = bytes.fromhex(payload)
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 0x80 >> bit % 8
+            tampered = " ".join(head + [flipped.hex()])
+            assert handle_request_line(key, tampered) == _oracle_reply_line(key, tampered)
