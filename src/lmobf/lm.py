@@ -8,6 +8,10 @@ bit r_i of a grouped standard-basis measurement, and everything still
 active stays coherent. Classical inputs never touch the quantum state:
 they enter through the measurement functions as virtual Pauli frames.
 
+Constructing an LMProgram is the one pass over its rounds: it builds
+each round's Layer, with the layout of an oracle query at that round,
+and the program's violations of the structural rules.
+
 The program state is a product of per-wire states, so a wire joins the
 register only at the first round that touches it. walk() starts from
 the empty register, and each round takes three steps: admit the wires
@@ -113,17 +117,22 @@ def format_circuit(c: Circuit) -> str:
 class ClassicalFn:
     """GF(2) computation as a DAG. Node forms: ('in', name), ('const', v),
     ('xor', a, b), ('and', a, b) with a, b indices of earlier nodes.
-    Outputs are (name, node index) pairs."""
+    Outputs are (name, node index) pairs. input_names and output_names,
+    in node and output order, are worked out once."""
 
     nodes: tuple[tuple, ...]
     outputs: tuple[tuple[str, int], ...]
+    input_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    output_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        names = []
         for idx, node in enumerate(self.nodes):
             kind = node[0]
             if kind == "in":
                 if not isinstance(node[1], str):
                     raise ValueError("input node needs a name")
+                names.append(node[1])
             elif kind == "const":
                 if node[1] not in (0, 1):
                     raise ValueError("const must be 0/1")
@@ -135,14 +144,8 @@ class ClassicalFn:
         for name, nid in self.outputs:
             if not 0 <= nid < len(self.nodes):
                 raise ValueError(f"output {name} references missing node")
-
-    @property
-    def input_names(self) -> tuple[str, ...]:
-        return tuple(n[1] for n in self.nodes if n[0] == "in")
-
-    @property
-    def output_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.outputs)
+        object.__setattr__(self, "input_names", tuple(names))
+        object.__setattr__(self, "output_names", tuple(name for name, _ in self.outputs))
 
 
 def eval_classical_fn(fn: ClassicalFn, bindings: dict[str, Any]) -> dict[str, Any]:
@@ -266,7 +269,10 @@ class Layer:
     v the wires the round consumes, w its measurement pair (empty on the
     final round), theta the bases and fn the round's function. read is v
     and w together, phi every wire the measurement covers (every V set
-    so far, and w). Wire tuples are ascending."""
+    so far, and w). Wire tuples are ascending. A query at the round
+    carries the codewords of V_1..V_index and then of the pair: counts
+    holds how many each of these rounds has, and at gives each wire of
+    phi as (k, j), codeword j of round k, both from 0."""
 
     index: int
     final: bool
@@ -278,14 +284,19 @@ class Layer:
     fn: ClassicalFn
     read: tuple[int, ...]
     phi: tuple[int, ...]
+    counts: tuple[int, ...]
+    at: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class LMProgram:
-    """A program as its text format declares it. Readers take a round's
-    facts from layers, which sorts the declared V and W sets.
-    peak_live is the most wires live in any round, after its admission:
-    the width of the logical register a run needs."""
+    """A program as its text format declares it. Construction is the one
+    pass over its rounds. It builds layers, from which readers take a
+    round's facts and which sorts the declared V and W sets; peak_live,
+    the most wires live in any round after its admission (the width of
+    the logical register a run needs); and violations, the program's
+    breaks of the structural rules in the order the pass meets them; it
+    constructs anyway, unless a round reads a wire past num_wires."""
 
     num_wires: int
     num_input_bits: int
@@ -299,6 +310,7 @@ class LMProgram:
     final_fn: ClassicalFn
     layers: tuple[Layer, ...] = field(init=False, repr=False, compare=False)
     peak_live: int = field(init=False, repr=False, compare=False)
+    violations: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.linear_layers) != self.t + 1 or len(self.thetas) != self.t + 1:
@@ -312,35 +324,101 @@ class LMProgram:
         for th in self.thetas:
             if len(th) != self.num_wires:
                 raise ValueError("theta length must equal wire count")
-        pairs: dict[int, list[int]] = {}  # H pair id -> its wires
+        n = self.num_wires
+        pairs: dict[int, list[tuple[int, str]]] = {}  # H pair id -> its (wire, half)s
         for wire, tag in enumerate(self.state_spec, start=1):
             if tag[0] == "magic_h":
-                pairs.setdefault(tag[1], []).append(wire)
-        partners = {q: pair for pair in pairs.values() for q in pair}
+                pairs.setdefault(tag[1], []).append((wire, tag[2]))
+        partners = {q: [p for p, _ in pair] for pair in pairs.values() for q, _ in pair}
         layers: list[Layer] = []
-        collapsed: set[int] = set()
+        bad: list[str] = []
+        bases: dict[int, Optional[int]] = {}  # collapsed wire -> the basis it collapsed in
         admitted: set[int] = set()
         live: set[int] = set()
+        read_so_far: set[int] = set()
+        targets: dict[int, int] = {}  # CNOT target -> round of its first CNOT
+        known = {f"x{j}" for j in range(1, self.num_input_bits + 1)}  # inputs f_i may read
+        counts: list[int] = []  # codewords of each V set so far
+        at: dict[int, tuple[int, int]] = {}  # V wire -> (round, place) in a query
         peak = 0
-        for i, (cnots, theta, v) in enumerate(
+        for i, (cnots, theta, declared) in enumerate(
             zip(self.linear_layers, self.thetas, self.v_sets), start=1
         ):
             final = i == self.t + 1
-            w = () if final else tuple(sorted(self.w_sets[i - 1]))
-            touched = {q for pair in cnots for q in pair}.union(v, w) - admitted
+            v, w = tuple(sorted(declared)), () if final else tuple(sorted(self.w_sets[i - 1]))
+            vw = {*v, *w}
+            if max(vw, default=0) > n:
+                raise ValueError(f"round {i} reads wire {max(vw)}, past the last wire {n}")
+            touched = vw.union(*cnots) - admitted
             admit = {p for q in touched for p in partners.get(q, (q,))} - admitted
             admitted.update(admit)
             live.update(admit)
             peak = max(peak, len(live))
             live.difference_update(v)
-            collapsed.update(v)
             fn = self.final_fn if final else self.measurement_fns[i - 1]
-            read, phi = tuple(sorted({*v, *w})), tuple(sorted(collapsed.union(w)))
+            covered = bases.keys() | vw
+            read, phi = tuple(sorted(vw)), tuple(sorted(covered))
+            if len(vw) < len(v) + len(w):  # a repeated wire, or one in both
+                for name, wires in (("V", v), ("W", w)):
+                    for q in sorted({a for a, b in zip(wires, wires[1:]) if a == b}):
+                        bad.append(f"{name}{i} lists wire {q} twice")
+            if not bases.keys().isdisjoint(v):
+                bad.append(f"V{i} overlaps an earlier V set")
+            if not read_so_far.isdisjoint(w):
+                bad.append(f"W{i} intersects an earlier measured set")
+            for q, b in enumerate(theta, start=1):
+                if b not in (0, 1, None):
+                    bad.append(f"theta{i} reads wire {q} in basis {b!r}, not 0 or 1")
+            if {q for q, b in enumerate(theta, start=1) if b is not None} != covered:
+                bad.append(f"theta{i} support differs from the layer-{i} measured set")
+            for q, basis in bases.items():
+                if theta[q - 1] != basis:
+                    bad.append(f"theta{i} re-measures wire {q} in a different basis")
+            for c, tgt in cnots:
+                if not (1 <= c <= n and 1 <= tgt <= n and c != tgt):
+                    bad.append(f"L{i} has an invalid CNOT ({c},{tgt})")
+                if c in bases or tgt in bases:
+                    bad.append(f"linear layer {i} touches collapsed wire")
+                targets.setdefault(tgt, i)
+            for q in w:
+                if theta[q - 1] != 0:
+                    bad.append(f"wire {q} in W{i} is not standard-basis measured")
+                if q in targets:
+                    bad.append(f"L{targets[q]} targets wire {q} of W{i}; controls only")
+            known.update([f"m{q}" for q in v])
+            name = "g" if final else f"f{i}"
+            if extra := set(fn.input_names).difference(known, [f"m{q}" for q in w]):
+                bad.append(f"{name} reads unavailable inputs {sorted(extra)}")
+            if final:
+                want = tuple(f"y{k}" for k in range(1, len(fn.outputs) + 1))
+            else:
+                want = (*[f"v{q}" for q in declared], "r")
+            if fn.output_names != want:
+                bad.append(f"{name} outputs {fn.output_names}, expected {want}")
+            bases.update((q, theta[q - 1]) for q in v)
+            read_so_far |= vw
+            known.add(f"r{i}")
+            counts.append(len(v))
+            at.update({q: (i - 1, j) for j, q in enumerate(v)})
+            where = {**at, **{q: (i, j) for j, q in enumerate(w)}}
             layers.append(Layer(
-                i, final, tuple(sorted(admit)), cnots, tuple(sorted(v)), w, theta, fn, read, phi
+                i, final, tuple(sorted(admit)), cnots, v, w, theta, fn, read, phi,
+                (*counts, len(w)), tuple(map(where.__getitem__, phi)),
             ))
+        if bases.keys() != set(range(1, n + 1)):
+            bad.append("V sets do not cover every wire by the final layer")
+        input_tags = [tag for tag in self.state_spec if tag[0] == "input"]
+        want_tags = [("input", j) for j in range(1, self.num_input_bits + 1)]
+        if input_tags != want_tags or list(self.state_spec[: len(want_tags)]) != want_tags:
+            bad.append("input tags must sit on the first wires, one per input bit")
+        for pid, halves in pairs.items():
+            if sorted(h for _, h in halves) != ["a", "b"]:
+                bad.append(f"magic pair {pid} must have exactly halves a and b")
+            elif halves != [(halves[0][0], "a"), (halves[0][0] + 1, "b")]:
+                bad.append(f"magic pair {pid} is not two adjacent wires, a then b")
         object.__setattr__(self, "layers", tuple(layers))
         object.__setattr__(self, "peak_live", peak)
+        object.__setattr__(self, "violations", tuple(bad))
 
 
 # The 0-qubit register every walk starts from.
@@ -712,72 +790,9 @@ def total_variation(
 
 
 def check_lm_invariants(program: LMProgram) -> list[str]:
-    """Validate the structural rules; returns human-readable violations."""
-    bad: list[str] = []
-    n = program.num_wires
-    bases: dict[int, Optional[int]] = {}  # collapsed wire -> the basis it collapsed in
-    read_so_far: set[int] = set()
-    targets: dict[int, int] = {}  # CNOT target -> round of its first CNOT
-    known = {f"x{j}" for j in range(1, program.num_input_bits + 1)}  # inputs f_i may read
-    for layer in program.layers:
-        i, theta = layer.index, layer.theta
-        for name, wires in ((f"V{i}", layer.v), (f"W{i}", layer.w)):
-            for w in sorted({a for a, b in zip(wires, wires[1:]) if a == b}):
-                bad.append(f"{name} lists wire {w} twice")
-        if bases.keys() & set(layer.v):
-            bad.append(f"V{i} overlaps an earlier V set")
-        if read_so_far & set(layer.w):
-            bad.append(f"W{i} intersects an earlier measured set")
-        for w, b in enumerate(theta, start=1):
-            if b not in (0, 1, None):
-                bad.append(f"theta{i} reads wire {w} in basis {b!r}, not 0 or 1")
-        if {w for w, b in enumerate(theta, start=1) if b is not None} != set(layer.phi):
-            bad.append(f"theta{i} support differs from the layer-{i} measured set")
-        for w, basis in bases.items():
-            if theta[w - 1] != basis:
-                bad.append(f"theta{i} re-measures wire {w} in a different basis")
-        for c, tgt in layer.cnots:
-            if not (1 <= c <= n and 1 <= tgt <= n and c != tgt):
-                bad.append(f"L{i} has an invalid CNOT ({c},{tgt})")
-            if c in bases or tgt in bases:
-                bad.append(f"linear layer {i} touches collapsed wire")
-            targets.setdefault(tgt, i)
-        for w in layer.w:
-            if theta[w - 1] != 0:
-                bad.append(f"wire {w} in W{i} is not standard-basis measured")
-            if w in targets:
-                bad.append(f"L{targets[w]} targets wire {w} of W{i}; controls only")
-        known.update(_mname(w) for w in layer.v)
-        name = "g" if layer.final else f"f{i}"
-        extra = set(layer.fn.input_names) - known - {_mname(w) for w in layer.w}
-        if extra:
-            bad.append(f"{name} reads unavailable inputs {sorted(extra)}")
-        if layer.final:
-            want = tuple(f"y{k}" for k in range(1, len(layer.fn.outputs) + 1))
-        else:
-            want = tuple(f"v{w}" for w in program.v_sets[i - 1]) + ("r",)
-        if layer.fn.output_names != want:
-            bad.append(f"{name} outputs {layer.fn.output_names}, expected {want}")
-        bases.update((w, theta[w - 1]) for w in layer.v)
-        read_so_far.update(layer.read)
-        known.add(f"r{i}")
-    if bases.keys() != set(range(1, n + 1)):
-        bad.append("V sets do not cover every wire by the final layer")
-
-    input_tags = [tag for tag in program.state_spec if tag[0] == "input"]
-    want_tags = [("input", j) for j in range(1, program.num_input_bits + 1)]
-    if input_tags != want_tags or list(program.state_spec[: len(want_tags)]) != want_tags:
-        bad.append("input tags must sit on the first wires, one per input bit")
-    pairs: dict[int, list] = {}
-    for w, tag in enumerate(program.state_spec, start=1):
-        if tag[0] == "magic_h":
-            pairs.setdefault(tag[1], []).append((w, tag[2]))
-    for pid, halves in pairs.items():
-        if sorted(h for _, h in halves) != ["a", "b"]:
-            bad.append(f"magic pair {pid} must have exactly halves a and b")
-        elif halves != [(halves[0][0], "a"), (halves[0][0] + 1, "b")]:
-            bad.append(f"magic pair {pid} is not two adjacent wires, a then b")
-    return bad
+    """The program's breaks of the structural rules, human-readable, as
+    its construction found them (LMProgram.violations)."""
+    return list(program.violations)
 
 
 # --- serialization ---------------------------------------------------------

@@ -66,8 +66,7 @@ from .lm import (
     LMProgram,
     LogicalRegister,
     bind,
-    check_lm_invariants,
-    eval_classical_fn,
+    fn_code,
     initial_state,
     lmeval_distribution,
     place,
@@ -146,11 +145,7 @@ class Chain:
     """What every oracle, real or simulated, closes over: the token vk and
     its token_dim (kappa'), the label PRF key and width, the program and
     its codeword length; nothing of the authentication key's code or masks.
-    phi_at holds, per round i and wire of phi_i, where a query at i
-    carries the wire's codeword: the index of its round, the pair
-    counting as round i+1, and its place in the round. phi_i is every V
-    set up to i and the pair, so a query carries one codeword per wire
-    of phi_i."""
+    A query's layout is the program's (Layer.counts and Layer.at)."""
 
     token_dim: int
     token_vk: tuple[Subspace, ...]
@@ -158,7 +153,6 @@ class Chain:
     label_bits: int
     program: LMProgram
     code_length: int
-    phi_at: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.token_vk) != self.program.num_input_bits:
@@ -168,15 +162,8 @@ class Chain:
         check_label_bits(self.label_bits)
         if not self.prf_key:
             raise ValueError("empty PRF key")
-        violations = check_lm_invariants(self.program)
-        if violations:
+        if violations := self.program.violations:
             raise ValueError("program fails structural checks: " + "; ".join(violations))
-        at, phi_at = {}, []
-        for k, ly in enumerate(self.program.layers):
-            at.update((w, (k, j)) for j, w in enumerate(ly.v))
-            pair = {w: (k + 1, j) for j, w in enumerate(ly.w)}
-            phi_at.append(tuple(pair[w] if w in pair else at[w] for w in ly.phi))
-        object.__setattr__(self, "phi_at", tuple(phi_at))
 
 
 @dataclass(frozen=True)
@@ -201,7 +188,7 @@ class OracleKey:
             raise ValueError("authentication key width must match the program")
         public = (self.token_dim, self.token_vk, self.prf_key, self.label_bits, self.program)
         object.__setattr__(self, "chain", Chain(*public, self.auth_key.code_length))
-        # check_lm_invariants: a collapsed wire keeps its basis and no CNOT touches it.
+        # The structural rules: a collapsed wire keeps its basis and no CNOT touches it.
         key, read_of, reads = self.auth_key, {}, []
         xs, zs = key.x_masks, key.z_masks
         for ly in self.program.layers:
@@ -221,11 +208,11 @@ class OracleKey:
         decoded = dec(self.reads[layer.index - 1], ordered)
         if decoded is None:
             return None
-        binds = bind(layer.fn, dict(zip(layer.phi, decoded.bits)), x, rs)
-        outs = eval_classical_fn(layer.fn, binds)
-        if layer.final:
-            return BitVector(tuple(outs[n] for n in layer.fn.output_names))
-        return outs["r"]
+        top, bits = len(layer.phi) - 1, decoded.value
+        m = {w: bits >> top - k & 1 for k, w in enumerate(layer.phi)}
+        code = fn_code(layer.fn, bind(layer.fn, m, x, rs), 0)
+        # The structural rules make r a layer function's last output.
+        return BitVector.from_int(code, len(layer.fn.outputs)) if layer.final else code & 1
 
 
 # --- label PRF and transcript framing ----------------------------------------
@@ -364,11 +351,6 @@ class Request(NamedTuple):
     shaped: bool = True
 
 
-def _counts(chain: Chain, layer: Layer) -> list[int]:
-    """How many codewords each round of a query at layer holds, the pair last."""
-    return [len(earlier.v) for earlier in chain.program.layers[: layer.index]] + [len(layer.w)]
-
-
 def _request(chain: Chain, layer: Layer, tr: Transcript, w_pair: CodewordTuple) -> Request:
     """The Request of a query at layer on a Transcript and the pair: the
     transcript framed once by _framed, and the count and widths of the
@@ -376,9 +358,8 @@ def _request(chain: Chain, layer: Layer, tr: Transcript, w_pair: CodewordTuple) 
     payload, ends = _framed(tr)
     i, rounds = layer.index, tr.v_layers + (w_pair,)
     shaped = (
-        len(tr.v_layers) == i
-        and len(tr.labels) == i - 1
-        and list(map(len, rounds)) == _counts(chain, layer)
+        len(tr.labels) == i - 1
+        and tuple(map(len, rounds)) == layer.counts
         and all(c.length == chain.code_length for words in rounds for c in words)
     )
     return Request(
@@ -408,7 +389,7 @@ def _scan(chain: Chain, layer: Layer, raw: bytes) -> Request:
     # Frames 2, 4, ..., 2i are the codeword rounds, 3, 5, ..., 2i-1 the labels.
     rounds, labels = slice(2, 2 * i + 1, 2), slice(3, 2 * i, 2)
     pair, pair_width = (0, 0) if layer.final else frames[-1][:2]
-    p, counts = chain.code_length, _counts(chain, layer)
+    p, counts = chain.code_length, layer.counts
     if widths[rounds] + (pair_width,) != tuple(p * n for n in counts):
         raise ValueError("a codeword round is not its count of code-length codewords")
     words = values[rounds] + (pair,)
@@ -493,7 +474,7 @@ def _answer(chain: Chain, open_: Callable, layer: Layer, query, w_pair: Codeword
             return Reject(REASON_BAD_LABEL, i)
         rs[idx] = int(value == cand1.value)
     rounds = req.codewords()
-    opened = open_(layer, req.x, rs, tuple([rounds[k][j] for k, j in chain.phi_at[i - 1]]))
+    opened = open_(layer, req.x, rs, tuple([rounds[k][j] for k, j in layer.at]))
     if opened is None:
         return Reject(REASON_DECODE, i)
     if layer.final:

@@ -423,6 +423,24 @@ def _parse_request_fields(chain, fields: list[BitVector], layer):
     return obf_mod.Transcript(fields[0], sigma, v_layers, labels), w_pair
 
 
+def reference_counts(program, layer) -> list[int]:
+    """How many codewords each round of a query at layer holds, the pair
+    last: the per-query count that Layer.counts replaces."""
+    return [len(earlier.v) for earlier in program.layers[: layer.index]] + [len(layer.w)]
+
+
+def reference_phi_at(program) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per round i, where a query at i carries each wire of phi_i: the
+    index of its round, the pair counting as round i+1, and its place in
+    the round. The per-key table that Layer.at replaces."""
+    at, phi_at = {}, []
+    for k, ly in enumerate(program.layers):
+        at.update((w, (k, j)) for j, w in enumerate(ly.v))
+        pair = {w: (k + 1, j) for j, w in enumerate(ly.w)}
+        phi_at.append(tuple(pair[w] if w in pair else at[w] for w in ly.phi))
+    return tuple(phi_at)
+
+
 def encoded_state(program) -> StateVector:
     """The authenticated register of an ObfuscatedProgram: the encoding
     isometry applied to the whole program state. Past the simulator's

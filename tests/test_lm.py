@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_inputs, max_equivalence_gap, random_circuit
+from helpers import (
+    all_inputs,
+    max_equivalence_gap,
+    random_circuit,
+    reference_counts,
+    reference_phi_at,
+)
 from lmobf.gf2 import BitVector
 from lmobf.lm import (
     Circuit,
@@ -597,6 +603,110 @@ def test_each_invariant_rule_flags_its_mutation(rule):
     mutate, fragment = RULE_BREAKS[rule]
     bad = check_lm_invariants(dataclasses.replace(RULE_BASE, **mutate(RULE_BASE)))
     assert any(fragment in v for v in bad), bad
+
+
+# The whole violation list of each RULE_BREAKS mutation and of one that
+# breaks two rules: order, repeats and omissions all count.
+RULE_BREAK_LISTS = {
+    "V sets overlap": ["V3 overlaps an earlier V set"],
+    "W meets an earlier read set": [
+        "W2 intersects an earlier measured set",
+        "theta2 support differs from the layer-2 measured set",
+        "wire 5 in W2 is not standard-basis measured",
+        "f2 reads unavailable inputs ['m7']",
+    ],
+    "theta support": ["theta1 support differs from the layer-1 measured set"],
+    "re-measured basis": ["theta2 re-measures wire 1 in a different basis"],
+    "invalid CNOT": ["L2 has an invalid CNOT (7,7)", "L2 targets wire 7 of W2; controls only"],
+    "CNOT on a collapsed wire": ["linear layer 2 touches collapsed wire"],
+    "W wire not standard-basis": ["wire 6 in W1 is not standard-basis measured"],
+    "CNOT targeting a W wire": ["L2 targets wire 7 of W2; controls only"],
+    "f_i reads an unavailable input": ["f1 reads unavailable inputs ['m7']"],
+    "f_i output names": ["f1 outputs ('v2', 'v1', 'v3', 'r'), expected ('v1', 'v2', 'v3', 'r')"],
+    "g output names": ["g outputs ('y2', 'y1'), expected ('y1', 'y2')"],
+    "input tags": ["input tags must sit on the first wires, one per input bit"],
+    "magic-H halves": ["magic pair 1 must have exactly halves a and b"],
+    "magic-H halves not adjacent": ["magic pair 1 is not two adjacent wires, a then b"],
+    "V lists a wire twice": [
+        "V1 lists wire 3 twice",
+        "f1 outputs ('v1', 'v2', 'v3', 'r'), expected ('v1', 'v2', 'v3', 'v3', 'r')",
+    ],
+    "W lists a wire twice": [
+        "W1 lists wire 5 twice",
+        "theta1 support differs from the layer-1 measured set",
+        "f1 reads unavailable inputs ['m6']",
+    ],
+    "V sets cover every wire": [
+        "theta3 support differs from the layer-3 measured set",
+        "V sets do not cover every wire by the final layer",
+    ],
+}
+TWO_RULE_BREAK = {
+    "v_sets": (RULE_BASE.v_sets[0], (1, 3, 3, 4)) + RULE_BASE.v_sets[2:],
+    "state_spec": (("input", 2), ("input", 1)) + RULE_BASE.state_spec[2:],
+}
+TWO_RULE_BREAK_LIST = [
+    "V2 lists wire 3 twice",
+    "V2 overlaps an earlier V set",
+    "theta2 support differs from the layer-2 measured set",
+    "f2 reads unavailable inputs ['m6']",
+    "f2 outputs ('v4', 'v6', 'r'), expected ('v1', 'v3', 'v3', 'v4', 'r')",
+    "theta3 support differs from the layer-3 measured set",
+    "V sets do not cover every wire by the final layer",
+    "input tags must sit on the first wires, one per input bit",
+]
+
+
+@pytest.mark.parametrize("rule", list(RULE_BREAKS))
+def test_each_rule_mutation_gives_its_whole_violation_list(rule):
+    mutate, _ = RULE_BREAKS[rule]
+    bad = dataclasses.replace(RULE_BASE, **mutate(RULE_BASE))
+    assert check_lm_invariants(bad) == RULE_BREAK_LISTS[rule]
+
+
+def test_a_two_rule_mutation_gives_its_whole_violation_list():
+    bad = dataclasses.replace(RULE_BASE, **TWO_RULE_BREAK)
+    assert check_lm_invariants(bad) == TWO_RULE_BREAK_LIST
+
+
+def _assert_layout_matches_the_references(p):
+    for layer, at in zip(p.layers, reference_phi_at(p), strict=True):
+        assert list(layer.counts) == reference_counts(p, layer)
+        assert layer.at == at
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_layer_query_layout_matches_the_references(seed):
+    """Each round's counts and at equal the per-query count and per-key
+    table they replace, on random compiled programs."""
+    rng = np.random.default_rng(seed)
+    p = compile_circuit(random_circuit(rng, max_gates=10, max_t=4))
+    _assert_layout_matches_the_references(p)
+
+
+LAYOUT_BREAKS = {rule: mutate for rule, (mutate, _) in RULE_BREAKS.items()}
+# A W wire that an earlier V set consumed: the pair's place wins.
+LAYOUT_BREAKS["W repeats a V wire"] = lambda p: {"w_sets": (p.w_sets[0], (1, 7))}
+
+
+@pytest.mark.parametrize("rule", list(LAYOUT_BREAKS))
+def test_rule_mutations_construct_with_the_reference_layout(rule):
+    """A program that breaks the rules constructs, with the layout of
+    the references."""
+    mutate = LAYOUT_BREAKS[rule]
+    _assert_layout_matches_the_references(dataclasses.replace(RULE_BASE, **mutate(RULE_BASE)))
+
+
+@pytest.mark.parametrize("sets", [
+    {"v_sets": ((1, 2, 9),) + RULE_BASE.v_sets[1:]},
+    {"w_sets": ((5, 9), RULE_BASE.w_sets[1])},
+])
+def test_a_round_reading_a_wire_past_the_last_raises_at_construction(sets):
+    """The rules would read theta past its end. read_program refuses
+    such a line, so only Python code can build the program."""
+    with pytest.raises(ValueError, match="round 1 reads wire 9, past the last wire 8"):
+        dataclasses.replace(RULE_BASE, **sets)
 
 
 @given(st.integers(0, 2**32 - 1))
