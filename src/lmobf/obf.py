@@ -641,9 +641,10 @@ def _honest_run(
     mode: str,
     suite: OracleSuite,
 ):
-    """Sign x, walk the layers and query the layer oracle on each batch
-    of codewords. Returns the first Reject, or the transcript (complete
-    up to the output query) with the pair each layer query carried.
+    """Sign x, walk the layers and send suite the layer query of each
+    batch of codewords. Returns the first Reject, or the record of the
+    run: every query sent, as (round, transcript, pair), and last the
+    output query (t+1, transcript, ()), which it does not send.
 
     "physical" walks the encoded register, whose reads are the
     codewords. "logical" walks the unencoded program wires and dresses
@@ -653,7 +654,7 @@ def _honest_run(
     if mode not in ("physical", "logical"):
         raise ValueError(f"unknown mode {mode!r}")
     transcript = Transcript(x=x, signature=tok_sign(x, program.token, rng))
-    w_pairs: list[CodewordTuple] = []
+    record: list[tuple[int, Transcript, CodewordTuple]] = []
     reject: Optional[Reject] = None
 
     def visit(layer: Layer, code: int, read: dict) -> bool:
@@ -667,20 +668,19 @@ def _honest_run(
             reads = {r.wire: r for r in key.reads[layer.index - 1]}
             vectors = [honest_codeword(reads[w], read[w][1], rng) for w in wires]
         transcript = transcript.with_codewords(tuple(vectors[: len(layer.v)]))
+        record.append((layer.index, transcript, tuple(vectors[len(layer.v) :])))
         if layer.final:
             return False
-        w_pair = tuple(vectors[len(layer.v) :])
-        reply = suite.query_f(layer.index, transcript, w_pair)
+        reply = suite.query_f(*record[-1])
         if is_bot(reply):
             reject = reply
             return False
         transcript = transcript.with_label(reply[1])
-        w_pairs.append(w_pair)
         return True
 
     register = EncodedRegister(key) if mode == "physical" else LogicalRegister(key.program)
     walk(register, x, rng, visit)
-    return reject if reject is not None else (transcript, w_pairs)
+    return record if reject is None else reject
 
 
 def qeval(
@@ -708,11 +708,8 @@ def qeval(
         mode = "physical" if program.num_code_qubits <= QUBIT_CAP else "logical"
     if suite is None:
         suite = program.suite
-    run = _honest_run(x, program, rng, mode, suite)
-    if is_bot(run):
-        return run
-    transcript, _ = run
-    return suite.query_g(transcript)
+    record = _honest_run(x, program, rng, mode, suite)
+    return record if is_bot(record) else suite.query_g(record[-1][1])
 
 
 def induced_map(program: LMProgram) -> Callable[[BitVector], BitVector]:
@@ -759,13 +756,13 @@ class AttackReport:
         lines.extend(f"note {n}" for n in self.notes)
         return "\n".join(lines)
 
-
-def _tally(report: AttackReport, reply: object) -> None:
-    if is_bot(reply):
-        report.rejected += 1
-        report.reasons[reply.reason] = report.reasons.get(reply.reason, 0) + 1
-    else:
-        report.accepted += 1
+    def count(self, reason: Optional[str]) -> None:
+        """Tally one trial: refused for reason, or accepted if None."""
+        if reason is None:
+            self.accepted += 1
+        else:
+            self.rejected += 1
+            self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
 
 def _sample_outside(space: Subspace, rng: np.random.Generator) -> BitVector:
@@ -780,15 +777,6 @@ _DEFAULT_TRIALS = {"pauli-tamper": 1000, "label-forge": 10_000, "replay": 100, "
 _NEEDS_A_LAYER = {"label-forge": "label forgery", "replay": "label replay"}
 
 
-def _ask(key: OracleKey, transcript: Transcript, w_pairs: list[CodewordTuple], layer: int):
-    """oracle_f at layer on the transcript's first layer codeword layers and
-    layer-1 labels; past the last layer, oracle_g on the whole transcript."""
-    if layer > key.program.t:
-        return oracle_g(key, transcript)
-    v, labels = transcript.v_layers[:layer], transcript.labels[: layer - 1]
-    return oracle_f(key, layer, replace(transcript, v_layers=v, labels=labels), w_pairs[layer - 1])
-
-
 def attack_harness(
     kind: str,
     program: ObfuscatedProgram,
@@ -796,75 +784,85 @@ def attack_harness(
     trials: Optional[int] = None,
 ):
     """Scripted adversaries against one obfuscation. Each starts from one
-    honest logical evaluation on the all-zero input and returns a tally
-    of oracle responses with their reasons (the adversarial surface
-    shows a bare BOT), or the Reject if that honest evaluation itself
-    was refused.
+    honest logical evaluation on the all-zero input, tampers copies of
+    one query it recorded and asks program.suite, the suite that answered
+    the honest run, so replace(program, suite=simulated_suite(...))
+    attacks the simulated oracles. Returns a tally of the replies with
+    their reasons (the adversarial surface shows a bare BOT), or the
+    Reject if the honest evaluation itself was refused.
 
-    pauli-tamper  flip an out-of-code error onto one honest codeword
-    label-forge   guess a chained label uniformly at random
-    replay        reuse a genuine label under fresh layer-1 codewords
+    pauli-tamper  flip an out-of-code error onto one round-1 codeword
+    label-forge   guess label 1 uniformly at random
+    replay        reuse label 1 under fresh round-1 codewords
     mixed-input   try to obtain signatures on two different inputs
     """
-    key = program.key
-    lm = key.program
+    lm, key, suite = program.key.program, program.key, program.suite
+    first = lm.layers[0]
     if kind not in _DEFAULT_TRIALS:
         raise ValueError(f"unknown attack kind {kind!r}")
     if kind in _NEEDS_A_LAYER and lm.t < 1:
         raise ValueError(f"{_NEEDS_A_LAYER[kind]} needs at least one measurement layer")
+    if kind == "pauli-tamper" and not first.phi:
+        raise ValueError("pauli tampering needs a wire that round 1 reads")
+    if kind == "replay" and not first.v:
+        raise ValueError("label replay needs a wire in V1")
     trials = _DEFAULT_TRIALS[kind] if trials is None else trials
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    record = _honest_run(BitVector.zeros(lm.num_input_bits), program, rng, "logical", suite)
+    if is_bot(record):
+        return record
     report = AttackReport(kind, 0, 0, {})
-    x = BitVector.zeros(lm.num_input_bits)
-    run = _honest_run(x, program, rng, "logical", real_suite(key))
-    if is_bot(run):
-        return run
-    transcript, w_pairs = run
-    layer1 = lm.layers[0]
-    v1_wires = layer1.v
+    i = 2 if kind in _NEEDS_A_LAYER else 1
+    _, tr, pair = record[i - 1]
+
+    def ask(transcript: Transcript, w_pair: CodewordTuple):
+        return suite.query_f(i, transcript, w_pair) if i <= lm.t else suite.query_g(transcript)
+
     if kind == "pauli-tamper":
-        auth_key = key.auth_key
-        for _ in range(trials):
+        auth_key, reads = key.auth_key, key.reads[0]
+
+        def tamper():
             # An error outside the accepted space of the read it lands on.
-            read = key.reads[0][int(rng.integers(len(key.reads[0])))]
-            target = read.wire
-            accept = auth_key.accept_space_z if read.basis == 0 else auth_key.accept_space_x
-            err = _sample_outside(accept, rng)
-            v1, w1 = list(transcript.v_layers[0]), list(w_pairs[0] if w_pairs else ())
-            if target in v1_wires:
-                v1[v1_wires.index(target)] ^= err
-            else:
-                w1[layer1.w.index(target)] ^= err
-            tampered = replace(transcript, v_layers=(tuple(v1),) + transcript.v_layers[1:])
-            _tally(report, _ask(key, tampered, [tuple(w1)] + w_pairs[1:], 1))
+            k = int(rng.integers(len(reads)))
+            accept = auth_key.accept_space_z if reads[k].basis == 0 else auth_key.accept_space_x
+            words = [list(tr.v_layers[0]), list(pair)]
+            r, j = first.at[k]
+            words[r][j] ^= _sample_outside(accept, rng)
+            return replace(tr, v_layers=(tuple(words[0]),)), tuple(words[1])
+
     elif kind == "label-forge":
-        for _ in range(trials):
+
+        def tamper():
             guess = BitVector.from_ints(rng.integers(0, 2, size=key.label_bits))
-            forged = replace(transcript, labels=(guess,) + transcript.labels[1:])
-            _tally(report, _ask(key, forged, w_pairs, 2))
+            return replace(tr, labels=(guess,)), pair
+
     elif kind == "replay":
-        reads1 = tuple(r for r in key.reads[0] if r.wire in v1_wires)
-        bits1 = dec(reads1, transcript.v_layers[0]).bits
-        for _ in range(trials):
-            fresh = tuple(honest_codeword(r, b, rng) for r, b in zip(reads1, bits1))
-            if fresh == transcript.v_layers[0]:
-                continue
-            swapped = replace(transcript, v_layers=(fresh,) + transcript.v_layers[1:])
-            _tally(report, _ask(key, swapped, w_pairs, 2))
+        v1 = tr.v_layers[0]
+        reads = tuple(r for r in key.reads[0] if r.wire in first.v)
+        bits = dec(reads, v1).bits
+
+        def tamper():
+            fresh = tuple(honest_codeword(r, b, rng) for r, b in zip(reads, bits))
+            return None if fresh == v1 else (replace(tr, v_layers=(fresh,) + tr.v_layers[1:]), pair)
+
     else:
         x_other = BitVector.from_int(1 << (lm.num_input_bits - 1), lm.num_input_bits)
         for _ in range(trials):
             try:
                 tok_sign(x_other, program.token, rng)
             except RuntimeError:
-                report.rejected += 1
-                report.reasons["sign-consumed"] = report.reasons.get("sign-consumed", 0) + 1
+                report.count("sign-consumed")
             else:
-                report.accepted += 1
-        reply = _ask(key, replace(transcript, x=x_other), w_pairs, 1)
-        verdict = "rejected" if is_bot(reply) else "accepted"
+                report.count(None)
+        verdict = "rejected" if is_bot(ask(replace(tr, x=x_other), pair)) else "accepted"
         report.notes = (f"signature replay under flipped input: {verdict}",)
+        return report
+    for _ in range(trials):
+        query = tamper()
+        if query is not None:
+            reply = ask(*query)
+            report.count(reply.reason if is_bot(reply) else None)
     return report
 
 

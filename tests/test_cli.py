@@ -315,6 +315,50 @@ def test_pauli_tamper_on_a_hadamard_read_first_round(tmp_path, capsys):
     )
 
 
+# A structurally valid program whose round 1 reads no wire: V1 and W1
+# are empty, f1 is the constant 0, and g outputs m1, which is always 0
+# (a program's input wires start at zero).
+ROUND_1_EMPTY = """wires 1
+inputs 1
+t 1
+state 1 input 1
+L1: -
+L2: -
+theta1: -
+theta2: 1=0
+V1: -
+V2: 1
+W1: -
+f1:
+nodes 1
+0 const 0
+out r 0
+g:
+nodes 1
+0 in m1
+out y1 0
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("pauli-tamper", "pauli tampering needs a wire that round 1 reads"),
+        ("replay", "label replay needs a wire in V1"),
+    ],
+)
+def test_attack_refuses_a_key_whose_round_1_reads_no_wire(tmp_path, capsys, kind, message):
+    """pauli-tamper has no codeword of round 1 to hit, and replay no V1
+    codeword to draw afresh: each is a usage error that says so."""
+    (tmp_path / "prog.txt").write_text(ROUND_1_EMPTY)
+    obf = str(tmp_path / "obf")
+    assert invoke(["obfuscate", str(tmp_path / "prog.txt"), "-o", obf, *OBF_FLAGS]) == 0
+    assert invoke(["eval", obf, "1"]) == 0
+    assert capsys.readouterr().out.endswith("\n0\n")
+    assert invoke(["attack", obf, kind]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("damage", ["missing directory", "key cut after its first line"])
 @pytest.mark.parametrize("command", ["eval", "attack", "oracle-serve"])
 def test_unusable_directory_is_one_error_line(workdir, tmp_path, capsys, monkeypatch, command, damage):

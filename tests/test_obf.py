@@ -45,6 +45,7 @@ from lmobf.obf import (
     Reject,
     _answer,
     _framed,
+    _honest_run,
     Transcript,
     attack_harness,
     encode_f_request,
@@ -89,26 +90,14 @@ def make_obf(circuit: Circuit, seed: int = 0, params: ObfParams = PARAMS):
 
 
 def honest_transcript(circuit: Circuit, x: BitVector, seed: int = 0):
-    """Walk one honest logical evaluation and keep every intermediate
-    query: returns the obfuscation, the list of (layer, transcript,
-    w_pair) queries as sent, and the final transcript."""
+    """One honest logical evaluation from its record: returns the
+    obfuscation, the list of (layer, transcript, w_pair) queries as sent,
+    and the final transcript."""
     program, obf = make_obf(circuit, seed)
-    queries = []
-    final = []
-
-    def query_f(i, tr, w):
-        queries.append((i, tr, w))
-        reply = obf.suite.query_f(i, tr, w)
-        assert not is_bot(reply)
-        return reply
-
-    def query_g(tr):
-        final.append(tr)
-        return obf.suite.query_g(tr)
-
-    suite = OracleSuite(query_f, query_g)
-    qeval(x, obf, np.random.default_rng(seed + 1), mode="logical", suite=suite)
-    return obf, queries, final[0]
+    record = _honest_run(x, obf, np.random.default_rng(seed + 1), "logical", obf.suite)
+    assert not is_bot(record)
+    *queries, (_, final, _) = record
+    return obf, queries, final
 
 
 def flip_bit(v: BitVector, pos: int) -> BitVector:
@@ -626,20 +615,10 @@ def _deep_chain():
         params=ObfParams(security=1, token_dim=16),
     )
     assert program.t == 104
-    queries, final = [], []
-
-    def query_f(i, tr, w):
-        queries.append((i, tr, w))
-        return obf.suite.query_f(i, tr, w)
-
-    def query_g(tr):
-        final.append(tr)
-        return obf.suite.query_g(tr)
-
-    suite = OracleSuite(query_f, query_g)
-    y = qeval(BitVector((1,)), obf, np.random.default_rng(6), mode="logical", suite=suite)
-    assert y == BitVector((1,))
-    return obf.key, queries[-1], final[0]
+    record = _honest_run(BitVector((1,)), obf, np.random.default_rng(6), "logical", obf.suite)
+    _, final, _ = record[-1]
+    assert obf.suite.query_g(final) == BitVector((1,))
+    return obf.key, record[-2], final
 
 
 def _identity(x: BitVector) -> BitVector:
@@ -816,6 +795,31 @@ def test_qeval_consumes_the_token():
     assert not is_bot(qeval(x, obf, np.random.default_rng(1)))
     with pytest.raises(RuntimeError):
         qeval(x, obf, np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("mode", ["logical", "physical"])
+def test_the_record_holds_every_query_qeval_sends(mode):
+    """On the same seeds, the record of an honest run lists the layer
+    queries qeval sends, in order, and last the output query it sends."""
+    program = compile_circuit(T_T)
+    x = BitVector((1,))
+    obf = qobf(PARAMS, program, np.random.default_rng(26))
+    sent = []
+
+    def query_f(i, tr, w):
+        sent.append((i, tr, w))
+        return obf.suite.query_f(i, tr, w)
+
+    def query_g(tr):
+        sent.append((program.t + 1, tr, ()))
+        return obf.suite.query_g(tr)
+
+    y = qeval(x, obf, np.random.default_rng(27), mode, OracleSuite(query_f, query_g))
+    assert y == x
+    obf = qobf(PARAMS, program, np.random.default_rng(26))
+    record = _honest_run(x, obf, np.random.default_rng(27), mode, obf.suite)
+    assert record == sent
+    assert [i for i, _, _ in record] == [1, 2, 3]
 
 
 def test_qeval_trace_and_emission_log():
@@ -1119,6 +1123,62 @@ def test_attack_reason_codes():
     assert mixed.notes and "rejected" in mixed.notes[0]
 
 
+H_ONLY = Circuit(1, 1, (Gate("H", (1,)),), (1,))
+H_T_T_H = Circuit(1, 1, (Gate("H", (1,)), Gate("T", (1,)), Gate("T", (1,)), Gate("H", (1,))), (1,))
+
+
+@pytest.mark.parametrize("circuit", [CNOT_T, H_T_T_H, H_ONLY], ids=["cnot-t", "h-t-t-h", "h"])
+def test_attacks_tally_alike_against_the_real_and_the_simulated_oracles(circuit):
+    """Each attack kind, on two obfuscations from one seed, one answered
+    by its real suite and one by the simulated suite on its own V_k,
+    gives the same report text on the same seeds. label-forge and replay
+    refuse the H program (t = 0) with one message either way."""
+    program = compile_circuit(circuit)
+    q_fn = induced_map(program)
+    for seed in (70, 71, 72):
+        for kind in ("pauli-tamper", "label-forge", "replay", "mixed-input"):
+            texts = []
+            for simulated in (False, True):
+                obf = qobf(PARAMS, program, np.random.default_rng(seed))
+                if simulated:
+                    obf = replace(obf, suite=simulated_suite(obf.key.chain, obf.key.verify, q_fn))
+                try:
+                    report = attack_harness(kind, obf, np.random.default_rng(seed + 10), trials=50)
+                except ValueError as exc:
+                    texts.append(f"refused: {exc}")
+                else:
+                    texts.append(report.to_text())
+            real, sim = texts
+            assert real == sim
+            refused = program.t == 0 and kind in ("label-forge", "replay")
+            assert real.startswith("refused: ") == refused
+
+
+def test_attacks_send_every_query_to_the_programs_suite():
+    """The honest run and every tampered query of an attack go to
+    program.suite: the t layer queries of the run, then one query per
+    tallied trial (one in all for mixed-input's note), at round 2 for the
+    label attacks and round 1 otherwise. A suite that refuses the honest
+    run gets its Reject back."""
+    program = compile_circuit(T_T)
+    for kind in ("pauli-tamper", "label-forge", "replay", "mixed-input"):
+        obf = qobf(PARAMS, program, np.random.default_rng(73))
+        base, asked = obf.suite, []
+
+        def query_f(i, tr, w, base=base, asked=asked):
+            asked.append(i)
+            return base.query_f(i, tr, w)
+
+        obf.suite = OracleSuite(query_f, base.query_g)
+        report = attack_harness(kind, obf, np.random.default_rng(74), trials=20)
+        i = 2 if kind in ("label-forge", "replay") else 1
+        assert asked == [1, 2] + [i] * (1 if kind == "mixed-input" else report.trials)
+    obf = qobf(PARAMS, program, np.random.default_rng(75))
+    obf.suite = OracleSuite(lambda i, tr, w: Reject("bad-token", i), obf.suite.query_g)
+    refused = attack_harness("replay", obf, np.random.default_rng(76), trials=5)
+    assert refused == Reject("bad-token", 1)
+
+
 def test_attack_harness_guards():
     program, obf = make_obf(IDENTITY, seed=49)
     with pytest.raises(ValueError):
@@ -1331,19 +1391,10 @@ def _wide_label_lines(label_bits: int):
     """The key and the request lines of one honest evaluation of T_T
     (t = 2) under labels of label_bits bits."""
     _, obf = make_obf(T_T, seed=63, params=replace(PARAMS, label_bits=label_bits))
-    lines = []
-
-    def query_f(i, tr, w):
-        lines.append(encode_f_request(i, tr, w))
-        return obf.suite.query_f(i, tr, w)
-
-    def query_g(tr):
-        lines.append(encode_g_request(tr))
-        return obf.suite.query_g(tr)
-
     x = BitVector((1,))
-    suite = OracleSuite(query_f, query_g)
-    assert qeval(x, obf, np.random.default_rng(64), mode="logical", suite=suite) == x
+    *queries, (_, final, _) = _honest_run(x, obf, np.random.default_rng(64), "logical", obf.suite)
+    assert obf.suite.query_g(final) == x
+    lines = [encode_f_request(*query) for query in queries] + [encode_g_request(final)]
     return obf.key, tuple(lines)
 
 
