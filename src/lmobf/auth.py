@@ -10,7 +10,7 @@ its Hadamard-side code and accepted spaces from its code.
 
 wire_reads works out, once per CNOT list and theta, how each measured
 wire's block is read: its basis, its code and the wire's mask pushed
-through the CNOTs. dec_words, dec, ver and honest_codeword all take
+through the CNOTs. dec_words, dec, ver and honest_codewords all take
 those reads. The scheme knows nothing of the programs it protects: a
 round's measurement over the encoded register is lm.read_spec with
 dec_words as its decoder.
@@ -31,7 +31,7 @@ from .gf2 import (
     coset_decode,
     dual,
     parity,
-    sample_coset_vector,
+    sample_coset_vectors,
     sample_subspace,
 )
 from .sim import BOT, StateVector, apply_cnots, apply_encoding_isometry
@@ -85,7 +85,10 @@ def gen(security: int, num_wires: int, rng: np.random.Generator) -> AuthKey:
         delta = BitVector.from_ints(rng.integers(0, 2, size=p))
         if not space.contains(delta):
             break
-    masks = tuple(BitVector.from_ints(rng.integers(0, 2, size=p)) for _ in range(2 * num_wires))
+    # One call for every mask: a bounded draw of range 2 takes one 32-bit
+    # word per bit, so the stream is that of one call per mask.
+    words = rng.integers(0, 2, size=(2 * num_wires, p)) @ (1 << np.arange(p - 1, -1, -1))
+    masks = tuple(BitVector.from_int(w, p) for w in words.tolist())
     return AuthKey(security, num_wires, space, delta, masks[:num_wires], masks[num_wires:])
 
 
@@ -287,7 +290,16 @@ def key_from_text(text: str) -> AuthKey:
     return parse(text, read_key)
 
 
+def honest_codewords(
+    reads: Reads, logical_bits: Sequence[int], rng: np.random.Generator
+) -> CodewordTuple:
+    """Per read and logical bit, a vector an untampered read of the wire
+    could yield, all from one sample_coset_vectors draw."""
+    cosets = [(r.space, r.shift ^ r.delta if b else r.shift) for r, b in zip(reads, logical_bits)]
+    return sample_coset_vectors(cosets, rng)
+
+
 def honest_codeword(read: WireRead, logical_bit: int, rng: np.random.Generator) -> BitVector:
-    """Sample a vector an untampered read of the wire could yield."""
-    base = read.shift ^ read.delta if logical_bit else read.shift
-    return sample_coset_vector(read.space, base, rng)
+    """One read's vector, as honest_codewords draws it."""
+    (v,) = honest_codewords((read,), (logical_bit,), rng)
+    return v

@@ -269,13 +269,29 @@ def coset_vector(space: Subspace, shift: BitVector, rank: int) -> BitVector:
     return BitVector.from_int(acc, space.ambient_dim)
 
 
+def sample_coset_vectors(
+    cosets: Sequence[tuple[Subspace, BitVector]], rng: np.random.Generator
+) -> tuple[BitVector, ...]:
+    """A uniform vector of each coset space + shift, drawn from the
+    coset's least representative so that equal cosets give equal draws.
+    One rng.integers call draws the rank bits of every coset, first coset
+    first: a bounded draw of range 2 takes one 32-bit word per bit, so
+    the stream is that of one call per coset."""
+    dims = [space.dim for space, _ in cosets]
+    bits = iter(rng.integers(0, 2, size=sum(dims)).tolist())
+    out = []
+    for (space, shift), dim in zip(cosets, dims):
+        rank = 0
+        for _ in range(dim):
+            rank = rank << 1 | next(bits)
+        out.append(coset_vector(space, shift, rank))
+    return tuple(out)
+
+
 def sample_coset_vector(space: Subspace, shift: BitVector, rng: np.random.Generator) -> BitVector:
-    """Uniform vector of space + shift, drawn from the coset's least
-    representative so that equal cosets give equal draws."""
-    rank = 0
-    for bit in rng.integers(0, 2, size=space.dim) if space.dim else ():
-        rank = rank << 1 | int(bit)
-    return coset_vector(space, shift, rank)
+    """One coset's vector, as sample_coset_vectors draws it."""
+    (v,) = sample_coset_vectors([(space, shift)], rng)
+    return v
 
 
 def coset_decode(s: Subspace, delta: BitVector, shift: BitVector, words):

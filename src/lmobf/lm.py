@@ -244,14 +244,25 @@ class FnBuilder:
         return ClassicalFn(tuple(nodes), tuple((n, renum[i]) for n, i in outputs))
 
 
+def _shared(state: StateVector) -> StateVector:
+    """state with its arrays made read-only: every walk shares it, so an
+    in-place write raises instead of reaching later runs."""
+    state.support.flags.writeable = state.values.flags.writeable = False
+    return state
+
+
+# Built once; every admission of a magic wire shares them.
+_MAGIC = {
+    "H": _shared(StateVector(2, np.array([0.5, 0.5, 0.5, -0.5], dtype=np.complex128))),
+    "T": _shared(StateVector(1, np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2))),
+    "PX": _shared(StateVector(1, np.array([1j, 1]) / np.sqrt(2))),
+}
+
+
 def magic_state(kind: str) -> StateVector:
-    if kind == "H":
-        return StateVector(2, np.array([0.5, 0.5, 0.5, -0.5], dtype=np.complex128))
-    if kind == "T":
-        return StateVector(1, np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2))
-    if kind == "PX":
-        return StateVector(1, np.array([1j, 1]) / np.sqrt(2))
-    raise ValueError(f"unknown magic state kind {kind!r}")
+    if kind not in _MAGIC:
+        raise ValueError(f"unknown magic state kind {kind!r}")
+    return _MAGIC[kind]
 
 
 # state_spec tags: ("zero",), ("input", j), ("magic_t",), ("magic_px",),
@@ -422,7 +433,7 @@ class LMProgram:
 
 
 # The 0-qubit register every walk starts from.
-EMPTY = StateVector(0, np.ones(1, dtype=np.complex128))
+EMPTY = _shared(StateVector(0, np.ones(1, dtype=np.complex128)))
 
 
 def initial_state(program: LMProgram, wires: Sequence[int]) -> StateVector:

@@ -53,7 +53,7 @@ from .auth import (
     dec_words,
     enc,
     gen,
-    honest_codeword,
+    honest_codewords,
     key_to_text,
     lin_eval,
     pauli_update,
@@ -666,7 +666,7 @@ def _honest_run(
             vectors = [read[w] for w in wires]
         else:
             reads = {r.wire: r for r in key.reads[layer.index - 1]}
-            vectors = [honest_codeword(reads[w], read[w][1], rng) for w in wires]
+            vectors = honest_codewords([reads[w] for w in wires], [read[w][1] for w in wires], rng)
         transcript = transcript.with_codewords(tuple(vectors[: len(layer.v)]))
         record.append((layer.index, transcript, tuple(vectors[len(layer.v) :])))
         if layer.final:
@@ -843,7 +843,7 @@ def attack_harness(
         bits = dec(reads, v1).bits
 
         def tamper():
-            fresh = tuple(honest_codeword(r, b, rng) for r, b in zip(reads, bits))
+            fresh = honest_codewords(reads, bits, rng)
             return None if fresh == v1 else (replace(tr, v_layers=(fresh,) + tr.v_layers[1:]), pair)
 
     else:

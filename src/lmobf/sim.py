@@ -29,7 +29,13 @@ BitVector.value, to the int code of its label (-1 for BOT, a substring
 that does not decode), and only the distinction between labels
 collapses the state. Basis states that share a label keep their
 relative amplitudes. Qubits a measurement consumes are sliced out at
-the bits the outcome fixes.
+the bits the outcome fixes. One stable argsort groups the entries by
+the row of the measured register they lie in, and another the rows by
+label code; classes are numbered in the order their first rows occur.
+measure draws a class, then a row of it. Each draw takes one uniform,
+rng.random(), and returns the index Generator.choice(len(w),
+p=w / w.sum()) returns for the weights w: the first entry of the
+normalised cumulative sum above the uniform.
 
 Every amplitude and probability equals, bit for bit, what the dense
 layout (2^n amplitudes, the tensor axes moved and multiplied) computes.
@@ -182,7 +188,7 @@ def _bits_at(index: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
     """Each index's bits at the 0-based qubits, ascending, packed with the
     first as the most significant bit. A run of adjacent qubits is one
     shift and mask."""
-    out = np.zeros_like(index)
+    out = np.zeros(len(index), dtype=np.int64)
     for first, count in _runs(qubits):
         out = out << count | index >> (n - first - count) & (1 << count) - 1
     return out
@@ -195,6 +201,20 @@ def _drop_bits(index: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
         low = n - first - count
         index = index >> (n - first) << low | index & (1 << low) - 1
     return index
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What np.unique's inverse and index give, from one stable argsort:
+    each key's group, the distinct keys numbered in ascending order, and
+    each group's first position in keys."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    starts[1:] = ordered[1:] != ordered[:-1]
+    group = np.empty(len(keys), dtype=np.int64)
+    group[order] = starts.cumsum() - 1
+    return group, order[starts]
 
 
 def _rotate(
@@ -217,12 +237,14 @@ def _rotate(
         block = np.zeros((2,) * n, dtype=np.complex128)
         block.reshape(-1)[support] = values
         block = _on_pairs(block, qubits, matrix).reshape(-1)
-        support = np.flatnonzero(block)
+        support = block.nonzero()[0]
         return support, block[support]
     for first, count in _runs(qubits):
         low = n - first - count
         width = 1 << count
-        keys, group = np.unique(support & ~(width - 1 << low), return_inverse=True)
+        off_run = support & ~(width - 1 << low)
+        group, first = _group(off_run)
+        keys = off_run[first]
         step = max(1, 16 // width)
         rows = -(-len(keys) // step) * step
         _check_size(n, rows * width)
@@ -394,6 +416,19 @@ class _Classes(NamedTuple):
     class_probs: np.ndarray
 
 
+def _draw(rng: np.random.Generator, weights: np.ndarray) -> int:
+    """The index rng.choice(len(weights), p=weights / weights.sum())
+    returns, from the same one uniform, without choice's per-call checks:
+    the normalised cumulative sum searched at rng.random()."""
+    if not len(weights):
+        raise ValueError("cannot draw from no weights")
+    cdf = (weights / weights.sum()).cumsum()
+    if math.isnan(cdf[-1]):
+        raise ValueError("weights contain NaN")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), "right"))
+
+
 def _measurement_classes(state: StateVector, spec: MeasurementSpec) -> _Classes:
     """Shared core: rotate X qubits, group the entries by the row of the
     measured register they lie in, and the rows by label code. The
@@ -411,16 +446,18 @@ def _measurement_classes(state: StateVector, spec: MeasurementSpec) -> _Classes:
     support, values = _rotate(n, state.support, state.values, x_qubits, _GATES_1Q["H"])
     row_of = _bits_at(support, n, axes)
     if axes == tuple(range(len(axes))):  # leading qubits: rows ascend with the support
-        starts = np.ones(len(row_of), dtype=bool)
+        starts = np.empty(len(row_of), dtype=bool)
+        starts[:1] = True
         starts[1:] = row_of[1:] != row_of[:-1]
-        present, entry_row = row_of[starts], np.cumsum(starts) - 1
+        present, entry_row = row_of[starts], starts.cumsum() - 1
     else:
-        present, entry_row = np.unique(row_of, return_inverse=True)
+        entry_row, first = _group(row_of)
+        present = row_of[first]
     probs = values.real**2 + values.imag**2
     present_probs = np.zeros(len(present))
     present_probs[entry_row] = probs  # exact for a row of one entry
-    shared_rows = np.bincount(entry_row) > 1
-    if shared_rows.any():
+    if len(present) < len(row_of):  # some row holds several entries
+        shared_rows = np.bincount(entry_row) > 1
         slot = np.cumsum(shared_rows) - 1  # each shared row's scratch row
         shared = shared_rows[entry_row]
         rest = _bits_at(support[shared], n, [q for q in range(n) if spec.basis[q] is None])
@@ -431,40 +468,40 @@ def _measurement_classes(state: StateVector, spec: MeasurementSpec) -> _Classes:
     live = present_probs > 1e-24
     rows = present[live]
     codes = rows if spec.outcome_fn is None else np.asarray(spec.outcome_fn(rows), np.int64)
-    uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    cls = rank[inverse]
+    group, first = _group(codes)
+    is_first = np.zeros(len(codes), dtype=bool)
+    is_first[first] = True
+    cls = (is_first.cumsum() - 1)[first][group]  # groups ranked by first occurrence
     row_probs = present_probs[live]
     row_class = np.full(len(present), -1)
     row_class[live] = cls
     return _Classes(
         axes, support, values, row_class[entry_row], rows, row_probs, cls,
-        uniq[order], np.bincount(cls, row_probs),
+        codes[is_first], np.bincount(cls, row_probs),
     )
 
 
 def _collapse(
-    spec: MeasurementSpec, c: _Classes, picked: np.ndarray, ends: np.ndarray
+    spec: MeasurementSpec, c: _Classes, members: Sequence[tuple[int, np.ndarray]]
 ) -> list[StateVector]:
-    """The post state of each class whose entries picked lists, class
-    after class, with class k at picked[ends[k]:ends[k + 1]]: its
-    entries renormalised by its probability, with the consumed qubits,
-    whose bits the class shares, sliced out. Then the X qubits that are
-    left rotate back out of the Hadamard basis."""
+    """The post state of each class k whose entries, in ascending order,
+    members pairs with it as (k, entries): those entries renormalised by
+    the class's probability, with the consumed qubits, whose bits the
+    class shares, sliced out. Then the X qubits that are left rotate
+    back out of the Hadamard basis."""
     n = len(spec.basis)
-    index = c.support[picked]
-    values = c.values[picked] / np.sqrt(c.class_probs)[c.entry_class[picked]]
-    fixed = index & sum(1 << n - q for q in spec.consumed)
-    if np.any(fixed != np.repeat(fixed[ends[:-1]], np.diff(ends))):
-        raise ValueError("the outcome does not fix every consumed qubit")
-    index = _drop_bits(index, n, [q - 1 for q in sorted(spec.consumed)])
-    left = [q for q in range(n) if q + 1 not in spec.consumed]
+    consumed = [q - 1 for q in sorted(spec.consumed)]
+    mask = sum(1 << n - 1 - q for q in consumed)
+    left = [q for q in range(n) if q not in consumed]
     x_left = [k for k, q in enumerate(left) if spec.basis[q] == "X"]
+    scale = np.sqrt(c.class_probs)
     posts = []
-    for a, b in zip(ends[:-1].tolist(), ends[1:].tolist()):
-        post = _rotate(len(left), index[a:b], values[a:b], x_left, _GATES_1Q["H"])
+    for k, entries in members:
+        index = c.support[entries]
+        if mask and (index & mask != index[0] & mask).any():
+            raise ValueError("the outcome does not fix every consumed qubit")
+        index = _drop_bits(index, n, consumed)
+        post = _rotate(len(left), index, c.values[entries] / scale[k], x_left, _GATES_1Q["H"])
         posts.append(StateVector._of(len(left), *post))
     return posts
 
@@ -476,12 +513,10 @@ def measure(
     concrete substring from within the class. The substring draw does not
     collapse the state further."""
     c = _measurement_classes(state, spec)
-    pick = int(rng.choice(len(c.codes), p=c.class_probs / c.class_probs.sum()))
+    pick = _draw(rng, c.class_probs)
     in_class = c.cls == pick
-    keep_rows, within = c.rows[in_class], c.row_probs[in_class]
-    raw = keep_rows[int(rng.choice(len(keep_rows), p=within / within.sum()))]
-    picked = np.flatnonzero(c.entry_class == pick)
-    (post,) = _collapse(spec, c, picked, np.array([0, len(picked)]))
+    raw = c.rows[in_class][_draw(rng, c.row_probs[in_class])]
+    (post,) = _collapse(spec, c, [(pick, (c.entry_class == pick).nonzero()[0])])
     return MeasurementResult(int(c.codes[pick]), BitVector.from_int(int(raw), len(c.axes)), post)
 
 
@@ -492,8 +527,9 @@ def measure_branches(
     states, in first-occurrence order of the labels."""
     c = _measurement_classes(state, spec)
     by_class = np.argsort(c.entry_class, kind="stable")  # ascending support within a class
-    ends = np.cumsum(np.bincount(c.entry_class + 1, minlength=len(c.codes) + 1))
-    posts = _collapse(spec, c, by_class[ends[0] :], ends - ends[0])
+    ends = np.cumsum(np.bincount(c.entry_class + 1, minlength=len(c.codes) + 1)).tolist()
+    members = [(k, by_class[a:b]) for k, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
+    posts = _collapse(spec, c, members)
     return list(zip(c.codes.tolist(), c.class_probs.tolist(), posts))
 
 

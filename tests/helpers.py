@@ -8,8 +8,8 @@ from itertools import product
 import numpy as np
 
 import lmobf.obf as obf_mod
-from lmobf.auth import dec_words, enc, pauli_update
-from lmobf.gf2 import BitVector, concat, coset_decode, split
+from lmobf.auth import AuthKey, dec_words, enc, pauli_update
+from lmobf.gf2 import BitVector, concat, coset_decode, sample_subspace, split
 from lmobf.sim import (
     BOT,
     MeasurementSpec,
@@ -207,6 +207,19 @@ def reference_enc(key, logical: StateVector) -> StateVector:
     return apply_pauli_mask(state, concat(key.x_masks), concat(key.z_masks))
 
 
+def reference_gen(security: int, num_wires: int, rng: np.random.Generator) -> AuthKey:
+    """auth.gen with one rng.integers call per mask: the per-call stream
+    that gen's one call for every mask must reproduce."""
+    p = 2 * security + 1
+    space = sample_subspace(p, security, rng)
+    while True:
+        delta = BitVector.from_ints(rng.integers(0, 2, size=p))
+        if not space.contains(delta):
+            break
+    masks = tuple(BitVector.from_ints(rng.integers(0, 2, size=p)) for _ in range(2 * num_wires))
+    return AuthKey(security, num_wires, space, delta, masks[:num_wires], masks[num_wires:])
+
+
 def reference_dec(key, cnots, theta, words):
     """Decode the blocks of the wires theta measures, packed in words (an
     int or an int64 array), as dec_words did before the per-round reads:
@@ -349,7 +362,7 @@ def _reference_collapse(spec, axes, psi, keep, prob) -> StateVector:
 def reference_measure_branches(state: StateVector, spec):
     """(label, probability, post state) per class, in first-occurrence
     order. The reference for sim.measure_branches, which groups packed
-    label codes with np.unique and np.bincount."""
+    label codes with one stable argsort and np.bincount."""
     axes, psi, _, classes = _reference_classes(state, spec)
     return [
         (label, prob, _reference_collapse(spec, axes, psi, keep, prob))

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import logical_measure, logical_measure_branches, reference_dec, reference_enc
+from helpers import (
+    logical_measure,
+    logical_measure_branches,
+    reference_dec,
+    reference_enc,
+    reference_gen,
+)
 from lmobf.auth import (
     BOT,
     AuthKey,
@@ -553,3 +559,15 @@ def test_scheme_modules_load_no_program_model(module):
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+@pytest.mark.parametrize("security", [1, 2, 3, 4])
+def test_gen_draws_the_per_mask_stream(security):
+    """gen's one call for every mask gives the key and the generator
+    state of one call per mask: a bounded draw of range 2 takes one
+    32-bit word per bit."""
+    for wires in range(1, 41):
+        rng = np.random.default_rng((security, wires))
+        ref = np.random.default_rng((security, wires))
+        assert gen(security, wires, rng) == reference_gen(security, wires, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state

@@ -16,6 +16,7 @@ from helpers import (
 )
 from lmobf.gf2 import BitVector
 from lmobf.lm import (
+    EMPTY,
     Circuit,
     ClassicalFn,
     FnBuilder,
@@ -169,6 +170,16 @@ def test_magic_states():
     assert np.allclose(px.amplitudes, np.array([1j, 1]) / np.sqrt(2))
     with pytest.raises(ValueError):
         magic_state("S")
+
+
+def test_shared_states_are_read_only():
+    """EMPTY and the magic states are shared by every walk: writing into
+    them raises."""
+    for state in (EMPTY, *(magic_state(kind) for kind in ("H", "T", "PX"))):
+        with pytest.raises(ValueError):
+            state.support[0] = 1
+        with pytest.raises(ValueError):
+            state.values[0] = 0
 
 
 # --- circuit model and text format ----------------------------------------

@@ -934,6 +934,33 @@ def test_logical_honest_runs_are_pinned():
     assert h.hexdigest() == LOGICAL_PIN
 
 
+def test_logical_codewords_draw_the_per_wire_stream(monkeypatch):
+    """The logical route's one draw of a round's coset representatives
+    records the codewords, and leaves the generator state, of one
+    honest_codeword call per wire."""
+    import lmobf.obf as obf_mod
+
+    def per_wire(reads, bits, rng):
+        return tuple(honest_codeword(r, b, rng) for r, b in zip(reads, bits))
+
+    program = compile_circuit(LATE_QUBIT_2)
+    params = ObfParams(security=2, label_bits=32, token_dim=16)
+    accepted = 0
+    for seed in range(8):
+        x = BitVector.from_int(seed % 4, 2)
+        runs = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(obf_mod, "honest_codewords", per_wire)
+            obf = qobf(params, program, np.random.default_rng(seed))
+            rng = np.random.default_rng((seed, 1))
+            runs.append((_honest_run(x, obf, rng, "logical", obf.suite), rng.bit_generator.state))
+            monkeypatch.undo()
+        assert runs[0] == runs[1]
+        accepted += not is_bot(runs[0][0])
+    assert accepted
+
+
 def first_row_of_class(codes: np.ndarray) -> np.ndarray:
     """For each row, the index of the first row with its code: equal
     arrays mean equal partitions into classes, in the same order."""

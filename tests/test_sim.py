@@ -564,11 +564,11 @@ def test_consumed_qubit_must_be_fixed_and_measured():
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_packed_grouping_matches_the_reference(data):
-    """Grouping packed label codes with np.unique and np.bincount, and
-    collapsing into a block of the surviving qubits only, gives the
-    reference's classes in the same order, the same probabilities and
-    bit-identical post states; with equal seeds, measure draws what the
-    reference draws."""
+    """Grouping packed label codes with one stable argsort and
+    np.bincount, and collapsing into a block of the surviving qubits
+    only, gives the reference's classes in the same order, the same
+    probabilities and bit-identical post states; with equal seeds,
+    measure draws what the reference draws."""
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n = data.draw(st.integers(1, 6))
@@ -613,6 +613,31 @@ def assert_well_formed(state):
     assert np.all(np.diff(support) > 0)
     assert len(support) == 0 or 0 <= support[0] and support[-1] < 2**state.num_qubits
     assert abs(np.linalg.norm(state.values) - 1.0) <= 1e-9
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=64).filter(any),
+)
+@settings(max_examples=300, deadline=None)
+def test_draw_is_generator_choice(seed, weights):
+    """_draw returns the index rng.choice(len(w), p=w / w.sum()) returns
+    and leaves the generator in the same state."""
+    w = np.array(weights)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert sim._draw(rng, w) == int(ref.choice(len(w), p=w / w.sum()))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("weights", [[], [0.5, np.nan], [0.0, 0.0]])
+def test_draw_refuses_what_choice_refuses(weights):
+    w = np.array(weights, dtype=float)
+    rng = np.random.default_rng(0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError):
+            rng.choice(len(w), p=w / w.sum())
+        with pytest.raises(ValueError):
+            sim._draw(rng, w)
 
 
 @given(st.data())
