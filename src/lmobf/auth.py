@@ -86,9 +86,14 @@ def gen(security: int, num_wires: int, rng: np.random.Generator) -> AuthKey:
         if not space.contains(delta):
             break
     # One call for every mask: a bounded draw of range 2 takes one 32-bit
-    # word per bit, so the stream is that of one call per mask.
-    words = rng.integers(0, 2, size=(2 * num_wires, p)) @ (1 << np.arange(p - 1, -1, -1))
-    masks = tuple(BitVector.from_int(w, p) for w in words.tolist())
+    # word per bit, so the stream is that of one call per mask. Each row
+    # packs into whole bytes and is read as a Python int, for any p.
+    packed = np.packbits(rng.integers(0, 2, size=(2 * num_wires, p)), axis=1).tobytes()
+    size, pad = len(packed) // (2 * num_wires), -p % 8
+    masks = tuple(
+        BitVector.from_int(int.from_bytes(packed[i : i + size], "big") >> pad, p)
+        for i in range(0, len(packed), size)
+    )
     return AuthKey(security, num_wires, space, delta, masks[:num_wires], masks[num_wires:])
 
 

@@ -243,8 +243,8 @@ def _rotate(
         low = n - first - count
         width = 1 << count
         off_run = support & ~(width - 1 << low)
-        group, first = _group(off_run)
-        keys = off_run[first]
+        group, heads = _group(off_run)
+        keys = off_run[heads]
         step = max(1, 16 // width)
         rows = -(-len(keys) // step) * step
         _check_size(n, rows * width)

@@ -561,11 +561,12 @@ def test_scheme_modules_load_no_program_model(module):
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
-@pytest.mark.parametrize("security", [1, 2, 3, 4])
+@pytest.mark.parametrize("security", [1, 2, 3, 4, 31, 32, 33])
 def test_gen_draws_the_per_mask_stream(security):
     """gen's one call for every mask gives the key and the generator
     state of one call per mask: a bounded draw of range 2 takes one
-    32-bit word per bit."""
+    32-bit word per bit. Security 32 and 33 give masks wider than an
+    int64."""
     for wires in range(1, 41):
         rng = np.random.default_rng((security, wires))
         ref = np.random.default_rng((security, wires))
