@@ -28,7 +28,7 @@ from .gf2 import (
     Subspace,
     canonical_delta_hat,
     concat,
-    coset_decode,
+    coset_class,
     dual,
     parity,
     sample_coset_vectors,
@@ -140,13 +140,22 @@ class WireRead:
     """How one wire's block is read at a round: in basis 0 (standard) a
     block decodes against the code (space, delta), in basis 1
     (Hadamard) against (hat_space, hat_delta), either shifted by shift,
-    the wire's X mask (basis 0) or Z mask (basis 1) after the CNOTs."""
+    the wire's X mask (basis 0) or Z mask (basis 1) after the CNOTs.
+    one is delta reduced against space, worked out once, which is what
+    dec_words compares a reduced block with."""
 
     wire: int
     basis: int
     space: Subspace
     delta: BitVector
     shift: BitVector
+    one: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        one = self.space._reduce(self.delta.value)
+        if not one:
+            raise ValueError("delta must lie outside the subspace")
+        object.__setattr__(self, "one", one)
 
     @classmethod
     def of(cls, key: AuthKey, wire: int, basis: Optional[int], xs, zs) -> WireRead:
@@ -176,12 +185,12 @@ def dec_words(reads: Reads, words: Any) -> Any:
     array, the first block the most significant): the decoded bits packed
     the same way, one per block, or BOT where any block is rejected."""
     code = rejected = words & 0
-    at = sum(len(r.shift) for r in reads)
-    for r in reads:
-        at -= len(r.shift)
-        bit = coset_decode(r.space, r.delta, r.shift, words >> at & (1 << len(r.shift)) - 1)
-        code = code << 1 | bit & 1
+    for k, r in enumerate(reversed(reads)):
+        width = r.space.ambient_dim
+        bit = coset_class(r.space, r.one, words & (1 << width) - 1 ^ r.shift.value)
+        code = code | (bit & 1) << k
         rejected = rejected | bit >> 1  # -1 once a block decodes to -1, else 0
+        words = words >> width
     return code | rejected
 
 

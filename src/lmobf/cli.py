@@ -310,10 +310,16 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_oracle_serve(args: argparse.Namespace) -> int:
     key = _load_key(Path(args.obf_dir))
     sys.stdin.reconfigure(errors="surrogateescape")  # an undecodable byte is a malformed line
-    for line in sys.stdin:
-        if not line.strip():
-            continue
-        print(handle_request_line(key, line), flush=True)
+    try:
+        for line in sys.stdin:
+            if not line.strip():
+                continue
+            print(handle_request_line(key, line), flush=True)
+    except BrokenPipeError:
+        # The reader has left after every line it read was answered. Point
+        # stdout at the null device, so that the flush at exit finds no
+        # closed pipe to report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

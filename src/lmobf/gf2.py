@@ -11,6 +11,7 @@ take packed words accept an int or an int64 array of them alike: `^`,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -40,8 +41,8 @@ class BitVector:
     def from_int(value: int, n: int) -> "BitVector":
         """The n-bit vector whose packed value is value (0 <= value < 2**n)."""
         v = object.__new__(BitVector)
-        object.__setattr__(v, "value", value)
-        object.__setattr__(v, "length", n)
+        _set_value(v, value)
+        _set_length(v, n)
         return v
 
     @staticmethod
@@ -88,6 +89,11 @@ class BitVector:
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""
+
+
+# The slots' own setters, which a frozen instance's __setattr__ refuses;
+# from_int calls them on the vector it is building.
+_set_value, _set_length = BitVector.value.__set__, BitVector.length.__set__
 
 
 def concat(vectors: Iterable[BitVector]) -> BitVector:
@@ -294,14 +300,34 @@ def sample_coset_vector(space: Subspace, shift: BitVector, rng: np.random.Genera
     return v
 
 
+def draw_index(rng: np.random.Generator, weights: np.ndarray) -> int:
+    """The index rng.choice(len(weights), p=weights / weights.sum())
+    returns, from the same one uniform, without choice's per-call checks:
+    the normalised cumulative sum searched at rng.random()."""
+    if not len(weights):
+        raise ValueError("cannot draw from no weights")
+    cdf = (weights / weights.sum()).cumsum()
+    if math.isnan(cdf[-1]):
+        raise ValueError("weights contain NaN")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), "right"))
+
+
+def coset_class(s: Subspace, one: int, words):
+    """Per packed word w (an int or an int64 array): 0 if w is in s, 1
+    if in s+delta, -1 otherwise, where one is s._reduce(delta.value),
+    worked out once by the caller and nonzero."""
+    w = s._reduce(words)
+    return (w == one) * 2 + (w == 0) - 1
+
+
 def coset_decode(s: Subspace, delta: BitVector, shift: BitVector, words):
     """Per packed word w (an int or an int64 array): 0 if w is in
     s+shift, 1 if in s+delta+shift, -1 otherwise."""
     one = s._reduce(delta.value)
     if not one:
         raise ValueError("delta must lie outside the subspace")
-    w = s._reduce(words ^ shift.value)
-    return (w == one) * 2 + (w == 0) - 1
+    return coset_class(s, one, words ^ shift.value)
 
 
 # Kept for the benchmark tracer, which looks this name up; a benchmark

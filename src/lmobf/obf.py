@@ -11,15 +11,18 @@ opening of the round. A layer oracle then answers with the next chained
 label, the output oracle with the program output. The body reads one
 Request: the framed bytes of the query, which _framed builds once from a
 Transcript and which a wire request line already is, with the input,
-signature, labels and codewords read off them; the pad bits of a frame's
-last byte are ignored. One running HMAC replays the chain over those
-bytes, so a query hashes each byte once, not every prefix again. Real
-and simulated oracles share the body over a Chain and differ only in how
-a round is opened: the real ones decode through OracleKey.reads,
-simulated_suite(chain, verify, q_fn) only calls verify, the V_k of
-OracleKey.verify, as in the paper: "we can implement these simulated
-oracles just given access to the public-verification oracles V_k".
-Both reject exactly the same queries.
+signature and labels read off them and each round's codewords packed in
+one int; the pad bits of a frame's last byte are ignored. One running
+inner hash, started from the PRF key's HMAC pads, which the Chain works
+out once, replays the chain over those bytes, so a query hashes each
+byte once, not every prefix again. The opening gets one covered word,
+the codewords of the round's covered wires cut from the packed rounds.
+Real and simulated oracles share the body over a Chain and differ only
+in how a round is opened: the real ones decode the word through
+OracleKey.reads, simulated_suite(chain, verify, q_fn) splits it and only
+calls verify, the V_k of OracleKey.verify, as in the paper: "we can
+implement these simulated oracles just given access to the
+public-verification oracles V_k". Both reject exactly the same queries.
 
 Evaluation drives the encoded register through the transversal CNOT
 layers, admitting each wire's masked block at the first layer that
@@ -40,7 +43,7 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -153,6 +156,9 @@ class Chain:
     label_bits: int
     program: LMProgram
     code_length: int
+    # The PRF key's HMAC pads, worked out once: every label hash starts
+    # from copies of them.
+    pads: KeyPads = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.token_vk) != self.program.num_input_bits:
@@ -164,6 +170,7 @@ class Chain:
             raise ValueError("empty PRF key")
         if violations := self.program.violations:
             raise ValueError("program fails structural checks: " + "; ".join(violations))
+        object.__setattr__(self, "pads", key_pads(self.prf_key))
 
 
 @dataclass(frozen=True)
@@ -201,14 +208,15 @@ class OracleKey:
         """V_k of round i: every covered codeword in its accepted coset union."""
         return ver(self.auth_key, self.reads[i - 1], codewords)
 
-    def open_round(self, layer: Layer, x: BitVector, rs: dict[int, int], ordered: CodewordTuple):
-        """The real oracles' opening of a round: decode, then the round's
+    def open_round(self, layer: Layer, x: BitVector, rs: dict[int, int], covered: int):
+        """The real oracles' opening of a round: decode the covered word,
+        the codewords of phi packed in wire order, then the round's
         function. Returns its chain bit r, or the output bits on the final
         round; None if decoding fails."""
-        decoded = dec(self.reads[layer.index - 1], ordered)
-        if decoded is None:
+        bits = dec_words(self.reads[layer.index - 1], covered)
+        if bits == BOT:
             return None
-        top, bits = len(layer.phi) - 1, decoded.value
+        top = len(layer.phi) - 1
         m = {w: bits >> top - k & 1 for k, w in enumerate(layer.phi)}
         code = fn_code(layer.fn, bind(layer.fn, m, x, rs), 0)
         # The structural rules make r a layer function's last output.
@@ -217,24 +225,58 @@ class OracleKey:
 
 # --- label PRF and transcript framing ----------------------------------------
 
+# Byte maps that XOR every byte with HMAC's inner and outer pad bytes.
+_INNER = bytes(b ^ 0x36 for b in range(256))
+_OUTER = bytes(b ^ 0x5C for b in range(256))
 
-def prf(key: bytes, message, num_bits: int) -> BitVector:
+
+class KeyPads(NamedTuple):
+    """The SHA-256 states of an HMAC key after its inner and outer pads
+    (RFC 2104): HMAC(key, m) is outer updated with the digest of inner
+    updated with m."""
+
+    inner: "hashlib._Hash"
+    outer: "hashlib._Hash"
+
+
+def key_pads(key: bytes) -> KeyPads:
+    """The pads of key, which is hashed first if it is longer than
+    SHA-256's 64-byte block."""
+    if len(key) > 64:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(64, b"\0")
+    return KeyPads(hashlib.sha256(key.translate(_INNER)), hashlib.sha256(key.translate(_OUTER)))
+
+
+def prf(key, message, num_bits: int) -> BitVector:
     """Deterministic keyed hash truncated to num_bits (HMAC-SHA256 core,
     counter-extended when the requested width passes one digest).
 
-    message is bytes, or the running HMAC of the message under key
-    (hmac.new(key, digestmod=hashlib.sha256) updated with its bytes),
-    which gives the same bits without hashing the message again; prf
-    uses it up, so pass a copy of one that is still needed."""
+    key is the key's bytes or its KeyPads. message is bytes; or the
+    inner hash of the message, a copy of the key's KeyPads.inner updated
+    with its bytes, which prf finishes with a copy of the outer pad; or
+    the running HMAC of the message under key (hmac.new(key,
+    digestmod=hashlib.sha256) updated with its bytes). The last two give
+    the same bits without hashing the message again; prf uses them up,
+    so pass a copy of one that is still needed."""
     if num_bits < 1:
         raise ValueError("label width must be positive")
+    outer = None
     if not isinstance(message, hmac.HMAC):
-        message = hmac.new(key, message, hashlib.sha256)
+        pads = key if isinstance(key, KeyPads) else key_pads(key)
+        outer = pads.outer
+        if isinstance(message, (bytes, bytearray, memoryview)):
+            inner = pads.inner.copy()
+            inner.update(message)
+            message = inner
     last = (num_bits - 1) // 256
     digests: list[bytes] = []
     for counter in range(last + 1):
         block = message if counter == last else message.copy()
         block.update(counter.to_bytes(4, "big"))
+        if outer is not None:
+            inner_digest, block = block.digest(), outer.copy()
+            block.update(inner_digest)
         digests.append(block.digest())
     # Drop the bits past num_bits, -num_bits mod 256, from the last digest.
     value = int.from_bytes(b"".join(digests), "big") >> (-num_bits & 255)
@@ -259,22 +301,24 @@ def frame_group(vectors: Sequence[BitVector]) -> bytes:
     return frame(concat(vectors))
 
 
-def _frames(buf: bytearray) -> Iterator[tuple[int, int, int]]:
+def _frames(buf: bytearray) -> list[tuple[int, int, int]]:
     """Each frame of a frame sequence as (packed value, bit count, offset
     where it ends), zeroing in buf the pad bits of its last byte; raises
     ValueError on truncated bytes."""
-    at, size = 0, len(buf)
+    frames, at, size = [], 0, len(buf)
     while at < size:
         if at + 4 > size:
             raise ValueError("truncated frame header")
         (n,) = _HEADER.unpack_from(buf, at)
-        start, at = at + 4, at + 4 + (n + 7) // 8
+        start, at = at + 4, at + 4 + (n + 7 >> 3)
         if at > size:
             raise ValueError("truncated frame body")
         pad = -n & 7
-        if pad:
+        value = int.from_bytes(buf[start:at], "big")
+        if value & (1 << pad) - 1:
             buf[at - 1] &= 0xFF << pad & 0xFF
-        yield int.from_bytes(buf[start:at], "big") >> pad, n, at
+        frames.append((value >> pad, n, at))
+    return frames
 
 
 def read_frames(raw: bytes) -> list[BitVector]:
@@ -335,26 +379,27 @@ class Request(NamedTuple):
     framed transcript (pad bits zero), followed by the pair's frame on a
     layer query from the wire; ends[k] is where codeword round k+1's
     frame ends in it. x and signature are for the token check, and
-    labels are (value, width) pairs. codewords() gives each round's
-    codewords, the pair last (empty on the final round); on the wire it
-    builds them from the rounds' packed words, so a line refused before
-    its opening builds none. shaped says whether every round holds its
-    layer's count of code-length codewords: only a Transcript can carry
-    other shapes, since a wire frame of another width does not scan."""
+    labels are (value, width) pairs. rounds holds each round's codewords
+    packed in one int as its frame holds them, the first codeword the
+    most significant, and the pair last (0 on the final round). shaped
+    says whether every round holds its layer's count of code-length
+    codewords: only a Transcript can carry other shapes, since a wire
+    frame of another width does not scan."""
 
     payload: bytes
     ends: tuple[int, ...]
     x: BitVector
     signature: Signature
     labels: tuple[tuple[int, int], ...]
-    codewords: Callable[[], tuple[CodewordTuple, ...]]
+    rounds: tuple[int, ...]
     shaped: bool = True
 
 
 def _request(chain: Chain, layer: Layer, tr: Transcript, w_pair: CodewordTuple) -> Request:
     """The Request of a query at layer on a Transcript and the pair: the
-    transcript framed once by _framed, and the count and widths of the
-    codewords of every round and of the pair checked against the program."""
+    transcript framed once by _framed, each round packed once, and the
+    count and widths of the codewords of every round and of the pair
+    checked against the program."""
     payload, ends = _framed(tr)
     i, rounds = layer.index, tr.v_layers + (w_pair,)
     shaped = (
@@ -368,7 +413,7 @@ def _request(chain: Chain, layer: Layer, tr: Transcript, w_pair: CodewordTuple) 
         tr.x,
         tr.signature,
         tuple((label.value, label.length) for label in tr.labels),
-        lambda: rounds,
+        tuple(concat(words).value for words in rounds),
         shaped,
     )
 
@@ -381,7 +426,7 @@ def _scan(chain: Chain, layer: Layer, raw: bytes) -> Request:
     unless raw is exactly such frames, with the signature, every round
     and the pair as wide as the key makes them."""
     buf = bytearray(raw)
-    frames = list(_frames(buf))
+    frames = _frames(buf)
     i = layer.index
     if len(frames) != 2 * i + 1 + (not layer.final):
         raise ValueError("wrong number of frames")
@@ -392,11 +437,6 @@ def _scan(chain: Chain, layer: Layer, raw: bytes) -> Request:
     p, counts = chain.code_length, layer.counts
     if widths[rounds] + (pair_width,) != tuple(p * n for n in counts):
         raise ValueError("a codeword round is not its count of code-length codewords")
-    words = values[rounds] + (pair,)
-
-    def codewords() -> tuple[CodewordTuple, ...]:
-        return tuple(split(BitVector.from_int(w, p * n), n, p) for w, n in zip(words, counts))
-
     sigma = BitVector.from_int(values[1], widths[1])
     return Request(
         bytes(buf),
@@ -404,7 +444,7 @@ def _scan(chain: Chain, layer: Layer, raw: bytes) -> Request:
         BitVector.from_int(values[0], widths[0]),
         split(sigma, chain.program.num_input_bits, 2 * chain.token_dim),
         tuple(zip(values[labels], widths[labels])),
-        codewords,
+        values[rounds] + (pair,),
     )
 
 
@@ -412,12 +452,13 @@ def _scan(chain: Chain, layer: Layer, raw: bytes) -> Request:
 _CHAIN_BITS = (frame(BitVector((0,))), frame(BitVector((1,))))
 
 
-def _label(chain: Chain, running: hmac.HMAC, bit: int) -> BitVector:
+def _label(chain: Chain, running, bit: int) -> BitVector:
     """The chained label of a framed prefix ending in a codeword layer,
-    from the running HMAC of that prefix, which is left as it was."""
+    from the running inner hash of that prefix (a copy of
+    chain.pads.inner updated with it), which is left as it was."""
     message = running.copy()
     message.update(_CHAIN_BITS[bit & 1])
-    return prf(chain.prf_key, message, chain.label_bits)
+    return prf(chain.pads, message, chain.label_bits)
 
 
 # --- oracle internals ---------------------------------------------------------
@@ -449,10 +490,13 @@ def _answer(chain: Chain, open_: Callable, layer: Layer, query, w_pair: Codeword
     (empty on the final round), whose Request _request builds. In order
     it checks the token; the codeword count and widths of every round and
     of the pair; the label-chain replay; then open_(layer, x, chain bits,
-    covered codewords), which gives the round's chain bit, the output
-    bits on the final round, or None for a decode-fail. The first failure
-    is the Reject; a layer round replies with its echoed codewords and
-    the label of its bit."""
+    covered word), which gives the round's chain bit, the output bits on
+    the final round, or None for a decode-fail. The covered word packs
+    the codeword of every wire of phi, in wire order, the first the most
+    significant, cut from the packed rounds by Layer.at. The first
+    failure is the Reject. A layer round replies with its echoed
+    codewords and the label of its bit: on a Transcript the tuple it
+    holds, on a Request the round's packed word as one BitVector."""
     i = layer.index
     req = query if isinstance(query, Request) else _request(chain, layer, query, w_pair)
     if not tok_ver(chain.token_vk, req.x, req.signature):
@@ -460,27 +504,33 @@ def _answer(chain: Chain, open_: Callable, layer: Layer, query, w_pair: Codeword
     if not req.shaped:
         return Reject(REASON_DECODE, i)
     # Each earlier label must be one of its layer's two candidate hashes;
-    # the matching trailing bit is that layer's chain bit. One HMAC runs
-    # over the payload and is copied at the end of each codeword round.
-    running = hmac.new(chain.prf_key, digestmod=hashlib.sha256)
+    # the matching trailing bit is that layer's chain bit. One inner hash
+    # runs over the payload and is copied at the end of each codeword round.
+    running = chain.pads.inner.copy()
     payload, start, rs = memoryview(req.payload), 0, {}
     for idx, (end, (value, width)) in enumerate(zip(req.ends, req.labels), start=1):
         running.update(payload[start:end])
         start = end
-        cand0, cand1 = _label(chain, running, 0), _label(chain, running, 1)
+        cand0, cand1 = _label(chain, running, 0).value, _label(chain, running, 1).value
         if cand0 == cand1:
             return Reject(REASON_COLLISION, i)
-        if width != chain.label_bits or value not in (cand0.value, cand1.value):
+        if width != chain.label_bits or value not in (cand0, cand1):
             return Reject(REASON_BAD_LABEL, i)
-        rs[idx] = int(value == cand1.value)
-    rounds = req.codewords()
-    opened = open_(layer, req.x, rs, tuple([rounds[k][j] for k, j in layer.at]))
+        rs[idx] = int(value == cand1)
+    p, counts, rounds = chain.code_length, layer.counts, req.rounds
+    covered, mask = 0, (1 << p) - 1
+    for k, j in layer.at:
+        covered = covered << p | rounds[k] >> p * (counts[k] - 1 - j) & mask
+    opened = open_(layer, req.x, rs, covered)
     if opened is None:
         return Reject(REASON_DECODE, i)
     if layer.final:
         return opened
     running.update(payload[start : req.ends[i - 1]])
-    return rounds[i - 1], _label(chain, running, opened)
+    label = _label(chain, running, opened)
+    if isinstance(query, Request):
+        return BitVector.from_int(rounds[i - 1], p * counts[i - 1]), label
+    return query.v_layers[-1], label
 
 
 # --- the oracles --------------------------------------------------------------
@@ -490,7 +540,8 @@ def oracle_f(key: OracleKey, i: int, transcript, w_pair: CodewordTuple = ()):
     """Layer-i oracle on a Transcript and the pair, or on the Request of
     a request line: token check, label-chain replay, decode of every
     codeword the i-th measurement covers, then the next chained label.
-    Accepts with (echoed layer codewords, label); rejects with a Reject."""
+    Accepts with (echoed layer codewords, label), the codewords packed in
+    one BitVector on a Request; rejects with a Reject."""
     return _answer(key.chain, key.open_round, _round(key.chain, i), transcript, w_pair)
 
 
@@ -539,9 +590,11 @@ def simulated_suite(
     oracle V_k and their only access to the authentication key, in place
     of decoding. A layer query's label always commits to chain bit 0, and
     the output query answers q_fn(x), the induced classical map."""
+    p = chain.code_length
 
-    def open_(layer: Layer, x: BitVector, rs: dict, ordered: CodewordTuple):
-        if not verify(layer.index, ordered):
+    def open_(layer: Layer, x: BitVector, rs: dict, covered: int):
+        n = len(layer.phi)
+        if not verify(layer.index, split(BitVector.from_int(covered, p * n), n, p)):
             return None
         return q_fn(x) if layer.final else 0
 
@@ -929,7 +982,7 @@ def handle_request_line(key: OracleKey, line: str) -> str:
         if is_bot(reply):
             return "BOT"
         echo, label = reply
-        return f"OK {frame_group(echo).hex()} {frame(label).hex()}"
+        return f"OK {frame(echo).hex()} {frame(label).hex()}"
     except (ValueError, OverflowError):
         return "BOT"
 

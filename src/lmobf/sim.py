@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .gf2 import BitVector, Subspace, parity
+from .gf2 import BitVector, Subspace, draw_index as _draw, parity
 
 QUBIT_CAP = 24
 INDEX_BITS = 62  # the widest state an int64 index can address
@@ -414,19 +414,6 @@ class _Classes(NamedTuple):
     cls: np.ndarray
     codes: np.ndarray
     class_probs: np.ndarray
-
-
-def _draw(rng: np.random.Generator, weights: np.ndarray) -> int:
-    """The index rng.choice(len(weights), p=weights / weights.sum())
-    returns, from the same one uniform, without choice's per-call checks:
-    the normalised cumulative sum searched at rng.random()."""
-    if not len(weights):
-        raise ValueError("cannot draw from no weights")
-    cdf = (weights / weights.sum()).cumsum()
-    if math.isnan(cdf[-1]):
-        raise ValueError("weights contain NaN")
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), "right"))
 
 
 def _measurement_classes(state: StateVector, spec: MeasurementSpec) -> _Classes:

@@ -16,7 +16,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gf2 import BitVector, Subspace, coset_vector, dual, sample_coset_vector, sample_subspace
+from .gf2 import (
+    BitVector,
+    Subspace,
+    coset_vector,
+    draw_index,
+    dual,
+    sample_coset_vector,
+    sample_subspace,
+)
 from .text import LineReader, parse
 
 Signature = tuple[BitVector, ...]
@@ -69,11 +77,14 @@ def tok_sign(x: BitVector, keypair: TokenKeypair, rng: np.random.Generator) -> S
 
 
 def tok_ver(vk: Sequence[Subspace], x: BitVector, sigma: Signature) -> bool:
+    """Accept iff each signature vector is nonzero and in its bit's
+    subspace (bit 0) or that subspace's dual (bit 1)."""
     if len(x) != len(vk) or len(sigma) != len(vk):
         return False
-    for j, (space, a) in enumerate(zip(vk, sigma), start=1):
-        target = dual(space) if x[j] else space
-        if len(a) != space.ambient_dim or a.is_zero() or not target.contains(a):
+    top = len(vk) - 1
+    for j, (space, a) in enumerate(zip(vk, sigma)):
+        target = dual(space) if x.value >> top - j & 1 else space
+        if a.length != space.ambient_dim or not a.value or target._reduce(a.value):
             return False
     return True
 
@@ -98,10 +109,11 @@ def measure_register(
     if keypair.kappa_prime > _MEASURED_UP_TO:
         outcome = sample_coset_vector(space, shift, rng)
     else:
-        # sim.measure's two draws: a vector of the coset, ascending, then a row.
+        # sim.measure's two draws, one uniform each: a vector of the coset,
+        # ascending, then the row of the one-row register.
         q = np.full(1 << space.dim, 1 / np.sqrt(2.0**space.dim)) ** 2
-        outcome = coset_vector(space, shift, int(rng.choice(len(q), p=q / q.sum())))
-        rng.choice(1, p=[1.0])
+        outcome = coset_vector(space, shift, draw_index(rng, q))
+        rng.random()
     keypair.reads[bit_index - 1] = (basis, outcome)
     return outcome
 

@@ -550,6 +550,27 @@ def test_serve_skips_blank_lines_without_a_reply(workdir):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "BOT\nBOT\n", "")
 
 
+def test_serve_ends_quietly_when_its_reader_leaves(workdir):
+    """A reader that closes the pipe after one reply: the server answers
+    the next line into the closed pipe, then stops with exit 0 and
+    writes nothing to stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lmobf", "oracle-serve", str(workdir / "obf")],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdin.write(b"G 00\n")
+    proc.stdin.flush()
+    assert proc.stdout.readline() == b"BOT\n"
+    proc.stdout.close()
+    proc.stdin.write(b"G 00\n" * 100)
+    proc.stdin.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_eval_output_matches_library_map(workdir, capsys):
     from lmobf.obf import induced_map, oracle_key_from_text
 
