@@ -30,12 +30,13 @@ from .gf2 import (
     concat,
     coset_class,
     dual,
+    packed_rows,
     parity,
     sample_coset_vectors,
     sample_subspace,
 )
-from .sim import BOT, StateVector, apply_cnots, apply_encoding_isometry
-from .text import LineReader, parse
+from .sim import BOT, StateVector, apply_cnots, encode_qubits
+from .text import LineReader
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,8 @@ class AuthKey:
     hat_delta: BitVector = field(init=False, repr=False, compare=False)
     accept_space_z: Subspace = field(init=False, repr=False, compare=False)
     accept_space_x: Subspace = field(init=False, repr=False, compare=False)
+    # Per basis, its code and delta reduced against it, for every WireRead.
+    codes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = self.code_length
@@ -69,7 +72,9 @@ class AuthKey:
         object.__setattr__(self, "accept_space_z", accept_z)
         object.__setattr__(self, "accept_space_x", dual(self.space))
         object.__setattr__(self, "hat_space", dual(accept_z))
-        object.__setattr__(self, "hat_delta", canonical_delta_hat(self.space, self.delta))
+        object.__setattr__(self, "hat_delta", canonical_delta_hat(self.space, self.delta, accept_z))
+        codes = ((self.space, self.delta), (self.hat_space, self.hat_delta))
+        object.__setattr__(self, "codes", tuple((s, d, s._reduce(d.value)) for s, d in codes))
 
     @property
     def code_length(self) -> int:
@@ -82,18 +87,13 @@ def gen(security: int, num_wires: int, rng: np.random.Generator) -> AuthKey:
     p = 2 * security + 1
     space = sample_subspace(p, security, rng)
     while True:
-        delta = BitVector.from_ints(rng.integers(0, 2, size=p))
+        delta = BitVector.from_int(packed_rows(rng.integers(0, 2, size=(1, p)))[0], p)
         if not space.contains(delta):
             break
     # One call for every mask: a bounded draw of range 2 takes one 32-bit
-    # word per bit, so the stream is that of one call per mask. Each row
-    # packs into whole bytes and is read as a Python int, for any p.
-    packed = np.packbits(rng.integers(0, 2, size=(2 * num_wires, p)), axis=1).tobytes()
-    size, pad = len(packed) // (2 * num_wires), -p % 8
-    masks = tuple(
-        BitVector.from_int(int.from_bytes(packed[i : i + size], "big") >> pad, p)
-        for i in range(0, len(packed), size)
-    )
+    # word per bit, so the stream is that of one call per mask.
+    words = packed_rows(rng.integers(0, 2, size=(2 * num_wires, p)))
+    masks = tuple(BitVector.from_int(word, p) for word in words)
     return AuthKey(security, num_wires, space, delta, masks[:num_wires], masks[num_wires:])
 
 
@@ -105,12 +105,9 @@ def enc(key: AuthKey, logical: StateVector, wires: Optional[Sequence[int]] = Non
     wires = range(1, key.num_wires + 1) if wires is None else wires
     if logical.num_qubits != len(wires):
         raise ValueError("state width must match the key")
-    state = logical
-    for qubit in range(len(wires), 0, -1):
-        wire = wires[qubit - 1]
-        x, z = key.x_masks[wire - 1], key.z_masks[wire - 1]
-        state = apply_encoding_isometry(state, qubit, key.space, key.delta, x, z)
-    return state
+    xz = [(x.value, z.value) for x, z in zip(key.x_masks, key.z_masks)]
+    masks = {q: xz[w - 1] for q, w in enumerate(wires, 1)}
+    return encode_qubits(logical, key.space, key.delta, masks)
 
 
 def lin_eval(
@@ -159,12 +156,14 @@ class WireRead:
 
     @classmethod
     def of(cls, key: AuthKey, wire: int, basis: Optional[int], xs, zs) -> WireRead:
-        """The read of wire in basis; xs and zs are the masks after the CNOTs."""
-        if basis == 0:
-            return cls(wire, 0, key.space, key.delta, xs[wire - 1])
-        if basis == 1:
-            return cls(wire, 1, key.hat_space, key.hat_delta, zs[wire - 1])
-        raise ValueError("theta entries must be 0, 1 or None")
+        """The read of wire in basis; xs and zs are the masks after the
+        CNOTs. The key's codes come reduced, so the read skips the check."""
+        if basis not in (0, 1):
+            raise ValueError("theta entries must be 0, 1 or None")
+        space, delta, one = key.codes[basis]
+        shift, read = (zs if basis else xs)[wire - 1], object.__new__(cls)
+        read.__dict__.update(wire=wire, basis=basis, space=space, delta=delta, shift=shift, one=one)
+        return read
 
 
 Reads = tuple[WireRead, ...]
@@ -298,10 +297,6 @@ def read_key(r: LineReader) -> AuthKey:
     if key.hat_delta != hat_delta:
         raise ValueError("serialized dual shift is inconsistent with the key")
     return key
-
-
-def key_from_text(text: str) -> AuthKey:
-    return parse(text, read_key)
 
 
 def honest_codewords(

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -130,12 +130,15 @@ def parity(words: np.ndarray, mask: int) -> np.ndarray:
 def rref(rows: tuple[BitVector, ...]) -> tuple[BitVector, ...]:
     """Reduced row-echelon form over GF(2) of rows of equal width; zero
     rows dropped."""
-    n = len(rows[0]) if rows else 0
+    return _rref([r.value for r in rows], len(rows[0]) if rows else 0)
+
+
+def _rref(words: list[int], n: int) -> tuple[BitVector, ...]:
+    """rref of rows given as n-bit packed words."""
     # Reduced rows keyed by their pivot, the row's leading bit; no pivot
     # bit is set in any other row.
     reduced: dict[int, int] = {}
-    for row in rows:
-        value = row.value
+    for value in words:
         for piv, other in reduced.items():
             if value & piv:
                 value ^= other
@@ -148,7 +151,8 @@ def rref(rows: tuple[BitVector, ...]) -> tuple[BitVector, ...]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of F2^ambient_dim with canonical RREF basis."""
+    """Linear subspace of F2^ambient_dim with canonical RREF basis, checked
+    by the constructor; span, dual and sample_subspace build it unchecked."""
 
     ambient_dim: int
     basis: tuple[BitVector, ...]
@@ -159,12 +163,19 @@ class Subspace:
         if self.basis != rref(self.basis):
             raise ValueError("basis must be in RREF (use span())")
 
+    @classmethod
+    def _of(cls, ambient_dim: int, basis: tuple[BitVector, ...]) -> "Subspace":
+        """The spanning path: a subspace from a basis already in RREF."""
+        space = object.__new__(cls)
+        space.__dict__.update(ambient_dim=ambient_dim, basis=basis)
+        return space
+
     @staticmethod
     def span(ambient_dim: int, rows: Sequence[BitVector]) -> "Subspace":
         rows = tuple(rows)
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("row width != ambient_dim")
-        return Subspace(ambient_dim, rref(rows))
+        return Subspace._of(ambient_dim, rref(rows))
 
     @staticmethod
     def span_strings(ambient_dim: int, rows: Sequence[str]) -> "Subspace":
@@ -172,7 +183,7 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
+        return Subspace._of(ambient_dim, ())
 
     @property
     def dim(self) -> int:
@@ -197,8 +208,8 @@ class Subspace:
             for piv, row in self._pivots:
                 if row & free:
                     v |= 1 << piv
-            null_rows.append(BitVector.from_int(v, n))
-        return Subspace.span(n, null_rows)
+            null_rows.append(v)
+        return Subspace._of(n, _rref(null_rows, n))
 
     def _reduce(self, words):
         """Reduce packed words (an int or an int64 array) without
@@ -235,10 +246,19 @@ def sample_subspace(ambient: int, dim: int, rng: np.random.Generator) -> Subspac
     if dim == 0:
         return Subspace.zero(ambient)
     while True:
-        rows = rng.integers(0, 2, size=(dim, ambient), dtype=np.uint8)
-        reduced = rref(tuple(BitVector.from_ints(r) for r in rows))
+        words = packed_rows(rng.integers(0, 2, size=(dim, ambient), dtype=np.uint8))
+        reduced = _rref(words, ambient)
         if len(reduced) == dim:
-            return Subspace(ambient, reduced)
+            return Subspace._of(ambient, reduced)
+
+
+def packed_rows(bits: np.ndarray) -> list[int]:
+    """The rows of a 2-d array of 0/1 ints, each packed into an int with
+    its first entry the most significant bit: one product with the bits'
+    weights while a row fits in an int64, else read from its digits."""
+    if bits.shape[1] < 63:
+        return (bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))).tolist()
+    return [int("".join(map(str, row)), 2) for row in bits.tolist()]
 
 
 def dual(s: Subspace) -> Subspace:
@@ -247,15 +267,19 @@ def dual(s: Subspace) -> Subspace:
     return s._dual
 
 
-def canonical_delta_hat(s: Subspace, delta: BitVector) -> BitVector:
+def canonical_delta_hat(
+    s: Subspace, delta: BitVector, s_delta: Optional[Subspace] = None
+) -> BitVector:
     """Least vector of dual(s) \\ dual(span(s, delta)).
 
     The returned vector d satisfies d.delta = 1, d.w = 0 for w in s, and
-    dual(s) = shat ∪ (shat + d) where shat = dual(span(s, delta)).
+    dual(s) = shat ∪ (shat + d) where shat = dual(span(s, delta)); a
+    caller that holds span(s, delta) passes it as s_delta.
     """
     if s.contains(delta):
         raise ValueError("delta must lie outside the subspace")
-    s_delta = Subspace.span(s.ambient_dim, s.basis + (delta,))
+    if s_delta is None:
+        s_delta = Subspace.span(s.ambient_dim, s.basis + (delta,))
     s_perp = dual(s)
     s_hat = dual(s_delta)
     for row in s_perp.basis:

@@ -19,8 +19,8 @@ shifts and XORs the indices, and a Pauli mask XORs them and flips
 signs; both then sort. A one-qubit matrix (a gate, or the Hadamard
 rotation of an X-tagged qubit) multiplies the support's entries,
 gathered in pairs that differ only at that qubit, as one zero-filled
-(2, M) array. The encoding isometry expands each index by the nonzero
-rows of its two columns.
+(2, M) array. The encoding isometry builds its columns from packed words
+and expands each index by the nonzero rows of the columns its bits select.
 
 Measurements follow the partial-collapse rule: qubits tagged Z or X
 (rotated within the measured register) are read out, the outcome
@@ -335,14 +335,11 @@ def apply_pauli_mask(state: StateVector, x_mask: BitVector, z_mask: BitVector) -
 
 
 def prepare_subspace_state(s: Subspace, shift: Optional[BitVector] = None) -> StateVector:
-    """Uniform superposition over the coset s + shift."""
-    n = s.ambient_dim
-    _check_size(n, 1 << s.dim)
-    index = np.array([0 if shift is None else shift.value], dtype=np.int64)
-    for row in s.basis:
-        index = np.concatenate([index, index ^ row.value])
-    values = np.full(len(index), 1.0 / np.sqrt(2.0**s.dim), dtype=np.complex128)
-    return StateVector._of(n, np.sort(index), values)
+    """Uniform superposition over the coset s + shift: the encoding of
+    |0>, or of |1> with shift as the code's delta."""
+    one = StateVector.basis(BitVector.from_int(int(shift is not None), 1))
+    delta = BitVector.zeros(s.ambient_dim) if shift is None else shift
+    return encode_qubits(one, s, delta, {1: (0, 0)})
 
 
 def apply_encoding_isometry(
@@ -356,30 +353,51 @@ def apply_encoding_isometry(
     """Replace one qubit by ambient_dim qubits via |0> -> P|s>,
     |1> -> P|s+delta>, where P = X^x_mask Z^z_mask (the identity by
     default) is applied to the two columns, so the mask never touches
-    the whole state. Each index of the support expands into the nonzero
-    rows of the column its bit at qubit selects."""
-    n, p = state.num_qubits, s.ambient_dim
-    if not 1 <= qubit <= n:
-        raise ValueError(f"qubit {qubit} out of range 1..{n}")
-    new_n = n - 1 + p
-    _check_size(new_n, len(state.support) << s.dim)
-    x = BitVector.zeros(p) if x_mask is None else x_mask
-    z = BitVector.zeros(p) if z_mask is None else z_mask
-    columns = [apply_pauli_mask(prepare_subspace_state(s, c), x, z) for c in (None, delta)]
-    b = n - qubit
-    support, values = state.support, state.values
-    # The index with the qubit's bit cleared and the bits above it moved
-    # up by p - 1, so that a column row ORs in at shift b.
-    base = support >> (b + 1) << (b + p) | support & (1 << b) - 1
-    bit = support >> b & 1
-    index, out = [], []
-    for c, column in enumerate(columns):
-        rows = bit == c
-        index.append((base[rows, None] | column.support << b).reshape(-1))
-        out.append((values[rows, None] * column.values).reshape(-1))
-    index, out = np.concatenate(index), np.concatenate(out)
+    the whole state."""
+    if not 1 <= qubit <= state.num_qubits:
+        raise ValueError(f"qubit {qubit} out of range 1..{state.num_qubits}")
+    if any(len(m) != s.ambient_dim for m in (x_mask, z_mask) if m is not None):
+        raise ValueError("mask length must equal the code length")
+    x, z = (0 if m is None else m.value for m in (x_mask, z_mask))
+    return encode_qubits(state, s, delta, {qubit: (x, z)})
+
+
+def encode_qubits(
+    state: StateVector, s: Subspace, delta: BitVector, masks: dict[int, tuple[int, int]]
+) -> StateVector:
+    """apply_encoding_isometry on each qubit q that masks holds, under
+    the packed masks[q] = (x, z), in one pass and one sort. Each index
+    of the support expands into the nonzero rows of the columns its bits
+    select, and each amplitude is multiplied by the columns' entries
+    last qubit first, as one call per qubit from the last one does."""
+    n, p, m = state.num_qubits, s.ambient_dim, len(state.support)
+    qubits = sorted(masks)
+    new_n = n + (p - 1) * len(qubits)
+    _check_size(new_n, m << s.dim * len(qubits))
+    # The columns X^x Z^z|s> and X^x Z^z|s+delta> of each qubit, from packed
+    # words: per coset vector i, the row i ^ x and +-1/sqrt(2^dim), negative
+    # where i.z is odd, as apply_pauli_mask takes the sign before the flip.
+    coset = [0]
+    for row in s.basis:
+        coset += [i ^ row.value for i in coset]
+    cosets = np.array([coset, [i ^ delta.value for i in coset]], dtype=np.int64)
+    pairs = np.array([masks[q] for q in qubits], dtype=np.int64).reshape(-1, 2, 1, 1)
+    col_index = cosets ^ pairs[:, 0]
+    col_values = ((1.0 - 2.0 * parity(cosets, pairs[:, 1])) / math.sqrt(2.0**s.dim)).astype(complex)
+    # Where qubit q's lowest bit lands: n - q bits below it, p - 1 more per encoded qubit after it.
+    low = [n - q + (p - 1) * sum(r > q for r in qubits) for q in range(n + 1)]
+    support, index = state.support, np.zeros(m, dtype=np.int64)
+    for first, count in _runs([q for q in range(n) if q + 1 not in masks]):
+        index |= (support >> (n - first - count) & (1 << count) - 1) << low[first + count]
+    k, bits = np.arange(len(qubits)), support[:, None] >> n - np.array(qubits, dtype=np.int64) & 1
+    rows = col_index[k, bits] << np.array([low[q] for q in qubits], dtype=np.int64)[:, None]
+    entries, index, values = col_values[k, bits], index[:, None], state.values[:, None]
+    for j in range(len(qubits) - 1, -1, -1):
+        index = (index[:, :, None] | rows[:, j, None]).reshape(m, -1)
+        values = (values[:, :, None] * entries[:, j, None]).reshape(m, -1)
+    index, values = index.reshape(-1), values.reshape(-1)
     order = np.argsort(index)
-    return StateVector._of(new_n, index[order], out[order])
+    return StateVector._of(new_n, index[order], values[order])
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -25,7 +25,7 @@ from .gf2 import (
     sample_coset_vector,
     sample_subspace,
 )
-from .text import LineReader, parse
+from .text import LineReader
 
 Signature = tuple[BitVector, ...]
 
@@ -141,7 +141,3 @@ def read_vk(r: LineReader) -> tuple[int, tuple[Subspace, ...]]:
             raise ValueError(f"A{j} spans dimension {space.dim}, not kappa-prime {kappa_prime}")
         spaces.append(space)
     return kappa_prime, tuple(spaces)
-
-
-def vk_from_text(text: str) -> tuple[int, tuple[Subspace, ...]]:
-    return parse(text, read_vk)

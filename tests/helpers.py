@@ -8,8 +8,8 @@ from itertools import product
 import numpy as np
 
 import lmobf.obf as obf_mod
-from lmobf.auth import AuthKey, dec_words, enc, pauli_update
-from lmobf.gf2 import BitVector, concat, coset_decode, sample_subspace, split
+from lmobf.auth import AuthKey, dec_words, enc, pauli_update, read_key
+from lmobf.gf2 import BitVector, Subspace, concat, coset_decode, rref, sample_subspace, split
 from lmobf.sim import (
     BOT,
     MeasurementSpec,
@@ -34,6 +34,8 @@ from lmobf.lm import (
     read_spec,
     total_variation,
 )
+from lmobf.text import parse
+from lmobf.tokens import read_vk
 
 
 def random_circuit(
@@ -218,6 +220,29 @@ def reference_gen(security: int, num_wires: int, rng: np.random.Generator) -> Au
             break
     masks = tuple(BitVector.from_ints(rng.integers(0, 2, size=p)) for _ in range(2 * num_wires))
     return AuthKey(security, num_wires, space, delta, masks[:num_wires], masks[num_wires:])
+
+
+def reference_sample_subspace(ambient: int, dim: int, rng: np.random.Generator) -> Subspace:
+    """gf2.sample_subspace with each row of the uint8 draw read by
+    BitVector.from_ints and the rows reduced by rref: the reference for
+    the RNG stream that sample_subspace must keep."""
+    if dim == 0:
+        return Subspace.zero(ambient)
+    while True:
+        rows = rng.integers(0, 2, size=(dim, ambient), dtype=np.uint8)
+        reduced = rref(tuple(BitVector.from_ints(r) for r in rows))
+        if len(reduced) == dim:
+            return Subspace(ambient, reduced)
+
+
+def key_from_text(text: str) -> AuthKey:
+    """The authentication key key_to_text wrote."""
+    return parse(text, read_key)
+
+
+def vk_from_text(text: str) -> tuple[int, tuple[Subspace, ...]]:
+    """kappa' and the subspaces vk_to_text wrote."""
+    return parse(text, read_vk)
 
 
 def reference_dec(key, cnots, theta, words):

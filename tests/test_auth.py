@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    key_from_text,
     logical_measure,
     logical_measure_branches,
     reference_dec,
@@ -21,7 +22,6 @@ from lmobf.auth import (
     enc,
     gen,
     honest_codeword,
-    key_from_text,
     key_to_text,
     lin_eval,
     pauli_matrix,

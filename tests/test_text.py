@@ -6,7 +6,8 @@ import re
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from lmobf.auth import key_from_text, key_to_text
+from helpers import key_from_text, vk_from_text
+from lmobf.auth import key_to_text
 from lmobf.cli import _param_lines, read_state
 from lmobf.lm import (
     Circuit,
@@ -19,7 +20,7 @@ from lmobf.lm import (
 )
 from lmobf.obf import ObfParams, oracle_key_from_text, oracle_key_to_text, qobf
 from lmobf.text import parse
-from lmobf.tokens import vk_from_text, vk_to_text
+from lmobf.tokens import vk_to_text
 
 CIRCUIT = Circuit(2, 2, (Gate("CNOT", (1, 2)), Gate("H", (2,)), Gate("T", (2,))), (1, 2))
 PARAMS = ObfParams(security=1, label_bits=16, token_dim=2)

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import ReferenceRegisters
+from helpers import ReferenceRegisters, vk_from_text
 from lmobf.gf2 import BitVector, dual, sample_coset_vector
 from lmobf.tokens import (
     keypair_from_subspaces,
@@ -12,7 +12,6 @@ from lmobf.tokens import (
     tok_gen,
     tok_sign,
     tok_ver,
-    vk_from_text,
     vk_to_text,
 )
 
